@@ -133,13 +133,11 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
     """Run one episode under the configured scenario and serialize the trace."""
-    formation = config.build_formation()
-    disp = config.displacement_set(formation)
     trace = run_episode(
         initial=config.initial_state(),
         world=config.world,
         graph=config.graph,
-        disp=disp,
+        disp=config.displacement_set(),
         gains=config.gains,
         params=config.params,
         max_steps=config.max_steps,
@@ -241,7 +239,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     for path in paths:
         print(f"wrote {path}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

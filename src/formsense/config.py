@@ -1,18 +1,21 @@
 """Run configuration: YAML schema, validation, defaults, canonical hashing.
 
-A config file fully determines a run. Parsing resolves every default and
-unit conversion (noise floors given in dBm are stored in watts), validates
-against the domain types, and computes a short hash of the canonical form
-so output files can state exactly which configuration produced them. The
-output directory is excluded from the hash: two runs of the same experiment
-into different directories are still the same experiment.
+A config file fully determines a run. ``SCHEMA`` lists every field of every
+section with its type and default; one function checks a mapping against
+its table, and the typed values it returns are the section's canonical
+form. Short section code adds the rules that span fields (noise floors
+given in dBm are stored in watts, custom graphs, deployments, stability)
+and builds the domain objects. A short hash of the canonical form lets
+output files state exactly which configuration produced them. The output
+directory is excluded from the hash: two runs of the same experiment into
+different directories are still the same experiment.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -30,71 +33,75 @@ from .world import Guidance, RectObstacle, World
 # per-step motion noise streams (which use small step indices).
 _DEPLOY_STREAM = 2**40
 
-_TOPOLOGIES = ("ring", "ring_with_leader", "complete", "custom")
+_DEFAULT_SEED = 12345
+_DEFAULT_OUTPUT_DIR = "out"
 
-_DEFAULTS: dict[str, Any] = {
+# Field types besides float and int: a 2-vector, or a raw value (a list that
+# the section code checks). A tuple of strings lists the allowed values.
+_VEC2 = "vec2"
+_RAW = "raw"
+# The default of a field that must be given. A field whose default is None
+# has no value unless given.
+_REQUIRED = object()
+
+SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     "sensing": {
-        "transmit_power_w": 0.1,
-        "processing_gain": 1.0e3,
-        "ref_channel_power_m4": 1.0e-5,
-        "kappa": 1.0,
-        "noise_floor_dbm": -90.0,
-        "altitude_m": 20.0,
+        "transmit_power_w": (float, 0.1),
+        "processing_gain": (float, 1.0e3),
+        "ref_channel_power_m4": (float, 1.0e-5),
+        "kappa": (float, 1.0),
+        "noise_floor_dbm": (float, -90.0),
+        "noise_floor_w": (float, None),  # alternative to noise_floor_dbm
+        "altitude_m": (float, 20.0),
     },
     "formation": {
-        "agent_count": 6,
-        "initial_rotation_deg": 0.0,
+        "agent_count": (int, 6),
+        "initial_rotation_deg": (float, 0.0),
         # Nonzero values plan the formation around an imperfect prior target
         # estimate while the CRLB is still evaluated at the true target.
-        "prior_target_offset_m": [0.0, 0.0],
+        "prior_target_offset_m": (_VEC2, [0.0, 0.0]),
     },
     "world": {
-        "target_m": [80.0, 90.0],
-        "obstacles": [],
-        "motion_noise_std_m": 0.01,
-        "dt_s": 0.1,
+        "target_m": (_VEC2, [80.0, 90.0]),
+        "obstacles": (_RAW, []),
+        "motion_noise_std_m": (float, 0.01),
+        "dt_s": (float, 0.1),
     },
     "graph": {
-        "topology": "ring_with_leader",
-        "leader_index": 0,
+        "topology": (("ring", "ring_with_leader", "complete", "custom"), "ring_with_leader"),
+        "leader_index": (int, 0),
+        "adjacency": (_RAW, None),  # for the custom topology
     },
-    "gains": {
-        "epsilon": 0.01,
-        "consensus_gain": 0.2,
-        "repulsion_gain": 5.0,
-        "safety_radius_m": 5.0,
-        "repulsion_cap": 5.0,
-        "eta_min": 0.2,
-    },
+    "gains": {f.name: (float, f.default) for f in fields(ControlGains)},
     "deployment": {
-        "kind": "random_box",
-        "center_m": [0.0, 0.0],
-        "side_m": 50.0,
-        "initial_scale": 1.0,
+        "kind": (("random_box", "explicit"), "random_box"),
+        "center_m": (_VEC2, [0.0, 0.0]),
+        "side_m": (float, 50.0),
+        "positions_m": (_RAW, None),  # for explicit deployment
+        "initial_scale": (float, 1.0),
     },
     "guidance": {
-        "mode": "constant",
-        "velocity_mps": [0.0, 0.0],
-        "max_speed_mps": 1.2,
-        "gain_per_s": 0.5,
-        "arrival_tolerance_m": 0.05,
+        "mode": (("constant", "goal"), "constant"),
+        "velocity_mps": (_VEC2, [0.0, 0.0]),
+        "max_speed_mps": (float, 1.2),
+        "gain_per_s": (float, 0.5),
+        "arrival_tolerance_m": (float, 0.05),
     },
     "episode": {
-        "max_steps": 4000,
-        "stop_tolerance_m2": 1.0e-3,
+        "max_steps": (int, 4000),
+        "stop_tolerance_m2": (float, 1.0e-3),
     },
     "sweep": {
-        "altitudes_m": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
-        "benchmarks": [
-            {"kind": "optimal"},
-            {"kind": "line"},
-            {"kind": "clustered_polygon"},
-            {"kind": "fixed_elevation"},
-            {"kind": "random_cloud"},
-        ],
+        "altitudes_m": (_RAW, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]),
+        "benchmarks": (_RAW, [{"kind": kind} for kind in KINDS]),
     },
-    "seed": 12345,
-    "output_dir": "out",
+}
+
+# Tables of the entries of world.obstacles and sweep.benchmarks.
+_OBSTACLE = {key: (float, _REQUIRED) for key in ("x_min", "x_max", "y_min", "y_max")}
+_BENCHMARK = {
+    f.name: (KINDS, _REQUIRED) if f.name == "kind" else (type(f.default), f.default)
+    for f in fields(BenchmarkSpec)
 }
 
 
@@ -138,10 +145,48 @@ def _as_vec2(name: str, value: Any) -> list[float]:
     return [_as_float(f"{name}[{i}]", v) for i, v in enumerate(value)]
 
 
-def _merged(given: dict, defaults: dict) -> dict:
-    out = dict(defaults)
-    out.update(given)
+def _as_list(name: str, value: Any, nonempty: bool) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ConfigError(f"{name}: expected a {'nonempty ' * nonempty}list, got {value!r}")
+    return value
+
+
+_CONVERTERS = {float: _as_float, int: _as_int, _VEC2: _as_vec2}
+
+
+def _check_fields(name: str, value: Any, table: dict[str, tuple[Any, Any]]) -> dict:
+    """Check a mapping against its table and return its typed values.
+
+    Unknown fields are rejected and missing ones take their default.
+    """
+    given = _expect_mapping(name, value)
+    _reject_unknown(name, given, set(table))
+    out = {}
+    for key, (kind, default) in table.items():
+        path = f"{name}.{key}"
+        if key not in given and default is _REQUIRED:
+            raise ConfigError(f"{path}: required")
+        if key not in given and default is None:
+            continue
+        value = given.get(key, default)
+        if kind in _CONVERTERS:
+            value = _CONVERTERS[kind](path, value)
+        elif isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(f"{path}: expected one of {kind}, got {value!r}")
+        out[key] = value
     return out
+
+
+def _entries(name: str, value: Any, table: dict, make, nonempty: bool) -> tuple[list, tuple]:
+    """Check every mapping of a list against ``table`` and build ``make(**entry)``."""
+    checked, built = [], []
+    for i, entry in enumerate(_as_list(name, value, nonempty)):
+        checked.append(_check_fields(f"{name}[{i}]", entry, table))
+        try:
+            built.append(make(**checked[-1]))
+        except ValueError as exc:
+            raise ConfigError(f"{name}[{i}]: {exc}") from exc
+    return checked, tuple(built)
 
 
 @dataclass(frozen=True)
@@ -152,12 +197,13 @@ class RunConfig:
     target: TargetEstimate
     plan_target: TargetEstimate
     agent_count: int
-    initial_rotation_rad: float
+    formation: FormationGeometry
     world: World
     graph: CommGraph
     gains: ControlGains
     guidance: Guidance
-    deployment: dict
+    initial_positions: np.ndarray
+    initial_scale: float
     max_steps: int
     stop_tolerance_m2: float
     sweep_altitudes_m: tuple[float, ...]
@@ -168,296 +214,122 @@ class RunConfig:
     config_hash: str
 
     def build_formation(self) -> FormationGeometry:
-        """The formation as planned, i.e. around the prior target estimate."""
-        return build_formation(
-            self.params, self.plan_target, self.agent_count, self.initial_rotation_rad
-        )
+        """The formation as planned, i.e. around the prior target estimate.
+
+        It is built once, when the config is parsed.
+        """
+        return self.formation
 
     def displacement_set(self, formation: Optional[FormationGeometry] = None):
-        if formation is None:
-            formation = self.build_formation()
         velocity = self.canonical["guidance"]["velocity_mps"]
-        return displacement_set(formation, velocity)
+        return displacement_set(self.formation if formation is None else formation, velocity)
 
     def initial_state(self) -> SwarmState:
-        dep = self.deployment
-        if dep["kind"] == "explicit":
-            positions = np.asarray(dep["positions_m"], dtype=float)
-        else:
-            rng = np.random.default_rng([self.seed, _DEPLOY_STREAM])
-            center = np.asarray(dep["center_m"], dtype=float)
-            positions = center + dep["side_m"] * rng.uniform(-0.5, 0.5, size=(self.agent_count, 2))
         return SwarmState(
-            positions=positions,
-            velocity_estimates=np.zeros_like(positions),
-            scale=dep["initial_scale"],
+            positions=self.initial_positions,
+            velocity_estimates=np.zeros_like(self.initial_positions),
+            scale=self.initial_scale,
             step_index=0,
         )
 
 
-def _parse_sensing(raw: dict) -> tuple[SensingParams, dict]:
-    given = _expect_mapping("sensing", raw.get("sensing"))
-    allowed = set(_DEFAULTS["sensing"]) | {"noise_floor_w"}
-    _reject_unknown("sensing", given, allowed)
-    merged = _merged(given, _DEFAULTS["sensing"])
-    if "noise_floor_w" in given and "noise_floor_dbm" in given:
+def _sensing(section: dict, given: Any) -> SensingParams:
+    dbm = section.pop("noise_floor_dbm")
+    if "noise_floor_w" not in section:
+        section["noise_floor_w"] = dbm_to_watts(dbm)
+    elif "noise_floor_dbm" in given:
         raise ConfigError("sensing: give noise_floor_dbm or noise_floor_w, not both")
-    if "noise_floor_w" in given:
-        noise_w = _as_float("sensing.noise_floor_w", given["noise_floor_w"])
-    else:
-        noise_w = dbm_to_watts(_as_float("sensing.noise_floor_dbm", merged["noise_floor_dbm"]))
-    fields = {
-        "transmit_power_w": _as_float("sensing.transmit_power_w", merged["transmit_power_w"]),
-        "processing_gain": _as_float("sensing.processing_gain", merged["processing_gain"]),
-        "ref_channel_power_m4": _as_float(
-            "sensing.ref_channel_power_m4", merged["ref_channel_power_m4"]
-        ),
-        "kappa": _as_float("sensing.kappa", merged["kappa"]),
-        "altitude_m": _as_float("sensing.altitude_m", merged["altitude_m"]),
-    }
     try:
-        params = SensingParams(noise_floor_w=noise_w, **fields)
+        return SensingParams(**section)
     except ValueError as exc:
         raise ConfigError(f"sensing: {exc}") from exc
-    canonical = dict(sorted({**fields, "noise_floor_w": noise_w}.items()))
-    return params, canonical
 
 
-def _parse_formation(raw: dict) -> tuple[int, float, list[float], dict]:
-    given = _expect_mapping("formation", raw.get("formation"))
-    _reject_unknown("formation", given, set(_DEFAULTS["formation"]))
-    merged = _merged(given, _DEFAULTS["formation"])
-    agent_count = _as_int("formation.agent_count", merged["agent_count"])
-    if agent_count < 3:
-        raise ConfigError(f"formation.agent_count: need at least 3 agents, got {agent_count}")
-    rotation_deg = _as_float("formation.initial_rotation_deg", merged["initial_rotation_deg"])
-    prior_offset = _as_vec2("formation.prior_target_offset_m", merged["prior_target_offset_m"])
-    canonical = {
-        "agent_count": agent_count,
-        "initial_rotation_deg": rotation_deg,
-        "prior_target_offset_m": prior_offset,
-    }
-    return agent_count, math.radians(rotation_deg), prior_offset, canonical
-
-
-def _parse_world(raw: dict, seed: int, noise_free: bool) -> tuple[World, dict]:
-    given = _expect_mapping("world", raw.get("world"))
-    _reject_unknown("world", given, set(_DEFAULTS["world"]))
-    merged = _merged(given, _DEFAULTS["world"])
-    target = _as_vec2("world.target_m", merged["target_m"])
-    if not isinstance(merged["obstacles"], list):
-        raise ConfigError(f"world.obstacles: expected a list, got {merged['obstacles']!r}")
-    obstacles = []
-    canonical_obstacles = []
-    for i, entry in enumerate(merged["obstacles"]):
-        entry = _expect_mapping(f"world.obstacles[{i}]", entry)
-        _reject_unknown(f"world.obstacles[{i}]", entry, {"x_min", "x_max", "y_min", "y_max"})
-        try:
-            bounds = {
-                k: _as_float(f"world.obstacles[{i}].{k}", entry[k])
-                for k in ("x_min", "x_max", "y_min", "y_max")
-            }
-        except KeyError as exc:
-            raise ConfigError(f"world.obstacles[{i}]: missing field {exc.args[0]}") from exc
-        try:
-            obstacles.append(RectObstacle(**bounds))
-        except ValueError as exc:
-            raise ConfigError(f"world.obstacles[{i}]: {exc}") from exc
-        canonical_obstacles.append(dict(sorted(bounds.items())))
-    noise_std = _as_float("world.motion_noise_std_m", merged["motion_noise_std_m"])
+def _world(section: dict, seed: int, noise_free: bool) -> World:
+    section["obstacles"], obstacles = _entries(
+        "world.obstacles", section["obstacles"], _OBSTACLE, RectObstacle, nonempty=False
+    )
     if noise_free:
-        noise_std = 0.0
-    dt = _as_float("world.dt_s", merged["dt_s"])
+        section["motion_noise_std_m"] = 0.0
     try:
-        world = World(
-            target=TargetEstimate(np.array(target)),
-            obstacles=tuple(obstacles),
-            motion_noise_std=noise_std,
-            dt=dt,
+        return World(
+            target=TargetEstimate(np.array(section["target_m"])),
+            obstacles=obstacles,
+            motion_noise_std=section["motion_noise_std_m"],
+            dt=section["dt_s"],
             rng_seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(f"world: {exc}") from exc
-    canonical = {
-        "dt_s": dt,
-        "motion_noise_std_m": noise_std,
-        "obstacles": canonical_obstacles,
-        "target_m": target,
-    }
-    return world, canonical
 
 
-def _parse_graph(raw: dict, agent_count: int) -> tuple[CommGraph, dict]:
-    given = _expect_mapping("graph", raw.get("graph"))
-    _reject_unknown("graph", given, set(_DEFAULTS["graph"]) | {"adjacency"})
-    merged = _merged(given, _DEFAULTS["graph"])
-    topology = merged["topology"]
-    if topology not in _TOPOLOGIES:
-        raise ConfigError(f"graph.topology: expected one of {_TOPOLOGIES}, got {topology!r}")
-    leader = _as_int("graph.leader_index", merged["leader_index"])
+def _graph(section: dict, agent_count: int) -> CommGraph:
+    topology, leader = section["topology"], section["leader_index"]
     if not 0 <= leader < agent_count:
-        raise ConfigError(
-            f"graph.leader_index: must lie in [0, {agent_count - 1}], got {leader}"
-        )
+        raise ConfigError(f"graph.leader_index: must lie in [0, {agent_count - 1}], got {leader}")
+    adjacency = section.pop("adjacency", None)
+    if topology == "custom":
+        if adjacency is None:
+            raise ConfigError("graph.adjacency: required for custom topology")
+        try:
+            adjacency = np.asarray(adjacency, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"graph.adjacency: {exc}") from exc
+        if adjacency.shape != (agent_count, agent_count):
+            raise ConfigError(
+                f"graph.adjacency: expected shape ({agent_count}, {agent_count}), "
+                f"got {adjacency.shape}"
+            )
     try:
         if topology == "custom":
-            if "adjacency" not in given:
-                raise ConfigError("graph.adjacency: required for custom topology")
-            adjacency = np.asarray(given["adjacency"], dtype=float)
-            if adjacency.shape != (agent_count, agent_count):
-                raise ConfigError(
-                    f"graph.adjacency: expected shape ({agent_count}, {agent_count}), "
-                    f"got {adjacency.shape}"
-                )
             graph = CommGraph(adjacency, leader)
-        elif topology == "ring":
-            graph = CommGraph.ring(agent_count, leader)
-        elif topology == "complete":
-            graph = CommGraph.complete(agent_count, leader)
-        else:
-            graph = CommGraph.ring_with_leader(agent_count, leader)
+            section["adjacency"] = graph.adjacency.astype(int).tolist()
+        else:  # ring, ring_with_leader and complete are CommGraph constructors
+            graph = getattr(CommGraph, topology)(agent_count, leader)
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc
-    canonical = {"leader_index": leader, "topology": topology}
-    if topology == "custom":
-        canonical["adjacency"] = graph.adjacency.astype(int).tolist()
-    return graph, canonical
+    return graph
 
 
-def _parse_gains(raw: dict, graph: CommGraph) -> tuple[ControlGains, dict]:
-    given = _expect_mapping("gains", raw.get("gains"))
-    _reject_unknown("gains", given, set(_DEFAULTS["gains"]))
-    merged = _merged(given, _DEFAULTS["gains"])
-    values = {k: _as_float(f"gains.{k}", v) for k, v in merged.items()}
-    try:
-        gains = ControlGains(**values)
-        check_stability(gains, graph)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return gains, dict(sorted(values.items()))
-
-
-def _parse_deployment(raw: dict, agent_count: int) -> tuple[dict, dict]:
-    given = _expect_mapping("deployment", raw.get("deployment"))
-    _reject_unknown("deployment", given, set(_DEFAULTS["deployment"]) | {"positions_m"})
-    merged = _merged(given, _DEFAULTS["deployment"])
-    kind = merged["kind"]
-    if kind not in ("random_box", "explicit"):
-        raise ConfigError(f"deployment.kind: expected random_box or explicit, got {kind!r}")
-    initial_scale = _as_float("deployment.initial_scale", merged["initial_scale"])
-    if not 0.0 < initial_scale <= 1.0:
-        raise ConfigError(f"deployment.initial_scale: must lie in (0, 1], got {initial_scale}")
-    if kind == "explicit":
-        if "positions_m" not in given:
+def _initial_positions(section: dict, agent_count: int, seed: int) -> np.ndarray:
+    """Validate the deployment section and place the agents it describes."""
+    scale = section["initial_scale"]
+    if not 0.0 < scale <= 1.0:
+        raise ConfigError(f"deployment.initial_scale: must lie in (0, 1], got {scale}")
+    rows = section.pop("positions_m", None)
+    if section["kind"] == "explicit":
+        del section["center_m"], section["side_m"]
+        if rows is None:
             raise ConfigError("deployment.positions_m: required for explicit deployment")
-        rows = given["positions_m"]
         if not isinstance(rows, list) or len(rows) != agent_count:
-            raise ConfigError(
-                f"deployment.positions_m: expected {agent_count} rows, got {rows!r}"
-            )
-        positions = [_as_vec2(f"deployment.positions_m[{i}]", r) for i, r in enumerate(rows)]
-        dep = {"kind": kind, "positions_m": positions, "initial_scale": initial_scale}
-        canonical = {"initial_scale": initial_scale, "kind": kind, "positions_m": positions}
-        return dep, canonical
-    center = _as_vec2("deployment.center_m", merged["center_m"])
-    side = _as_float("deployment.side_m", merged["side_m"])
-    if side <= 0:
-        raise ConfigError(f"deployment.side_m: must be > 0, got {side}")
-    dep = {"kind": kind, "center_m": center, "side_m": side, "initial_scale": initial_scale}
-    canonical = {"center_m": center, "initial_scale": initial_scale, "kind": kind, "side_m": side}
-    return dep, canonical
+            raise ConfigError(f"deployment.positions_m: expected {agent_count} rows, got {rows!r}")
+        section["positions_m"] = [
+            _as_vec2(f"deployment.positions_m[{i}]", r) for i, r in enumerate(rows)
+        ]
+        positions = np.array(section["positions_m"], dtype=float)
+    else:
+        side = section["side_m"]
+        if side <= 0:
+            raise ConfigError(f"deployment.side_m: must be > 0, got {side}")
+        rng = np.random.default_rng([seed, _DEPLOY_STREAM])
+        center = np.asarray(section["center_m"], dtype=float)
+        positions = center + side * rng.uniform(-0.5, 0.5, size=(agent_count, 2))
+    positions.setflags(write=False)
+    return positions
 
 
-def _parse_guidance(
-    raw: dict, leader_offset: np.ndarray, goal: np.ndarray
-) -> tuple[Guidance, dict]:
-    given = _expect_mapping("guidance", raw.get("guidance"))
-    _reject_unknown("guidance", given, set(_DEFAULTS["guidance"]))
-    merged = _merged(given, _DEFAULTS["guidance"])
-    mode = merged["mode"]
-    velocity = _as_vec2("guidance.velocity_mps", merged["velocity_mps"])
-    values = {
-        "max_speed_mps": _as_float("guidance.max_speed_mps", merged["max_speed_mps"]),
-        "gain_per_s": _as_float("guidance.gain_per_s", merged["gain_per_s"]),
-        "arrival_tolerance_m": _as_float(
-            "guidance.arrival_tolerance_m", merged["arrival_tolerance_m"]
-        ),
-    }
-    try:
-        guidance = Guidance(mode=mode, leader_offset=leader_offset, goal_m=goal, **values)
-    except ValueError as exc:
-        raise ConfigError(f"guidance: {exc}") from exc
-    canonical = dict(sorted({**values, "mode": mode, "velocity_mps": velocity}.items()))
-    return guidance, canonical
-
-
-def _parse_episode(raw: dict) -> tuple[int, float, dict]:
-    given = _expect_mapping("episode", raw.get("episode"))
-    _reject_unknown("episode", given, set(_DEFAULTS["episode"]))
-    merged = _merged(given, _DEFAULTS["episode"])
-    max_steps = _as_int("episode.max_steps", merged["max_steps"])
-    if max_steps < 0:
-        raise ConfigError(f"episode.max_steps: must be >= 0, got {max_steps}")
-    tol = _as_float("episode.stop_tolerance_m2", merged["stop_tolerance_m2"])
-    if tol <= 0:
-        raise ConfigError(f"episode.stop_tolerance_m2: must be > 0, got {tol}")
-    return max_steps, tol, {"max_steps": max_steps, "stop_tolerance_m2": tol}
-
-
-def _parse_sweep(raw: dict) -> tuple[tuple[float, ...], tuple[BenchmarkSpec, ...], dict]:
-    given = _expect_mapping("sweep", raw.get("sweep"))
-    _reject_unknown("sweep", given, set(_DEFAULTS["sweep"]))
-    merged = _merged(given, _DEFAULTS["sweep"])
-    altitudes_raw = merged["altitudes_m"]
-    if not isinstance(altitudes_raw, list) or not altitudes_raw:
-        raise ConfigError(f"sweep.altitudes_m: expected a nonempty list, got {altitudes_raw!r}")
-    altitudes = tuple(
-        _as_float(f"sweep.altitudes_m[{i}]", v) for i, v in enumerate(altitudes_raw)
+def _sweep(section: dict) -> tuple[BenchmarkSpec, ...]:
+    altitudes = _as_list("sweep.altitudes_m", section["altitudes_m"], nonempty=True)
+    section["altitudes_m"] = []
+    for i, value in enumerate(altitudes):
+        altitude = _as_float(f"sweep.altitudes_m[{i}]", value)
+        if altitude <= 0:
+            raise ConfigError(f"sweep.altitudes_m[{i}]: must be > 0, got {altitude}")
+        section["altitudes_m"].append(altitude)
+    section["benchmarks"], specs = _entries(
+        "sweep.benchmarks", section["benchmarks"], _BENCHMARK, BenchmarkSpec, nonempty=True
     )
-    for i, h in enumerate(altitudes):
-        if h <= 0:
-            raise ConfigError(f"sweep.altitudes_m[{i}]: must be > 0, got {h}")
-    bench_raw = merged["benchmarks"]
-    if not isinstance(bench_raw, list) or not bench_raw:
-        raise ConfigError(f"sweep.benchmarks: expected a nonempty list, got {bench_raw!r}")
-    specs = []
-    canonical_specs = []
-    spec_fields = {
-        "kind",
-        "radius_factor",
-        "elevation_deg",
-        "length_m",
-        "lateral_offset_m",
-        "half_width_m",
-        "samples",
-    }
-    for i, entry in enumerate(bench_raw):
-        entry = _expect_mapping(f"sweep.benchmarks[{i}]", entry)
-        _reject_unknown(f"sweep.benchmarks[{i}]", entry, spec_fields)
-        if "kind" not in entry:
-            raise ConfigError(f"sweep.benchmarks[{i}].kind: required")
-        if entry["kind"] not in KINDS:
-            raise ConfigError(
-                f"sweep.benchmarks[{i}].kind: expected one of {KINDS}, got {entry['kind']!r}"
-            )
-        try:
-            spec = BenchmarkSpec(**entry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.benchmarks[{i}]: {exc}") from exc
-        specs.append(spec)
-        canonical_specs.append(
-            {
-                "elevation_deg": spec.elevation_deg,
-                "half_width_m": spec.half_width_m,
-                "kind": spec.kind,
-                "lateral_offset_m": spec.lateral_offset_m,
-                "length_m": spec.length_m,
-                "radius_factor": spec.radius_factor,
-                "samples": spec.samples,
-            }
-        )
-    canonical = {"altitudes_m": list(altitudes), "benchmarks": canonical_specs}
-    return altitudes, tuple(specs), canonical
+    return specs
 
 
 def load_config(
@@ -491,63 +363,74 @@ def build_config(
     noise_free: bool = False,
 ) -> RunConfig:
     """Resolve a raw mapping (already YAML-parsed) into a RunConfig."""
-    _reject_unknown("config", raw, set(_DEFAULTS))
+    _reject_unknown("config", raw, {*SCHEMA, "seed", "output_dir"})
     if seed is None:
-        seed = _as_int("seed", raw.get("seed", _DEFAULTS["seed"]))
+        seed = _as_int("seed", raw.get("seed", _DEFAULT_SEED))
     if seed < 0 or seed >= 2**63:
         raise ConfigError(f"seed: must lie in [0, 2^63), got {seed}")
+    canonical: dict[str, Any] = {
+        name: _check_fields(name, raw.get(name), table) for name, table in SCHEMA.items()
+    }
+    canonical["seed"] = seed
+    formation_c, episode = canonical["formation"], canonical["episode"]
 
-    params, c_sensing = _parse_sensing(raw)
-    agent_count, rotation_rad, prior_offset, c_formation = _parse_formation(raw)
-    world, c_world = _parse_world(raw, seed, noise_free)
-    graph, c_graph = _parse_graph(raw, agent_count)
-    gains, c_gains = _parse_gains(raw, graph)
-    deployment, c_deploy = _parse_deployment(raw, agent_count)
-    plan_target = TargetEstimate(world.target.position + np.array(prior_offset))
+    params = _sensing(canonical["sensing"], raw.get("sensing"))
+    agent_count = formation_c["agent_count"]
+    if agent_count < 3:
+        raise ConfigError(f"formation.agent_count: need at least 3 agents, got {agent_count}")
+    world = _world(canonical["world"], seed, noise_free)
+    graph = _graph(canonical["graph"], agent_count)
+    try:
+        gains = ControlGains(**canonical["gains"])
+        check_stability(gains, graph)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    initial_positions = _initial_positions(canonical["deployment"], agent_count, seed)
+
+    plan_target = TargetEstimate(
+        world.target.position + np.array(formation_c["prior_target_offset_m"])
+    )
+    rotation_rad = math.radians(formation_c["initial_rotation_deg"])
     formation = build_formation(params, plan_target, agent_count, rotation_rad)
     leader_offset = formation.planar_positions[graph.leader_index] - plan_target.position
-    guidance, c_guidance = _parse_guidance(raw, leader_offset, plan_target.position)
-    max_steps, stop_tol, c_episode = _parse_episode(raw)
-    altitudes, benchmarks, c_sweep = _parse_sweep(raw)
+    guidance_c = {k: v for k, v in canonical["guidance"].items() if k != "velocity_mps"}
+    try:
+        guidance = Guidance(leader_offset=leader_offset, goal_m=plan_target.position, **guidance_c)
+    except ValueError as exc:
+        raise ConfigError(f"guidance: {exc}") from exc
 
-    output_dir = raw.get("output_dir", _DEFAULTS["output_dir"])
-    if out_dir is not None:
-        output_dir = out_dir
+    if episode["max_steps"] < 0:
+        raise ConfigError(f"episode.max_steps: must be >= 0, got {episode['max_steps']}")
+    if episode["stop_tolerance_m2"] <= 0:
+        raise ConfigError(
+            f"episode.stop_tolerance_m2: must be > 0, got {episode['stop_tolerance_m2']}"
+        )
+    benchmarks = _sweep(canonical["sweep"])
+
+    output_dir = out_dir if out_dir is not None else raw.get("output_dir", _DEFAULT_OUTPUT_DIR)
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError(f"output_dir: expected a nonempty string, got {output_dir!r}")
 
-    canonical = {
-        "deployment": c_deploy,
-        "episode": c_episode,
-        "formation": c_formation,
-        "gains": c_gains,
-        "graph": c_graph,
-        "guidance": c_guidance,
-        "seed": seed,
-        "sensing": c_sensing,
-        "sweep": c_sweep,
-        "world": c_world,
-    }
-    config_hash = hash_canonical(canonical)
     return RunConfig(
         params=params,
         target=world.target,
         plan_target=plan_target,
         agent_count=agent_count,
-        initial_rotation_rad=rotation_rad,
+        formation=formation,
         world=world,
         graph=graph,
         gains=gains,
         guidance=guidance,
-        deployment=deployment,
-        max_steps=max_steps,
-        stop_tolerance_m2=stop_tol,
-        sweep_altitudes_m=altitudes,
+        initial_positions=initial_positions,
+        initial_scale=canonical["deployment"]["initial_scale"],
+        max_steps=episode["max_steps"],
+        stop_tolerance_m2=episode["stop_tolerance_m2"],
+        sweep_altitudes_m=tuple(canonical["sweep"]["altitudes_m"]),
         sweep_benchmarks=benchmarks,
         seed=seed,
         output_dir=Path(output_dir),
         canonical=canonical,
-        config_hash=config_hash,
+        config_hash=hash_canonical(canonical),
     )
 
 

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import formsense
 from formsense.cli import main
 from formsense.config import build_config
 
@@ -201,6 +205,12 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "gains.epsilon" in capsys.readouterr().err
 
+    def test_untyped_benchmark_field(self, tmp_path, capsys):
+        bench = {"kind": "random_cloud", "samples": 2.5}
+        cfg, _ = write_config(tmp_path, sweep={"benchmarks": [bench]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "sweep.benchmarks[0].samples" in capsys.readouterr().err
+
 
 class TestOutDirResolution:
     def test_env_var_used_without_flag(self, tmp_path, monkeypatch):
@@ -229,9 +239,15 @@ class TestOutDirResolution:
 class TestConsoleScript:
     def test_help_runs(self):
         exe = shutil.which("formsense")
-        if exe is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run([exe, "--help"], capture_output=True, text=True, timeout=60)
+        if exe is not None:
+            command, env = [exe], None
+        else:  # not installed: run the imported package as a module
+            src = str(Path(formsense.__file__).resolve().parent.parent)
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            command, env = [sys.executable, "-m", "formsense"], {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [*command, "--help"], capture_output=True, text=True, timeout=60, env=env
+        )
         assert proc.returncode == 0
         for sub in ("optimize", "simulate", "sweep"):
             assert sub in proc.stdout

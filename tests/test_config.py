@@ -1,6 +1,8 @@
 """Config parsing, validation, canonicalization, and hashing."""
 
 import copy
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import yaml
 
 from formsense import ConfigError, dbm_to_watts, load_config
 from formsense.config import build_config, canonical_yaml, hash_canonical
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_raw() -> dict:
@@ -207,6 +211,58 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"sweep.benchmarks\[0\].kind"):
             build_config(raw)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("samples", 2.5), ("samples", True), ("length_m", float("inf")), ("radius_factor", "x")],
+    )
+    def test_benchmark_fields_typed(self, field, value):
+        raw = base_raw()
+        raw["sweep"] = {"benchmarks": [{"kind": "random_cloud", field: value}]}
+        with pytest.raises(ConfigError, match=rf"sweep\.benchmarks\[0\]\.{field}"):
+            build_config(raw)
+
+
+class TestGoldenHashes:
+    """Every artifact is tagged with the config hash; parsing changes must keep it."""
+
+    @pytest.mark.parametrize(
+        "name, plain, seeded",
+        [
+            ("baseline", "55f2c3529896", "eeba5b99d23d"),
+            ("corridor", "8435aa53b607", "9629e3b32438"),
+            ("sweep", "d77a956e2490", "96d41f6c2f6b"),
+        ],
+    )
+    def test_shipped_configs(self, name, plain, seeded):
+        path = ROOT / "configs" / f"{name}.yaml"
+        assert load_config(path).config_hash == plain
+        assert load_config(path, seed=7, noise_free=True).config_hash == seeded
+
+    def test_empty_config_hashes_like_sweep_yaml(self):
+        # Every value in configs/sweep.yaml is a default.
+        assert build_config({}).config_hash == "d77a956e2490"
+
+    def test_custom_graph_explicit_deployment_noise_watts(self):
+        raw = base_raw()
+        raw["sensing"]["noise_floor_w"] = 5e-13
+        raw["formation"]["agent_count"] = 3
+        raw["graph"] = {"topology": "custom", "adjacency": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+        raw["deployment"] = {
+            "kind": "explicit",
+            "positions_m": [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]],
+            "initial_scale": 0.5,
+        }
+        assert build_config(raw).config_hash == "620fdc37aaed"
+
+
+class TestReadme:
+    def test_configuration_block_lists_the_defaults(self):
+        text = (ROOT / "README.md").read_text()
+        match = re.search(r"^## Configuration$.*?^```yaml$\n(.*?)^```$", text, re.S | re.M)
+        canonical = build_config(yaml.safe_load(match.group(1))).canonical
+        canonical["world"]["obstacles"] = []  # the block shows one example rectangle
+        assert canonical == build_config({}).canonical
+
 
 class TestGraphSection:
     def test_topologies(self):
@@ -368,10 +424,7 @@ class TestLoadConfig:
         assert cfg.world.motion_noise_std == 0.0
 
     def test_shipped_configs_parse(self):
-        from pathlib import Path
-
-        configs = Path(__file__).resolve().parent.parent / "configs"
         for name in ("baseline.yaml", "corridor.yaml", "sweep.yaml"):
-            cfg = load_config(configs / name)
+            cfg = load_config(ROOT / "configs" / name)
             assert cfg.agent_count >= 3
             assert len(cfg.config_hash) == 12
