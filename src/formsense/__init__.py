@@ -31,21 +31,7 @@ from .formation import (
     optimal_elevation,
     theoretical_lower_bound,
 )
-from .sensing import (
-    SPEED_OF_LIGHT,
-    AgentPose,
-    Fim2,
-    SensingParams,
-    TargetEstimate,
-    crlb_trace,
-    delay_to_range,
-    elevation_weight,
-    jacobian,
-    noise_variance,
-    range_fim_element,
-    slant_range,
-    target_fim,
-)
+from .sensing import SPEED_OF_LIGHT, SensingParams, TargetEstimate, crlb, elevation_weight
 from .world import (
     EpisodeTrace,
     Guidance,
@@ -63,14 +49,12 @@ from .world import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentPose",
     "BenchmarkSpec",
     "CommGraph",
     "ConfigError",
     "ControlGains",
     "DisplacementSet",
     "EpisodeTrace",
-    "Fim2",
     "FormationGeometry",
     "Guidance",
     "InsufficientAgentsError",
@@ -88,30 +72,24 @@ __all__ = [
     "check_stability",
     "consensus_velocity_step",
     "control_input",
+    "crlb",
     "crlb_of_positions",
-    "crlb_trace",
     "dbm_to_watts",
-    "delay_to_range",
     "displacement_control",
     "displacement_error",
     "displacement_set",
     "elevation_weight",
     "formation_crlb",
-    "jacobian",
     "load_config",
     "local_cost",
     "min_pairwise_distance",
     "nearest_point_on_obstacle",
-    "noise_variance",
     "optimal_azimuths",
     "optimal_elevation",
-    "range_fim_element",
     "repulsion",
     "run_episode",
     "scale_factor",
-    "slant_range",
     "step",
     "sweep_rows",
-    "target_fim",
     "theoretical_lower_bound",
 ]

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularGeometryError
 from .formation import build_formation, optimal_azimuths, theoretical_lower_bound
-from .sensing import AgentPose, SensingParams, TargetEstimate, crlb_trace, target_fim
+from .sensing import SensingParams, TargetEstimate, crlb
 
 KINDS = ("optimal", "line", "clustered_polygon", "fixed_elevation", "random_cloud")
 
@@ -74,35 +73,38 @@ def benchmark_positions(
     target: TargetEstimate,
     params: SensingParams,
     rng: np.random.Generator | None = None,
+    ring: np.ndarray | None = None,
+    draws: int | None = None,
 ) -> np.ndarray:
-    """Planar positions of one benchmark instance, shape (M, 2)."""
+    """Planar positions of one benchmark instance, shape (M, 2).
+
+    ``ring`` is the optimal formation's (M, 2) positions, built here when not
+    given. ``draws`` stacks that many random_cloud instances into one
+    (draws, M, 2) array, the same numbers as that many separate draws.
+    """
     s = target.position
+    if spec.kind in ("optimal", "clustered_polygon") and ring is None:
+        ring = build_formation(params, target, agent_count).planar_positions
     if spec.kind == "optimal":
-        return build_formation(params, target, agent_count).planar_positions
+        return ring
     if spec.kind == "line":
         along = np.linspace(-spec.length_m / 2.0, spec.length_m / 2.0, agent_count)
         return np.column_stack([s[0] + along, np.full(agent_count, s[1] + spec.lateral_offset_m)])
     if spec.kind == "clustered_polygon":
-        optimal = build_formation(params, target, agent_count).planar_positions
-        return s + spec.radius_factor * (optimal - s)
+        return s + spec.radius_factor * (ring - s)
     if spec.kind == "fixed_elevation":
         radius = params.altitude_m / math.tan(math.radians(spec.elevation_deg))
         azimuths = optimal_azimuths(agent_count)
         return s + radius * np.column_stack([np.cos(azimuths), np.sin(azimuths)])
     if rng is None:
         raise ValueError("benchmark_positions: random_cloud needs an rng")
-    return s + rng.uniform(-spec.half_width_m, spec.half_width_m, size=(agent_count, 2))
+    size = (agent_count, 2) if draws is None else (draws, agent_count, 2)
+    return s + rng.uniform(-spec.half_width_m, spec.half_width_m, size=size)
 
 
-def formation_crlb(
-    positions: np.ndarray, target: TargetEstimate, params: SensingParams
-) -> float:
-    """CRLB trace of agents hovering at these planar positions."""
-    poses = [
-        AgentPose.from_position(positions[m], target, params)
-        for m in range(positions.shape[0])
-    ]
-    return crlb_trace(target_fim(poses, params))
+def formation_crlb(positions: np.ndarray, target: TargetEstimate, params: SensingParams):
+    """CRLB trace of agents hovering at these planar positions; see :func:`sensing.crlb`."""
+    return crlb(positions, target, params)
 
 
 def sweep_rows(
@@ -115,37 +117,40 @@ def sweep_rows(
 ) -> list[dict]:
     """CRLB of every benchmark at every altitude, with the analytic bound.
 
-    random_cloud rows are Monte Carlo averages; the returned ``samples``
-    field records how many draws contributed (singular draws are skipped,
-    which has never been observed for continuous position distributions).
+    random_cloud rows are Monte Carlo averages over one batch of draws; the
+    returned ``samples`` field records how many draws contributed (singular
+    draws are skipped, which has never been observed for continuous position
+    distributions).
     """
     if not altitudes_m:
         raise ValueError("sweep_rows: need at least one altitude")
+    needs_ring = any(spec.kind in ("optimal", "clustered_polygon") for spec in specs)
     rows: list[dict] = []
     for alt_index, altitude in enumerate(altitudes_m):
         params = replace(base_params, altitude_m=float(altitude))
         bound = theoretical_lower_bound(params, agent_count)
+        ring = None
+        if needs_ring:  # one build serves the optimal and clustered_polygon rows
+            ring = build_formation(params, target, agent_count).planar_positions
         for spec in specs:
             if spec.kind == "random_cloud":
                 rng = np.random.default_rng([seed, _SWEEP_STREAM, alt_index])
-                values = []
-                for _ in range(spec.samples):
-                    positions = benchmark_positions(spec, agent_count, target, params, rng)
-                    try:
-                        values.append(formation_crlb(positions, target, params))
-                    except SingularGeometryError:
-                        continue
-                crlb = float(np.mean(values)) if values else None
-                samples = len(values)
+                draws = benchmark_positions(
+                    spec, agent_count, target, params, rng, draws=spec.samples
+                )
+                values = formation_crlb(draws, target, params)
+                values = values[~np.isnan(values)]
+                crlb_m2 = float(np.mean(values)) if values.size else None
+                samples = int(values.size)
             else:
-                positions = benchmark_positions(spec, agent_count, target, params)
-                crlb = formation_crlb(positions, target, params)
+                positions = benchmark_positions(spec, agent_count, target, params, ring=ring)
+                crlb_m2 = formation_crlb(positions, target, params)
                 samples = 1
             rows.append(
                 {
                     "altitude_m": float(altitude),
                     "formation_kind": spec.kind,
-                    "crlb_m2": crlb,
+                    "crlb_m2": crlb_m2,
                     "bound_m2": bound,
                     "samples": samples,
                 }

@@ -332,6 +332,19 @@ def _sweep(section: dict) -> tuple[BenchmarkSpec, ...]:
     return specs
 
 
+def _seed(value: Any) -> int:
+    seed = _as_int("seed", value)
+    if seed < 0 or seed >= 2**63:
+        raise ConfigError(f"seed: must lie in [0, 2^63), got {seed}")
+    return seed
+
+
+def _output_dir(value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"output_dir: expected a nonempty string, got {value!r}")
+    return value
+
+
 def load_config(
     path: str | Path,
     seed: Optional[int] = None,
@@ -364,10 +377,9 @@ def build_config(
 ) -> RunConfig:
     """Resolve a raw mapping (already YAML-parsed) into a RunConfig."""
     _reject_unknown("config", raw, {*SCHEMA, "seed", "output_dir"})
-    if seed is None:
-        seed = _as_int("seed", raw.get("seed", _DEFAULT_SEED))
-    if seed < 0 or seed >= 2**63:
-        raise ConfigError(f"seed: must lie in [0, 2^63), got {seed}")
+    # The file's own seed and output_dir are checked even when overridden.
+    file_seed = _seed(raw.get("seed", _DEFAULT_SEED))
+    seed = file_seed if seed is None else _seed(seed)
     canonical: dict[str, Any] = {
         name: _check_fields(name, raw.get(name), table) for name, table in SCHEMA.items()
     }
@@ -407,9 +419,9 @@ def build_config(
         )
     benchmarks = _sweep(canonical["sweep"])
 
-    output_dir = out_dir if out_dir is not None else raw.get("output_dir", _DEFAULT_OUTPUT_DIR)
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"output_dir: expected a nonempty string, got {output_dir!r}")
+    output_dir = _output_dir(raw.get("output_dir", _DEFAULT_OUTPUT_DIR))
+    if out_dir is not None:
+        output_dir = _output_dir(out_dir)
 
     return RunConfig(
         params=params,

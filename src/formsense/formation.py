@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientAgentsError
-from .sensing import (
-    AgentPose,
-    SensingParams,
-    TargetEstimate,
-    crlb_trace,
-    elevation_weight,
-    target_fim,
-)
+from .sensing import SensingParams, TargetEstimate, crlb, elevation_weight
 
 # Beyond this ratio between the two weight-curve coefficients the closed-form
 # quadratic loses digits to cancellation; fall back to bisection on the
@@ -42,8 +35,8 @@ class FormationGeometry:
     """A regular-polygon sensing formation at a common elevation angle.
 
     Attributes:
-        poses: Agent poses; agent 0 is the leader and sits at the initial
-            rotation azimuth.
+        planar_positions: (M, 2) agent positions, read-only; agent 0 is the
+            leader and sits at the initial rotation azimuth.
         center: Polygon center, the target's vertical projection.
         ring_radius_m: Horizontal distance from each agent to the center.
         elevation_rad: Common elevation angle of all agents.
@@ -51,7 +44,7 @@ class FormationGeometry:
         crlb_m2: CRLB trace attained by this formation.
     """
 
-    poses: tuple[AgentPose, ...]
+    planar_positions: np.ndarray
     center: np.ndarray
     ring_radius_m: float
     elevation_rad: float
@@ -59,31 +52,30 @@ class FormationGeometry:
     crlb_m2: float
 
     def __post_init__(self) -> None:
-        if len(self.poses) < 3:
+        positions = np.array(self.planar_positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 2 or not np.all(np.isfinite(positions)):
+            raise ValueError("FormationGeometry.planar_positions: expected a finite (M, 2) array")
+        if len(positions) < 3:
             raise InsufficientAgentsError(
-                f"an isotropic formation needs at least 3 agents, got {len(self.poses)}"
+                f"an isotropic formation needs at least 3 agents, got {len(positions)}"
             )
-        center = np.asarray(self.center, dtype=float)
+        center = np.array(self.center, dtype=float)
+        positions.setflags(write=False)
         center.setflags(write=False)
+        object.__setattr__(self, "planar_positions", positions)
         object.__setattr__(self, "center", center)
-        radii = np.array(
-            [np.linalg.norm(p.planar_position - center) for p in self.poses]
-        )
+        offsets = positions - center
+        radii = np.hypot(offsets[:, 0], offsets[:, 1])
         if not np.allclose(radii, self.ring_radius_m, rtol=_GEOMETRY_RTOL, atol=1e-12):
             raise ValueError("FormationGeometry: agents are not equidistant from the center")
-        azimuths = np.array([p.azimuth_rad for p in self.poses])
+        azimuths = np.arctan2(offsets[:, 1], offsets[:, 0])
         spacing = np.diff(azimuths) % (2.0 * math.pi)
-        if not np.allclose(spacing, 2.0 * math.pi / len(self.poses), atol=1e-9):
+        if not np.allclose(spacing, 2.0 * math.pi / len(positions), atol=1e-9):
             raise ValueError("FormationGeometry: azimuths are not a regular polygon")
 
     @property
     def agent_count(self) -> int:
-        return len(self.poses)
-
-    @property
-    def planar_positions(self) -> np.ndarray:
-        """Agent positions stacked into an (M, 2) array."""
-        return np.array([p.planar_position for p in self.poses])
+        return len(self.planar_positions)
 
 
 @dataclass(frozen=True)
@@ -218,18 +210,18 @@ def build_formation(
     equally spaced azimuths starting from ``initial_rotation_rad``.
     """
     phi_star = optimal_elevation(params)
+    radius = params.altitude_m / math.tan(phi_star)
     azimuths = optimal_azimuths(agent_count, initial_rotation_rad)
-    poses = tuple(
-        AgentPose.from_angles(phi_star, float(theta), target, params) for theta in azimuths
+    positions = target.position + radius * np.array(
+        [[math.cos(theta), math.sin(theta)] for theta in azimuths]
     )
-    crlb = crlb_trace(target_fim(list(poses), params))
     return FormationGeometry(
-        poses=poses,
+        planar_positions=positions,
         center=target.position.copy(),
-        ring_radius_m=params.altitude_m / math.tan(phi_star),
+        ring_radius_m=radius,
         elevation_rad=phi_star,
         initial_rotation_rad=float(initial_rotation_rad) % (2.0 * math.pi),
-        crlb_m2=crlb,
+        crlb_m2=crlb(positions, target, params),
     )
 
 

@@ -1,13 +1,13 @@
-"""Range measurement model and Fisher information of a planar target position.
+"""Range measurement model and the CRLB of a planar target position.
 
 A formation of agents at fixed altitude measures round-trip delays to a
 ground target. Each range measurement carries Gaussian noise whose variance
 grows with the fourth power of distance (two-way path loss), so a single
 measurement is informative both through its mean and through its
-distance-dependent variance. This module turns a set of agent poses into
-the 2x2 Fisher information matrix of the target's planar coordinates and
-the CRLB (trace of the inverse information matrix) that any unbiased
-position estimator is subject to.
+distance-dependent variance. This module turns an array of agent positions
+into the CRLB (trace of the inverse 2x2 Fisher information matrix of the
+target's planar coordinates) that any unbiased position estimator is
+subject to.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ class TargetEstimate:
 class AgentPose:
     """One agent's planar position plus its viewing angles of the target.
 
-    The planar position (with the common altitude) is the source of truth;
+    The angle view of a single agent; :func:`crlb` works on position arrays
+    and needs no poses. The planar position (with the common altitude) is the source of truth;
     elevation and azimuth are derived quantities cached for the information
     formulas. Use :meth:`from_position` or :meth:`from_angles` to get a
     consistent triple; the plain constructor only validates ranges.
@@ -144,80 +145,6 @@ class AgentPose:
         return cls(position, elevation_rad, azimuth_rad)
 
 
-@dataclass(frozen=True)
-class Fim2:
-    """Symmetric 2x2 Fisher information matrix of the target coordinates, in 1/m^2."""
-
-    j_xx: float
-    j_yy: float
-    j_xy: float
-
-    def __post_init__(self) -> None:
-        tol = _SINGULARITY_RTOL * max(1.0, self.trace**2)
-        if self.j_xx < -tol or self.j_yy < -tol or self.det < -tol:
-            raise ValueError(
-                f"Fim2: not positive semidefinite (j_xx={self.j_xx}, j_yy={self.j_yy}, j_xy={self.j_xy})"
-            )
-
-    @property
-    def trace(self) -> float:
-        return self.j_xx + self.j_yy
-
-    @property
-    def det(self) -> float:
-        return self.j_xx * self.j_yy - self.j_xy**2
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.j_xx, self.j_xy], [self.j_xy, self.j_yy]])
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues in ascending order."""
-        half_gap = math.hypot((self.j_xx - self.j_yy) / 2.0, self.j_xy)
-        mid = self.trace / 2.0
-        return mid - half_gap, mid + half_gap
-
-
-def slant_range(agent_planar: np.ndarray, target: TargetEstimate, params: SensingParams) -> float:
-    """Agent-to-target distance through the fixed flight altitude. Always >= altitude."""
-    offset = np.asarray(agent_planar, dtype=float) - target.position
-    return float(math.sqrt(offset[0] ** 2 + offset[1] ** 2 + params.altitude_m**2))
-
-
-def delay_to_range(delay_s: float, params: SensingParams) -> float:
-    """Convert a round-trip delay measurement to a one-way range: d = tau * c / 2."""
-    if delay_s < 0:
-        raise ValueError(f"delay_to_range: delay must be >= 0, got {delay_s!r}")
-    return delay_s * params.speed_of_light / 2.0
-
-
-def noise_variance(distance_m, params: SensingParams):
-    """Variance of the range measurement noise at the given distance, in m^2.
-
-    Grows with the fourth power of distance (two-way path loss). Accepts
-    scalars or arrays.
-    """
-    d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError(f"noise_variance: distance must be > 0, got {distance_m!r}")
-    out = d**4 / params.composite_snr_m4
-    return float(out) if np.ndim(distance_m) == 0 else out
-
-
-def range_fim_element(distance_m, params: SensingParams):
-    """Fisher information carried by a single range measurement, in 1/m^2.
-
-    Includes both the mean term (1/sigma^2) and the information contributed
-    by the distance-dependent variance, which together reduce to
-    C/d^4 + 8/d^2 with C the composite SNR constant. Strictly decreasing in
-    distance. Accepts scalars or arrays.
-    """
-    d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError(f"range_fim_element: distance must be > 0, got {distance_m!r}")
-    out = params.composite_snr_m4 / d**4 + 8.0 / d**2
-    return float(out) if np.ndim(distance_m) == 0 else out
-
-
 def elevation_weight(elevation_rad, params: SensingParams):
     """Per-agent contribution to the planar information as a function of elevation.
 
@@ -239,53 +166,52 @@ def elevation_weight(elevation_rad, params: SensingParams):
     return float(out) if np.ndim(elevation_rad) == 0 else out
 
 
-def jacobian(poses: list[AgentPose]) -> np.ndarray:
-    """M x 2 sensitivity of the ranges to the target coordinates.
-
-    Row m is cos(phi_m) * [cos(theta_m), sin(theta_m)]; the overall row sign
-    is immaterial for information purposes.
-    """
-    if len(poses) < 1:
-        raise ValueError("jacobian: need at least one pose")
-    rows = np.empty((len(poses), 2))
-    for i, pose in enumerate(poses):
-        c = math.cos(pose.elevation_rad)
-        rows[i, 0] = c * math.cos(pose.azimuth_rad)
-        rows[i, 1] = c * math.sin(pose.azimuth_rad)
-    return rows
 
 
-def target_fim(poses: list[AgentPose], params: SensingParams) -> Fim2:
-    """Accumulate the 2x2 target-position information over all agents.
+def crlb(positions, target: TargetEstimate, params: SensingParams):
+    """CRLB trace of agents hovering at planar ``positions``, in m^2.
 
-    Each agent contributes its elevation weight spread over its azimuth
-    direction; the trace equals the sum of the weights.
-    """
-    if len(poses) < 1:
-        raise ValueError("target_fim: need at least one pose")
-    j_xx = j_yy = j_xy = 0.0
-    for pose in poses:
-        w = elevation_weight(pose.elevation_rad, params)
-        cos_t = math.cos(pose.azimuth_rad)
-        sin_t = math.sin(pose.azimuth_rad)
-        j_xx += w * cos_t**2
-        j_yy += w * sin_t**2
-        j_xy += w * sin_t * cos_t
-    return Fim2(j_xx, j_yy, j_xy)
+    ``positions`` has shape (..., M, 2); leading axes are a batch of
+    formations. With d = p - s an agent's horizontal offset from the target
+    and rho^2 = |d|^2 + H^2 its squared slant range, the agent adds
+    w * d d^T to the information matrix J, where w = (C/rho^4 + 8/rho^2) / rho^2.
+    That is its elevation weight spread along the unit bearing d / |d|,
+    because sin(phi) = H / rho and cos^2(phi) = |d|^2 / rho^2. The CRLB on the
+    total position MSE is tr(J^-1) = tr(J) / det(J).
 
-
-def crlb_trace(fim: Fim2) -> float:
-    """Trace of the inverse information matrix: the CRLB on total position MSE, in m^2.
+    Returns a float for one (M, 2) formation. A batch returns an array of the
+    batch shape, NaN where a formation is singular.
 
     Raises:
-        SingularGeometryError: if the information matrix is (numerically)
-            singular, i.e. the formation carries no information about some
+        SingularGeometryError: if one formation's J is (numerically) singular,
+            det(J) <= 1e-12 tr(J)^2: it carries no information about some
             direction of the target position.
+        ValueError: on a shape other than (..., M, 2) with M >= 1, a
+            non-finite entry, or an agent directly above the target, whose
+            bearing is undefined.
     """
-    det = fim.det
-    if det <= _SINGULARITY_RTOL * fim.trace**2:
+    q = np.asarray(positions, dtype=float)
+    if q.ndim < 2 or q.shape[-1] != 2 or q.shape[-2] < 1:
+        raise ValueError(f"crlb: expected positions of shape (..., M, 2), got {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("crlb: positions must be finite")
+    d = q - target.position
+    dx, dy = d[..., 0], d[..., 1]
+    if np.any((dx == 0.0) & (dy == 0.0)):
+        raise ValueError("crlb: an agent directly above the target has an undefined bearing")
+    rho_sq = dx * dx + dy * dy + params.altitude_m**2
+    w = (params.composite_snr_m4 / (rho_sq * rho_sq) + 8.0 / rho_sq) / rho_sq
+    j_xx = (w * dx * dx).sum(axis=-1)
+    j_yy = (w * dy * dy).sum(axis=-1)
+    j_xy = (w * dx * dy).sum(axis=-1)
+    trace = j_xx + j_yy
+    det = j_xx * j_yy - j_xy * j_xy
+    singular = det <= _SINGULARITY_RTOL * trace * trace
+    if q.ndim > 2:
+        return trace / np.where(singular, np.nan, det)
+    if singular:
         raise SingularGeometryError(
             f"degenerate formation geometry: information determinant {det:.3e} "
-            f"is negligible against trace {fim.trace:.3e}"
+            f"is negligible against trace {trace:.3e}"
         )
-    return fim.trace / det
+    return float(trace / det)

@@ -31,7 +31,7 @@ from .control import (
 )
 from .errors import SingularGeometryError
 from .formation import DisplacementSet
-from .sensing import AgentPose, SensingParams, TargetEstimate, crlb_trace, target_fim
+from .sensing import SensingParams, TargetEstimate, crlb
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,7 @@ def step(
 
 def crlb_of_positions(positions: np.ndarray, world: World, params: SensingParams) -> float:
     """CRLB trace of the target estimate for agents hovering at these planar spots."""
-    poses = [
-        AgentPose.from_position(positions[m], world.target, params)
-        for m in range(positions.shape[0])
-    ]
-    return crlb_trace(target_fim(poses, params))
+    return crlb(positions, world.target, params)
 
 
 def displacement_error(

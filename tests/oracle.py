@@ -1,0 +1,160 @@
+"""Pose-based physics oracle for the array-native CRLB.
+
+The library computes the CRLB in one pass over a position array
+(:func:`formsense.sensing.crlb`). This module keeps the step-by-step chain it
+replaced: one :class:`AgentPose` per agent, its elevation weight spread over
+its azimuth direction in a Python loop, and the trace of the inverse 2x2
+information matrix. Tests compare the two.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from formsense.errors import SingularGeometryError
+from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
+
+# Determinant threshold (relative to trace^2) below which a 2x2 information
+# matrix is treated as singular; the library uses the same rule.
+SINGULARITY_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Fim2:
+    """Symmetric 2x2 Fisher information matrix of the target coordinates, in 1/m^2."""
+
+    j_xx: float
+    j_yy: float
+    j_xy: float
+
+    def __post_init__(self) -> None:
+        tol = SINGULARITY_RTOL * max(1.0, self.trace**2)
+        if self.j_xx < -tol or self.j_yy < -tol or self.det < -tol:
+            raise ValueError(
+                f"Fim2: not positive semidefinite (j_xx={self.j_xx}, j_yy={self.j_yy}, j_xy={self.j_xy})"
+            )
+
+    @property
+    def trace(self) -> float:
+        return self.j_xx + self.j_yy
+
+    @property
+    def det(self) -> float:
+        return self.j_xx * self.j_yy - self.j_xy**2
+
+    def as_matrix(self) -> np.ndarray:
+        return np.array([[self.j_xx, self.j_xy], [self.j_xy, self.j_yy]])
+
+    def eigenvalues(self) -> tuple[float, float]:
+        """Eigenvalues in ascending order."""
+        half_gap = math.hypot((self.j_xx - self.j_yy) / 2.0, self.j_xy)
+        mid = self.trace / 2.0
+        return mid - half_gap, mid + half_gap
+
+
+def slant_range(agent_planar: np.ndarray, target: TargetEstimate, params: SensingParams) -> float:
+    """Agent-to-target distance through the fixed flight altitude. Always >= altitude."""
+    offset = np.asarray(agent_planar, dtype=float) - target.position
+    return float(math.sqrt(offset[0] ** 2 + offset[1] ** 2 + params.altitude_m**2))
+
+
+def delay_to_range(delay_s: float, params: SensingParams) -> float:
+    """Convert a round-trip delay measurement to a one-way range: d = tau * c / 2."""
+    if delay_s < 0:
+        raise ValueError(f"delay_to_range: delay must be >= 0, got {delay_s!r}")
+    return delay_s * params.speed_of_light / 2.0
+
+
+def noise_variance(distance_m, params: SensingParams):
+    """Variance of the range measurement noise at the given distance, in m^2.
+
+    Grows with the fourth power of distance (two-way path loss). Accepts
+    scalars or arrays.
+    """
+    d = np.asarray(distance_m, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError(f"noise_variance: distance must be > 0, got {distance_m!r}")
+    out = d**4 / params.composite_snr_m4
+    return float(out) if np.ndim(distance_m) == 0 else out
+
+
+def range_fim_element(distance_m, params: SensingParams):
+    """Fisher information carried by a single range measurement, in 1/m^2.
+
+    Includes both the mean term (1/sigma^2) and the information contributed
+    by the distance-dependent variance, which together reduce to
+    C/d^4 + 8/d^2 with C the composite SNR constant. Strictly decreasing in
+    distance. Accepts scalars or arrays.
+    """
+    d = np.asarray(distance_m, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError(f"range_fim_element: distance must be > 0, got {distance_m!r}")
+    out = params.composite_snr_m4 / d**4 + 8.0 / d**2
+    return float(out) if np.ndim(distance_m) == 0 else out
+
+
+def jacobian(poses: list[AgentPose]) -> np.ndarray:
+    """M x 2 sensitivity of the ranges to the target coordinates.
+
+    Row m is cos(phi_m) * [cos(theta_m), sin(theta_m)]; the overall row sign
+    is immaterial for information purposes.
+    """
+    if len(poses) < 1:
+        raise ValueError("jacobian: need at least one pose")
+    rows = np.empty((len(poses), 2))
+    for i, pose in enumerate(poses):
+        c = math.cos(pose.elevation_rad)
+        rows[i, 0] = c * math.cos(pose.azimuth_rad)
+        rows[i, 1] = c * math.sin(pose.azimuth_rad)
+    return rows
+
+
+def target_fim(poses: list[AgentPose], params: SensingParams) -> Fim2:
+    """Accumulate the 2x2 target-position information over all agents.
+
+    Each agent contributes its elevation weight spread over its azimuth
+    direction; the trace equals the sum of the weights.
+    """
+    if len(poses) < 1:
+        raise ValueError("target_fim: need at least one pose")
+    j_xx = j_yy = j_xy = 0.0
+    for pose in poses:
+        w = elevation_weight(pose.elevation_rad, params)
+        cos_t = math.cos(pose.azimuth_rad)
+        sin_t = math.sin(pose.azimuth_rad)
+        j_xx += w * cos_t**2
+        j_yy += w * sin_t**2
+        j_xy += w * sin_t * cos_t
+    return Fim2(j_xx, j_yy, j_xy)
+
+
+def crlb_trace(fim: Fim2) -> float:
+    """Trace of the inverse information matrix: the CRLB on total position MSE, in m^2.
+
+    Raises:
+        SingularGeometryError: if the information matrix is (numerically)
+            singular, i.e. the formation carries no information about some
+            direction of the target position.
+    """
+    det = fim.det
+    if det <= SINGULARITY_RTOL * fim.trace**2:
+        raise SingularGeometryError(
+            f"degenerate formation geometry: information determinant {det:.3e} "
+            f"is negligible against trace {fim.trace:.3e}"
+        )
+    return fim.trace / det
+
+
+def poses_of(
+    positions: np.ndarray, target: TargetEstimate, params: SensingParams
+) -> list[AgentPose]:
+    """One pose per row of an (M, 2) position array."""
+    return [AgentPose.from_position(p, target, params) for p in np.asarray(positions, dtype=float)]
+
+
+def pose_crlb(positions: np.ndarray, target: TargetEstimate, params: SensingParams) -> float:
+    """CRLB of an (M, 2) formation through poses, the information matrix and its inverse trace."""
+    return crlb_trace(target_fim(poses_of(positions, target, params), params))

@@ -1,10 +1,12 @@
 """Comparison-formation generators and the altitude sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import formsense.benchmarks
 from formsense import (
     BenchmarkSpec,
     SingularGeometryError,
@@ -15,6 +17,7 @@ from formsense import (
     sweep_rows,
     theoretical_lower_bound,
 )
+from oracle import pose_crlb
 
 
 class TestBenchmarkSpec:
@@ -87,6 +90,16 @@ class TestBenchmarkPositions:
         assert positions.shape == (6, 2)
         assert np.all(np.abs(positions - target.position) <= 30.0)
 
+    def test_random_cloud_draws_stack_like_separate_draws(self, default_params, target):
+        spec = BenchmarkSpec(kind="random_cloud", half_width_m=30.0)
+        batch = benchmark_positions(
+            spec, 6, target, default_params, np.random.default_rng(4), draws=5
+        )
+        rng = np.random.default_rng(4)
+        separate = [benchmark_positions(spec, 6, target, default_params, rng) for _ in range(5)]
+        assert batch.shape == (5, 6, 2)
+        np.testing.assert_array_equal(batch, np.stack(separate))
+
 
 class TestFormationCrlb:
     def test_matches_built_formation(self, default_params, target):
@@ -155,6 +168,34 @@ class TestSweepRows:
         # Same index-based stream, so altitude 20 at index 0 stays identical.
         again = sweep_rows(spec, 6, target, default_params, [20.0, 60.0], seed=9)
         assert forward[0] == again[0]
+
+    def test_ring_built_once_per_altitude(self, default_params, target, monkeypatch):
+        calls = []
+        build = formsense.benchmarks.build_formation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(formsense.benchmarks, "build_formation", counted)
+        sweep_rows(self._specs(), 6, target, default_params, [10.0, 20.0, 30.0], seed=1)
+        assert len(calls) == 3
+        calls.clear()
+        sweep_rows([BenchmarkSpec(kind="line")], 6, target, default_params, [10.0], seed=1)
+        assert calls == []
+
+    def test_random_cloud_row_matches_pose_oracle(self, default_params, target):
+        spec = BenchmarkSpec(kind="random_cloud", samples=8)
+        rows = sweep_rows([spec], 6, target, default_params, [15.0, 35.0], seed=3)
+        for alt_index, row in enumerate(rows):
+            params = dataclasses.replace(default_params, altitude_m=row["altitude_m"])
+            rng = np.random.default_rng([3, formsense.benchmarks._SWEEP_STREAM, alt_index])
+            values = [
+                pose_crlb(benchmark_positions(spec, 6, target, params, rng), target, params)
+                for _ in range(spec.samples)
+            ]
+            assert row["samples"] == 8
+            assert row["crlb_m2"] == pytest.approx(np.mean(values), rel=1e-12)
 
     def test_empty_altitudes_rejected(self, default_params, target):
         with pytest.raises(ValueError, match="altitude"):

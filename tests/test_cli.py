@@ -211,6 +211,12 @@ class TestErrorPaths:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "sweep.benchmarks[0].samples" in capsys.readouterr().err
 
+    def test_bad_file_seed_with_seed_flag(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, seed="abc")
+        args = ["optimize", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "4"]
+        assert main(args) == 2
+        assert "seed: expected an integer" in capsys.readouterr().err
+
 
 class TestOutDirResolution:
     def test_env_var_used_without_flag(self, tmp_path, monkeypatch):

@@ -222,6 +222,24 @@ class TestValidation:
             build_config(raw)
 
 
+    @pytest.mark.parametrize(
+        "field, value, override, message",
+        [
+            ("seed", "abc", {"seed": 4}, "seed: expected an integer"),
+            ("seed", -1, {"seed": 4}, r"seed: must lie in \[0, 2\^63\)"),
+            ("output_dir", 5, {"out_dir": "x"}, "output_dir: expected a nonempty string"),
+            ("output_dir", "", {"out_dir": "x"}, "output_dir: expected a nonempty string"),
+        ],
+    )
+    def test_overridden_file_value_still_checked(self, field, value, override, message):
+        raw = base_raw()
+        raw[field] = value
+        with pytest.raises(ConfigError, match=message):
+            build_config(raw)
+        with pytest.raises(ConfigError, match=message):
+            build_config(raw, **override)
+
+
 class TestGoldenHashes:
     """Every artifact is tagged with the config hash; parsing changes must keep it."""
 
@@ -262,6 +280,14 @@ class TestReadme:
         canonical = build_config(yaml.safe_load(match.group(1))).canonical
         canonical["world"]["obstacles"] = []  # the block shows one example rectangle
         assert canonical == build_config({}).canonical
+
+    def test_library_block_runs(self, capsys):
+        text = (ROOT / "README.md").read_text()
+        match = re.search(r"^## Library$.*?^```python$\n(.*?)^```$", text, re.S | re.M)
+        exec(compile(match.group(1), "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "True"  # the built ring attains the bound
+        assert "converged" in lines[1]
 
 
 class TestGraphSection:

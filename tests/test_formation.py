@@ -10,21 +10,19 @@ import numpy as np
 import pytest
 
 from formsense import (
-    AgentPose,
     DisplacementSet,
     FormationGeometry,
     InsufficientAgentsError,
     SensingParams,
     TargetEstimate,
     build_formation,
-    crlb_trace,
     displacement_set,
     elevation_weight,
     optimal_azimuths,
     optimal_elevation,
-    target_fim,
     theoretical_lower_bound,
 )
+from oracle import pose_crlb, poses_of, target_fim
 
 ZENITH_LIMIT_DEG = math.degrees(math.atan(math.sqrt(2.0)))  # 54.7356103...
 
@@ -181,7 +179,8 @@ class TestBuildFormation:
 
     def test_information_matrix_is_isotropic(self, default_params, target):
         formation = build_formation(default_params, target, 5, initial_rotation_rad=0.9)
-        fim = target_fim(list(formation.poses), default_params)
+        poses = poses_of(formation.planar_positions, target, default_params)
+        fim = target_fim(poses, default_params)
         assert abs(fim.j_xx - fim.j_yy) <= 1e-9 * fim.j_xx
         assert abs(fim.j_xy) <= 1e-9 * fim.j_xx
 
@@ -195,17 +194,15 @@ class TestBuildFormation:
         plain = build_formation(default_params, target, 6)
         spun = build_formation(default_params, target, 6, initial_rotation_rad=0.77)
         assert spun.crlb_m2 == pytest.approx(plain.crlb_m2, rel=1e-12)
-        assert spun.poses[0].azimuth_rad == pytest.approx(0.77, rel=1e-12)
+        leader = spun.planar_positions[0] - target.position
+        assert math.atan2(leader[1], leader[0]) == pytest.approx(0.77, rel=1e-12)
 
     def test_no_random_formation_does_better(self, default_params, target):
         formation = build_formation(default_params, target, 6)
         rng = np.random.default_rng(101)
         for _ in range(200):
             positions = target.position + rng.uniform(-60.0, 60.0, size=(6, 2))
-            poses = [
-                AgentPose.from_position(p, target, default_params) for p in positions
-            ]
-            crlb = crlb_trace(target_fim(poses, default_params))
+            crlb = pose_crlb(positions, target, default_params)
             assert crlb >= formation.crlb_m2 * (1.0 - 1e-12)
 
     def test_too_few_agents(self, default_params, target):
@@ -214,43 +211,38 @@ class TestBuildFormation:
 
 
 class TestFormationGeometryValidation:
-    def _pose_at(self, radius, azimuth_deg, target, params):
-        q = target.position + radius * np.array(
+    def _at(self, radius, azimuth_deg, target):
+        return target.position + radius * np.array(
             [math.cos(math.radians(azimuth_deg)), math.sin(math.radians(azimuth_deg))]
         )
-        return AgentPose.from_position(q, target, params)
+
+    def _geometry(self, points, target, params):
+        return FormationGeometry(
+            planar_positions=np.array([self._at(r, a, target) for r, a in points]),
+            center=target.position,
+            ring_radius_m=10.0,
+            elevation_rad=math.atan2(params.altitude_m, 10.0),
+            initial_rotation_rad=0.0,
+            crlb_m2=1.0,
+        )
 
     def test_unequal_radii_rejected(self, default_params, target):
-        poses = (
-            self._pose_at(10.0, 0.0, target, default_params),
-            self._pose_at(10.0, 120.0, target, default_params),
-            self._pose_at(12.0, 240.0, target, default_params),
-        )
         with pytest.raises(ValueError, match="equidistant"):
-            FormationGeometry(
-                poses=poses,
-                center=target.position,
-                ring_radius_m=10.0,
-                elevation_rad=poses[0].elevation_rad,
-                initial_rotation_rad=0.0,
-                crlb_m2=1.0,
-            )
+            self._geometry([(10.0, 0.0), (10.0, 120.0), (12.0, 240.0)], target, default_params)
 
     def test_irregular_azimuths_rejected(self, default_params, target):
-        poses = (
-            self._pose_at(10.0, 0.0, target, default_params),
-            self._pose_at(10.0, 100.0, target, default_params),
-            self._pose_at(10.0, 240.0, target, default_params),
-        )
         with pytest.raises(ValueError, match="regular polygon"):
-            FormationGeometry(
-                poses=poses,
-                center=target.position,
-                ring_radius_m=10.0,
-                elevation_rad=poses[0].elevation_rad,
-                initial_rotation_rad=0.0,
-                crlb_m2=1.0,
-            )
+            self._geometry([(10.0, 0.0), (10.0, 100.0), (10.0, 240.0)], target, default_params)
+
+    def test_regular_triangle_accepted(self, default_params, target):
+        triangle = [(10.0, 0.0), (10.0, 120.0), (10.0, 240.0)]
+        geometry = self._geometry(triangle, target, default_params)
+        assert geometry.agent_count == 3
+        assert not geometry.planar_positions.flags.writeable
+
+    def test_too_few_agents_rejected(self, default_params, target):
+        with pytest.raises(InsufficientAgentsError):
+            self._geometry([(10.0, 0.0), (10.0, 180.0)], target, default_params)
 
 
 class TestDisplacementSet:

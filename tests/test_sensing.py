@@ -4,6 +4,10 @@ The independent oracle here is the plain measurement chain: noise variance
 sigma^2 = d^4 / C, per-range information 1/sigma^2 + (1/(2 sigma^4)) * (4 sigma^2 / d)^2,
 evaluated step by step with no algebraic simplification.  The library's
 closed forms must agree with that chain to float precision.
+
+The pose-based information chain (``oracle.py``) is in turn the oracle for
+the library's array-native :func:`formsense.crlb`, checked in ``TestCrlb``
+with property tests.
 """
 
 import dataclasses
@@ -11,16 +15,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formsense import (
-    AgentPose,
-    Fim2,
+    BenchmarkSpec,
     SensingParams,
     SingularGeometryError,
     TargetEstimate,
-    crlb_trace,
-    delay_to_range,
+    benchmark_positions,
+    build_formation,
+    crlb,
     elevation_weight,
+    optimal_elevation,
+    theoretical_lower_bound,
+)
+from formsense.sensing import AgentPose
+from oracle import (
+    Fim2,
+    crlb_trace,
+    pose_crlb,
+    poses_of,
+    delay_to_range,
     jacobian,
     noise_variance,
     range_fim_element,
@@ -425,3 +441,147 @@ class TestCrlbTrace:
         # Collinear agents: rank-one information matrix up to rounding.
         with pytest.raises(SingularGeometryError):
             crlb_trace(Fim2(5.0, 5.0e-13, 0.0))
+
+
+# Property tests run a fixed example sequence so the suite is reproducible.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+ZENITH_LIMIT_DEG = math.degrees(math.atan(math.sqrt(2.0)))
+
+
+def log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def formations(draw, batch=(), agents=st.integers(1, 8), radius=st.floats(0.5, 300.0)):
+    """Planar positions of shape (*batch, M, 2) around the shared test target.
+
+    Agents sit at a nonzero horizontal distance, so no agent is directly above
+    the target; repeated bearings (hypothesis likes them) give singular rows.
+    """
+    count = draw(agents)
+    cells = int(np.prod(batch, dtype=int)) * count
+    radii = np.array(draw(st.lists(radius, min_size=cells, max_size=cells)))
+    bearings = np.array(
+        draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=cells, max_size=cells))
+    )
+    offsets = radii[:, None] * np.column_stack([np.cos(bearings), np.sin(bearings)])
+    return (TARGET.position + offsets).reshape(*batch, count, 2)
+
+
+TARGET = TargetEstimate(np.array([80.0, 90.0]))
+
+
+def regime_params(altitude: float, snr: float) -> SensingParams:
+    """Parameters with the given altitude and composite SNR constant (m^4)."""
+    return SensingParams(
+        transmit_power_w=snr * 1e-10,
+        processing_gain=1.0e3,
+        ref_channel_power_m4=1.0e-5,
+        kappa=1.0,
+        noise_floor_w=1.0e-12,
+        altitude_m=altitude,
+    )
+
+
+class TestCrlb:
+    @PROPERTY
+    @given(st.data(), st.integers(1, 5))
+    def test_batch_rows_equal_single_calls_bit_for_bit(self, data, rows):
+        params = regime_params(20.0, 1e9)
+        batch = data.draw(formations(batch=(rows,), agents=st.integers(1, 12)))
+        values = crlb(batch, TARGET, params)
+        assert values.shape == (rows,)
+        for row, value in zip(batch, values):
+            if np.isnan(value):
+                with pytest.raises(SingularGeometryError):
+                    crlb(row, TARGET, params)
+            else:
+                single = crlb(row, TARGET, params)
+                assert isinstance(single, float)
+                assert np.float64(single).tobytes() == value.tobytes()
+
+    @PROPERTY
+    @given(st.data(), log_uniform(0.0, 3.0), log_uniform(6.0, 12.0))
+    def test_matches_pose_oracle(self, data, altitude, snr):
+        # Elevations from 0.6 to 89.4 degrees: nearer the zenith the oracle's
+        # cos(atan2(H, |d|)) itself loses digits, as H / |d| ulps.
+        radius = st.floats(-2.0, 2.0).map(lambda e: altitude * 10.0**e)
+        positions = data.draw(formations(radius=radius))
+        params = regime_params(altitude, snr)
+        fim = target_fim(poses_of(positions, TARGET, params), params)
+        ratio = fim.det / fim.trace**2
+        if ratio < 1e-6:
+            return
+        # Both chains round J's entries to an ulp or so; det = j_xx j_yy - j_xy^2
+        # magnifies that by tr^2 / det, so below ratio 1e-3 the agreement
+        # degrades as 1 / ratio. Seen: two agents at ratio 7.3e-6 differ by
+        # 2.8e-11, with crlb's J equal to the exact J rounded, entry by entry.
+        tolerance = max(1e-12, 1e-15 / ratio)
+        assert crlb(positions, TARGET, params) == pytest.approx(crlb_trace(fim), rel=tolerance)
+
+    @PROPERTY
+    @given(
+        st.data(),
+        log_uniform(0.0, 3.0),
+        log_uniform(6.0, 12.0),
+        st.integers(3, 8),
+    )
+    def test_bound_never_beaten_and_attained_by_the_ring(self, data, altitude, snr, count):
+        params = regime_params(altitude, snr)
+        bound = theoretical_lower_bound(params, count)
+        ring = build_formation(params, TARGET, count)
+        assert ring.crlb_m2 == pytest.approx(bound, rel=1e-9)
+        assert 45.0 - 1e-9 <= math.degrees(optimal_elevation(params)) <= ZENITH_LIMIT_DEG + 1e-9
+        cloud = data.draw(
+            formations(
+                batch=(4,),
+                agents=st.just(count),
+                radius=st.floats(-2.0, 2.0).map(lambda e: altitude * 10.0**e),
+            )
+        )
+        values = crlb(cloud, TARGET, params)
+        finite = values[~np.isnan(values)]
+        assert np.all(finite >= bound * (1.0 - 1e-12))
+
+    def test_singular_line_raises_alone_and_is_nan_in_a_batch(self, default_params, target):
+        line = benchmark_positions(
+            BenchmarkSpec(kind="line", lateral_offset_m=1e-9), 5, target, default_params
+        )
+        with pytest.raises(SingularGeometryError):
+            crlb(line, target, default_params)
+        ring = build_formation(default_params, target, 5).planar_positions
+        values = crlb(np.stack([line, ring]), target, default_params)
+        assert np.isnan(values[0])
+        assert values[1] == crlb(ring, target, default_params)
+
+    def test_matches_weight_sum_formula_on_the_ring(self, default_params, target):
+        # Isotropic J = (M w / 2) I, so tr(J^-1) = 4 / (M w).
+        phi = optimal_elevation(default_params)
+        ring = build_formation(default_params, target, 6).planar_positions
+        expected = 4.0 / (6 * elevation_weight(phi, default_params))
+        assert crlb(ring, target, default_params) == pytest.approx(expected, rel=1e-12)
+
+    def test_batch_shape_is_kept(self, default_params, target):
+        ring = build_formation(default_params, target, 4).planar_positions
+        values = crlb(np.broadcast_to(ring, (2, 3, 4, 2)), target, default_params)
+        assert values.shape == (2, 3)
+        assert np.all(values == crlb(ring, target, default_params))
+
+    def test_agent_above_target_rejected(self, default_params, target):
+        ring = build_formation(default_params, target, 4).planar_positions
+        above = np.vstack([ring, target.position])
+        with pytest.raises(ValueError, match="directly above"):
+            crlb(above, target, default_params)
+        with pytest.raises(ValueError, match="directly above"):
+            crlb(np.stack([above, above]), target, default_params)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (0, 2), (2, 0, 2)])
+    def test_bad_shape_rejected(self, default_params, target, shape):
+        with pytest.raises(ValueError, match="shape"):
+            crlb(np.ones(shape), target, default_params)
+
+    def test_non_finite_rejected(self, default_params, target):
+        positions = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="finite"):
+            crlb(positions, target, default_params)
