@@ -17,6 +17,7 @@ from .control import (
     consensus_velocity_step,
     control_input,
     displacement_control,
+    displacement_error,
     local_cost,
     repulsion,
     scale_factor,
@@ -39,9 +40,7 @@ from .world import (
     World,
     StepRecord,
     crlb_of_positions,
-    displacement_error,
     min_pairwise_distance,
-    nearest_point_on_obstacle,
     run_episode,
     step,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "load_config",
     "local_cost",
     "min_pairwise_distance",
-    "nearest_point_on_obstacle",
     "optimal_azimuths",
     "optimal_elevation",
     "repulsion",

@@ -3,8 +3,8 @@
 Every command reads one YAML config, writes deterministic artifacts into
 the output directory, and tags each artifact with the config hash and seed
 so a result file alone identifies the run that produced it. Exit codes:
-0 success, 2 configuration problem, 3 runtime failure (degenerate
-geometry).
+0 success, 2 configuration problem, 3 runtime failure (degenerate geometry,
+a diverged run, a value strict JSON cannot hold, or another domain error).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import benchmarks
 from .config import RunConfig, load_config
-from .errors import ConfigError, InsufficientAgentsError, SingularGeometryError
+from .errors import ConfigError, InsufficientAgentsError
 from .formation import theoretical_lower_bound
 from .world import EpisodeTrace, run_episode
 
@@ -41,7 +41,7 @@ def _csv_value(x) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
@@ -97,7 +97,8 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
     """Serialize an episode: JSONL steps, CSV plot columns, summary JSON."""
     jsonl_path = out_dir / "trace.jsonl"
     lines = [
-        json.dumps(_trace_record_payload(r, config), sort_keys=True) for r in trace.records
+        json.dumps(_trace_record_payload(r, config), sort_keys=True, allow_nan=False)
+        for r in trace.records
     ]
     jsonl_path.write_text("".join(line + "\n" for line in lines))
 
@@ -233,7 +234,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InsufficientAgentsError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SingularGeometryError as exc:
+    except ValueError as exc:  # degenerate geometry, a diverged run, a non-finite value
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     for path in paths:

@@ -33,6 +33,10 @@ from .world import Guidance, RectObstacle, World
 # per-step motion noise streams (which use small step indices).
 _DEPLOY_STREAM = 2**40
 
+# Flight altitudes accepted, in meters. Within them h^4 and the information
+# weight C/h^4 + 8/h^2 stay finite and nonzero (1e-90 m underflows h^4).
+_ALTITUDE_RANGE_M = (1.0e-3, 1.0e6)
+
 _DEFAULT_SEED = 12345
 _DEFAULT_OUTPUT_DIR = "out"
 
@@ -233,7 +237,14 @@ class RunConfig:
         )
 
 
+def _check_altitude(name: str, altitude: float) -> None:
+    lo, hi = _ALTITUDE_RANGE_M
+    if not lo <= altitude <= hi:
+        raise ConfigError(f"{name}: must lie in [{lo:g}, {hi:g}] m, got {altitude!r}")
+
+
 def _sensing(section: dict, given: Any) -> SensingParams:
+    _check_altitude("sensing.altitude_m", section["altitude_m"])
     dbm = section.pop("noise_floor_dbm")
     if "noise_floor_w" not in section:
         section["noise_floor_w"] = dbm_to_watts(dbm)
@@ -323,8 +334,7 @@ def _sweep(section: dict) -> tuple[BenchmarkSpec, ...]:
     section["altitudes_m"] = []
     for i, value in enumerate(altitudes):
         altitude = _as_float(f"sweep.altitudes_m[{i}]", value)
-        if altitude <= 0:
-            raise ConfigError(f"sweep.altitudes_m[{i}]: must be > 0, got {altitude}")
+        _check_altitude(f"sweep.altitudes_m[{i}]", altitude)
         section["altitudes_m"].append(altitude)
     section["benchmarks"], specs = _entries(
         "sweep.benchmarks", section["benchmarks"], _BENCHMARK, BenchmarkSpec, nonempty=True

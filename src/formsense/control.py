@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -226,32 +226,48 @@ def consensus_velocity_step(
     return updated
 
 
+def _deviation(positions: np.ndarray, disp: DisplacementSet, scale: float = 1.0) -> np.ndarray:
+    """Dense (M, M, 2) deviation q_m - q_p - scale * delta_mp from the desired offsets."""
+    return positions[:, None, :] - positions[None, :, :] - scale * disp.offsets
+
+
 def local_cost(
     state: SwarmState,
     graph: CommGraph,
     disp: DisplacementSet,
-    agent: int,
     dt: float,
-    next_position: np.ndarray,
+    next_positions: np.ndarray,
     target_velocity: Optional[np.ndarray] = None,
-) -> float:
-    """Formation error as seen by one agent.
+) -> np.ndarray:
+    """Formation error as seen by each agent, shape (M,).
 
-    Sums the squared deviations from the desired full-size offsets to each
-    neighbor, plus the squared mismatch between the agent's realized velocity
-    (next_position - position) / dt and the reference velocity.
+    Agent m's cost sums the squared deviations from the desired full-size
+    offsets to each neighbor, plus the squared mismatch between its realized
+    velocity (next_positions[m] - positions[m]) / dt and the reference
+    velocity.
     """
     if dt <= 0:
         raise ValueError(f"local_cost: dt must be > 0, got {dt!r}")
     if target_velocity is None:
         target_velocity = disp.global_velocity
     q = state.positions
-    deviation = q[agent] - q - disp.offsets[agent]
-    weights = graph.adjacency[agent]
-    displacement_term = float((weights * (deviation**2).sum(axis=1)).sum())
-    realized = (np.asarray(next_position, dtype=float) - q[agent]) / dt
-    velocity_term = float(((realized - target_velocity) ** 2).sum())
+    displacement_term = (graph.adjacency * (_deviation(q, disp) ** 2).sum(axis=2)).sum(axis=1)
+    realized = (np.asarray(next_positions, dtype=float) - q) / dt
+    velocity_term = ((realized - target_velocity) ** 2).sum(axis=1)
     return displacement_term + velocity_term
+
+
+def displacement_error(
+    positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
+) -> float:
+    """Total squared deviation from the full-size desired offsets, over graph edges.
+
+    Each undirected edge is counted once; the summand is symmetric in the
+    edge's endpoints because both the position difference and the desired
+    offset flip sign together.
+    """
+    per_pair = (_deviation(positions, disp) ** 2).sum(axis=2)
+    return float((graph.adjacency * per_pair).sum() / 2.0)
 
 
 def displacement_control(
@@ -270,8 +286,7 @@ def displacement_control(
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"displacement_control: scale must lie in (0, 1], got {scale!r}")
-    q = state.positions
-    deviation = q[:, None, :] - q[None, :, :] - scale * disp.offsets
+    deviation = _deviation(state.positions, disp, scale)
     return -gains.epsilon * (graph.adjacency[:, :, None] * deviation).sum(axis=1)
 
 
@@ -330,23 +345,24 @@ def scale_factor(
     return 0.9 * previous_scale + 0.1 * raw
 
 
-# Maps an agent position to (clearance_m, nearest_obstacle_point | None,
-# outward_direction | None); the direction is a unit hint used only when the
-# clearance is zero. Supplied by the world model.
-ClearanceQuery = Callable[[np.ndarray], tuple[float, Optional[np.ndarray], Optional[np.ndarray]]]
-
-
 def control_input(
     state: SwarmState,
     graph: CommGraph,
     disp: DisplacementSet,
     gains: ControlGains,
-    world_query: ClearanceQuery,
+    clearance: np.ndarray,
+    nearest: Optional[np.ndarray],
+    outward: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Total per-agent control: scaled displacement tracking plus repulsion."""
+    """Total per-agent control: scaled displacement tracking plus repulsion.
+
+    ``clearance`` (M,), ``nearest`` (M, 2) and ``outward`` (M, 2) describe
+    each agent's closest obstacle as :meth:`formsense.world.World.min_clearance`
+    returns them (``nearest`` and ``outward`` are None without obstacles).
+    Repulsion is evaluated only for the agents inside the safety radius.
+    """
     u = displacement_control(state, graph, disp, gains, state.scale)
-    for m in range(state.agent_count):
-        clearance, nearest, outward = world_query(state.positions[m])
-        if nearest is not None and clearance < gains.safety_radius_m:
-            u[m] += repulsion(state.positions[m], nearest, gains, fallback_direction=outward)
+    if nearest is not None:
+        for m in np.flatnonzero(clearance < gains.safety_radius_m):
+            u[m] += repulsion(state.positions[m], nearest[m], gains, fallback_direction=outward[m])
     return u

@@ -26,6 +26,7 @@ from .control import (
     SwarmState,
     consensus_velocity_step,
     control_input,
+    displacement_error,
     local_cost,
     scale_factor,
 )
@@ -50,42 +51,9 @@ class RectObstacle:
                 f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
             )
 
-    def nearest_point(self, position: np.ndarray) -> np.ndarray:
-        """Closest point of the rectangle: componentwise clamp of the position."""
-        position = np.asarray(position, dtype=float)
-        return np.array(
-            [
-                min(max(position[0], self.x_min), self.x_max),
-                min(max(position[1], self.y_min), self.y_max),
-            ]
-        )
 
-    def distance(self, position: np.ndarray) -> float:
-        """Euclidean distance to the rectangle; zero on the boundary or inside."""
-        position = np.asarray(position, dtype=float)
-        nearest = self.nearest_point(position)
-        return float(np.hypot(position[0] - nearest[0], position[1] - nearest[1]))
-
-    def escape_direction(self, position: np.ndarray) -> np.ndarray:
-        """Outward unit direction through the nearest face.
-
-        Defined for positions on or inside the rectangle, where the nearest
-        point coincides with the position and the repulsion direction would
-        otherwise be ambiguous.
-        """
-        position = np.asarray(position, dtype=float)
-        gaps = (
-            (position[0] - self.x_min, np.array([-1.0, 0.0])),
-            (self.x_max - position[0], np.array([1.0, 0.0])),
-            (position[1] - self.y_min, np.array([0.0, -1.0])),
-            (self.y_max - position[1], np.array([0.0, 1.0])),
-        )
-        return min(gaps, key=lambda g: g[0])[1]
-
-
-def nearest_point_on_obstacle(position: np.ndarray, obstacle: RectObstacle) -> np.ndarray:
-    """Functional alias of :meth:`RectObstacle.nearest_point`."""
-    return obstacle.nearest_point(position)
+# Outward unit normals of a rectangle's faces, in the order x_min, x_max, y_min, y_max.
+_FACE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -97,6 +65,8 @@ class World:
     motion_noise_std: float = 0.0
     dt: float = 0.1
     rng_seed: int = 0
+    # Rectangle bounds as rows x_min, x_max, y_min, y_max over the K obstacles.
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -106,36 +76,62 @@ class World:
             raise ValueError(f"World.motion_noise_std: must be >= 0, got {self.motion_noise_std!r}")
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ValueError(f"World.rng_seed: must fit in an unsigned 64-bit int, got {self.rng_seed!r}")
+        bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 4)
+        object.__setattr__(self, "_bounds", bounds.T)
 
-    def min_clearance(self, position: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
-        """Distance to the closest obstacle and the point realizing it.
+    def min_clearance(
+        self, points: np.ndarray
+    ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Clearance (...), nearest obstacle point (..., 2) and way out (..., 2) of points (..., 2).
 
-        Returns (inf, None) when the world has no obstacles.
+        One (N, K) clamp of all points against all rectangles; the closest
+        rectangle wins, the first one on ties. The way out is the outward
+        normal of that rectangle's nearest face (x_min, x_max, y_min, y_max,
+        the first on ties) for points in contact, else zero. Without
+        obstacles the clearance is inf and the other two are None.
         """
-        best = math.inf
-        best_point: Optional[np.ndarray] = None
-        for obstacle in self.obstacles:
-            nearest = obstacle.nearest_point(position)
-            dist = float(np.hypot(position[0] - nearest[0], position[1] - nearest[1]))
-            if dist < best:
-                best = dist
-                best_point = nearest
-        return best, best_point
+        points = np.asarray(points, dtype=float)
+        shape = points.shape[:-1]
+        if not self.obstacles:
+            return np.full(shape, math.inf), None, None
+        p = points.reshape(-1, 2)
+        x, y = p[:, :1], p[:, 1:]
+        x_min, x_max, y_min, y_max = self._bounds
+        near_x = np.minimum(np.maximum(x, x_min), x_max)
+        near_y = np.minimum(np.maximum(y, y_min), y_max)
+        dist = np.hypot(x - near_x, y - near_y)
+        rows = np.arange(len(p))
+        closest = dist.argmin(axis=1)
+        clearance = dist[rows, closest]
+        nearest = np.stack([near_x[rows, closest], near_y[rows, closest]], axis=1)
+        outward = np.zeros_like(p)
+        contact = np.flatnonzero(clearance <= 0.0)
+        if contact.size:
+            k, cx, cy = closest[contact], p[contact, 0], p[contact, 1]
+            gaps = np.stack([cx - x_min[k], x_max[k] - cx, cy - y_min[k], y_max[k] - cy], axis=1)
+            outward[contact] = _FACE_NORMALS[gaps.argmin(axis=1)]
+        return clearance.reshape(shape), nearest.reshape(points.shape), outward.reshape(points.shape)
 
-    def clearance_query(
-        self, position: np.ndarray
-    ) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Clearance, nearest obstacle point, and an escape hint for contact.
 
-        The third element is an outward unit direction, provided only when
-        the clearance is exactly zero (agent on or inside an obstacle).
-        """
-        position = np.asarray(position, dtype=float)
-        clearance, nearest = self.min_clearance(position)
-        if nearest is None or clearance > 0.0:
-            return clearance, nearest, None
-        containing = min(self.obstacles, key=lambda o: o.distance(position))
-        return clearance, nearest, containing.escape_direction(position)
+def _advance(
+    state: SwarmState,
+    world: World,
+    graph: CommGraph,
+    disp: DisplacementSet,
+    gains: ControlGains,
+    target_velocity: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """One control period: the next positions, velocity estimates and scale, and u."""
+    velocities = consensus_velocity_step(state, graph, target_velocity, gains)
+    u = control_input(state, graph, disp, gains, *world.min_clearance(state.positions))
+    noise = 0.0
+    if world.motion_noise_std > 0.0:
+        rng = np.random.default_rng([world.rng_seed, state.step_index])
+        noise = rng.normal(0.0, world.motion_noise_std, size=state.positions.shape)
+    positions = state.positions + u + velocities * world.dt + noise
+    clearance = float(world.min_clearance(positions.mean(axis=0))[0])
+    scale = scale_factor(disp.nominal_diameter_m, clearance, gains, state.scale)
+    return positions, velocities, scale, u
 
 
 def step(
@@ -156,42 +152,13 @@ def step(
     """
     if target_velocity is None:
         target_velocity = disp.global_velocity
-    velocities = consensus_velocity_step(state, graph, target_velocity, gains)
-    u = control_input(state, graph, disp, gains, world.clearance_query)
-    if world.motion_noise_std > 0.0:
-        rng = np.random.default_rng([world.rng_seed, state.step_index])
-        noise = rng.normal(0.0, world.motion_noise_std, size=state.positions.shape)
-    else:
-        noise = 0.0
-    new_positions = state.positions + u + velocities * world.dt + noise
-    centroid = new_positions.mean(axis=0)
-    clearance, _ = world.min_clearance(centroid)
-    new_scale = scale_factor(disp.nominal_diameter_m, clearance, gains, state.scale)
-    return SwarmState(
-        positions=new_positions,
-        velocity_estimates=velocities,
-        scale=new_scale,
-        step_index=state.step_index + 1,
-    )
+    positions, velocities, scale, _ = _advance(state, world, graph, disp, gains, target_velocity)
+    return SwarmState(positions, velocities, scale, state.step_index + 1)
 
 
 def crlb_of_positions(positions: np.ndarray, world: World, params: SensingParams) -> float:
     """CRLB trace of the target estimate for agents hovering at these planar spots."""
     return crlb(positions, world.target, params)
-
-
-def displacement_error(
-    positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
-) -> float:
-    """Total squared deviation from the full-size desired offsets, over graph edges.
-
-    Each undirected edge is counted once; the summand is symmetric in the
-    edge's endpoints because both the position difference and the desired
-    offset flip sign together.
-    """
-    deviation = positions[:, None, :] - positions[None, :, :] - disp.offsets
-    per_pair = (deviation**2).sum(axis=2)
-    return float((graph.adjacency * per_pair).sum() / 2.0)
 
 
 def min_pairwise_distance(positions: np.ndarray) -> float:
@@ -289,6 +256,11 @@ class StepRecord:
     displacement_error_m2: float
 
 
+# Record fields whose non-finite value means the run diverged. The clearance
+# is inf without obstacles and the CRLB is None for degenerate geometry.
+_MUST_BE_FINITE = ("positions", "total_cost", "displacement_error_m2", "max_control_m", "min_pairwise_m")
+
+
 @dataclass(frozen=True)
 class EpisodeTrace:
     """Full record of one simulated episode.
@@ -323,6 +295,13 @@ class EpisodeTrace:
         }
 
 
+def _check_finite(record: StepRecord) -> None:
+    """Raise a ValueError naming the step and every record field that is not finite."""
+    bad = [name for name in _MUST_BE_FINITE if not np.isfinite(getattr(record, name)).all()]
+    if bad:
+        raise ValueError(f"run_episode: diverged at step {record.step}: {', '.join(bad)} not finite")
+
+
 def run_episode(
     initial: SwarmState,
     world: World,
@@ -339,7 +318,9 @@ def run_episode(
     The stop rule requires the displacement error to drop below the
     tolerance with the scale factor recovered to (nearly) one; goal-mode
     guidance additionally requires the formation center to have arrived at
-    the target. Non-convergence is reported in the trace, not raised.
+    the target. Non-convergence is reported in the trace, not raised; a run
+    whose positions or metrics stop being finite raises a ValueError naming
+    the step.
     """
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
@@ -349,47 +330,40 @@ def run_episode(
     events: list[tuple[int, int]] = []
     state = initial
     converged = False
-    for k in range(max_steps):
-        v_cmd = guidance.commanded_velocity(state, world, graph, disp)
-        u = control_input(state, graph, disp, gains, world.clearance_query)
-        new_state = step(state, world, graph, disp, gains, target_velocity=v_cmd)
-        cost = sum(
-            local_cost(state, graph, disp, m, world.dt, new_state.positions[m], v_cmd)
-            for m in range(state.agent_count)
-        )
-        clearances = [
-            world.min_clearance(new_state.positions[m])[0] for m in range(state.agent_count)
-        ]
-        for m, c in enumerate(clearances):
-            if c <= 0.0:
-                events.append((k, m))
-        try:
-            crlb: Optional[float] = crlb_of_positions(new_state.positions, world, params)
-        except (SingularGeometryError, ValueError):
-            crlb = None
-        err = displacement_error(new_state.positions, graph, disp)
-        records.append(
-            StepRecord(
+    # Overflow shows up as a non-finite record, which the divergence check names.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_steps):
+            v_cmd = guidance.commanded_velocity(state, world, graph, disp)
+            positions, velocities, scale, u = _advance(state, world, graph, disp, gains, v_cmd)
+            clearance = world.min_clearance(positions)[0]
+            try:
+                crlb: Optional[float] = crlb_of_positions(positions, world, params)
+            except (SingularGeometryError, ValueError):
+                crlb = None
+            # Summed in agent order: numpy's pairwise sum would round the total differently.
+            record = StepRecord(
                 step=k,
                 time_s=(k + 1) * world.dt,
-                positions=new_state.positions,
-                eta=new_state.scale,
+                positions=positions,
+                eta=scale,
                 crlb_m2=crlb,
-                total_cost=float(cost),
-                min_clearance_m=float(min(clearances)),
-                min_pairwise_m=min_pairwise_distance(new_state.positions),
+                total_cost=sum(local_cost(state, graph, disp, world.dt, positions, v_cmd).tolist()),
+                min_clearance_m=float(clearance.min()),
+                min_pairwise_m=min_pairwise_distance(positions),
                 max_control_m=float(np.linalg.norm(u, axis=1).max()),
-                displacement_error_m2=err,
+                displacement_error_m2=displacement_error(positions, graph, disp),
             )
-        )
-        state = new_state
-        if (
-            err < stop_tolerance
-            and state.scale >= 0.999
-            and guidance.center_error_m(state, world, graph) <= guidance.arrival_tolerance_m
-        ):
-            converged = True
-            break
+            _check_finite(record)
+            records.append(record)
+            events.extend((k, m) for m in np.flatnonzero(clearance <= 0.0).tolist())
+            state = SwarmState(positions, velocities, scale, state.step_index + 1)
+            if (
+                record.displacement_error_m2 < stop_tolerance
+                and state.scale >= 0.999
+                and guidance.center_error_m(state, world, graph) <= guidance.arrival_tolerance_m
+            ):
+                converged = True
+                break
     return EpisodeTrace(
         records=tuple(records),
         safety_events=tuple(events),

@@ -1,10 +1,16 @@
-"""Pose-based physics oracle for the array-native CRLB.
+"""Per-object oracles for the library's array-native computations.
 
 The library computes the CRLB in one pass over a position array
 (:func:`formsense.sensing.crlb`). This module keeps the step-by-step chain it
 replaced: one :class:`AgentPose` per agent, its elevation weight spread over
 its azimuth direction in a Python loop, and the trace of the inverse 2x2
-information matrix. Tests compare the two.
+information matrix.
+
+Likewise :meth:`formsense.world.World.min_clearance` clamps all points
+against all rectangles at once, and :func:`formsense.control.local_cost`
+returns every agent's cost in one call; the per-rectangle, per-point and
+per-agent functions at the end of this module are the loops they replaced.
+Tests compare the two.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from formsense.errors import SingularGeometryError
 from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
+from formsense.world import RectObstacle
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular; the library uses the same rule.
@@ -158,3 +165,60 @@ def poses_of(
 def pose_crlb(positions: np.ndarray, target: TargetEstimate, params: SensingParams) -> float:
     """CRLB of an (M, 2) formation through poses, the information matrix and its inverse trace."""
     return crlb_trace(target_fim(poses_of(positions, target, params), params))
+
+
+def nearest_point(rect: RectObstacle, position: np.ndarray) -> np.ndarray:
+    """Closest point of the rectangle: componentwise clamp of the position."""
+    position = np.asarray(position, dtype=float)
+    return np.array(
+        [
+            min(max(position[0], rect.x_min), rect.x_max),
+            min(max(position[1], rect.y_min), rect.y_max),
+        ]
+    )
+
+
+def rect_distance(rect: RectObstacle, position: np.ndarray) -> float:
+    """Euclidean distance to the rectangle; zero on the boundary or inside."""
+    position = np.asarray(position, dtype=float)
+    nearest = nearest_point(rect, position)
+    return float(np.hypot(position[0] - nearest[0], position[1] - nearest[1]))
+
+
+def escape_direction(rect: RectObstacle, position: np.ndarray) -> np.ndarray:
+    """Outward unit direction through the face nearest a point on or inside the rectangle."""
+    position = np.asarray(position, dtype=float)
+    gaps = (
+        (position[0] - rect.x_min, np.array([-1.0, 0.0])),
+        (rect.x_max - position[0], np.array([1.0, 0.0])),
+        (position[1] - rect.y_min, np.array([0.0, -1.0])),
+        (rect.y_max - position[1], np.array([0.0, 1.0])),
+    )
+    return min(gaps, key=lambda g: g[0])[1]
+
+
+def clearance_of_point(obstacles, position: np.ndarray):
+    """(clearance, nearest point, outward direction) of one point, rectangle by rectangle.
+
+    The first rectangle wins ties. The direction is None unless the point is
+    on or inside an obstacle; the nearest point is None without obstacles.
+    """
+    position = np.asarray(position, dtype=float)
+    best, best_point = math.inf, None
+    for rect in obstacles:
+        nearest = nearest_point(rect, position)
+        dist = float(np.hypot(position[0] - nearest[0], position[1] - nearest[1]))
+        if dist < best:
+            best, best_point = dist, nearest
+    if best_point is None or best > 0.0:
+        return best, best_point, None
+    containing = min(obstacles, key=lambda rect: rect_distance(rect, position))
+    return best, best_point, escape_direction(containing, position)
+
+
+def agent_cost(positions, adjacency, offsets, agent, dt, next_position, target_velocity) -> float:
+    """One agent's local cost: displacement term over its neighbors plus velocity mismatch."""
+    deviation = positions[agent] - positions - offsets[agent]
+    displacement_term = float((adjacency[agent] * (deviation**2).sum(axis=1)).sum())
+    realized = (np.asarray(next_position, dtype=float) - positions[agent]) / dt
+    return displacement_term + float(((realized - target_velocity) ** 2).sum())

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import formsense
+from formsense import cli
 from formsense.cli import main
 from formsense.config import build_config
 
@@ -216,6 +217,45 @@ class TestErrorPaths:
         args = ["optimize", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "4"]
         assert main(args) == 2
         assert "seed: expected an integer" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("altitude", [1.0e-90, 1.0e90])
+    def test_altitude_out_of_range(self, tmp_path, capsys, altitude):
+        cfg, _ = write_config(tmp_path, sensing={"altitude_m": altitude})
+        for command in ("optimize", "simulate", "sweep"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert "config error: sensing.altitude_m" in capsys.readouterr().err
+
+    def test_overflowing_reference_velocity(self, tmp_path, capsys):
+        guidance = {"mode": "constant", "velocity_mps": [1.0e308, 0.0]}
+        cfg, _ = write_config(tmp_path, guidance=guidance)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_diverged_run_exits_3_without_artifacts(self, tmp_path, capsys):
+        gains = {"repulsion_gain": 1.0e300, "repulsion_cap": 1.0e300, "safety_radius_m": 1.0e6}
+        obstacle = {"x_min": 5.0, "x_max": 33.0, "y_min": 51.0, "y_max": 79.0}
+        world = {"target_m": [80.0, 90.0], "obstacles": [obstacle]}
+        cfg, _ = write_config(tmp_path, gains=gains, world=world)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: run_episode: diverged at step 0" in err
+        assert list(out.iterdir()) == []
+
+    def test_json_artifacts_reject_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "x.json", {"cost": float("nan")})
+
+    def test_obstacle_free_clearance_is_null(self, tmp_path):
+        cfg, _ = write_config(tmp_path, episode={"max_steps": 3})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "trace.jsonl").read_text().splitlines()
+        assert [json.loads(line)["min_clearance_m"] for line in lines] == [None] * 3
 
 
 class TestOutDirResolution:

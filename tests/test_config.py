@@ -163,6 +163,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sensing"):
             build_config(raw)
 
+    @pytest.mark.parametrize("altitude", [1.0e-90, 9.9e-4, 1.0000001e6, 1.0e90])
+    def test_altitude_outside_finite_range(self, altitude):
+        raw = base_raw()
+        raw["sensing"]["altitude_m"] = altitude
+        with pytest.raises(ConfigError, match=r"sensing.altitude_m: must lie in \[0.001, 1e\+06\]"):
+            build_config(raw)
+        raw = base_raw()
+        raw["sweep"] = {"altitudes_m": [20.0, altitude]}
+        with pytest.raises(ConfigError, match=r"sweep.altitudes_m\[1\]"):
+            build_config(raw)
+
+    @pytest.mark.parametrize("altitude", [1.0e-3, 1.0e6])
+    def test_altitude_range_is_inclusive(self, altitude):
+        raw = base_raw()
+        raw["sensing"]["altitude_m"] = altitude
+        raw["sweep"] = {"altitudes_m": [altitude]}
+        assert build_config(raw).params.altitude_m == altitude
+
     def test_bad_obstacle_bounds(self):
         raw = base_raw()
         raw["world"]["obstacles"] = [{"x_min": 5.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}]

@@ -13,7 +13,9 @@ import pytest
 from formsense import (
     CommGraph,
     ControlGains,
+    RectObstacle,
     SwarmState,
+    World,
     build_formation,
     check_stability,
     consensus_velocity_step,
@@ -24,6 +26,7 @@ from formsense import (
     repulsion,
     scale_factor,
 )
+from oracle import agent_cost
 
 
 def random_connected_graph(rng: np.random.Generator, max_agents: int = 8) -> CommGraph:
@@ -288,20 +291,17 @@ class TestLocalCost:
         q = formation.planar_positions
         state = SwarmState(positions=q, velocity_estimates=np.zeros((4, 2)))
         dt = 0.1
-        cost = local_cost(
-            state, CommGraph.ring(4), disp, 1, dt, q[1] + dt * np.array([1.0, 0.0])
-        )
-        assert cost == pytest.approx(0.0, abs=1e-18)
+        cost = local_cost(state, CommGraph.ring(4), disp, dt, q + dt * np.array([1.0, 0.0]))
+        assert cost.shape == (4,)
+        np.testing.assert_allclose(cost, 0.0, atol=1e-18)
 
     def test_velocity_term_isolated(self, default_params, target):
         formation = build_formation(default_params, target, 4)
         disp = displacement_set(formation)
         q = formation.planar_positions
         state = SwarmState(positions=q, velocity_estimates=np.zeros((4, 2)))
-        cost = local_cost(
-            state, CommGraph.ring(4), disp, 2, 0.5, q[2] + 0.5 * np.array([0.3, -0.4])
-        )
-        assert cost == pytest.approx(0.25, rel=1e-9)
+        cost = local_cost(state, CommGraph.ring(4), disp, 0.5, q + 0.5 * np.array([0.3, -0.4]))
+        np.testing.assert_allclose(cost, 0.25, rtol=1e-9)
 
     def test_displacement_term_matches_manual_sum(self, default_params, target):
         rng = np.random.default_rng(90)
@@ -309,21 +309,37 @@ class TestLocalCost:
         disp = displacement_set(build_formation(default_params, target, 5))
         q = rng.uniform(-20.0, 20.0, size=(5, 2))
         state = SwarmState(positions=q, velocity_estimates=np.zeros((5, 2)))
-        agent = 3
-        expected = 0.0
-        for p in range(5):
-            if graph.adjacency[agent, p]:
-                expected += float(
-                    ((q[agent] - q[p] - disp.offsets[agent, p]) ** 2).sum()
-                )
-        got = local_cost(state, graph, disp, agent, 0.1, q[agent])  # realized velocity 0
-        assert got == pytest.approx(expected, rel=1e-12)
+        got = local_cost(state, graph, disp, 0.1, q)  # realized velocity 0
+        for agent in range(5):
+            expected = 0.0
+            for p in range(5):
+                if graph.adjacency[agent, p]:
+                    expected += float(
+                        ((q[agent] - q[p] - disp.offsets[agent, p]) ** 2).sum()
+                    )
+            assert got[agent] == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_per_agent_loop_bit_for_bit(self, default_params, target):
+        rng = np.random.default_rng(91)
+        for agents in (3, 7, 8, 9, 40, 130):
+            graph = random_connected_graph(rng, max_agents=agents)
+            m = graph.agent_count
+            disp = displacement_set(build_formation(default_params, target, m), (0.4, -0.2))
+            q = target.position + rng.uniform(-30.0, 30.0, size=(m, 2))
+            nxt = q + rng.normal(0.0, 0.5, size=(m, 2))
+            state = SwarmState(positions=q, velocity_estimates=np.zeros((m, 2)))
+            got = local_cost(state, graph, disp, 0.1, nxt)
+            want = [
+                agent_cost(q, graph.adjacency, disp.offsets, a, 0.1, nxt[a], disp.global_velocity)
+                for a in range(m)
+            ]
+            assert got.tolist() == want
 
     def test_bad_dt_rejected(self, default_params, target):
         disp = displacement_set(build_formation(default_params, target, 3))
         state = SwarmState(positions=np.zeros((3, 2)), velocity_estimates=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dt"):
-            local_cost(state, CommGraph.ring(3), disp, 0, 0.0, np.zeros(2))
+            local_cost(state, CommGraph.ring(3), disp, 0.0, np.zeros((3, 2)))
 
 
 class TestRepulsion:
@@ -444,11 +460,8 @@ class TestControlInput:
             positions=rng.uniform(-30.0, 30.0, size=(6, 2)),
             velocity_estimates=np.zeros((6, 2)),
         )
-
-        def no_obstacles(_pos):
-            return math.inf, None, None
-
-        u = control_input(state, graph, disp, gains, no_obstacles)
+        open_space = World(target=target).min_clearance(state.positions)
+        u = control_input(state, graph, disp, gains, *open_space)
         expected = displacement_control(state, graph, disp, gains, state.scale)
         np.testing.assert_array_equal(u, expected)
 
@@ -458,15 +471,12 @@ class TestControlInput:
         gains = ControlGains(repulsion_gain=1.0, safety_radius_m=5.0)
         positions = np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 40.0], [0.0, 40.0]])
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((4, 2)))
+        post = RectObstacle(x_min=-4.0, x_max=-2.5, y_min=-1.0, y_max=1.0)
+        world = World(target=target, obstacles=(post,))
         nearest = np.array([-2.5, 0.0])
 
-        def query(pos):
-            if np.array_equal(pos, positions[0]):
-                return 2.5, nearest, np.array([1.0, 0.0])
-            return math.inf, None, None
-
         base = displacement_control(state, graph, disp, gains, 1.0)
-        u = control_input(state, graph, disp, gains, query)
+        u = control_input(state, graph, disp, gains, *world.min_clearance(positions))
         np.testing.assert_allclose(
             u[0] - base[0], repulsion(positions[0], nearest, gains), rtol=1e-12
         )
@@ -480,11 +490,8 @@ class TestControlInput:
         state = SwarmState(
             positions=shrunk, velocity_estimates=np.zeros((4, 2)), scale=0.37
         )
-
-        def no_obstacles(_pos):
-            return math.inf, None, None
-
-        u = control_input(state, CommGraph.ring(4), disp, ControlGains(), no_obstacles)
+        open_space = World(target=target).min_clearance(state.positions)
+        u = control_input(state, CommGraph.ring(4), disp, ControlGains(), *open_space)
         assert np.abs(u).max() < 1e-12
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formsense import (
     CommGraph,
@@ -19,11 +21,12 @@ from formsense import (
     displacement_error,
     displacement_set,
     min_pairwise_distance,
-    nearest_point_on_obstacle,
     run_episode,
     step,
     theoretical_lower_bound,
 )
+from formsense import world as world_module
+from oracle import clearance_of_point, escape_direction, nearest_point, rect_distance
 
 BOX = RectObstacle(x_min=-5.0, x_max=5.0, y_min=-5.0, y_max=5.0)
 
@@ -36,7 +39,14 @@ def embedding_state(formation, velocity=None, scale=1.0):
     )
 
 
+def clearance(obstacles, points):
+    """World.min_clearance of a target-free world with these obstacles."""
+    return World(target=TargetEstimate(np.zeros(2)), obstacles=obstacles).min_clearance(points)
+
+
 class TestRectObstacle:
+    """Single-rectangle queries, through World.min_clearance and the oracle."""
+
     @pytest.mark.parametrize(
         "position, expected",
         [
@@ -48,11 +58,16 @@ class TestRectObstacle:
         ],
     )
     def test_nearest_point_clamps(self, position, expected):
-        np.testing.assert_array_equal(BOX.nearest_point(np.array(position)), expected)
+        np.testing.assert_array_equal(clearance((BOX,), np.array(position))[1], expected)
+        np.testing.assert_array_equal(nearest_point(BOX, np.array(position)), expected)
 
-    def test_functional_alias(self):
-        p = np.array([12.0, -1.0])
-        np.testing.assert_array_equal(nearest_point_on_obstacle(p, BOX), BOX.nearest_point(p))
+    def test_batched_rows_match_single_points(self):
+        points = np.array([[12.0, -1.0], [0.0, 0.0], [5.0, 5.0], [-9.0, 7.0], [3.0, -5.0], [1.0, 1.0]])
+        batch = clearance((BOX,), points.reshape(2, 3, 2))
+        assert batch[0].shape == (2, 3) and batch[1].shape == batch[2].shape == (2, 3, 2)
+        for got, point in zip(zip(*(a.reshape(6, *a.shape[2:]) for a in batch)), points):
+            for g, single in zip(got, clearance((BOX,), point)):
+                np.testing.assert_array_equal(g, single)
 
     @pytest.mark.parametrize(
         "position, expected",
@@ -64,7 +79,8 @@ class TestRectObstacle:
         ],
     )
     def test_distance(self, position, expected):
-        assert BOX.distance(np.array(position)) == pytest.approx(expected, rel=1e-12)
+        assert clearance((BOX,), np.array(position))[0] == pytest.approx(expected, rel=1e-12)
+        assert rect_distance(BOX, np.array(position)) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "position, expected",
@@ -76,7 +92,8 @@ class TestRectObstacle:
         ],
     )
     def test_escape_direction(self, position, expected):
-        np.testing.assert_array_equal(BOX.escape_direction(np.array(position)), expected)
+        np.testing.assert_array_equal(clearance((BOX,), np.array(position))[2], expected)
+        np.testing.assert_array_equal(escape_direction(BOX, np.array(position)), expected)
 
     @pytest.mark.parametrize(
         "bounds", [(5.0, -5.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 2.0, 2.0)]
@@ -86,23 +103,69 @@ class TestRectObstacle:
             RectObstacle(*bounds)
 
 
+# Coordinates on a half-metre grid put points on edges and corners, inside
+# rectangles, and at equal distance from several of them.
+GRID = st.integers(-24, 24).map(lambda i: i / 2.0)
+
+
+@st.composite
+def rectangles(draw):
+    x0, y0 = draw(GRID), draw(GRID)
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return RectObstacle(x0, x0 + width / 2.0, y0, y0 + height / 2.0)
+
+
+class TestMinClearanceOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(rectangles(), min_size=1, max_size=6),
+        st.lists(st.tuples(GRID | st.floats(-15.0, 15.0), GRID), min_size=1, max_size=20),
+    )
+    def test_matches_per_rectangle_oracle_bit_for_bit(self, obstacles, points):
+        points = np.array(points, dtype=float)
+        got_clearance, got_nearest, got_outward = clearance(tuple(obstacles), points)
+        for i, point in enumerate(points):
+            want_clearance, want_nearest, want_outward = clearance_of_point(obstacles, point)
+            assert got_clearance[i] == want_clearance
+            np.testing.assert_array_equal(got_nearest[i], want_nearest)
+            if want_outward is None:
+                np.testing.assert_array_equal(got_outward[i], np.zeros(2))
+            else:
+                np.testing.assert_array_equal(got_outward[i], want_outward)
+
+    def test_ties_go_to_the_first_rectangle(self):
+        left = RectObstacle(-3.0, -1.0, -1.0, 1.0)
+        right = RectObstacle(1.0, 3.0, -1.0, 1.0)
+        _, nearest, _ = clearance((left, right), np.zeros(2))
+        np.testing.assert_array_equal(nearest, [-1.0, 0.0])
+        _, nearest, _ = clearance((right, left), np.zeros(2))
+        np.testing.assert_array_equal(nearest, [1.0, 0.0])
+        # A point inside two overlapping rectangles leaves through the first one's face.
+        wide = RectObstacle(-10.0, 10.0, -0.5, 0.5)
+        tall = RectObstacle(-0.5, 0.5, -10.0, 10.0)
+        point = np.array([0.1, 0.0])
+        assert clearance((wide, tall), point)[2].tolist() == [0.0, -1.0]
+        assert clearance((tall, wide), point)[2].tolist() == [1.0, 0.0]
+
+
 class TestWorld:
     def test_no_obstacles_infinite_clearance(self, target):
         world = World(target=target)
-        clearance, nearest = world.min_clearance(np.array([0.0, 0.0]))
+        clearance, nearest, outward = world.min_clearance(np.array([0.0, 0.0]))
         assert clearance == math.inf
-        assert nearest is None
+        assert nearest is None and outward is None
+        assert world.min_clearance(np.zeros((4, 2)))[0].tolist() == [math.inf] * 4
 
     def test_single_obstacle_clearance(self, target):
         world = World(target=target, obstacles=(BOX,))
-        clearance, nearest = world.min_clearance(np.array([9.0, 0.0]))
+        clearance, nearest, _ = world.min_clearance(np.array([9.0, 0.0]))
         assert clearance == pytest.approx(4.0, rel=1e-12)
         np.testing.assert_array_equal(nearest, [5.0, 0.0])
 
     def test_picks_nearest_of_several(self, target):
         far = RectObstacle(x_min=100.0, x_max=110.0, y_min=0.0, y_max=10.0)
         world = World(target=target, obstacles=(far, BOX))
-        clearance, nearest = world.min_clearance(np.array([9.0, 0.0]))
+        clearance, nearest, _ = world.min_clearance(np.array([9.0, 0.0]))
         assert clearance == pytest.approx(4.0, rel=1e-12)
         np.testing.assert_array_equal(nearest, [5.0, 0.0])
 
@@ -124,25 +187,25 @@ class TestWorld:
         boundary = np.vstack(boundary)
         for _ in range(50):
             p = rng.uniform(-20.0, 100.0, size=2)
-            if min(ob.distance(p) for ob in obstacles) == 0.0:
+            if min(rect_distance(ob, p) for ob in obstacles) == 0.0:
                 continue  # sampling oracle only valid outside
-            clearance, _ = world.min_clearance(p)
+            clearance, _, _ = world.min_clearance(p)
             sampled = float(np.hypot(*(boundary - p).T).min())
             assert clearance == pytest.approx(sampled, abs=1e-2)
             assert clearance <= sampled + 1e-12
 
-    def test_clearance_query_contact_direction(self, target):
+    def test_contact_direction(self, target):
         world = World(target=target, obstacles=(BOX,))
-        clearance, nearest, outward = world.clearance_query(np.array([4.0, 0.0]))
+        clearance, nearest, outward = world.min_clearance(np.array([4.0, 0.0]))
         assert clearance == 0.0
         np.testing.assert_array_equal(nearest, [4.0, 0.0])
         np.testing.assert_array_equal(outward, [1.0, 0.0])
 
-    def test_clearance_query_free_space(self, target):
+    def test_free_space_has_no_direction(self, target):
         world = World(target=target, obstacles=(BOX,))
-        clearance, nearest, outward = world.clearance_query(np.array([9.0, 0.0]))
+        clearance, nearest, outward = world.min_clearance(np.array([9.0, 0.0]))
         assert clearance == pytest.approx(4.0)
-        assert outward is None
+        np.testing.assert_array_equal(outward, np.zeros(2))
         np.testing.assert_array_equal(nearest, [5.0, 0.0])
 
     def test_validation(self, target):
@@ -451,3 +514,48 @@ class TestRunEpisode:
         assert trace.converged  # collinear but perfectly in formation
         assert trace.records[0].crlb_m2 is None
         assert trace.summary()["final_crlb_m2"] is None
+
+    @pytest.mark.parametrize("agents", [6, 24])
+    def test_one_control_and_cost_call_per_step(self, default_params, target, monkeypatch, agents):
+        calls = {"control_input": 0, "local_cost": 0, "min_clearance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(world_module, "control_input", counted("control_input", world_module.control_input))
+        monkeypatch.setattr(world_module, "local_cost", counted("local_cost", world_module.local_cost))
+        monkeypatch.setattr(World, "min_clearance", counted("min_clearance", World.min_clearance))
+        formation = build_formation(default_params, target, agents)
+        wall = RectObstacle(x_min=0.0, x_max=10.0, y_min=0.0, y_max=10.0)
+        state = embedding_state(formation)
+        trace = run_episode(
+            SwarmState(state.positions + 1.0, state.velocity_estimates),
+            World(target=target, obstacles=(wall,)),
+            CommGraph.ring(agents),
+            displacement_set(formation),
+            ControlGains(),
+            default_params,
+            max_steps=1,
+        )
+        assert trace.steps == 1
+        assert calls == {"control_input": 1, "local_cost": 1, "min_clearance": 3}
+
+    def test_diverged_run_names_the_step(self, default_params, target):
+        formation = build_formation(default_params, target, 3)
+        block = RectObstacle(x_min=-100.0, x_max=300.0, y_min=-100.0, y_max=300.0)
+        gains = ControlGains(repulsion_gain=1e300, repulsion_cap=1e300, safety_radius_m=1e6)
+        with pytest.raises(ValueError, match="diverged at step 0: total_cost, "):
+            run_episode(
+                embedding_state(formation),
+                World(target=target, obstacles=(block,)),
+                CommGraph.ring(3),
+                displacement_set(formation),
+                gains,
+                default_params,
+                max_steps=5,
+            )
+
