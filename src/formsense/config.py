@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -33,8 +33,9 @@ from .world import Guidance, RectObstacle, World
 # per-step motion noise streams (which use small step indices).
 _DEPLOY_STREAM = 2**40
 
-# Flight altitudes accepted, in meters. Within them h^4 and the information
-# weight C/h^4 + 8/h^2 stay finite and nonzero (1e-90 m underflows h^4).
+# Flight altitudes accepted, in meters. Within them h^4 neither underflows
+# (1e-90 m would) nor overflows. The information weight C/h^4 + 8/h^2 also
+# depends on the composite SNR C: SensingParams bounds C/h^4 at each altitude.
 _ALTITUDE_RANGE_M = (1.0e-3, 1.0e6)
 
 _DEFAULT_SEED = 12345
@@ -329,13 +330,18 @@ def _initial_positions(section: dict, agent_count: int, seed: int) -> np.ndarray
     return positions
 
 
-def _sweep(section: dict) -> tuple[BenchmarkSpec, ...]:
+def _sweep(section: dict, params: SensingParams) -> tuple[BenchmarkSpec, ...]:
     altitudes = _as_list("sweep.altitudes_m", section["altitudes_m"], nonempty=True)
     section["altitudes_m"] = []
     for i, value in enumerate(altitudes):
         altitude = _as_float(f"sweep.altitudes_m[{i}]", value)
         _check_altitude(f"sweep.altitudes_m[{i}]", altitude)
         section["altitudes_m"].append(altitude)
+    lowest = int(np.argmin(section["altitudes_m"]))  # where the SNR C/h^4 is largest
+    try:
+        replace(params, altitude_m=section["altitudes_m"][lowest])
+    except ValueError as exc:
+        raise ConfigError(f"sweep.altitudes_m[{lowest}]: {exc}") from exc
     section["benchmarks"], specs = _entries(
         "sweep.benchmarks", section["benchmarks"], _BENCHMARK, BenchmarkSpec, nonempty=True
     )
@@ -427,7 +433,7 @@ def build_config(
         raise ConfigError(
             f"episode.stop_tolerance_m2: must be > 0, got {episode['stop_tolerance_m2']}"
         )
-    benchmarks = _sweep(canonical["sweep"])
+    benchmarks = _sweep(canonical["sweep"], params)
 
     output_dir = _output_dir(raw.get("output_dir", _DEFAULT_OUTPUT_DIR))
     if out_dir is not None:

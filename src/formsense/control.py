@@ -7,12 +7,15 @@ error, obstacle repulsion from an inverse-distance potential, and a global
 scale factor that shrinks the whole target formation through narrow gaps.
 Everything here is a pure function of the previous swarm state; the stepper
 in :mod:`formsense.world` owns state advancement.
+
+The laws gather per-edge differences from (M, 2) arrays over the graph's
+directed edges (m, p) and sum them back onto agent m: O(M + E) time and memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,6 +34,9 @@ class CommGraph:
 
     adjacency: np.ndarray
     leader_index: int = 0
+    # Directed edges (m, p) sorted by m, then p; bins 2m, 2m + 1 of their x and y.
+    _edges: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _xy_bins: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adjacency, dtype=float)
@@ -48,12 +54,11 @@ class CommGraph:
         object.__setattr__(self, "adjacency", adj)
         if not self._connected():
             raise ValueError("CommGraph.adjacency: graph must be connected")
+        object.__setattr__(self, "_edges", np.nonzero(adj))
+        object.__setattr__(self, "_xy_bins", (2 * self._edges[0][:, None] + (0, 1)).ravel())
 
     def _connected(self) -> bool:
-        n = self.agent_count
-        if n == 1:
-            return True
-        seen = np.zeros(n, dtype=bool)
+        seen = np.zeros(self.agent_count, dtype=bool)
         stack = [0]
         seen[0] = True
         while stack:
@@ -88,11 +93,8 @@ class CommGraph:
         """Plain cycle over all agents."""
         if agent_count < 3:
             raise ValueError(f"CommGraph.ring: need at least 3 agents, got {agent_count}")
-        adj = np.zeros((agent_count, agent_count))
-        for m in range(agent_count):
-            adj[m, (m + 1) % agent_count] = 1.0
-            adj[(m + 1) % agent_count, m] = 1.0
-        return cls(adj, leader_index)
+        successor = np.roll(np.eye(agent_count), 1, axis=1)  # links m to m + 1 mod M
+        return cls(successor + successor.T, leader_index)
 
     @classmethod
     def ring_with_leader(cls, agent_count: int, leader_index: int = 0) -> "CommGraph":
@@ -141,10 +143,6 @@ class SwarmState:
         velocities.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "velocity_estimates", velocities)
-
-    @property
-    def agent_count(self) -> int:
-        return self.positions.shape[0]
 
 
 @dataclass(frozen=True)
@@ -219,16 +217,28 @@ def consensus_velocity_step(
     target_velocity = np.asarray(target_velocity, dtype=float)
     velocities = np.array(state.velocity_estimates)
     velocities[graph.leader_index] = target_velocity
-    disagreement = velocities[:, None, :] - velocities[None, :, :]
-    correction = (graph.adjacency[:, :, None] * disagreement).sum(axis=1)
+    m, p = graph._edges
+    correction = _edge_sum(graph, velocities.take(m, axis=0) - velocities.take(p, axis=0))
     updated = velocities - gains.consensus_gain * correction
     updated[graph.leader_index] = target_velocity
     return updated
 
 
-def _deviation(positions: np.ndarray, disp: DisplacementSet, scale: float = 1.0) -> np.ndarray:
-    """Dense (M, M, 2) deviation q_m - q_p - scale * delta_mp from the desired offsets."""
-    return positions[:, None, :] - positions[None, :, :] - scale * disp.offsets
+def _edge_sum(graph: CommGraph, values: np.ndarray) -> np.ndarray:
+    """Sum per-edge values (E,) or (E, 2) onto agent m of each edge, in edge order (increasing p)."""
+    if values.ndim == 1:
+        return np.bincount(graph._edges[0], values, graph.agent_count)
+    return np.bincount(graph._xy_bins, values.ravel(), 2 * graph.agent_count).reshape(-1, 2)
+
+
+def _deviation(q: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale=1.0) -> np.ndarray:
+    """(E, 2) deviation q_m - q_p - scale * (r_m - r_p) on every directed edge (m, p)."""
+    (m, p), r = graph._edges, disp.reference
+    if not len(q) == len(r) == graph.agent_count:
+        raise ValueError(
+            f"expected {graph.agent_count} agents, got {len(q)} positions and {len(r)} reference rows"
+        )
+    return q.take(m, axis=0) - q.take(p, axis=0) - scale * (r.take(m, axis=0) - r.take(p, axis=0))
 
 
 def local_cost(
@@ -251,7 +261,7 @@ def local_cost(
     if target_velocity is None:
         target_velocity = disp.global_velocity
     q = state.positions
-    displacement_term = (graph.adjacency * (_deviation(q, disp) ** 2).sum(axis=2)).sum(axis=1)
+    displacement_term = _edge_sum(graph, (_deviation(q, graph, disp) ** 2).sum(axis=1))
     realized = (np.asarray(next_positions, dtype=float) - q) / dt
     velocity_term = ((realized - target_velocity) ** 2).sum(axis=1)
     return displacement_term + velocity_term
@@ -266,8 +276,8 @@ def displacement_error(
     edge's endpoints because both the position difference and the desired
     offset flip sign together.
     """
-    per_pair = (_deviation(positions, disp) ** 2).sum(axis=2)
-    return float((graph.adjacency * per_pair).sum() / 2.0)
+    per_edge = (_deviation(positions, graph, disp) ** 2).sum(axis=1)
+    return float(per_edge.sum() / 2.0)
 
 
 def displacement_control(
@@ -279,15 +289,14 @@ def displacement_control(
 ) -> np.ndarray:
     """Gradient step of each agent onto the scaled desired offsets.
 
-    u_m = -epsilon * sum_p a_mp (q_m - q_p - scale * delta_mp), which is
-    -epsilon/2 times the gradient of agent m's own displacement error. The
-    offsets enter scaled so the tracked formation can shrink near obstacles
-    without changing shape.
+    u_m = -epsilon * sum_p a_mp (q_m - q_p - scale * (r_m - r_p)) with r the
+    reference, which is -epsilon/2 times the gradient of agent m's own
+    displacement error. The offsets enter scaled so the tracked formation
+    can shrink near obstacles without changing shape.
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"displacement_control: scale must lie in (0, 1], got {scale!r}")
-    deviation = _deviation(state.positions, disp, scale)
-    return -gains.epsilon * (graph.adjacency[:, :, None] * deviation).sum(axis=1)
+    return -gains.epsilon * _edge_sum(graph, _deviation(state.positions, graph, disp, scale))
 
 
 def repulsion(

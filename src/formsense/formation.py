@@ -12,7 +12,7 @@ A regular polygon of three or more agents around the target does both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,42 +80,44 @@ class FormationGeometry:
 
 @dataclass(frozen=True)
 class DisplacementSet:
-    """Pairwise position offsets a formation-control law should track.
+    """The formation a control law should hold, as one embedding.
 
     Attributes:
-        offsets: (M, M, 2) array with offsets[p, m] = position_p - position_m.
-            Antisymmetric, and consistent along agent chains because every
-            entry derives from one embedding.
+        reference: (M, 2) read-only agent positions of the desired shape. The
+            desired offset from agent p to agent m is reference[m] - reference[p],
+            so it is antisymmetric and consistent along agent chains by
+            construction; control laws read it on the graph's edges only.
         global_velocity: Common reference velocity of the whole formation, m/s.
+        nominal_diameter_m: Largest pairwise distance in the reference.
     """
 
-    offsets: np.ndarray
+    reference: np.ndarray
     global_velocity: np.ndarray
+    nominal_diameter_m: float = field(init=False)
 
     def __post_init__(self) -> None:
-        offsets = np.asarray(self.offsets, dtype=float)
-        if offsets.ndim != 3 or offsets.shape[0] != offsets.shape[1] or offsets.shape[2] != 2:
-            raise ValueError(f"DisplacementSet.offsets: expected (M, M, 2), got {offsets.shape}")
-        if not np.all(np.isfinite(offsets)):
-            raise ValueError("DisplacementSet.offsets: entries must be finite")
-        if not np.array_equal(offsets, -offsets.transpose(1, 0, 2)):
-            raise ValueError("DisplacementSet.offsets: must be antisymmetric")
-        velocity = np.asarray(self.global_velocity, dtype=float)
+        reference = np.array(self.reference, dtype=float)
+        if reference.ndim != 2 or reference.shape[1] != 2 or len(reference) == 0:
+            raise ValueError(f"DisplacementSet.reference: expected (M, 2), got {reference.shape}")
+        if not np.all(np.isfinite(reference)):
+            raise ValueError("DisplacementSet.reference: entries must be finite")
+        velocity = np.array(self.global_velocity, dtype=float)
         if velocity.shape != (2,) or not np.all(np.isfinite(velocity)):
             raise ValueError("DisplacementSet.global_velocity: expected finite 2-vector")
-        offsets.setflags(write=False)
+        reference.setflags(write=False)
         velocity.setflags(write=False)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "global_velocity", velocity)
+        diameter = float(np.sqrt(_squared_distances(reference).max()))
+        object.__setattr__(self, "nominal_diameter_m", diameter)
 
-    @property
-    def agent_count(self) -> int:
-        return self.offsets.shape[0]
 
-    @property
-    def nominal_diameter_m(self) -> float:
-        """Largest pairwise distance in the unscaled formation."""
-        return float(np.sqrt((self.offsets**2).sum(axis=2)).max())
+def _squared_distances(points: np.ndarray) -> np.ndarray:
+    """(M, M) squared distances between the rows of an (M, 2) point array."""
+    x, y = points[:, 0], points[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    return dx * dx + dy * dy
 
 
 def optimal_elevation(params: SensingParams) -> float:
@@ -225,14 +227,6 @@ def build_formation(
     )
 
 
-def displacement_set(
-    formation: FormationGeometry, global_velocity=(0.0, 0.0)
-) -> DisplacementSet:
-    """Derive the pairwise offsets the control law should hold.
-
-    offsets[p, m] = position_p - position_m, so antisymmetry and
-    chain-consistency hold by construction.
-    """
-    positions = formation.planar_positions
-    offsets = positions[:, None, :] - positions[None, :, :]
-    return DisplacementSet(offsets=offsets, global_velocity=np.asarray(global_velocity, dtype=float))
+def displacement_set(formation: FormationGeometry, global_velocity=(0.0, 0.0)) -> DisplacementSet:
+    """The formation's positions as the reference the control law should hold."""
+    return DisplacementSet(reference=formation.planar_positions, global_velocity=global_velocity)

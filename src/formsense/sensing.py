@@ -25,6 +25,9 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 # matrix is treated as singular. Scale-free by construction.
 _SINGULARITY_RTOL = 1e-12
 
+# Ceiling on the SNR C / H^4; with the altitudes a config accepts it keeps the CRLB finite.
+_MAX_SNR = 1e100
+
 
 @dataclass(frozen=True)
 class SensingParams:
@@ -71,6 +74,9 @@ class SensingParams:
             * self.ref_channel_power_m4
             / (self.kappa * self.noise_floor_w)
         )
+        h = self.altitude_m  # divided one factor at a time: h^4 alone can over- or underflow
+        if not composite / h / h / h / h <= _MAX_SNR:
+            raise ValueError(f"SensingParams: SNR composite_snr_m4 / altitude_m^4 exceeds {_MAX_SNR:g}")
         object.__setattr__(self, "composite_snr_m4", composite)
 
 
@@ -95,8 +101,8 @@ class AgentPose:
     The angle view of a single agent; :func:`crlb` works on position arrays
     and needs no poses. The planar position (with the common altitude) is the source of truth;
     elevation and azimuth are derived quantities cached for the information
-    formulas. Use :meth:`from_position` or :meth:`from_angles` to get a
-    consistent triple; the plain constructor only validates ranges.
+    formulas. Use :meth:`from_position` to get a consistent triple; the
+    plain constructor only validates ranges.
     """
 
     planar_position: np.ndarray
@@ -130,19 +136,6 @@ class AgentPose:
         elevation = math.atan2(params.altitude_m, horizontal)
         azimuth = math.atan2(offset[1], offset[0])
         return cls(position, elevation, azimuth)
-
-    @classmethod
-    def from_angles(
-        cls, elevation_rad: float, azimuth_rad: float, target: TargetEstimate, params: SensingParams
-    ) -> "AgentPose":
-        """Place an agent at the planar position consistent with the given angles."""
-        if not 0.0 < elevation_rad < math.pi / 2:
-            raise ValueError("AgentPose.from_angles: elevation must lie strictly inside (0, pi/2)")
-        horizontal = params.altitude_m / math.tan(elevation_rad)
-        position = target.position + horizontal * np.array(
-            [math.cos(azimuth_rad), math.sin(azimuth_rad)]
-        )
-        return cls(position, elevation_rad, azimuth_rad)
 
 
 def elevation_weight(elevation_rad, params: SensingParams):

@@ -31,7 +31,7 @@ from .control import (
     scale_factor,
 )
 from .errors import SingularGeometryError
-from .formation import DisplacementSet
+from .formation import DisplacementSet, _squared_distances
 from .sensing import SensingParams, TargetEstimate, crlb
 
 
@@ -163,10 +163,8 @@ def crlb_of_positions(positions: np.ndarray, world: World, params: SensingParams
 
 def min_pairwise_distance(positions: np.ndarray) -> float:
     """Smallest inter-agent distance."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    m = positions.shape[0]
-    return float(dist[~np.eye(m, dtype=bool)].min())
+    squared = _squared_distances(positions)
+    return float(np.sqrt(squared[~np.eye(len(squared), dtype=bool)].min()))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ information matrix.
 Likewise :meth:`formsense.world.World.min_clearance` clamps all points
 against all rectangles at once, and :func:`formsense.control.local_cost`
 returns every agent's cost in one call; the per-rectangle, per-point and
-per-agent functions at the end of this module are the loops they replaced.
-Tests compare the two.
+per-agent functions near the end of this module are the loops they replaced.
+
+The control laws work on the graph's edge list and an (M, 2) reference; the
+``dense_*`` functions at the end are the formulas over all M^2 pairs and the
+(M, M, 2) desired offsets that they replaced. Tests compare the two.
 """
 
 from __future__ import annotations
@@ -155,6 +158,19 @@ def crlb_trace(fim: Fim2) -> float:
     return fim.trace / det
 
 
+def pose_from_angles(
+    elevation_rad: float, azimuth_rad: float, target: TargetEstimate, params: SensingParams
+) -> AgentPose:
+    """Place an agent at the planar position consistent with the given angles."""
+    if not 0.0 < elevation_rad < math.pi / 2:
+        raise ValueError("pose_from_angles: elevation must lie strictly inside (0, pi/2)")
+    horizontal = params.altitude_m / math.tan(elevation_rad)
+    position = target.position + horizontal * np.array(
+        [math.cos(azimuth_rad), math.sin(azimuth_rad)]
+    )
+    return AgentPose(position, elevation_rad, azimuth_rad)
+
+
 def poses_of(
     positions: np.ndarray, target: TargetEstimate, params: SensingParams
 ) -> list[AgentPose]:
@@ -216,9 +232,62 @@ def clearance_of_point(obstacles, position: np.ndarray):
     return best, best_point, escape_direction(containing, position)
 
 
-def agent_cost(positions, adjacency, offsets, agent, dt, next_position, target_velocity) -> float:
-    """One agent's local cost: displacement term over its neighbors plus velocity mismatch."""
-    deviation = positions[agent] - positions - offsets[agent]
-    displacement_term = float((adjacency[agent] * (deviation**2).sum(axis=1)).sum())
+def agent_cost(positions, adjacency, reference, agent, dt, next_position, target_velocity) -> float:
+    """One agent's local cost: displacement term over its neighbors plus velocity mismatch.
+
+    The neighbors' squared deviations are added one at a time in index order.
+    """
+    deviation = positions[agent] - positions - (reference[agent] - reference)
+    squared = (deviation**2).sum(axis=1)
+    displacement_term = 0.0
+    for p in np.flatnonzero(adjacency[agent]):
+        displacement_term += float(squared[p])
     realized = (np.asarray(next_position, dtype=float) - positions[agent]) / dt
     return displacement_term + float(((realized - target_velocity) ** 2).sum())
+
+
+def dense_offsets(reference: np.ndarray) -> np.ndarray:
+    """(M, M, 2) desired offsets, offsets[m, p] = reference[m] - reference[p]."""
+    return reference[:, None, :] - reference[None, :, :]
+
+
+def dense_deviation(positions: np.ndarray, reference: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """(M, M, 2) deviation q_m - q_p - scale * offsets[m, p] over all pairs."""
+    return positions[:, None, :] - positions[None, :, :] - scale * dense_offsets(reference)
+
+
+def dense_consensus(velocities, adjacency, leader_index, target_velocity, gain) -> np.ndarray:
+    """Leader-pinned consensus round: disagreements over all pairs, masked by the adjacency."""
+    velocities = np.array(velocities, dtype=float)
+    velocities[leader_index] = target_velocity
+    disagreement = velocities[:, None, :] - velocities[None, :, :]
+    correction = (adjacency[:, :, None] * disagreement).sum(axis=1)
+    updated = velocities - gain * correction
+    updated[leader_index] = target_velocity
+    return updated
+
+
+def dense_displacement_control(positions, adjacency, reference, epsilon, scale) -> np.ndarray:
+    """u_m = -epsilon * sum_p a_mp (q_m - q_p - scale * offsets[m, p]) over all pairs."""
+    deviation = dense_deviation(positions, reference, scale)
+    return -epsilon * (adjacency[:, :, None] * deviation).sum(axis=1)
+
+
+def dense_local_cost(positions, adjacency, reference, dt, next_positions, target_velocity) -> np.ndarray:
+    """(M,) local costs from the (M, M) squared deviations, summed over p in index order.
+
+    The column loop fixes the order; numpy's row sum ``.sum(axis=1)`` adds
+    pairwise and rounds differently once a row has eight or more entries.
+    """
+    per_pair = (dense_deviation(positions, reference) ** 2).sum(axis=2)
+    displacement_term = np.zeros(len(positions))
+    for p in range(len(positions)):
+        displacement_term += adjacency[:, p] * per_pair[:, p]
+    realized = (np.asarray(next_positions, dtype=float) - positions) / dt
+    return displacement_term + ((realized - target_velocity) ** 2).sum(axis=1)
+
+
+def dense_displacement_error(positions, adjacency, reference) -> float:
+    """Half the adjacency-weighted sum of squared deviations over all pairs."""
+    per_pair = (dense_deviation(positions, reference) ** 2).sum(axis=2)
+    return float((adjacency * per_pair).sum() / 2.0)

@@ -359,7 +359,7 @@ def test_criterion_09_control_laws_are_gradients():
         m = int(rng.integers(0, 6))
 
         def local_disp_cost(point):
-            deviation = point - q - disp.offsets[m]
+            deviation = point - q - (disp.reference[m] - disp.reference)
             return float((graph.adjacency[m] * (deviation**2).sum(axis=1)).sum())
 
         grad = np.zeros(2)

@@ -226,6 +226,29 @@ class TestErrorPaths:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
             assert "config error: sensing.altitude_m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sensing",
+        [
+            {"transmit_power_w": 1.0e300, "processing_gain": 1.0e300, "altitude_m": 20.0},
+            {"transmit_power_w": 1.0e150, "processing_gain": 1.0e150, "altitude_m": 1.0e-3},
+        ],
+    )
+    def test_snr_above_ceiling(self, tmp_path, capsys, sensing):
+        cfg, _ = write_config(tmp_path, sensing=sensing, sweep={"altitudes_m": [20.0]})
+        for command in ("optimize", "simulate", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert "config error: sensing: SensingParams: SNR" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_snr_above_ceiling_at_a_sweep_altitude(self, tmp_path, capsys):
+        # C = 1e97 m^4: C / h^4 is 6e91 at 20 m but 1e109 at 1 mm.
+        sensing = {"transmit_power_w": 1.0e45, "processing_gain": 1.0e45, "altitude_m": 20.0}
+        cfg, _ = write_config(tmp_path, sensing=sensing, sweep={"altitudes_m": [20.0, 1.0e-3]})
+        for command in ("optimize", "simulate", "sweep"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert "config error: sweep.altitudes_m[1]: SensingParams: SNR" in capsys.readouterr().err
+
     def test_overflowing_reference_velocity(self, tmp_path, capsys):
         guidance = {"mode": "constant", "velocity_mps": [1.0e308, 0.0]}
         cfg, _ = write_config(tmp_path, guidance=guidance)

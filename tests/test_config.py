@@ -174,6 +174,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"sweep.altitudes_m\[1\]"):
             build_config(raw)
 
+    def test_snr_ceiling_names_the_lowest_sweep_altitude(self):
+        raw = base_raw()
+        # C = 1e97 m^4: C / h^4 stays below 1e100 down to 0.18 m.
+        raw["sensing"].update(transmit_power_w=1.0e45, processing_gain=1.0e45)
+        raw["sweep"] = {"altitudes_m": [1.0, 20.0, 0.5]}
+        assert build_config(raw).sweep_altitudes_m == (1.0, 20.0, 0.5)
+        raw["sweep"] = {"altitudes_m": [1.0, 20.0, 1.0e-3, 0.01, 0.5]}
+        with pytest.raises(ConfigError, match=r"sweep.altitudes_m\[2\]: SensingParams: SNR"):
+            build_config(raw)
+
     @pytest.mark.parametrize("altitude", [1.0e-3, 1.0e6])
     def test_altitude_range_is_inclusive(self, altitude):
         raw = base_raw()

@@ -6,13 +6,17 @@ are checked for contraction on randomly generated connected topologies.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formsense import (
     CommGraph,
     ControlGains,
+    DisplacementSet,
     RectObstacle,
     SwarmState,
     World,
@@ -21,12 +25,19 @@ from formsense import (
     consensus_velocity_step,
     control_input,
     displacement_control,
+    displacement_error,
     displacement_set,
     local_cost,
     repulsion,
     scale_factor,
 )
-from oracle import agent_cost
+from oracle import (
+    agent_cost,
+    dense_consensus,
+    dense_displacement_control,
+    dense_displacement_error,
+    dense_local_cost,
+)
 
 
 def random_connected_graph(rng: np.random.Generator, max_agents: int = 8) -> CommGraph:
@@ -204,12 +215,10 @@ class TestDisplacementControl:
         assert np.abs(u).max() < 1e-12
 
     def test_pair_pushes_are_opposite(self):
-        offsets = np.zeros((2, 2, 2))
-        offsets[0, 1] = [4.0, 0.0]
-        offsets[1, 0] = [-4.0, 0.0]
         from formsense import DisplacementSet
 
-        disp = DisplacementSet(offsets=offsets, global_velocity=np.zeros(2))
+        # Desired offset from agent 1 to agent 0: [4, 0].
+        disp = DisplacementSet(reference=[[4.0, 0.0], [0.0, 0.0]], global_velocity=np.zeros(2))
         state = SwarmState(
             positions=np.array([[0.0, 0.0], [1.0, 1.0]]),
             velocity_estimates=np.zeros((2, 2)),
@@ -245,7 +254,7 @@ class TestDisplacementControl:
             m = int(rng.integers(0, 6))
 
             def disp_cost(point):
-                deviation = point - q - disp.offsets[m]
+                deviation = point - q - (disp.reference[m] - disp.reference)
                 return float((graph.adjacency[m] * (deviation**2).sum(axis=1)).sum())
 
             grad = np.zeros(2)
@@ -254,6 +263,15 @@ class TestDisplacementControl:
                 e[axis] = h
                 grad[axis] = (disp_cost(q[m] + e) - disp_cost(q[m] - e)) / (2.0 * h)
             np.testing.assert_allclose(u[m], -0.5 * gains.epsilon * grad, rtol=1e-6, atol=1e-10)
+
+    def test_agent_count_mismatch_rejected(self, default_params, target):
+        seven = displacement_set(build_formation(default_params, target, 7))
+        six = displacement_set(build_formation(default_params, target, 6))
+        state = SwarmState(positions=np.zeros((6, 2)), velocity_estimates=np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="expected 6 agents, got 6 positions and 7 reference"):
+            displacement_control(state, CommGraph.ring(6), seven, ControlGains(), 1.0)
+        with pytest.raises(ValueError, match="expected 6 agents, got 5 positions"):
+            displacement_error(np.zeros((5, 2)), CommGraph.ring(6), six)
 
     def test_bad_scale_rejected(self, default_params, target):
         disp = displacement_set(build_formation(default_params, target, 3))
@@ -315,7 +333,7 @@ class TestLocalCost:
             for p in range(5):
                 if graph.adjacency[agent, p]:
                     expected += float(
-                        ((q[agent] - q[p] - disp.offsets[agent, p]) ** 2).sum()
+                        ((q[agent] - q[p] - (disp.reference[agent] - disp.reference[p])) ** 2).sum()
                     )
             assert got[agent] == pytest.approx(expected, rel=1e-12)
 
@@ -330,7 +348,7 @@ class TestLocalCost:
             state = SwarmState(positions=q, velocity_estimates=np.zeros((m, 2)))
             got = local_cost(state, graph, disp, 0.1, nxt)
             want = [
-                agent_cost(q, graph.adjacency, disp.offsets, a, 0.1, nxt[a], disp.global_velocity)
+                agent_cost(q, graph.adjacency, disp.reference, a, 0.1, nxt[a], disp.global_velocity)
                 for a in range(m)
             ]
             assert got.tolist() == want
@@ -519,3 +537,89 @@ class TestSwarmState:
         state = SwarmState(positions=np.zeros((3, 2)), velocity_estimates=np.zeros((3, 2)))
         with pytest.raises(ValueError):
             state.positions[0, 0] = 1.0
+
+
+@st.composite
+def swarms(draw):
+    """A random connected graph of 3-100 agents with positions, velocities and a reference.
+
+    Half the draws snap coordinates to a half-metre grid, so that equal
+    positions and exactly cancelling differences occur.
+    """
+    agents = draw(st.integers(3, 100))
+    density = draw(st.floats(0.0, 1.0))
+    spread = 10.0 ** draw(st.floats(-2.0, 3.0))
+    snap = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.zeros((agents, agents))
+    order = rng.permutation(agents)
+    for i in range(1, agents):  # a random spanning tree keeps the graph connected
+        parent, child = order[int(rng.integers(0, i))], order[i]
+        adj[parent, child] = adj[child, parent] = 1.0
+    extra = np.triu(rng.random((agents, agents)) < density, 1)
+    adj[extra | extra.T] = 1.0
+    graph = CommGraph(adj, leader_index=int(rng.integers(0, agents)))
+
+    def points():
+        q = spread * rng.uniform(-1.0, 1.0, size=(agents, 2))
+        return np.round(2.0 * q) / 2.0 if snap else q
+
+    disp = DisplacementSet(reference=points(), global_velocity=rng.normal(size=2))
+    state = SwarmState(positions=points(), velocity_estimates=rng.normal(size=(agents, 2)))
+    return graph, disp, state, points()
+
+
+class TestEdgeListMatchesDense:
+    """The edge-list laws against the dense formulas over all M^2 pairs."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(swarms(), st.floats(0.0, 1.0, exclude_min=True))
+    def test_laws_match_dense_oracle(self, swarm, scale):
+        graph, disp, state, nxt = swarm
+        adj, r, q = graph.adjacency, disp.reference, state.positions
+        gains = ControlGains(epsilon=0.003, consensus_gain=0.004)
+        v_ref = disp.global_velocity
+
+        got = consensus_velocity_step(state, graph, v_ref, gains)
+        want = dense_consensus(state.velocity_estimates, adj, graph.leader_index, v_ref, 0.004)
+        assert got.tobytes() == want.tobytes()
+
+        got = displacement_control(state, graph, disp, gains, scale)
+        want = dense_displacement_control(q, adj, r, 0.003, scale)
+        assert got.tobytes() == want.tobytes()
+
+        got = local_cost(state, graph, disp, 0.1, nxt)
+        want = dense_local_cost(q, adj, r, 0.1, nxt, v_ref)
+        assert got.tobytes() == want.tobytes()
+
+        got = displacement_error(q, graph, disp)
+        want = dense_displacement_error(q, adj, r)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_laws_allocate_linear_memory(self):
+        """At M=2048 one dense (M, M, 2) array alone would take 67 MB."""
+        agents = 2048
+        rng = np.random.default_rng(92)
+        graph = CommGraph.ring(agents)
+        disp = DisplacementSet(
+            reference=rng.uniform(-50.0, 50.0, size=(agents, 2)), global_velocity=np.zeros(2)
+        )
+        state = SwarmState(
+            positions=rng.uniform(-50.0, 50.0, size=(agents, 2)),
+            velocity_estimates=rng.normal(size=(agents, 2)),
+        )
+        gains = ControlGains()
+        laws = {
+            "consensus": lambda: consensus_velocity_step(state, graph, np.zeros(2), gains),
+            "displacement": lambda: displacement_control(state, graph, disp, gains, 0.5),
+            "local_cost": lambda: local_cost(state, graph, disp, 0.1, state.positions),
+            "displacement_error": lambda: displacement_error(state.positions, graph, disp),
+        }
+        for name, law in laws.items():
+            tracemalloc.start()
+            try:
+                law()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"{name}: peak {peak / 2**20:.1f} MB"

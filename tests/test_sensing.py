@@ -35,6 +35,7 @@ from oracle import (
     Fim2,
     crlb_trace,
     pose_crlb,
+    pose_from_angles,
     poses_of,
     delay_to_range,
     jacobian,
@@ -91,6 +92,29 @@ class TestSensingParams:
     def test_rejects_nonpositive_fields(self, default_params, field, value):
         with pytest.raises(ValueError):
             dataclasses.replace(default_params, **{field: value})
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"transmit_power_w": 1e300, "processing_gain": 1e300},  # C overflows to inf
+            {"transmit_power_w": 1e150, "processing_gain": 1e150, "altitude_m": 1e-3},
+            {"altitude_m": 1e-90},  # h^4 underflows; C / h^4 does not
+            {"transmit_power_w": 1.1e90, "altitude_m": 1.0},  # C / h^4 = 1.1e100
+        ],
+    )
+    def test_rejects_snr_above_ceiling(self, default_params, changes):
+        with pytest.raises(ValueError, match="SNR"):
+            dataclasses.replace(default_params, **changes)
+
+    def test_snr_at_ceiling_keeps_crlb_finite(self, default_params, target):
+        # C / h^4 = 1e100 at h = 1 m, the largest SNR accepted.
+        params = dataclasses.replace(default_params, transmit_power_w=1e90, altitude_m=1.0)
+        ring = target.position + np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])
+        assert math.isfinite(crlb(ring, target, params))
+
+    def test_extreme_altitude_with_small_snr_accepted(self, default_params):
+        # h^4 overflows a float at 1e90 m; the SNR C / h^4 is still computed.
+        assert dataclasses.replace(default_params, altitude_m=1e90).altitude_m == 1e90
 
 
 class TestSlantRange:
@@ -232,13 +256,13 @@ class TestAgentPose:
         for _ in range(50):
             phi = float(rng.uniform(0.1, 1.4))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            pose = AgentPose.from_angles(phi, theta, target, default_params)
+            pose = pose_from_angles(phi, theta, target, default_params)
             back = AgentPose.from_position(pose.planar_position, target, default_params)
             assert back.elevation_rad == pytest.approx(phi, rel=1e-9)
             assert back.azimuth_rad == pytest.approx(theta % (2.0 * math.pi), abs=1e-9)
 
     def test_azimuth_normalized(self, default_params, target):
-        pose = AgentPose.from_angles(0.8, -math.pi / 2, target, default_params)
+        pose = pose_from_angles(0.8, -math.pi / 2, target, default_params)
         assert pose.azimuth_rad == pytest.approx(1.5 * math.pi, rel=1e-12)
 
     def test_directly_above_target_rejected(self, default_params, target):
@@ -248,20 +272,20 @@ class TestAgentPose:
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2, -0.3, 2.0])
     def test_bad_elevation_rejected(self, default_params, target, phi):
         with pytest.raises(ValueError):
-            AgentPose.from_angles(phi, 0.0, target, default_params)
+            pose_from_angles(phi, 0.0, target, default_params)
 
 
 class TestJacobian:
     def test_single_row_values(self, default_params, target):
-        pose = AgentPose.from_angles(math.radians(60.0), math.radians(90.0), target, default_params)
+        pose = pose_from_angles(math.radians(60.0), math.radians(90.0), target, default_params)
         row = jacobian([pose])
         assert row.shape == (1, 2)
         assert row[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert row[0, 1] == pytest.approx(0.5, rel=1e-12)
 
     def test_limits(self, default_params, target):
-        low = AgentPose.from_angles(1e-9, 0.0, target, default_params)
-        high = AgentPose.from_angles(math.pi / 2 - 1e-9, 0.0, target, default_params)
+        low = pose_from_angles(1e-9, 0.0, target, default_params)
+        high = pose_from_angles(math.pi / 2 - 1e-9, 0.0, target, default_params)
         rows = jacobian([low, high])
         assert rows[0] == pytest.approx([1.0, 0.0], abs=1e-8)
         assert rows[1] == pytest.approx([0.0, 0.0], abs=1e-8)
@@ -269,8 +293,8 @@ class TestJacobian:
     def test_row_norm_is_cos_elevation(self, default_params, target):
         rng = np.random.default_rng(11)
         poses = [
-            AgentPose.from_angles(float(rng.uniform(0.1, 1.4)), float(rng.uniform(0, 6.0)),
-                                  target, default_params)
+            pose_from_angles(float(rng.uniform(0.1, 1.4)), float(rng.uniform(0, 6.0)),
+                             target, default_params)
             for _ in range(20)
         ]
         rows = jacobian(poses)
@@ -281,7 +305,7 @@ class TestJacobian:
 
 class TestTargetFim:
     def test_single_agent_along_x(self, default_params, target):
-        pose = AgentPose.from_angles(0.9, 0.0, target, default_params)
+        pose = pose_from_angles(0.9, 0.0, target, default_params)
         fim = target_fim([pose], default_params)
         w = elevation_weight(0.9, default_params)
         assert fim.j_xx == pytest.approx(w, rel=1e-12)
@@ -290,8 +314,8 @@ class TestTargetFim:
 
     def test_orthogonal_pair_is_isotropic(self, default_params, target):
         poses = [
-            AgentPose.from_angles(0.9, 0.0, target, default_params),
-            AgentPose.from_angles(0.9, math.pi / 2, target, default_params),
+            pose_from_angles(0.9, 0.0, target, default_params),
+            pose_from_angles(0.9, math.pi / 2, target, default_params),
         ]
         fim = target_fim(poses, default_params)
         w = elevation_weight(0.9, default_params)
@@ -302,7 +326,7 @@ class TestTargetFim:
     def test_equilateral_triangle(self, default_params, target):
         phi = 0.8
         poses = [
-            AgentPose.from_angles(phi, math.radians(a), target, default_params)
+            pose_from_angles(phi, math.radians(a), target, default_params)
             for a in (0.0, 120.0, 240.0)
         ]
         fim = target_fim(poses, default_params)
@@ -315,8 +339,8 @@ class TestTargetFim:
         rng = np.random.default_rng(17)
         for _ in range(50):
             poses = [
-                AgentPose.from_angles(float(rng.uniform(0.1, 1.4)), float(rng.uniform(0, 6.2)),
-                                      target, default_params)
+                pose_from_angles(float(rng.uniform(0.1, 1.4)), float(rng.uniform(0, 6.2)),
+                                 target, default_params)
                 for _ in range(int(rng.integers(1, 9)))
             ]
             fim = target_fim(poses, default_params)
@@ -327,8 +351,8 @@ class TestTargetFim:
         # Oracle: J = sum_m w_m * u_m u_m^T with u_m = (cos theta, sin theta).
         rng = np.random.default_rng(29)
         poses = [
-            AgentPose.from_angles(float(rng.uniform(0.2, 1.3)), float(rng.uniform(0, 6.2)),
-                                  target, default_params)
+            pose_from_angles(float(rng.uniform(0.2, 1.3)), float(rng.uniform(0, 6.2)),
+                             target, default_params)
             for _ in range(6)
         ]
         expected = np.zeros((2, 2))
@@ -342,8 +366,8 @@ class TestTargetFim:
     def test_permutation_invariance(self, default_params, target):
         rng = np.random.default_rng(41)
         poses = [
-            AgentPose.from_angles(float(rng.uniform(0.2, 1.3)), float(rng.uniform(0, 6.2)),
-                                  target, default_params)
+            pose_from_angles(float(rng.uniform(0.2, 1.3)), float(rng.uniform(0, 6.2)),
+                             target, default_params)
             for _ in range(5)
         ]
         fim_a = target_fim(poses, default_params)
@@ -360,11 +384,11 @@ class TestTargetFim:
             angles = rng.uniform(0.0, 2.0 * math.pi, size=5)
             phis = rng.uniform(0.2, 1.3, size=5)
             base = [
-                AgentPose.from_angles(float(p), float(t), target, default_params)
+                pose_from_angles(float(p), float(t), target, default_params)
                 for p, t in zip(phis, angles)
             ]
             spun = [
-                AgentPose.from_angles(float(p), float(t + alpha), target, default_params)
+                pose_from_angles(float(p), float(t + alpha), target, default_params)
                 for p, t in zip(phis, angles)
             ]
             j0 = target_fim(base, default_params).as_matrix()

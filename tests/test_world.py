@@ -359,7 +359,7 @@ class TestGuidance:
         positions = np.tile(target.position + np.array([1.0, 0.0]), (3, 1))
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         guidance = Guidance(mode="goal", gain_per_s=0.5, max_speed_mps=1.2)
-        disp = DisplacementSet(offsets=np.zeros((3, 3, 2)), global_velocity=np.zeros(2))
+        disp = DisplacementSet(reference=np.zeros((3, 2)), global_velocity=np.zeros(2))
         v = guidance.commanded_velocity(state, world, graph, disp)
         np.testing.assert_allclose(v, [-0.5, 0.0], rtol=1e-12)
 
@@ -369,7 +369,7 @@ class TestGuidance:
         positions = np.tile(target.position + np.array([100.0, 0.0]), (3, 1))
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         guidance = Guidance(mode="goal", gain_per_s=0.5, max_speed_mps=1.2)
-        disp = DisplacementSet(offsets=np.zeros((3, 3, 2)), global_velocity=np.zeros(2))
+        disp = DisplacementSet(reference=np.zeros((3, 2)), global_velocity=np.zeros(2))
         v = guidance.commanded_velocity(state, world, graph, disp)
         assert np.linalg.norm(v) == pytest.approx(1.2, rel=1e-12)
         np.testing.assert_allclose(v / np.linalg.norm(v), [-1.0, 0.0], rtol=1e-12)
@@ -503,8 +503,7 @@ class TestRunEpisode:
     def test_crlb_is_none_for_singular_geometry(self, default_params):
         target = TargetEstimate(np.array([0.0, 0.0]))
         positions = np.array([[10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
-        offsets = positions[:, None, :] - positions[None, :, :]
-        disp = DisplacementSet(offsets=offsets, global_velocity=np.zeros(2))
+        disp = DisplacementSet(reference=positions, global_velocity=np.zeros(2))
         world = World(target=target)
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         trace = run_episode(
