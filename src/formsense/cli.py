@@ -76,31 +76,41 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
     return path
 
 
-def _trace_record_payload(record, config: RunConfig) -> dict:
-    return {
-        "step": record.step,
-        "time_s": record.time_s,
-        "positions_m": record.positions.tolist(),
-        "eta": record.eta,
-        "crlb_m2": _json_value(record.crlb_m2),
-        "total_cost": _json_value(record.total_cost),
-        "min_clearance_m": _json_value(record.min_clearance_m),
-        "min_pairwise_m": record.min_pairwise_m,
-        "max_control_m": record.max_control_m,
-        "displacement_error_m2": record.displacement_error_m2,
-        "config_hash": config.config_hash,
-        "seed": config.seed,
-    }
-
-
 def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
     """Serialize an episode: JSONL steps, CSV plot columns, summary JSON."""
+    time_s, eta = trace.time_s.tolist(), trace.eta.tolist()
+    crlb = [_json_value(c) for c in trace.crlb_m2.tolist()]  # NaN marks a step without a CRLB
+    cost, clearance = trace.total_cost.tolist(), trace.min_clearance_m.tolist()
+    pairwise = trace.min_pairwise_m.tolist()
+    rows = zip(
+        time_s,
+        trace.positions.tolist(),
+        eta,
+        crlb,
+        cost,
+        clearance,
+        pairwise,
+        trace.max_control_m.tolist(),
+        trace.displacement_error_m2.tolist(),
+    )
     jsonl_path = out_dir / "trace.jsonl"
-    lines = [
-        json.dumps(_trace_record_payload(r, config), sort_keys=True, allow_nan=False)
-        for r in trace.records
-    ]
-    jsonl_path.write_text("".join(line + "\n" for line in lines))
+    with jsonl_path.open("w") as fh:  # line by line: the whole text would double the peak memory
+        for k, (t, positions, e, c, total, clear, pair, control, error) in enumerate(rows):
+            payload = {
+                "step": k,
+                "time_s": t,
+                "positions_m": positions,
+                "eta": e,
+                "crlb_m2": c,
+                "total_cost": _json_value(total),
+                "min_clearance_m": _json_value(clear),
+                "min_pairwise_m": pair,
+                "max_control_m": control,
+                "displacement_error_m2": error,
+                "config_hash": config.config_hash,
+                "seed": config.seed,
+            }
+            fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
     csv_path = out_dir / "trace.csv"
     with csv_path.open("w", newline="") as fh:
@@ -108,19 +118,8 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
         writer.writerow(
             ["t", "crlb", "cost", "eta", "min_clearance", "min_pairwise", "config_hash", "seed"]
         )
-        for r in trace.records:
-            writer.writerow(
-                [
-                    _csv_value(r.time_s),
-                    _csv_value(r.crlb_m2),
-                    _csv_value(r.total_cost),
-                    _csv_value(r.eta),
-                    _csv_value(r.min_clearance_m),
-                    _csv_value(r.min_pairwise_m),
-                    config.config_hash,
-                    config.seed,
-                ]
-            )
+        for row in zip(time_s, crlb, cost, eta, clearance, pairwise):
+            writer.writerow([_csv_value(x) for x in row] + [config.config_hash, config.seed])
 
     summary = trace.summary()
     summary["final_crlb_m2"] = _json_value(summary["final_crlb_m2"])

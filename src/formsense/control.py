@@ -225,24 +225,37 @@ def consensus_velocity_step(
 
 
 def _edge_sum(graph: CommGraph, values: np.ndarray) -> np.ndarray:
-    """Sum per-edge values (E,) or (E, 2) onto agent m of each edge, in edge order (increasing p)."""
-    if values.ndim == 1:
-        return np.bincount(graph._edges[0], values, graph.agent_count)
-    return np.bincount(graph._xy_bins, values.ravel(), 2 * graph.agent_count).reshape(-1, 2)
+    """Sum per-edge values (..., E, D) onto agent m of each edge (m, p), giving (..., M, D).
+
+    Every leading row and component has its own bins, so each agent adds its
+    edges in edge order (increasing p) and rows never mix.
+    """
+    *lead, _, width = values.shape
+    rows = math.prod(lead)
+    if rows == 1 and width == 2:
+        bins = graph._xy_bins
+    else:
+        agent_rows = graph.agent_count * np.arange(rows)[:, None] + graph._edges[0]
+        bins = (width * agent_rows[..., None] + np.arange(width)).ravel()
+    summed = np.bincount(bins, values.ravel(), rows * graph.agent_count * width)
+    return summed.reshape(*lead, graph.agent_count, width)
 
 
 def _deviation(q: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale=1.0) -> np.ndarray:
-    """(E, 2) deviation q_m - q_p - scale * (r_m - r_p) on every directed edge (m, p)."""
+    """(..., E, 2) deviation q_m - q_p - scale * (r_m - r_p) on every directed edge (m, p).
+
+    ``q`` is (..., M, 2): one set of positions, or a batch along the leading axes.
+    """
     (m, p), r = graph._edges, disp.reference
-    if not len(q) == len(r) == graph.agent_count:
+    if not q.shape[-2] == len(r) == graph.agent_count:
         raise ValueError(
-            f"expected {graph.agent_count} agents, got {len(q)} positions and {len(r)} reference rows"
+            f"expected {graph.agent_count} agents, got {q.shape[-2]} positions and {len(r)} reference rows"
         )
-    return q.take(m, axis=0) - q.take(p, axis=0) - scale * (r.take(m, axis=0) - r.take(p, axis=0))
+    return q.take(m, axis=-2) - q.take(p, axis=-2) - scale * (r.take(m, axis=0) - r.take(p, axis=0))
 
 
 def local_cost(
-    state: SwarmState,
+    state: SwarmState | np.ndarray,
     graph: CommGraph,
     disp: DisplacementSet,
     dt: float,
@@ -255,16 +268,21 @@ def local_cost(
     offsets to each neighbor, plus the squared mismatch between its realized
     velocity (next_positions[m] - positions[m]) / dt and the reference
     velocity.
+
+    ``state`` is the :class:`SwarmState` before the move, or its positions.
+    Positions (..., M, 2) with next positions of the same shape and reference
+    velocities (..., 2) give the costs (..., M) of a batch of steps.
     """
     if dt <= 0:
         raise ValueError(f"local_cost: dt must be > 0, got {dt!r}")
     if target_velocity is None:
         target_velocity = disp.global_velocity
-    q = state.positions
-    displacement_term = _edge_sum(graph, (_deviation(q, graph, disp) ** 2).sum(axis=1))
+    q = state.positions if isinstance(state, SwarmState) else np.asarray(state, dtype=float)
+    squared = (_deviation(q, graph, disp) ** 2).sum(axis=-1)
+    displacement_term = _edge_sum(graph, squared[..., None])[..., 0]
     realized = (np.asarray(next_positions, dtype=float) - q) / dt
-    velocity_term = ((realized - target_velocity) ** 2).sum(axis=1)
-    return displacement_term + velocity_term
+    mismatch = realized - np.asarray(target_velocity, dtype=float)[..., None, :]
+    return displacement_term + (mismatch**2).sum(axis=-1)
 
 
 def displacement_error(

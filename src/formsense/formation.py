@@ -113,11 +113,14 @@ class DisplacementSet:
 
 
 def _squared_distances(points: np.ndarray) -> np.ndarray:
-    """(M, M) squared distances between the rows of an (M, 2) point array."""
-    x, y = points[:, 0], points[:, 1]
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    return dx * dx + dy * dy
+    """(..., M, M) squared distances between the rows of (..., M, 2) point arrays."""
+    x, y = points[..., 0], points[..., 1]
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    dx *= dx  # in place: at large M each fresh (M, M) array costs more than the arithmetic
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def optimal_elevation(params: SensingParams) -> float:

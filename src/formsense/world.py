@@ -7,9 +7,15 @@ the stepper advances the discrete dynamics
 
 where u is the control input, g the consensus velocity estimate, and n
 zero-mean Gaussian noise drawn from a per-step seeded generator so that a
-whole episode is reproducible bit for bit. Episodes record per-step metrics
-(instantaneous CRLB, formation cost, scale factor, clearances) for offline
-plotting.
+whole episode is reproducible bit for bit.
+
+An episode is recorded in columns: one array per quantity with a row per
+step (positions (steps, M, 2); time, scale factor, CRLB, formation cost,
+clearances, control and displacement error (steps,)). The step loop writes
+only what the dynamics and the stop rule need; after every chunk of
+max(1, min(256, 2**16 // M**2)) steps the remaining columns of that chunk
+are computed in batched calls, whose temporaries hold at most
+max(2**16, M**2) pairwise distances, and the columns grow chunk by chunk.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .control import (
     local_cost,
     scale_factor,
 )
-from .errors import SingularGeometryError
 from .formation import DisplacementSet, _squared_distances
 from .sensing import SensingParams, TargetEstimate, crlb
 
@@ -120,18 +125,19 @@ def _advance(
     disp: DisplacementSet,
     gains: ControlGains,
     target_velocity: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """One control period: the next positions, velocity estimates and scale, and u."""
+    clearance: tuple,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Next positions, velocity estimates and control input u of one control period.
+
+    ``clearance`` is what :meth:`World.min_clearance` returns for the current positions.
+    """
     velocities = consensus_velocity_step(state, graph, target_velocity, gains)
-    u = control_input(state, graph, disp, gains, *world.min_clearance(state.positions))
+    u = control_input(state, graph, disp, gains, *clearance)
     noise = 0.0
     if world.motion_noise_std > 0.0:
         rng = np.random.default_rng([world.rng_seed, state.step_index])
         noise = rng.normal(0.0, world.motion_noise_std, size=state.positions.shape)
-    positions = state.positions + u + velocities * world.dt + noise
-    clearance = float(world.min_clearance(positions.mean(axis=0))[0])
-    scale = scale_factor(disp.nominal_diameter_m, clearance, gains, state.scale)
-    return positions, velocities, scale, u
+    return state.positions + u + velocities * world.dt + noise, velocities, u
 
 
 def step(
@@ -152,19 +158,33 @@ def step(
     """
     if target_velocity is None:
         target_velocity = disp.global_velocity
-    positions, velocities, scale, _ = _advance(state, world, graph, disp, gains, target_velocity)
+    clearance = world.min_clearance(state.positions)
+    positions, velocities, _ = _advance(state, world, graph, disp, gains, target_velocity, clearance)
+    centroid_clearance = float(world.min_clearance(positions.mean(axis=0))[0])
+    scale = scale_factor(disp.nominal_diameter_m, centroid_clearance, gains, state.scale)
     return SwarmState(positions, velocities, scale, state.step_index + 1)
 
 
-def crlb_of_positions(positions: np.ndarray, world: World, params: SensingParams) -> float:
-    """CRLB trace of the target estimate for agents hovering at these planar spots."""
+def crlb_of_positions(positions: np.ndarray, world: World, params: SensingParams):
+    """CRLB trace of the target estimate for agents hovering at these planar spots.
+
+    A float for (M, 2) positions; a batch (..., M, 2) gives an array, NaN
+    where a formation is singular (see :func:`formsense.sensing.crlb`).
+    """
     return crlb(positions, world.target, params)
 
 
-def min_pairwise_distance(positions: np.ndarray) -> float:
-    """Smallest inter-agent distance."""
+def min_pairwise_distance(positions: np.ndarray):
+    """Smallest inter-agent distance of (M, 2) positions.
+
+    A batch of shape (..., M, 2) gives an array of the batch shape.
+    """
+    positions = np.asarray(positions, dtype=float)
     squared = _squared_distances(positions)
-    return float(np.sqrt(squared[~np.eye(len(squared), dtype=bool)].min()))
+    agents = np.arange(positions.shape[-2])
+    squared[..., agents, agents] = math.inf  # an agent's distance to itself does not count
+    smallest = np.sqrt(squared.min(axis=(-2, -1)))
+    return float(smallest) if positions.ndim == 2 else smallest
 
 
 @dataclass(frozen=True)
@@ -240,7 +260,10 @@ class Guidance:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Metrics of one executed step; positions are the post-step state."""
+    """Metrics of one executed step, a row of :attr:`EpisodeTrace.records`.
+
+    Positions are the post-step state.
+    """
 
     step: int
     time_s: float
@@ -254,50 +277,137 @@ class StepRecord:
     displacement_error_m2: float
 
 
-# Record fields whose non-finite value means the run diverged. The clearance
-# is inf without obstacles and the CRLB is None for degenerate geometry.
-_MUST_BE_FINITE = ("positions", "total_cost", "displacement_error_m2", "max_control_m", "min_pairwise_m")
+# The trace's per-step columns.
+_COLUMNS = (
+    "time_s", "positions", "eta", "crlb_m2", "total_cost",
+    "min_clearance_m", "min_pairwise_m", "max_control_m", "displacement_error_m2",
+)
 
 
 @dataclass(frozen=True)
 class EpisodeTrace:
-    """Full record of one simulated episode.
+    """Full record of one simulated episode, as read-only columns indexed by step.
 
-    One record per executed step, indices contiguous from zero; a run with
-    ``max_steps = 0`` yields an empty record list and counts as not
-    converged.
+    Row k describes step k, contiguous from zero: ``time_s`` (k + 1) * dt,
+    ``positions`` (steps, M, 2) after the step, the scale ``eta`` and the
+    step's metrics. ``crlb_m2`` is NaN where the geometry is singular or an
+    agent hovers directly above the target (None in :attr:`records` and in
+    the artifacts). A run with ``max_steps = 0`` has no rows and counts as
+    not converged.
     """
 
-    records: tuple[StepRecord, ...]
+    time_s: np.ndarray
+    positions: np.ndarray
+    eta: np.ndarray
+    crlb_m2: np.ndarray
+    total_cost: np.ndarray
+    min_clearance_m: np.ndarray
+    min_pairwise_m: np.ndarray
+    max_control_m: np.ndarray
+    displacement_error_m2: np.ndarray
     safety_events: tuple[tuple[int, int], ...]
     converged: bool
     initial_state: SwarmState
     final_state: SwarmState
 
+    def __post_init__(self) -> None:
+        for name in _COLUMNS:
+            getattr(self, name).setflags(write=False)
+
     @property
     def steps(self) -> int:
-        return len(self.records)
+        return len(self.eta)
+
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        """One StepRecord per step, built from the columns on every access."""
+        rows = zip(
+            self.time_s.tolist(),
+            self.positions,
+            self.eta.tolist(),
+            [None if math.isnan(c) else c for c in self.crlb_m2.tolist()],
+            self.total_cost.tolist(),
+            self.min_clearance_m.tolist(),
+            self.min_pairwise_m.tolist(),
+            self.max_control_m.tolist(),
+            self.displacement_error_m2.tolist(),
+        )
+        return tuple(StepRecord(k, *row) for k, row in enumerate(rows))
 
     def summary(self) -> dict:
         """Plain-data digest of the episode for serialization."""
-        last = self.records[-1] if self.records else None
+
+        def final(column: np.ndarray):
+            return column[-1].item() if len(column) else None
+
+        crlb = final(self.crlb_m2)
         return {
             "converged": self.converged,
             "steps": self.steps,
             "safety_violations": [list(e) for e in self.safety_events],
-            "final_crlb_m2": None if last is None else last.crlb_m2,
-            "final_cost": None if last is None else last.total_cost,
-            "final_eta": None if last is None else last.eta,
-            "final_displacement_error_m2": None if last is None else last.displacement_error_m2,
+            "final_crlb_m2": None if crlb is None or math.isnan(crlb) else crlb,
+            "final_cost": final(self.total_cost),
+            "final_eta": final(self.eta),
+            "final_displacement_error_m2": final(self.displacement_error_m2),
             "final_positions": self.final_state.positions.tolist(),
         }
 
 
-def _check_finite(record: StepRecord) -> None:
-    """Raise a ValueError naming the step and every record field that is not finite."""
-    bad = [name for name in _MUST_BE_FINITE if not np.isfinite(getattr(record, name)).all()]
-    if bad:
-        raise ValueError(f"run_episode: diverged at step {record.step}: {', '.join(bad)} not finite")
+def _chunk_columns(
+    first_step: int,
+    q: np.ndarray,
+    u: np.ndarray,
+    v_cmd: np.ndarray,
+    error: np.ndarray,
+    clearance: np.ndarray,
+    eta: np.ndarray,
+    world: World,
+    graph: CommGraph,
+    disp: DisplacementSet,
+    params: SensingParams,
+) -> tuple[dict, list[tuple[int, int]]]:
+    """Columns and safety events of the n steps recorded in one chunk, from batched calls.
+
+    ``q`` (n + 1, M, 2) holds the positions before the chunk's first step and
+    after each of its steps; ``u``, ``v_cmd``, ``error``, ``clearance`` (per
+    agent) and ``eta`` hold the loop's values per step. Raises a ValueError
+    naming the first step whose positions or metrics are not finite; the
+    clearance and eta of that step need not be set.
+    """
+    after = q[1:]
+    # Summed strictly left to right over the agents, on every Python version.
+    cost = np.cumsum(local_cost(q[:-1], graph, disp, world.dt, after, v_cmd), axis=-1)[:, -1]
+    max_control = np.linalg.norm(u, axis=-1).max(axis=-1)
+    min_pairwise = min_pairwise_distance(after)
+    finite = {
+        "positions": np.isfinite(after).all(axis=(1, 2)),
+        "total_cost": np.isfinite(cost),
+        "displacement_error_m2": np.isfinite(error),
+        "max_control_m": np.isfinite(max_control),
+        "min_pairwise_m": np.isfinite(min_pairwise),
+    }
+    ok = np.logical_and.reduce(list(finite.values()))
+    if not ok.all():
+        row = int(ok.argmin())
+        bad = ", ".join(name for name, column in finite.items() if not column[row])
+        raise ValueError(f"run_episode: diverged at step {first_step + row}: {bad} not finite")
+    crlb = np.full(len(after), math.nan)
+    defined = (after != world.target.position).any(axis=-1).all(axis=-1)
+    crlb[defined] = crlb_of_positions(after[defined], world, params)
+    steps = np.arange(first_step + 1, first_step + len(after) + 1)
+    columns = {
+        "time_s": steps * world.dt,
+        "positions": after,
+        "eta": eta,
+        "crlb_m2": crlb,
+        "total_cost": cost,
+        "min_clearance_m": clearance.min(axis=1),
+        "min_pairwise_m": min_pairwise,
+        "max_control_m": max_control,
+        "displacement_error_m2": error,
+    }
+    events = [(first_step + k, m) for k, m in np.argwhere(clearance <= 0.0).tolist()]
+    return columns, events
 
 
 def run_episode(
@@ -319,51 +429,67 @@ def run_episode(
     the target. Non-convergence is reported in the trace, not raised; a run
     whose positions or metrics stop being finite raises a ValueError naming
     the step.
+
+    The loop computes what the dynamics and the stop rule need, with one
+    :meth:`World.min_clearance` call per step on the new positions and their
+    centroid; the next step's control input reuses its per-agent rows. Every
+    chunk of C = max(1, min(256, 2**16 // M**2)) steps is then measured in
+    batched calls, whose temporaries hold at most max(2**16, M**2) pairwise
+    distances; a diverged run stops within one chunk. Columns grow chunk by
+    chunk, never from ``max_steps``.
     """
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
     if guidance is None:
         guidance = Guidance(mode="constant")
-    records: list[StepRecord] = []
+    agents = len(initial.positions)
+    chunk_steps = max(1, min(256, 2**16 // agents**2))
+    chunks: list[dict] = []
     events: list[tuple[int, int]] = []
     state = initial
-    converged = False
-    # Overflow shows up as a non-finite record, which the divergence check names.
+    around = world.min_clearance(initial.positions)
+    first_step, converged = 0, False
+    # Overflow shows up as a non-finite metric, which the chunk's divergence check names.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max_steps):
-            v_cmd = guidance.commanded_velocity(state, world, graph, disp)
-            positions, velocities, scale, u = _advance(state, world, graph, disp, gains, v_cmd)
-            clearance = world.min_clearance(positions)[0]
-            try:
-                crlb: Optional[float] = crlb_of_positions(positions, world, params)
-            except (SingularGeometryError, ValueError):
-                crlb = None
-            # Summed in agent order: numpy's pairwise sum would round the total differently.
-            record = StepRecord(
-                step=k,
-                time_s=(k + 1) * world.dt,
-                positions=positions,
-                eta=scale,
-                crlb_m2=crlb,
-                total_cost=sum(local_cost(state, graph, disp, world.dt, positions, v_cmd).tolist()),
-                min_clearance_m=float(clearance.min()),
-                min_pairwise_m=min_pairwise_distance(positions),
-                max_control_m=float(np.linalg.norm(u, axis=1).max()),
-                displacement_error_m2=displacement_error(positions, graph, disp),
+        while first_step < max_steps and not converged:
+            size = min(chunk_steps, max_steps - first_step)
+            q = np.empty((size + 1, agents, 2))
+            q[0] = state.positions
+            u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
+            clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
+            for i in range(size):
+                v = guidance.commanded_velocity(state, world, graph, disp)
+                positions, velocities, u[i] = _advance(state, world, graph, disp, gains, v, around)
+                q[i + 1], v_cmd[i] = positions, v
+                error[i] = displacement_error(positions, graph, disp)
+                if not np.isfinite(positions).all():
+                    size = i + 1  # the chunk's divergence check raises for this step
+                    break
+                centroid = positions.mean(axis=0, keepdims=True)
+                points = world.min_clearance(np.concatenate((positions, centroid)))
+                around = tuple(None if a is None else a[:agents] for a in points)
+                clearance[i] = around[0]
+                scale = scale_factor(disp.nominal_diameter_m, float(points[0][agents]), gains, state.scale)
+                eta[i] = scale
+                state = SwarmState(positions, velocities, scale, state.step_index + 1)
+                if (
+                    error[i] < stop_tolerance
+                    and scale >= 0.999
+                    and guidance.center_error_m(state, world, graph) <= guidance.arrival_tolerance_m
+                ):
+                    size, converged = i + 1, True
+                    break
+            columns, chunk_events = _chunk_columns(
+                first_step, q[: size + 1], u[:size], v_cmd[:size], error[:size],
+                clearance[:size], eta[:size], world, graph, disp, params,
             )
-            _check_finite(record)
-            records.append(record)
-            events.extend((k, m) for m in np.flatnonzero(clearance <= 0.0).tolist())
-            state = SwarmState(positions, velocities, scale, state.step_index + 1)
-            if (
-                record.displacement_error_m2 < stop_tolerance
-                and state.scale >= 0.999
-                and guidance.center_error_m(state, world, graph) <= guidance.arrival_tolerance_m
-            ):
-                converged = True
-                break
+            chunks.append(columns)
+            events.extend(chunk_events)
+            first_step += size
+    if not chunks:
+        chunks.append({name: np.empty((0, agents, 2) if name == "positions" else 0) for name in _COLUMNS})
     return EpisodeTrace(
-        records=tuple(records),
+        **{name: np.concatenate([c[name] for c in chunks]) for name in _COLUMNS},
         safety_events=tuple(events),
         converged=converged,
         initial_state=initial,

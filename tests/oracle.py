@@ -12,20 +12,42 @@ returns every agent's cost in one call; the per-rectangle, per-point and
 per-agent functions near the end of this module are the loops they replaced.
 
 The control laws work on the graph's edge list and an (M, 2) reference; the
-``dense_*`` functions at the end are the formulas over all M^2 pairs and the
-(M, M, 2) desired offsets that they replaced. Tests compare the two.
+``dense_*`` functions are the formulas over all M^2 pairs and the (M, M, 2)
+desired offsets that they replaced. Tests compare the two.
+
+:func:`formsense.world.run_episode` records an episode in columns, measured
+in batched calls per chunk of steps; :func:`stepwise_episode` at the end is
+the loop it replaced, with one :class:`StepRecord`, three clearance queries,
+a CRLB, a cost call and a finiteness check per step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from formsense.control import (
+    SwarmState,
+    consensus_velocity_step,
+    control_input,
+    displacement_error,
+    local_cost,
+    scale_factor,
+)
 from formsense.errors import SingularGeometryError
 from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
-from formsense.world import RectObstacle
+from formsense.world import (
+    Guidance,
+    RectObstacle,
+    StepRecord,
+    crlb_of_positions,
+    min_pairwise_distance,
+)
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular; the library uses the same rule.
@@ -291,3 +313,79 @@ def dense_displacement_error(positions, adjacency, reference) -> float:
     """Half the adjacency-weighted sum of squared deviations over all pairs."""
     per_pair = (dense_deviation(positions, reference) ** 2).sum(axis=2)
     return float((adjacency * per_pair).sum() / 2.0)
+
+
+# Record fields whose non-finite value means the run diverged. The clearance
+# is inf without obstacles and the CRLB is None for degenerate geometry.
+_MUST_BE_FINITE = ("positions", "total_cost", "displacement_error_m2", "max_control_m", "min_pairwise_m")
+
+
+def _check_finite(record: StepRecord) -> None:
+    """Raise a ValueError naming the step and every record field that is not finite."""
+    bad = [name for name in _MUST_BE_FINITE if not np.isfinite(getattr(record, name)).all()]
+    if bad:
+        raise ValueError(f"run_episode: diverged at step {record.step}: {', '.join(bad)} not finite")
+
+
+def _advance(state, world, graph, disp, gains, target_velocity):
+    """One control period with its own clearance queries: positions, velocities, scale and u."""
+    velocities = consensus_velocity_step(state, graph, target_velocity, gains)
+    u = control_input(state, graph, disp, gains, *world.min_clearance(state.positions))
+    noise = 0.0
+    if world.motion_noise_std > 0.0:
+        rng = np.random.default_rng([world.rng_seed, state.step_index])
+        noise = rng.normal(0.0, world.motion_noise_std, size=state.positions.shape)
+    positions = state.positions + u + velocities * world.dt + noise
+    clearance = float(world.min_clearance(positions.mean(axis=0))[0])
+    scale = scale_factor(disp.nominal_diameter_m, clearance, gains, state.scale)
+    return positions, velocities, scale, u
+
+
+def stepwise_episode(
+    initial, world, graph, disp, gains, params, max_steps, stop_tolerance=1e-3, guidance=None
+):
+    """The episode step by step: (records, safety events, converged, final state).
+
+    Takes :func:`formsense.world.run_episode`'s arguments and raises its
+    divergence error. Costs are summed left to right over the agents.
+    """
+    if guidance is None:
+        guidance = Guidance(mode="constant")
+    records: list[StepRecord] = []
+    events: list[tuple[int, int]] = []
+    state = initial
+    converged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_steps):
+            v_cmd = guidance.commanded_velocity(state, world, graph, disp)
+            positions, velocities, scale, u = _advance(state, world, graph, disp, gains, v_cmd)
+            clearance = world.min_clearance(positions)[0]
+            try:
+                crlb: Optional[float] = crlb_of_positions(positions, world, params)
+            except (SingularGeometryError, ValueError):
+                crlb = None
+            costs = local_cost(state, graph, disp, world.dt, positions, v_cmd).tolist()
+            record = StepRecord(
+                step=k,
+                time_s=(k + 1) * world.dt,
+                positions=positions,
+                eta=scale,
+                crlb_m2=crlb,
+                total_cost=functools.reduce(operator.add, costs),
+                min_clearance_m=float(clearance.min()),
+                min_pairwise_m=min_pairwise_distance(positions),
+                max_control_m=float(np.linalg.norm(u, axis=1).max()),
+                displacement_error_m2=displacement_error(positions, graph, disp),
+            )
+            _check_finite(record)
+            records.append(record)
+            events.extend((k, m) for m in np.flatnonzero(clearance <= 0.0).tolist())
+            state = SwarmState(positions, velocities, scale, state.step_index + 1)
+            if (
+                record.displacement_error_m2 < stop_tolerance
+                and state.scale >= 0.999
+                and guidance.center_error_m(state, world, graph) <= guidance.arrival_tolerance_m
+            ):
+                converged = True
+                break
+    return records, tuple(events), converged, state

@@ -1,6 +1,10 @@
 """Tests for obstacles, the stepper, guidance, and the episode driver."""
 
+import dataclasses
+import functools
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from formsense import (
     DisplacementSet,
     Guidance,
     RectObstacle,
+    SensingParams,
+    StepRecord,
     SwarmState,
     TargetEstimate,
     World,
@@ -20,15 +26,34 @@ from formsense import (
     crlb_of_positions,
     displacement_error,
     displacement_set,
+    local_cost,
     min_pairwise_distance,
     run_episode,
     step,
     theoretical_lower_bound,
 )
 from formsense import world as world_module
-from oracle import clearance_of_point, escape_direction, nearest_point, rect_distance
+from oracle import (
+    clearance_of_point,
+    escape_direction,
+    nearest_point,
+    rect_distance,
+    stepwise_episode,
+)
 
 BOX = RectObstacle(x_min=-5.0, x_max=5.0, y_min=-5.0, y_max=5.0)
+
+
+def count_calls(monkeypatch, owner, name, calls):
+    """Count the calls of ``owner.name`` in ``calls[name]`` for the rest of the test."""
+    fn = getattr(owner, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
 
 
 def embedding_state(formation, velocity=None, scale=1.0):
@@ -516,21 +541,14 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("agents", [6, 24])
     def test_one_control_and_cost_call_per_step(self, default_params, target, monkeypatch, agents):
-        calls = {"control_input": 0, "local_cost": 0, "min_clearance": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(world_module, "control_input", counted("control_input", world_module.control_input))
-        monkeypatch.setattr(world_module, "local_cost", counted("local_cost", world_module.local_cost))
-        monkeypatch.setattr(World, "min_clearance", counted("min_clearance", World.min_clearance))
+        calls = {}
+        for name in ("control_input", "local_cost", "crlb_of_positions"):
+            count_calls(monkeypatch, world_module, name, calls)
+        count_calls(monkeypatch, World, "min_clearance", calls)
         formation = build_formation(default_params, target, agents)
         wall = RectObstacle(x_min=0.0, x_max=10.0, y_min=0.0, y_max=10.0)
         state = embedding_state(formation)
+        steps = 300
         trace = run_episode(
             SwarmState(state.positions + 1.0, state.velocity_estimates),
             World(target=target, obstacles=(wall,)),
@@ -538,10 +556,18 @@ class TestRunEpisode:
             displacement_set(formation),
             ControlGains(),
             default_params,
-            max_steps=1,
+            max_steps=steps,
+            stop_tolerance=0.0,
         )
-        assert trace.steps == 1
-        assert calls == {"control_input": 1, "local_cost": 1, "min_clearance": 3}
+        assert trace.steps == steps
+        chunks = math.ceil(steps / max(1, min(256, 2**16 // agents**2)))
+        assert chunks == (2 if agents == 6 else 3)
+        assert calls == {
+            "control_input": steps,
+            "local_cost": chunks,
+            "min_clearance": steps + 1,
+            "crlb_of_positions": chunks,
+        }
 
     def test_diverged_run_names_the_step(self, default_params, target):
         formation = build_formation(default_params, target, 3)
@@ -558,3 +584,240 @@ class TestRunEpisode:
                 max_steps=5,
             )
 
+    def test_diverged_run_stops_within_one_chunk(self, default_params, target, monkeypatch):
+        """The cost overflows at step 0 while the positions stay finite for a while."""
+        calls = {}
+        count_calls(monkeypatch, world_module, "control_input", calls)
+        formation = build_formation(default_params, target, 3)
+        block = RectObstacle(x_min=-100.0, x_max=300.0, y_min=-100.0, y_max=300.0)
+        gains = ControlGains(repulsion_gain=1e300, repulsion_cap=1e300, safety_radius_m=1e6)
+        with pytest.raises(ValueError, match="diverged at step 0: total_cost, "):
+            run_episode(
+                embedding_state(formation),
+                World(target=target, obstacles=(block,)),
+                CommGraph.ring(3),
+                displacement_set(formation),
+                gains,
+                default_params,
+                max_steps=10**9,
+            )
+        assert 0 < calls["control_input"] <= 256
+
+    def test_budget_is_not_allocated_up_front(self, default_params, target):
+        formation = build_formation(default_params, target, 6)
+        tracemalloc.start()
+        try:
+            trace = run_episode(
+                embedding_state(formation),
+                World(target=target),
+                CommGraph.ring_with_leader(6),
+                displacement_set(formation),
+                ControlGains(),
+                default_params,
+                max_steps=10**12,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.converged and trace.steps == 1
+        assert peak < 2**20
+
+    def test_total_cost_sums_agents_left_to_right(self, default_params, target):
+        """Builtin sum() of floats is compensated on Python 3.12 and later; the total is not."""
+        rng = np.random.default_rng(12)
+        for agents in (8, 9, 13):
+            formation = build_formation(default_params, target, agents)
+            disp = displacement_set(formation, (0.3, -0.1))
+            graph = CommGraph.ring_with_leader(agents)
+            world = World(target=target, motion_noise_std=0.3, rng_seed=agents)
+            state = SwarmState(
+                positions=formation.planar_positions + rng.uniform(-9.0, 9.0, size=(agents, 2)),
+                velocity_estimates=rng.normal(size=(agents, 2)),
+            )
+            trace = run_episode(state, world, graph, disp, ControlGains(), default_params, max_steps=5)
+            before = np.concatenate([state.positions[None], trace.positions[:-1]])
+            for k in range(trace.steps):
+                costs = local_cost(before[k], graph, disp, world.dt, trace.positions[k], disp.global_velocity)
+                assert trace.total_cost[k] == functools.reduce(operator.add, costs.tolist())
+
+
+def _assert_matches_oracle(trace, oracle):
+    records, events, converged, final = oracle
+    assert trace.steps == len(records)
+    if records:
+        assert np.array_equal(trace.positions, np.stack([r.positions for r in records]))
+    for name in ("time_s", "eta", "total_cost", "min_clearance_m", "min_pairwise_m",
+                 "max_control_m", "displacement_error_m2"):
+        want = np.array([getattr(r, name) for r in records], dtype=float)
+        assert getattr(trace, name).tobytes() == want.tobytes(), name
+    crlb = [None if math.isnan(c) else c for c in trace.crlb_m2.tolist()]
+    assert crlb == [r.crlb_m2 for r in records]
+    scalars = [f.name for f in dataclasses.fields(StepRecord) if f.name != "positions"]
+    for got, want in zip(trace.records, records):
+        assert isinstance(got, StepRecord)
+        assert np.array_equal(got.positions, want.positions)
+        assert [getattr(got, f) for f in scalars] == [getattr(want, f) for f in scalars]
+    assert trace.safety_events == events
+    assert trace.converged == converged
+    assert np.array_equal(trace.final_state.positions, final.positions)
+    assert np.array_equal(trace.final_state.velocity_estimates, final.velocity_estimates)
+    assert (trace.final_state.scale, trace.final_state.step_index) == (final.scale, final.step_index)
+
+
+_PARAMS = SensingParams(
+    transmit_power_w=0.1,
+    processing_gain=1.0e3,
+    ref_channel_power_m4=1.0e-5,
+    kappa=1.0,
+    noise_floor_w=1.0e-12,
+    altitude_m=20.0,
+)
+
+
+@st.composite
+def episodes(draw):
+    """run_episode arguments: 3-12 agents, one of five scenarios, noise and guidance.
+
+    ``settle`` starts in formation in open space and converges within a few
+    steps; ``open`` starts scattered; ``obstacles`` puts up to three
+    rectangles near the target, ``contact`` puts them around agents; ``blow_up``
+    starts scattered by 1e140-1e280 m with an unstable gain, so the run diverges.
+    """
+    agents = draw(st.integers(3, 12))
+    graph = getattr(CommGraph, draw(st.sampled_from(["ring", "ring_with_leader", "complete"])))(agents)
+    scenario = draw(st.sampled_from(["settle", "open", "obstacles", "contact", "blow_up"]))
+    target = TargetEstimate(np.array([80.0, 90.0]))
+    formation = build_formation(_PARAMS, target, agents, draw(st.floats(0.0, 6.0)))
+    disp = displacement_set(formation, draw(st.sampled_from([(0.0, 0.0), (0.6, -0.2)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = formation.planar_positions
+    if scenario != "settle":
+        positions = positions + rng.uniform(-25.0, 25.0, size=(agents, 2))
+    obstacles = []
+    for _ in range(draw(st.integers(1, 3)) if scenario in ("obstacles", "contact") else 0):
+        if scenario == "contact":
+            x, y = positions[rng.integers(agents)]
+        else:
+            x, y = target.position + rng.uniform(-40.0, 40.0, size=2)
+        w, h = rng.uniform(1.0, 15.0, size=2)
+        obstacles.append(RectObstacle(x - w, x + w, y - h, y + h))
+    epsilon = 0.01
+    if scenario == "blow_up":
+        scatter = draw(st.sampled_from([1e140, 1e152, 1e280]))
+        positions = positions + scatter * rng.uniform(-1.0, 1.0, size=(agents, 2))
+        epsilon = 1.0  # the deviation grows every step
+    world = World(
+        target=target,
+        obstacles=tuple(obstacles),
+        motion_noise_std=0.0 if scenario == "settle" else draw(st.sampled_from([0.0, 0.05])),
+        rng_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    if draw(st.booleans()):
+        guidance = Guidance(mode="constant")
+    else:
+        leader_offset = formation.planar_positions[graph.leader_index] - formation.center
+        guidance = Guidance(mode="goal", leader_offset=leader_offset)
+    gains = ControlGains(epsilon=epsilon, consensus_gain=0.5 / (graph.max_follower_degree + 1))
+    initial = SwarmState(positions=positions, velocity_estimates=rng.normal(0.0, 0.02, size=(agents, 2)))
+    return dict(
+        initial=initial,
+        world=world,
+        graph=graph,
+        disp=disp,
+        gains=gains,
+        params=_PARAMS,
+        max_steps=draw(st.integers(1, 60)),
+        stop_tolerance=draw(st.sampled_from([1e-3, 0.5])),
+        guidance=guidance,
+    )
+
+
+class TestEpisodeColumns:
+    """The columns, events and final state equal the step-by-step oracle bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(episodes())
+    def test_matches_stepwise_oracle(self, kwargs):
+        try:
+            oracle = stepwise_episode(**kwargs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                run_episode(**kwargs)
+            assert str(raised.value) == str(exc)
+            return
+        _assert_matches_oracle(run_episode(**kwargs), oracle)
+
+    @pytest.mark.parametrize("agents, steps", [(6, 300), (24, 240)])
+    def test_matches_oracle_across_chunks(self, default_params, target, agents, steps):
+        """Chunks of 256 and 113 steps: positions, events and step numbers carry across.
+
+        The swarm starts inside a 3 km block and is pushed out at most 5 m per
+        step, so contacts continue into the last chunk.
+        """
+        formation = build_formation(default_params, target, agents)
+        rng = np.random.default_rng(agents)
+        positions = formation.planar_positions + rng.uniform(-10.0, 10.0, size=(agents, 2))
+        x, y = target.position
+        kwargs = dict(
+            initial=SwarmState(positions=positions, velocity_estimates=np.zeros((agents, 2))),
+            world=World(
+                target=target,
+                obstacles=(BOX, RectObstacle(x - 1500.0, x + 1500.0, y - 1400.0, y + 1500.0)),
+                motion_noise_std=0.05,
+                rng_seed=3,
+            ),
+            graph=CommGraph.ring(agents),
+            disp=displacement_set(formation, (0.05, 0.0)),
+            gains=ControlGains(),
+            params=default_params,
+            max_steps=steps,
+        )
+        trace = run_episode(**kwargs)
+        chunk = max(1, min(256, 2**16 // agents**2))
+        assert trace.steps == steps and trace.safety_events[-1][0] >= steps // chunk * chunk
+        _assert_matches_oracle(trace, stepwise_episode(**kwargs))
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [[10.0, 0.0], [20.0, 0.0], [30.0, 0.0]],  # collinear: singular information
+            [[0.0, 0.0], [20.0, 5.0], [-7.0, 19.0]],  # agent 0 directly above the target
+        ],
+    )
+    def test_missing_crlb_matches_oracle(self, default_params, positions):
+        target = TargetEstimate(np.array([0.0, 0.0]))
+        positions = np.array(positions)
+        kwargs = dict(
+            initial=SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2))),
+            world=World(target=target),
+            graph=CommGraph.ring(3),
+            disp=DisplacementSet(reference=positions, global_velocity=np.zeros(2)),
+            gains=ControlGains(),
+            params=default_params,
+            max_steps=4,
+        )
+        trace = run_episode(**kwargs)
+        assert trace.converged and np.isnan(trace.crlb_m2).all()
+        _assert_matches_oracle(trace, stepwise_episode(**kwargs))
+
+    def test_positions_overflow_mid_chunk_matches_oracle(self, default_params, target):
+        """Positions turn non-finite in a later step of the chunk that diverged earlier."""
+        formation = build_formation(default_params, target, 6)
+        rng = np.random.default_rng(5)
+        kwargs = dict(
+            initial=SwarmState(
+                positions=formation.planar_positions + 1e280 * rng.uniform(-1.0, 1.0, size=(6, 2)),
+                velocity_estimates=np.zeros((6, 2)),
+            ),
+            world=World(target=target),
+            graph=CommGraph.complete(6),
+            disp=displacement_set(formation),
+            gains=ControlGains(epsilon=1.0, consensus_gain=0.1),
+            params=default_params,
+            max_steps=200,
+        )
+        with pytest.raises(ValueError) as want:
+            stepwise_episode(**kwargs)
+        with pytest.raises(ValueError) as got:
+            run_episode(**kwargs)
+        assert str(got.value) == str(want.value)
