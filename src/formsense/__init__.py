@@ -38,7 +38,6 @@ from .world import (
     Guidance,
     RectObstacle,
     World,
-    StepRecord,
     crlb_of_positions,
     min_pairwise_distance,
     run_episode,
@@ -62,7 +61,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "SensingParams",
     "SingularGeometryError",
-    "StepRecord",
     "SwarmState",
     "TargetEstimate",
     "World",

@@ -3,8 +3,9 @@
 Every command reads one YAML config, writes deterministic artifacts into
 the output directory, and tags each artifact with the config hash and seed
 so a result file alone identifies the run that produced it. Exit codes:
-0 success, 2 configuration problem, 3 runtime failure (degenerate geometry,
-a diverged run, a value strict JSON cannot hold, or another domain error).
+0 success, 2 configuration problem or an output directory that cannot be
+created, 3 runtime failure (degenerate geometry, a diverged run, a value
+strict JSON cannot hold, an unwritable artifact, or another domain error).
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
             writer.writerow([_csv_value(x) for x in row] + [config.config_hash, config.seed])
 
     summary = trace.summary()
-    summary["final_crlb_m2"] = _json_value(summary["final_crlb_m2"])
     summary["bound_m2"] = theoretical_lower_bound(config.params, config.agent_count)
     summary["config_hash"] = config.config_hash
     summary["seed"] = config.seed
@@ -222,7 +222,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = _resolve_out_dir(args.out, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: output directory {out_dir}: cannot create it: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "optimize":
             paths = [cmd_optimize(config, out_dir)]
@@ -233,7 +237,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InsufficientAgentsError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # degenerate geometry, a diverged run, a non-finite value
+    except (ValueError, OSError) as exc:  # degenerate geometry, a diverged run, an unwritable artifact
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     for path in paths:

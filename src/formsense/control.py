@@ -5,8 +5,9 @@ averages toward its neighbors, the leader broadcasts the reference), a
 displacement law that is a gradient step on each agent's local formation
 error, obstacle repulsion from an inverse-distance potential, and a global
 scale factor that shrinks the whole target formation through narrow gaps.
-Everything here is a pure function of the previous swarm state; the stepper
-in :mod:`formsense.world` owns state advancement.
+Every law is a pure function of arrays: (M, 2) positions or velocity
+estimates and the scale factor; the stepper in :mod:`formsense.world` owns
+state advancement.
 
 The laws gather per-edge differences from (M, 2) arrays over the graph's
 directed edges (m, p) and sum them back onto agent m: O(M + E) time and memory.
@@ -203,7 +204,7 @@ def check_stability(gains: ControlGains, graph: CommGraph) -> None:
 
 
 def consensus_velocity_step(
-    state: SwarmState,
+    velocities: np.ndarray,
     graph: CommGraph,
     target_velocity: np.ndarray,
     gains: ControlGains,
@@ -213,9 +214,10 @@ def consensus_velocity_step(
     The leader's estimate is the reference itself; every follower moves its
     estimate toward the average of what it hears from its neighbors. On a
     connected graph the iteration contracts all estimates to the reference.
+    ``velocities`` (M, 2) are the current estimates; they are not modified.
     """
     target_velocity = np.asarray(target_velocity, dtype=float)
-    velocities = np.array(state.velocity_estimates)
+    velocities = np.array(velocities, dtype=float)
     velocities[graph.leader_index] = target_velocity
     m, p = graph._edges
     correction = _edge_sum(graph, velocities.take(m, axis=0) - velocities.take(p, axis=0))
@@ -255,7 +257,7 @@ def _deviation(q: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale=1.0
 
 
 def local_cost(
-    state: SwarmState | np.ndarray,
+    positions: np.ndarray,
     graph: CommGraph,
     disp: DisplacementSet,
     dt: float,
@@ -269,15 +271,15 @@ def local_cost(
     velocity (next_positions[m] - positions[m]) / dt and the reference
     velocity.
 
-    ``state`` is the :class:`SwarmState` before the move, or its positions.
-    Positions (..., M, 2) with next positions of the same shape and reference
-    velocities (..., 2) give the costs (..., M) of a batch of steps.
+    ``positions`` are those before the move. Positions (..., M, 2) with next
+    positions of the same shape and reference velocities (..., 2) give the
+    costs (..., M) of a batch of steps.
     """
     if dt <= 0:
         raise ValueError(f"local_cost: dt must be > 0, got {dt!r}")
     if target_velocity is None:
         target_velocity = disp.global_velocity
-    q = state.positions if isinstance(state, SwarmState) else np.asarray(state, dtype=float)
+    q = np.asarray(positions, dtype=float)
     squared = (_deviation(q, graph, disp) ** 2).sum(axis=-1)
     displacement_term = _edge_sum(graph, squared[..., None])[..., 0]
     realized = (np.asarray(next_positions, dtype=float) - q) / dt
@@ -299,7 +301,7 @@ def displacement_error(
 
 
 def displacement_control(
-    state: SwarmState,
+    positions: np.ndarray,
     graph: CommGraph,
     disp: DisplacementSet,
     gains: ControlGains,
@@ -314,7 +316,8 @@ def displacement_control(
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"displacement_control: scale must lie in (0, 1], got {scale!r}")
-    return -gains.epsilon * _edge_sum(graph, _deviation(state.positions, graph, disp, scale))
+    deviation = _deviation(np.asarray(positions, dtype=float), graph, disp, scale)
+    return -gains.epsilon * _edge_sum(graph, deviation)
 
 
 def repulsion(
@@ -373,7 +376,8 @@ def scale_factor(
 
 
 def control_input(
-    state: SwarmState,
+    positions: np.ndarray,
+    scale: float,
     graph: CommGraph,
     disp: DisplacementSet,
     gains: ControlGains,
@@ -381,15 +385,15 @@ def control_input(
     nearest: Optional[np.ndarray],
     outward: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Total per-agent control: scaled displacement tracking plus repulsion.
+    """Total per-agent control of (M, 2) positions: displacement tracking at ``scale`` plus repulsion.
 
     ``clearance`` (M,), ``nearest`` (M, 2) and ``outward`` (M, 2) describe
     each agent's closest obstacle as :meth:`formsense.world.World.min_clearance`
     returns them (``nearest`` and ``outward`` are None without obstacles).
     Repulsion is evaluated only for the agents inside the safety radius.
     """
-    u = displacement_control(state, graph, disp, gains, state.scale)
+    u = displacement_control(positions, graph, disp, gains, scale)
     if nearest is not None:
         for m in np.flatnonzero(clearance < gains.safety_radius_m):
-            u[m] += repulsion(state.positions[m], nearest[m], gains, fallback_direction=outward[m])
+            u[m] += repulsion(positions[m], nearest[m], gains, fallback_direction=outward[m])
     return u

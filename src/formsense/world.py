@@ -7,7 +7,8 @@ the stepper advances the discrete dynamics
 
 where u is the control input, g the consensus velocity estimate, and n
 zero-mean Gaussian noise drawn from a per-step seeded generator so that a
-whole episode is reproducible bit for bit.
+whole episode is reproducible bit for bit. The step loop carries positions,
+velocity estimates and the scale as arrays, which the control laws take.
 
 An episode is recorded in columns: one array per quantity with a row per
 step (positions (steps, M, 2); time, scale factor, CRLB, formation cost,
@@ -118,26 +119,39 @@ class World:
         return clearance.reshape(shape), nearest.reshape(points.shape), outward.reshape(points.shape)
 
 
+def _surroundings(world: World, positions: np.ndarray) -> tuple[tuple, float]:
+    """Per-agent clearance rows of (M, 2) positions and their centroid's clearance, in one query."""
+    agents = len(positions)
+    points = world.min_clearance(np.concatenate((positions, positions.mean(axis=0, keepdims=True))))
+    return tuple(None if a is None else a[:agents] for a in points), float(points[0][agents])
+
+
 def _advance(
-    state: SwarmState,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    scale: float,
+    step_index: int,
+    around: tuple,
     world: World,
     graph: CommGraph,
     disp: DisplacementSet,
     gains: ControlGains,
     target_velocity: np.ndarray,
-    clearance: tuple,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Next positions, velocity estimates and control input u of one control period.
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, tuple]:
+    """Next positions, velocity estimates, scale, control input u and clearance rows of one period.
 
-    ``clearance`` is what :meth:`World.min_clearance` returns for the current positions.
+    ``around`` holds the per-agent clearance rows of ``positions``, as :func:`_surroundings` gives them.
     """
-    velocities = consensus_velocity_step(state, graph, target_velocity, gains)
-    u = control_input(state, graph, disp, gains, *clearance)
+    velocities = consensus_velocity_step(velocities, graph, target_velocity, gains)
+    u = control_input(positions, scale, graph, disp, gains, *around)
     noise = 0.0
     if world.motion_noise_std > 0.0:
-        rng = np.random.default_rng([world.rng_seed, state.step_index])
-        noise = rng.normal(0.0, world.motion_noise_std, size=state.positions.shape)
-    return state.positions + u + velocities * world.dt + noise, velocities, u
+        rng = np.random.default_rng([world.rng_seed, step_index])
+        noise = rng.normal(0.0, world.motion_noise_std, size=positions.shape)
+    positions = positions + u + velocities * world.dt + noise
+    around, centroid_clearance = _surroundings(world, positions)
+    scale = scale_factor(disp.nominal_diameter_m, centroid_clearance, gains, scale)
+    return positions, velocities, scale, u, around
 
 
 def step(
@@ -158,10 +172,10 @@ def step(
     """
     if target_velocity is None:
         target_velocity = disp.global_velocity
-    clearance = world.min_clearance(state.positions)
-    positions, velocities, _ = _advance(state, world, graph, disp, gains, target_velocity, clearance)
-    centroid_clearance = float(world.min_clearance(positions.mean(axis=0))[0])
-    scale = scale_factor(disp.nominal_diameter_m, centroid_clearance, gains, state.scale)
+    positions, velocities, scale, _, _ = _advance(
+        state.positions, state.velocity_estimates, state.scale, state.step_index,
+        _surroundings(world, state.positions)[0], world, graph, disp, gains, target_velocity,
+    )
     return SwarmState(positions, velocities, scale, state.step_index + 1)
 
 
@@ -229,52 +243,34 @@ class Guidance:
             goal.setflags(write=False)
             object.__setattr__(self, "goal_m", goal)
 
-    def _goal(self, world: World) -> np.ndarray:
-        """Steering goal: the explicit one if set, else the target's projection.
+    def _to_goal(self, positions: np.ndarray, world: World, graph: CommGraph) -> np.ndarray:
+        """Vector from the leader's estimate of the formation center to the steering goal.
 
-        The two differ when the formation is planned around an imperfect
-        prior target estimate; the swarm can only steer toward what it
-        believes the target position to be.
+        The goal is the explicit one if set, else the target's projection. The
+        two differ when the formation is planned around an imperfect prior
+        target estimate; the swarm can only steer toward what it believes the
+        target position to be.
         """
-        return world.target.position if self.goal_m is None else self.goal_m
+        goal = world.target.position if self.goal_m is None else self.goal_m
+        return goal - (positions[graph.leader_index] - self.leader_offset)
 
-    def center_error_m(self, state: SwarmState, world: World, graph: CommGraph) -> float:
+    def center_error_m(self, positions: np.ndarray, world: World, graph: CommGraph) -> float:
         """Distance from the leader's center estimate to the goal; 0 in constant mode."""
         if self.mode == "constant":
             return 0.0
-        center = state.positions[graph.leader_index] - self.leader_offset
-        return float(np.linalg.norm(self._goal(world) - center))
+        return float(np.linalg.norm(self._to_goal(positions, world, graph)))
 
     def commanded_velocity(
-        self, state: SwarmState, world: World, graph: CommGraph, disp: DisplacementSet
+        self, positions: np.ndarray, world: World, graph: CommGraph, disp: DisplacementSet
     ) -> np.ndarray:
+        """Reference velocity for (M, 2) positions."""
         if self.mode == "constant":
             return disp.global_velocity
-        center = state.positions[graph.leader_index] - self.leader_offset
-        v = self.gain_per_s * (self._goal(world) - center)
+        v = self.gain_per_s * self._to_goal(positions, world, graph)
         speed = float(np.linalg.norm(v))
         if speed > self.max_speed_mps:
             v = v * (self.max_speed_mps / speed)
         return v
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Metrics of one executed step, a row of :attr:`EpisodeTrace.records`.
-
-    Positions are the post-step state.
-    """
-
-    step: int
-    time_s: float
-    positions: np.ndarray
-    eta: float
-    crlb_m2: Optional[float]
-    total_cost: float
-    min_clearance_m: float
-    min_pairwise_m: float
-    max_control_m: float
-    displacement_error_m2: float
 
 
 # The trace's per-step columns.
@@ -291,7 +287,7 @@ class EpisodeTrace:
     Row k describes step k, contiguous from zero: ``time_s`` (k + 1) * dt,
     ``positions`` (steps, M, 2) after the step, the scale ``eta`` and the
     step's metrics. ``crlb_m2`` is NaN where the geometry is singular or an
-    agent hovers directly above the target (None in :attr:`records` and in
+    agent hovers directly above the target (None in :meth:`summary` and in
     the artifacts). A run with ``max_steps = 0`` has no rows and counts as
     not converged.
     """
@@ -307,7 +303,6 @@ class EpisodeTrace:
     displacement_error_m2: np.ndarray
     safety_events: tuple[tuple[int, int], ...]
     converged: bool
-    initial_state: SwarmState
     final_state: SwarmState
 
     def __post_init__(self) -> None:
@@ -317,22 +312,6 @@ class EpisodeTrace:
     @property
     def steps(self) -> int:
         return len(self.eta)
-
-    @property
-    def records(self) -> tuple[StepRecord, ...]:
-        """One StepRecord per step, built from the columns on every access."""
-        rows = zip(
-            self.time_s.tolist(),
-            self.positions,
-            self.eta.tolist(),
-            [None if math.isnan(c) else c for c in self.crlb_m2.tolist()],
-            self.total_cost.tolist(),
-            self.min_clearance_m.tolist(),
-            self.min_pairwise_m.tolist(),
-            self.max_control_m.tolist(),
-            self.displacement_error_m2.tolist(),
-        )
-        return tuple(StepRecord(k, *row) for k, row in enumerate(rows))
 
     def summary(self) -> dict:
         """Plain-data digest of the episode for serialization."""
@@ -430,13 +409,15 @@ def run_episode(
     whose positions or metrics stop being finite raises a ValueError naming
     the step.
 
-    The loop computes what the dynamics and the stop rule need, with one
-    :meth:`World.min_clearance` call per step on the new positions and their
-    centroid; the next step's control input reuses its per-agent rows. Every
-    chunk of C = max(1, min(256, 2**16 // M**2)) steps is then measured in
-    batched calls, whose temporaries hold at most max(2**16, M**2) pairwise
-    distances; a diverged run stops within one chunk. Columns grow chunk by
-    chunk, never from ``max_steps``.
+    The loop carries positions, velocity estimates and the scale as arrays
+    through the same :func:`_advance` as :func:`step`, and builds one
+    :class:`SwarmState`, the final state. It computes what the dynamics and
+    the stop rule need, with one :meth:`World.min_clearance` call per step on
+    the new positions and their centroid; the next step's control input
+    reuses its per-agent rows. Every chunk of C = max(1, min(256, 2**16 //
+    M**2)) steps is then measured in batched calls, whose temporaries hold at
+    most max(2**16, M**2) pairwise distances; a diverged run stops within one
+    chunk. Columns grow chunk by chunk, never from ``max_steps``.
     """
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
@@ -446,36 +427,32 @@ def run_episode(
     chunk_steps = max(1, min(256, 2**16 // agents**2))
     chunks: list[dict] = []
     events: list[tuple[int, int]] = []
-    state = initial
-    around = world.min_clearance(initial.positions)
+    positions, velocities, scale = initial.positions, initial.velocity_estimates, initial.scale
+    around = _surroundings(world, positions)[0]
     first_step, converged = 0, False
     # Overflow shows up as a non-finite metric, which the chunk's divergence check names.
     with np.errstate(over="ignore", invalid="ignore"):
         while first_step < max_steps and not converged:
             size = min(chunk_steps, max_steps - first_step)
             q = np.empty((size + 1, agents, 2))
-            q[0] = state.positions
+            q[0] = positions
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
             clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
             for i in range(size):
-                v = guidance.commanded_velocity(state, world, graph, disp)
-                positions, velocities, u[i] = _advance(state, world, graph, disp, gains, v, around)
-                q[i + 1], v_cmd[i] = positions, v
+                v = guidance.commanded_velocity(positions, world, graph, disp)
+                positions, velocities, scale, u[i], around = _advance(
+                    positions, velocities, scale, initial.step_index + first_step + i, around,
+                    world, graph, disp, gains, v,
+                )
+                q[i + 1], v_cmd[i], clearance[i], eta[i] = positions, v, around[0], scale
                 error[i] = displacement_error(positions, graph, disp)
                 if not np.isfinite(positions).all():
                     size = i + 1  # the chunk's divergence check raises for this step
                     break
-                centroid = positions.mean(axis=0, keepdims=True)
-                points = world.min_clearance(np.concatenate((positions, centroid)))
-                around = tuple(None if a is None else a[:agents] for a in points)
-                clearance[i] = around[0]
-                scale = scale_factor(disp.nominal_diameter_m, float(points[0][agents]), gains, state.scale)
-                eta[i] = scale
-                state = SwarmState(positions, velocities, scale, state.step_index + 1)
                 if (
                     error[i] < stop_tolerance
                     and scale >= 0.999
-                    and guidance.center_error_m(state, world, graph) <= guidance.arrival_tolerance_m
+                    and guidance.center_error_m(positions, world, graph) <= guidance.arrival_tolerance_m
                 ):
                     size, converged = i + 1, True
                     break
@@ -492,6 +469,6 @@ def run_episode(
         **{name: np.concatenate([c[name] for c in chunks]) for name in _COLUMNS},
         safety_events=tuple(events),
         converged=converged,
-        initial_state=initial,
-        final_state=state,
+        final_state=SwarmState(positions, velocities, scale, initial.step_index + first_step)
+        if first_step else initial,
     )

@@ -15,10 +15,12 @@ The control laws work on the graph's edge list and an (M, 2) reference; the
 ``dense_*`` functions are the formulas over all M^2 pairs and the (M, M, 2)
 desired offsets that they replaced. Tests compare the two.
 
-:func:`formsense.world.run_episode` records an episode in columns, measured
-in batched calls per chunk of steps; :func:`stepwise_episode` at the end is
-the loop it replaced, with one :class:`StepRecord`, three clearance queries,
-a CRLB, a cost call and a finiteness check per step.
+:func:`formsense.world.run_episode` carries the swarm as arrays, builds one
+:class:`SwarmState` per run and records the episode in columns, measured in
+batched calls per chunk of steps; :func:`stepwise_episode` at the end is the
+loop it replaced, with a :class:`SwarmState`, one :class:`StepRecord` (the
+per-step row type the library used to expose), three clearance queries, a
+CRLB, a cost call and a finiteness check per step.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from formsense.control import (
 )
 from formsense.errors import SingularGeometryError
 from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
-from formsense.world import (
-    Guidance,
-    RectObstacle,
-    StepRecord,
-    crlb_of_positions,
-    min_pairwise_distance,
-)
+from formsense.world import Guidance, RectObstacle, crlb_of_positions, min_pairwise_distance
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular; the library uses the same rule.
@@ -315,6 +311,22 @@ def dense_displacement_error(positions, adjacency, reference) -> float:
     return float((adjacency * per_pair).sum() / 2.0)
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """Metrics of one executed step; positions are the post-step state."""
+
+    step: int
+    time_s: float
+    positions: np.ndarray
+    eta: float
+    crlb_m2: Optional[float]
+    total_cost: float
+    min_clearance_m: float
+    min_pairwise_m: float
+    max_control_m: float
+    displacement_error_m2: float
+
+
 # Record fields whose non-finite value means the run diverged. The clearance
 # is inf without obstacles and the CRLB is None for degenerate geometry.
 _MUST_BE_FINITE = ("positions", "total_cost", "displacement_error_m2", "max_control_m", "min_pairwise_m")
@@ -329,8 +341,10 @@ def _check_finite(record: StepRecord) -> None:
 
 def _advance(state, world, graph, disp, gains, target_velocity):
     """One control period with its own clearance queries: positions, velocities, scale and u."""
-    velocities = consensus_velocity_step(state, graph, target_velocity, gains)
-    u = control_input(state, graph, disp, gains, *world.min_clearance(state.positions))
+    velocities = consensus_velocity_step(state.velocity_estimates, graph, target_velocity, gains)
+    u = control_input(
+        state.positions, state.scale, graph, disp, gains, *world.min_clearance(state.positions)
+    )
     noise = 0.0
     if world.motion_noise_std > 0.0:
         rng = np.random.default_rng([world.rng_seed, state.step_index])
@@ -357,14 +371,14 @@ def stepwise_episode(
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_steps):
-            v_cmd = guidance.commanded_velocity(state, world, graph, disp)
+            v_cmd = guidance.commanded_velocity(state.positions, world, graph, disp)
             positions, velocities, scale, u = _advance(state, world, graph, disp, gains, v_cmd)
             clearance = world.min_clearance(positions)[0]
             try:
                 crlb: Optional[float] = crlb_of_positions(positions, world, params)
             except (SingularGeometryError, ValueError):
                 crlb = None
-            costs = local_cost(state, graph, disp, world.dt, positions, v_cmd).tolist()
+            costs = local_cost(state.positions, graph, disp, world.dt, positions, v_cmd).tolist()
             record = StepRecord(
                 step=k,
                 time_s=(k + 1) * world.dt,
@@ -384,7 +398,7 @@ def stepwise_episode(
             if (
                 record.displacement_error_m2 < stop_tolerance
                 and state.scale >= 0.999
-                and guidance.center_error_m(state, world, graph) <= guidance.arrival_tolerance_m
+                and guidance.center_error_m(state.positions, world, graph) <= guidance.arrival_tolerance_m
             ):
                 converged = True
                 break

@@ -282,8 +282,8 @@ def test_criterion_08_corridor_transit():
         stop_tolerance=cfg.stop_tolerance_m2,
         guidance=cfg.guidance,
     )
-    etas = np.array([r.eta for r in trace.records])
-    costs = np.array([r.total_cost for r in trace.records])
+    etas = trace.eta
+    costs = trace.total_cost
     no_contact = len(trace.safety_events) == 0
     dips = np.flatnonzero(etas < 0.9)
     dipped = dips.size > 0
@@ -304,7 +304,7 @@ def test_criterion_08_corridor_transit():
                 f"{transient:.0f} -> {costs[-1]:.3f}"
             )
     bound = theoretical_lower_bound(cfg.params, cfg.agent_count)
-    final_crlb = trace.records[-1].crlb_m2
+    final_crlb = trace.crlb_m2[-1].item()
     near_bound = final_crlb is not None and abs(final_crlb / bound - 1.0) <= 0.01
     elapsed = time.perf_counter() - start
     ok = ok and near_bound and elapsed < 10.0
@@ -355,7 +355,7 @@ def test_criterion_09_control_laws_are_gradients():
     for _ in range(100):
         q = rng.uniform(-40.0, 40.0, size=(6, 2))
         state = SwarmState(positions=q, velocity_estimates=np.zeros((6, 2)))
-        u = displacement_control(state, graph, disp, ctrl_gains, 1.0)
+        u = displacement_control(state.positions, graph, disp, ctrl_gains, 1.0)
         m = int(rng.integers(0, 6))
 
         def local_disp_cost(point):

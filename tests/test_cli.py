@@ -269,6 +269,33 @@ class TestErrorPaths:
         assert "runtime error: run_episode: diverged at step 0" in err
         assert list(out.iterdir()) == []
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: cannot read {cfg}: ")
+        assert err.count("\n") == 1
+
+    def test_out_dir_below_a_file(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output directory {out}: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_artifact_exits_3(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, episode={"max_steps": 3})
+        out = tmp_path / "o"
+        (out / "trace.jsonl").mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "trace.jsonl" in err
+        assert err.count("\n") == 1
+
     def test_json_artifacts_reject_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError):
             cli._write_json(tmp_path / "x.json", {"cost": float("nan")})

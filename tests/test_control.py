@@ -149,20 +149,22 @@ class TestConsensusVelocityStep:
         graph = CommGraph.ring(5)
         v_star = np.array([1.0, -2.0])
         state = self._state(np.tile(v_star, (5, 1)))
-        out = consensus_velocity_step(state, graph, v_star, ControlGains())
+        out = consensus_velocity_step(state.velocity_estimates, graph, v_star, ControlGains())
         np.testing.assert_array_equal(out, np.tile(v_star, (5, 1)))
 
     def test_leader_is_pinned(self):
         graph = CommGraph.ring(4)
         v = np.array([[9.0, 9.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        out = consensus_velocity_step(self._state(v), graph, np.array([1.0, 0.5]), ControlGains())
+        out = consensus_velocity_step(
+            self._state(v).velocity_estimates, graph, np.array([1.0, 0.5]), ControlGains()
+        )
         np.testing.assert_array_equal(out[0], [1.0, 0.5])
 
     def test_two_agents_halve_the_error(self):
         graph = two_agent_graph()
         v = np.array([[0.0, 0.0], [4.0, -2.0]])
         gains = ControlGains(consensus_gain=0.5)
-        out = consensus_velocity_step(self._state(v), graph, np.zeros(2), gains)
+        out = consensus_velocity_step(self._state(v).velocity_estimates, graph, np.zeros(2), gains)
         np.testing.assert_allclose(out[1], [2.0, -1.0], rtol=1e-12)
 
     def test_ring_converges_within_500_rounds(self):
@@ -172,7 +174,7 @@ class TestConsensusVelocityStep:
         rng = np.random.default_rng(50)
         v = rng.uniform(-5.0, 5.0, size=(6, 2))
         for _ in range(500):
-            v = consensus_velocity_step(self._state(v), graph, v_star, gains)
+            v = consensus_velocity_step(self._state(v).velocity_estimates, graph, v_star, gains)
         assert np.abs(v - v_star).max() < 1e-6
 
     def test_contracts_on_random_graphs(self):
@@ -187,7 +189,7 @@ class TestConsensusVelocityStep:
             initial = float(np.linalg.norm(v - v_star))
             err = initial
             for _ in range(100):
-                v = consensus_velocity_step(self._state(v), graph, v_star, gains)
+                v = consensus_velocity_step(self._state(v).velocity_estimates, graph, v_star, gains)
                 new_err = float(np.linalg.norm(v - v_star))
                 assert new_err <= err * (1.0 + 1e-12)
                 err = new_err
@@ -202,7 +204,7 @@ class TestDisplacementControl:
             positions=formation.planar_positions,
             velocity_estimates=np.zeros((6, 2)),
         )
-        u = displacement_control(state, CommGraph.ring_with_leader(6), disp, ControlGains(), 1.0)
+        u = displacement_control(state.positions, CommGraph.ring_with_leader(6), disp, ControlGains(), 1.0)
         np.testing.assert_array_equal(u, np.zeros((6, 2)))
 
     def test_zero_at_shrunk_embedding(self, default_params, target):
@@ -211,7 +213,7 @@ class TestDisplacementControl:
         center = formation.planar_positions.mean(axis=0)
         shrunk = center + 0.5 * (formation.planar_positions - center)
         state = SwarmState(positions=shrunk, velocity_estimates=np.zeros((5, 2)))
-        u = displacement_control(state, CommGraph.ring(5), disp, ControlGains(), 0.5)
+        u = displacement_control(state.positions, CommGraph.ring(5), disp, ControlGains(), 0.5)
         assert np.abs(u).max() < 1e-12
 
     def test_pair_pushes_are_opposite(self):
@@ -223,7 +225,7 @@ class TestDisplacementControl:
             positions=np.array([[0.0, 0.0], [1.0, 1.0]]),
             velocity_estimates=np.zeros((2, 2)),
         )
-        u = displacement_control(state, two_agent_graph(), disp, ControlGains(), 1.0)
+        u = displacement_control(state.positions, two_agent_graph(), disp, ControlGains(), 1.0)
         np.testing.assert_allclose(u[0], -u[1], rtol=1e-12)
 
     def test_total_momentum_conserved(self, default_params, target):
@@ -235,7 +237,7 @@ class TestDisplacementControl:
                 velocity_estimates=np.zeros((6, 2)),
             )
             u = displacement_control(
-                state, CommGraph.ring_with_leader(6), disp, ControlGains(), 1.0
+                state.positions, CommGraph.ring_with_leader(6), disp, ControlGains(), 1.0
             )
             drift = np.abs(u.sum(axis=0)).max()
             assert drift <= 1e-12 * max(1.0, np.abs(u).max())
@@ -250,7 +252,7 @@ class TestDisplacementControl:
         for _ in range(20):
             q = rng.uniform(-40.0, 40.0, size=(6, 2))
             state = SwarmState(positions=q, velocity_estimates=np.zeros((6, 2)))
-            u = displacement_control(state, graph, disp, gains, 1.0)
+            u = displacement_control(state.positions, graph, disp, gains, 1.0)
             m = int(rng.integers(0, 6))
 
             def disp_cost(point):
@@ -269,7 +271,7 @@ class TestDisplacementControl:
         six = displacement_set(build_formation(default_params, target, 6))
         state = SwarmState(positions=np.zeros((6, 2)), velocity_estimates=np.zeros((6, 2)))
         with pytest.raises(ValueError, match="expected 6 agents, got 6 positions and 7 reference"):
-            displacement_control(state, CommGraph.ring(6), seven, ControlGains(), 1.0)
+            displacement_control(state.positions, CommGraph.ring(6), seven, ControlGains(), 1.0)
         with pytest.raises(ValueError, match="expected 6 agents, got 5 positions"):
             displacement_error(np.zeros((5, 2)), CommGraph.ring(6), six)
 
@@ -278,7 +280,7 @@ class TestDisplacementControl:
         state = SwarmState(positions=np.zeros((3, 2)), velocity_estimates=np.zeros((3, 2)))
         for scale in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="scale"):
-                displacement_control(state, CommGraph.ring(3), disp, ControlGains(), scale)
+                displacement_control(state.positions, CommGraph.ring(3), disp, ControlGains(), scale)
 
     def test_closed_loop_error_contracts_on_random_graphs(self, default_params, target):
         rng = np.random.default_rng(79)
@@ -295,7 +297,7 @@ class TestDisplacementControl:
             initial = err
             for _ in range(200):
                 state = SwarmState(positions=q, velocity_estimates=np.zeros((n, 2)))
-                q = q + displacement_control(state, graph, disp, gains, 1.0)
+                q = q + displacement_control(state.positions, graph, disp, gains, 1.0)
                 new_err = displacement_error(q, graph, disp)
                 assert new_err <= err * (1.0 + 1e-12) + 1e-15
                 err = new_err
@@ -309,7 +311,7 @@ class TestLocalCost:
         q = formation.planar_positions
         state = SwarmState(positions=q, velocity_estimates=np.zeros((4, 2)))
         dt = 0.1
-        cost = local_cost(state, CommGraph.ring(4), disp, dt, q + dt * np.array([1.0, 0.0]))
+        cost = local_cost(state.positions, CommGraph.ring(4), disp, dt, q + dt * np.array([1.0, 0.0]))
         assert cost.shape == (4,)
         np.testing.assert_allclose(cost, 0.0, atol=1e-18)
 
@@ -318,7 +320,7 @@ class TestLocalCost:
         disp = displacement_set(formation)
         q = formation.planar_positions
         state = SwarmState(positions=q, velocity_estimates=np.zeros((4, 2)))
-        cost = local_cost(state, CommGraph.ring(4), disp, 0.5, q + 0.5 * np.array([0.3, -0.4]))
+        cost = local_cost(state.positions, CommGraph.ring(4), disp, 0.5, q + 0.5 * np.array([0.3, -0.4]))
         np.testing.assert_allclose(cost, 0.25, rtol=1e-9)
 
     def test_displacement_term_matches_manual_sum(self, default_params, target):
@@ -327,7 +329,7 @@ class TestLocalCost:
         disp = displacement_set(build_formation(default_params, target, 5))
         q = rng.uniform(-20.0, 20.0, size=(5, 2))
         state = SwarmState(positions=q, velocity_estimates=np.zeros((5, 2)))
-        got = local_cost(state, graph, disp, 0.1, q)  # realized velocity 0
+        got = local_cost(state.positions, graph, disp, 0.1, q)  # realized velocity 0
         for agent in range(5):
             expected = 0.0
             for p in range(5):
@@ -346,7 +348,7 @@ class TestLocalCost:
             q = target.position + rng.uniform(-30.0, 30.0, size=(m, 2))
             nxt = q + rng.normal(0.0, 0.5, size=(m, 2))
             state = SwarmState(positions=q, velocity_estimates=np.zeros((m, 2)))
-            got = local_cost(state, graph, disp, 0.1, nxt)
+            got = local_cost(state.positions, graph, disp, 0.1, nxt)
             want = [
                 agent_cost(q, graph.adjacency, disp.reference, a, 0.1, nxt[a], disp.global_velocity)
                 for a in range(m)
@@ -357,7 +359,7 @@ class TestLocalCost:
         disp = displacement_set(build_formation(default_params, target, 3))
         state = SwarmState(positions=np.zeros((3, 2)), velocity_estimates=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dt"):
-            local_cost(state, CommGraph.ring(3), disp, 0.0, np.zeros((3, 2)))
+            local_cost(state.positions, CommGraph.ring(3), disp, 0.0, np.zeros((3, 2)))
 
 
 class TestRepulsion:
@@ -479,8 +481,8 @@ class TestControlInput:
             velocity_estimates=np.zeros((6, 2)),
         )
         open_space = World(target=target).min_clearance(state.positions)
-        u = control_input(state, graph, disp, gains, *open_space)
-        expected = displacement_control(state, graph, disp, gains, state.scale)
+        u = control_input(state.positions, state.scale, graph, disp, gains, *open_space)
+        expected = displacement_control(state.positions, graph, disp, gains, state.scale)
         np.testing.assert_array_equal(u, expected)
 
     def test_adds_repulsion_for_threatened_agent_only(self, default_params, target):
@@ -493,8 +495,8 @@ class TestControlInput:
         world = World(target=target, obstacles=(post,))
         nearest = np.array([-2.5, 0.0])
 
-        base = displacement_control(state, graph, disp, gains, 1.0)
-        u = control_input(state, graph, disp, gains, *world.min_clearance(positions))
+        base = displacement_control(state.positions, graph, disp, gains, 1.0)
+        u = control_input(state.positions, state.scale, graph, disp, gains, *world.min_clearance(positions))
         np.testing.assert_allclose(
             u[0] - base[0], repulsion(positions[0], nearest, gains), rtol=1e-12
         )
@@ -509,7 +511,7 @@ class TestControlInput:
             positions=shrunk, velocity_estimates=np.zeros((4, 2)), scale=0.37
         )
         open_space = World(target=target).min_clearance(state.positions)
-        u = control_input(state, CommGraph.ring(4), disp, ControlGains(), *open_space)
+        u = control_input(state.positions, state.scale, CommGraph.ring(4), disp, ControlGains(), *open_space)
         assert np.abs(u).max() < 1e-12
 
 
@@ -580,15 +582,15 @@ class TestEdgeListMatchesDense:
         gains = ControlGains(epsilon=0.003, consensus_gain=0.004)
         v_ref = disp.global_velocity
 
-        got = consensus_velocity_step(state, graph, v_ref, gains)
+        got = consensus_velocity_step(state.velocity_estimates, graph, v_ref, gains)
         want = dense_consensus(state.velocity_estimates, adj, graph.leader_index, v_ref, 0.004)
         assert got.tobytes() == want.tobytes()
 
-        got = displacement_control(state, graph, disp, gains, scale)
+        got = displacement_control(state.positions, graph, disp, gains, scale)
         want = dense_displacement_control(q, adj, r, 0.003, scale)
         assert got.tobytes() == want.tobytes()
 
-        got = local_cost(state, graph, disp, 0.1, nxt)
+        got = local_cost(state.positions, graph, disp, 0.1, nxt)
         want = dense_local_cost(q, adj, r, 0.1, nxt, v_ref)
         assert got.tobytes() == want.tobytes()
 
@@ -610,9 +612,9 @@ class TestEdgeListMatchesDense:
         )
         gains = ControlGains()
         laws = {
-            "consensus": lambda: consensus_velocity_step(state, graph, np.zeros(2), gains),
-            "displacement": lambda: displacement_control(state, graph, disp, gains, 0.5),
-            "local_cost": lambda: local_cost(state, graph, disp, 0.1, state.positions),
+            "consensus": lambda: consensus_velocity_step(state.velocity_estimates, graph, np.zeros(2), gains),
+            "displacement": lambda: displacement_control(state.positions, graph, disp, gains, 0.5),
+            "local_cost": lambda: local_cost(state.positions, graph, disp, 0.1, state.positions),
             "displacement_error": lambda: displacement_error(state.positions, graph, disp),
         }
         for name, law in laws.items():

@@ -18,7 +18,6 @@ from formsense import (
     Guidance,
     RectObstacle,
     SensingParams,
-    StepRecord,
     SwarmState,
     TargetEstimate,
     World,
@@ -34,6 +33,7 @@ from formsense import (
 )
 from formsense import world as world_module
 from oracle import (
+    StepRecord,
     clearance_of_point,
     escape_direction,
     nearest_point,
@@ -362,9 +362,9 @@ class TestGuidance:
         state = embedding_state(formation)
         guidance = Guidance(mode="constant")
         np.testing.assert_array_equal(
-            guidance.commanded_velocity(state, world, CommGraph.ring(4), disp), [0.7, -0.1]
+            guidance.commanded_velocity(state.positions, world, CommGraph.ring(4), disp), [0.7, -0.1]
         )
-        assert guidance.center_error_m(state, world, CommGraph.ring(4)) == 0.0
+        assert guidance.center_error_m(state.positions, world, CommGraph.ring(4)) == 0.0
 
     def test_goal_mode_stops_at_goal(self, default_params, target):
         formation = build_formation(default_params, target, 4)
@@ -374,8 +374,8 @@ class TestGuidance:
         leader_offset = formation.planar_positions[0] - target.position
         guidance = Guidance(mode="goal", leader_offset=leader_offset)
         state = embedding_state(formation)  # center already on the target
-        assert guidance.center_error_m(state, world, graph) == pytest.approx(0.0, abs=1e-9)
-        v = guidance.commanded_velocity(state, world, graph, disp)
+        assert guidance.center_error_m(state.positions, world, graph) == pytest.approx(0.0, abs=1e-9)
+        v = guidance.commanded_velocity(state.positions, world, graph, disp)
         assert np.linalg.norm(v) == pytest.approx(0.0, abs=1e-9)
 
     def test_goal_mode_proportional_when_close(self, target):
@@ -385,7 +385,7 @@ class TestGuidance:
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         guidance = Guidance(mode="goal", gain_per_s=0.5, max_speed_mps=1.2)
         disp = DisplacementSet(reference=np.zeros((3, 2)), global_velocity=np.zeros(2))
-        v = guidance.commanded_velocity(state, world, graph, disp)
+        v = guidance.commanded_velocity(state.positions, world, graph, disp)
         np.testing.assert_allclose(v, [-0.5, 0.0], rtol=1e-12)
 
     def test_goal_mode_saturates_when_far(self, target):
@@ -395,7 +395,7 @@ class TestGuidance:
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         guidance = Guidance(mode="goal", gain_per_s=0.5, max_speed_mps=1.2)
         disp = DisplacementSet(reference=np.zeros((3, 2)), global_velocity=np.zeros(2))
-        v = guidance.commanded_velocity(state, world, graph, disp)
+        v = guidance.commanded_velocity(state.positions, world, graph, disp)
         assert np.linalg.norm(v) == pytest.approx(1.2, rel=1e-12)
         np.testing.assert_allclose(v / np.linalg.norm(v), [-1.0, 0.0], rtol=1e-12)
 
@@ -406,7 +406,7 @@ class TestGuidance:
         positions = np.tile(target.position, (3, 1))
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         guidance = Guidance(mode="goal", goal_m=goal)
-        assert guidance.center_error_m(state, world, graph) == pytest.approx(
+        assert guidance.center_error_m(state.positions, world, graph) == pytest.approx(
             float(np.linalg.norm(target.position - goal)), rel=1e-12
         )
 
@@ -435,12 +435,10 @@ class TestRunEpisode:
         )
         assert trace.converged
         assert trace.steps == 1
-        record = trace.records[0]
-        assert record.step == 0
-        assert record.time_s == pytest.approx(0.1, rel=1e-12)
-        assert record.displacement_error_m2 == 0.0
-        assert record.max_control_m == 0.0
-        assert record.crlb_m2 == pytest.approx(formation.crlb_m2, rel=1e-9)
+        assert trace.time_s[0] == pytest.approx(0.1, rel=1e-12)
+        assert trace.displacement_error_m2[0] == 0.0
+        assert trace.max_control_m[0] == 0.0
+        assert trace.crlb_m2[0] == pytest.approx(formation.crlb_m2, rel=1e-9)
 
     def test_zero_step_budget(self, default_params, target):
         formation = build_formation(default_params, target, 6)
@@ -451,7 +449,7 @@ class TestRunEpisode:
             initial, world, CommGraph.ring_with_leader(6), disp, ControlGains(),
             default_params, max_steps=0,
         )
-        assert trace.records == ()
+        assert trace.positions.shape == (0, 6, 2)
         assert not trace.converged
         assert trace.final_state is initial
         summary = trace.summary()
@@ -485,8 +483,7 @@ class TestRunEpisode:
         a = run_episode(initial, world, graph, disp, **kwargs)
         b = run_episode(initial, world, graph, disp, **kwargs)
         assert a.steps == b.steps
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.positions, rb.positions)
+        assert np.array_equal(a.positions, b.positions)
         assert a.summary() == b.summary()
 
     def test_cost_non_increasing_once_velocities_lock(self, default_params, target):
@@ -506,8 +503,8 @@ class TestRunEpisode:
             initial, world, graph, disp, ControlGains(), default_params,
             max_steps=400, stop_tolerance=0.0,
         )
-        costs = np.array([r.total_cost for r in trace.records])
-        errors = np.array([r.displacement_error_m2 for r in trace.records])
+        costs = trace.total_cost
+        errors = trace.displacement_error_m2
         assert np.all(np.diff(costs) <= 1e-9 * np.maximum(1.0, costs[:-1]))
         assert np.all(np.diff(errors) <= 1e-12 * np.maximum(1.0, errors[:-1]))
 
@@ -523,7 +520,7 @@ class TestRunEpisode:
         )
         assert len(trace.safety_events) > 0
         assert all(s >= 0 and 0 <= m < 3 for s, m in trace.safety_events)
-        assert trace.records[0].min_clearance_m == 0.0
+        assert trace.min_clearance_m[0] == 0.0
 
     def test_crlb_is_none_for_singular_geometry(self, default_params):
         target = TargetEstimate(np.array([0.0, 0.0]))
@@ -536,7 +533,7 @@ class TestRunEpisode:
             max_steps=2,
         )
         assert trace.converged  # collinear but perfectly in formation
-        assert trace.records[0].crlb_m2 is None
+        assert np.isnan(trace.crlb_m2[0])
         assert trace.summary()["final_crlb_m2"] is None
 
     @pytest.mark.parametrize("agents", [6, 24])
@@ -568,6 +565,59 @@ class TestRunEpisode:
             "min_clearance": steps + 1,
             "crlb_of_positions": chunks,
         }
+
+    @pytest.mark.parametrize("steps", [1, 300])
+    def test_builds_one_swarm_state(self, default_params, target, monkeypatch, steps):
+        formation = build_formation(default_params, target, 6)
+        initial = embedding_state(formation)
+        calls = {}
+        count_calls(monkeypatch, SwarmState, "__post_init__", calls)
+        trace = run_episode(
+            initial,
+            World(target=target, motion_noise_std=0.05, rng_seed=1),
+            CommGraph.ring(6),
+            displacement_set(formation),
+            ControlGains(),
+            default_params,
+            max_steps=steps,
+            stop_tolerance=0.0,
+        )
+        assert trace.steps == steps
+        assert calls["__post_init__"] == 1
+
+    def test_public_step_matches_episode(self, default_params, target):
+        """k calls of step() give the episode's positions and final state bit for bit."""
+        formation = build_formation(default_params, target, 6)
+        x, y = formation.planar_positions[0]
+        world = World(
+            target=target,
+            obstacles=(RectObstacle(x - 20.0, x + 20.0, y - 20.0, y + 20.0), BOX),
+            motion_noise_std=0.05,
+            rng_seed=11,
+        )
+        graph = CommGraph.ring_with_leader(6)
+        disp = displacement_set(formation, (0.3, -0.1))
+        gains = ControlGains()
+        rng = np.random.default_rng(4)
+        state = SwarmState(
+            positions=formation.planar_positions + rng.uniform(-3.0, 3.0, size=(6, 2)),
+            velocity_estimates=rng.normal(0.0, 0.1, size=(6, 2)),
+            scale=0.8,
+            step_index=4,
+        )
+        steps = 40
+        trace = run_episode(
+            state, world, graph, disp, gains, default_params, max_steps=steps, stop_tolerance=0.0
+        )
+        assert trace.steps == steps and trace.safety_events and trace.eta.min() < 0.8
+        for k in range(steps):
+            state = step(state, world, graph, disp, gains)
+            assert state.positions.tobytes() == trace.positions[k].tobytes(), k
+        final = trace.final_state
+        assert final.positions.tobytes() == state.positions.tobytes()
+        assert final.velocity_estimates.tobytes() == state.velocity_estimates.tobytes()
+        assert (final.scale, final.step_index) == (state.scale, state.step_index)
+        assert state.step_index == 4 + steps
 
     def test_diverged_run_names_the_step(self, default_params, target):
         formation = build_formation(default_params, target, 3)
@@ -652,11 +702,9 @@ def _assert_matches_oracle(trace, oracle):
         assert getattr(trace, name).tobytes() == want.tobytes(), name
     crlb = [None if math.isnan(c) else c for c in trace.crlb_m2.tolist()]
     assert crlb == [r.crlb_m2 for r in records]
-    scalars = [f.name for f in dataclasses.fields(StepRecord) if f.name != "positions"]
-    for got, want in zip(trace.records, records):
-        assert isinstance(got, StepRecord)
-        assert np.array_equal(got.positions, want.positions)
-        assert [getattr(got, f) for f in scalars] == [getattr(want, f) for f in scalars]
+    assert [r.step for r in records] == list(range(trace.steps))
+    columns = {f.name for f in dataclasses.fields(StepRecord)} - {"step"}
+    assert columns == set(world_module._COLUMNS)  # every record field is compared above
     assert trace.safety_events == events
     assert trace.converged == converged
     assert np.array_equal(trace.final_state.positions, final.positions)
