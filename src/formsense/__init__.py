@@ -27,12 +27,11 @@ from .formation import (
     DisplacementSet,
     FormationGeometry,
     build_formation,
-    displacement_set,
     optimal_azimuths,
     optimal_elevation,
     theoretical_lower_bound,
 )
-from .sensing import SPEED_OF_LIGHT, SensingParams, TargetEstimate, crlb, elevation_weight
+from .sensing import SensingParams, TargetEstimate, crlb, elevation_weight
 from .world import (
     EpisodeTrace,
     Guidance,
@@ -58,7 +57,6 @@ __all__ = [
     "InsufficientAgentsError",
     "RectObstacle",
     "RunConfig",
-    "SPEED_OF_LIGHT",
     "SensingParams",
     "SingularGeometryError",
     "SwarmState",
@@ -74,7 +72,6 @@ __all__ = [
     "dbm_to_watts",
     "displacement_control",
     "displacement_error",
-    "displacement_set",
     "elevation_weight",
     "formation_crlb",
     "load_config",

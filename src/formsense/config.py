@@ -25,7 +25,7 @@ import yaml
 from .benchmarks import KINDS, BenchmarkSpec
 from .control import CommGraph, ControlGains, SwarmState, check_stability
 from .errors import ConfigError
-from .formation import FormationGeometry, build_formation, displacement_set
+from .formation import DisplacementSet, FormationGeometry, build_formation
 from .sensing import SensingParams, TargetEstimate
 from .world import Guidance, RectObstacle, World
 
@@ -225,9 +225,10 @@ class RunConfig:
         """
         return self.formation
 
-    def displacement_set(self, formation: Optional[FormationGeometry] = None):
+    def displacement_set(self, formation: Optional[FormationGeometry] = None) -> DisplacementSet:
+        formation = self.formation if formation is None else formation
         velocity = self.canonical["guidance"]["velocity_mps"]
-        return displacement_set(self.formation if formation is None else formation, velocity)
+        return DisplacementSet(formation.planar_positions, velocity)
 
     def initial_state(self) -> SwarmState:
         return SwarmState(
@@ -364,13 +365,11 @@ def _output_dir(value: Any) -> str:
 def load_config(
     path: str | Path,
     seed: Optional[int] = None,
-    out_dir: Optional[str] = None,
     noise_free: bool = False,
 ) -> RunConfig:
     """Parse and validate a YAML config file, applying CLI-level overrides.
 
-    ``seed`` and ``noise_free`` change the effective configuration (and its
-    hash); ``out_dir`` only redirects output and never enters the hash.
+    ``seed`` and ``noise_free`` change the effective configuration and its hash.
     """
     path = Path(path)
     try:
@@ -382,18 +381,17 @@ def load_config(
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: invalid YAML in {path}: {exc}") from exc
     raw = _expect_mapping("config", raw)
-    return build_config(raw, seed=seed, out_dir=out_dir, noise_free=noise_free)
+    return build_config(raw, seed=seed, noise_free=noise_free)
 
 
 def build_config(
     raw: dict,
     seed: Optional[int] = None,
-    out_dir: Optional[str] = None,
     noise_free: bool = False,
 ) -> RunConfig:
     """Resolve a raw mapping (already YAML-parsed) into a RunConfig."""
     _reject_unknown("config", raw, {*SCHEMA, "seed", "output_dir"})
-    # The file's own seed and output_dir are checked even when overridden.
+    # The file's own seed is checked even when overridden.
     file_seed = _seed(raw.get("seed", _DEFAULT_SEED))
     seed = file_seed if seed is None else _seed(seed)
     canonical: dict[str, Any] = {
@@ -415,11 +413,14 @@ def build_config(
         raise ConfigError(str(exc)) from exc
     initial_positions = _initial_positions(canonical["deployment"], agent_count, seed)
 
-    plan_target = TargetEstimate(
-        world.target.position + np.array(formation_c["prior_target_offset_m"])
-    )
     rotation_rad = math.radians(formation_c["initial_rotation_deg"])
-    formation = build_formation(params, plan_target, agent_count, rotation_rad)
+    try:
+        offset = np.array(formation_c["prior_target_offset_m"])
+        with np.errstate(over="ignore"):  # an infinite plan target is rejected as not finite
+            plan_target = TargetEstimate(world.target.position + offset)
+        formation = build_formation(params, plan_target, agent_count, rotation_rad)
+    except ValueError as exc:  # e.g. a far target or rotation rounds the ring to a point
+        raise ConfigError(f"formation: {exc}") from exc
     leader_offset = formation.planar_positions[graph.leader_index] - plan_target.position
     guidance_c = {k: v for k, v in canonical["guidance"].items() if k != "velocity_mps"}
     try:
@@ -436,8 +437,6 @@ def build_config(
     benchmarks = _sweep(canonical["sweep"], params)
 
     output_dir = _output_dir(raw.get("output_dir", _DEFAULT_OUTPUT_DIR))
-    if out_dir is not None:
-        output_dir = _output_dir(out_dir)
 
     return RunConfig(
         params=params,

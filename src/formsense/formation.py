@@ -19,14 +19,6 @@ import numpy as np
 from .errors import InsufficientAgentsError
 from .sensing import SensingParams, TargetEstimate, crlb, elevation_weight
 
-# Beyond this ratio between the two weight-curve coefficients the closed-form
-# quadratic loses digits to cancellation; fall back to bisection on the
-# weight derivative.
-_CLOSED_FORM_RATIO_LIMIT = 1e12
-
-_PHI_LO = math.radians(0.01)
-_PHI_HI = math.radians(89.99)
-
 _GEOMETRY_RTOL = 1e-9
 
 
@@ -87,12 +79,13 @@ class DisplacementSet:
             desired offset from agent p to agent m is reference[m] - reference[p],
             so it is antisymmetric and consistent along agent chains by
             construction; control laws read it on the graph's edges only.
-        global_velocity: Common reference velocity of the whole formation, m/s.
+        global_velocity: Common reference velocity of the whole formation, m/s;
+            zero by default.
         nominal_diameter_m: Largest pairwise distance in the reference.
     """
 
     reference: np.ndarray
-    global_velocity: np.ndarray
+    global_velocity: np.ndarray = (0.0, 0.0)
     nominal_diameter_m: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -126,52 +119,24 @@ def _squared_distances(points: np.ndarray) -> np.ndarray:
 def optimal_elevation(params: SensingParams) -> float:
     """Elevation angle maximizing the per-agent information weight.
 
-    The stationarity condition reduces to a quadratic in tan^2(phi) with a
-    single positive root between 1 and 2, so the optimum always lies between
-    45 degrees and arctan(sqrt(2)) ~ 54.74 degrees: the high-SNR regime
-    favors pure geometry, the low-SNR regime tilts toward shorter ranges.
+    The weight is (a sin^4(phi) + b sin^2(phi)) cos^2(phi) with a = C / H^4
+    and b = 8 / H^2. Setting its derivative to zero gives a quadratic in
+    t = tan^2(phi) whose positive root depends on r = a / b = C / (8 H^2) only:
+    t* = (r + sqrt(r^2 + r + 1)) / (r + 1). Every term is positive, so no
+    digits cancel for any r in (0, inf). t* rises from 1 to 2 with r, so the
+    optimum always lies between 45 degrees and arctan(sqrt(2)) ~ 54.74
+    degrees: the high-SNR regime favors pure geometry, the low-SNR regime
+    tilts toward shorter ranges.
+
+    The root is evaluated multiplied through by b, which needs no branch:
+    under the SNR ceiling C / H^4 <= 1e100 and at the altitudes a config
+    accepts, 1 mm to 1000 km, a^2, ab and b^2 are all finite.
     """
     h = params.altitude_m
     a = params.composite_snr_m4 / h**4
     b = 8.0 / h**2
-    ratio = a / b
-    if 1.0 / _CLOSED_FORM_RATIO_LIMIT < ratio < _CLOSED_FORM_RATIO_LIMIT:
-        t_star = (a + math.sqrt(a * a + a * b + b * b)) / (a + b)
-        return math.atan(math.sqrt(t_star))
-    return _bisect_weight_peak(params)
-
-
-def _bisect_weight_peak(params: SensingParams) -> float:
-    """Locate the weight maximum by bisection on its derivative sign.
-
-    The weight is smooth and unimodal on (0, pi/2), so the derivative changes
-    sign exactly once. Used when the quadratic's coefficients are too far
-    apart in magnitude for the closed form to be trustworthy.
-    """
-    h = params.altitude_m
-    a = params.composite_snr_m4 / h**4
-    b = 8.0 / h**2
-
-    def slope_sign(phi: float) -> float:
-        s2 = math.sin(phi) ** 2
-        c2 = math.cos(phi) ** 2
-        # d(weight)/d(phi) divided by sin(2 phi), which is positive here.
-        return a * s2 * (2.0 * c2 - s2) + b * (c2 - s2)
-
-    lo, hi = _PHI_LO, _PHI_HI
-    if slope_sign(lo) <= 0.0:
-        return lo
-    if slope_sign(hi) >= 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if slope_sign(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    t_star = (a + math.sqrt(a * a + a * b + b * b)) / (a + b)
+    return math.atan(math.sqrt(t_star))
 
 
 def optimal_azimuths(agent_count: int, initial_rotation_rad: float = 0.0) -> np.ndarray:
@@ -229,7 +194,3 @@ def build_formation(
         crlb_m2=crlb(positions, target, params),
     )
 
-
-def displacement_set(formation: FormationGeometry, global_velocity=(0.0, 0.0)) -> DisplacementSet:
-    """The formation's positions as the reference the control law should hold."""
-    return DisplacementSet(reference=formation.planar_positions, global_velocity=global_velocity)

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import SingularGeometryError
 
-SPEED_OF_LIGHT = 2.99792458e8  # m/s
-
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular. Scale-free by construction.
 _SINGULARITY_RTOL = 1e-12
@@ -40,7 +38,6 @@ class SensingParams:
         kappa: Dimensionless system constant of the noise model.
         noise_floor_w: Receiver noise power in watts.
         altitude_m: Common flight altitude in meters.
-        speed_of_light: Propagation speed in m/s.
     """
 
     transmit_power_w: float
@@ -49,7 +46,6 @@ class SensingParams:
     kappa: float
     noise_floor_w: float
     altitude_m: float
-    speed_of_light: float = SPEED_OF_LIGHT
 
     # p * G_p * beta0 / (kappa * sigma0^2); the only combination the noise
     # and information formulas depend on. Units m^4.
@@ -63,7 +59,6 @@ class SensingParams:
             "kappa",
             "noise_floor_w",
             "altitude_m",
-            "speed_of_light",
         ):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):

@@ -11,6 +11,9 @@ against all rectangles at once, and :func:`formsense.control.local_cost`
 returns every agent's cost in one call; the per-rectangle, per-point and
 per-agent functions near the end of this module are the loops they replaced.
 
+:func:`formsense.formation.optimal_elevation` is a closed form;
+:func:`bisect_weight_peak` finds the same peak by bisection, with no algebra.
+
 The control laws work on the graph's edge list and an (M, 2) reference; the
 ``dense_*`` functions are the formulas over all M^2 pairs and the (M, M, 2)
 desired offsets that they replaced. Tests compare the two.
@@ -48,6 +51,8 @@ from formsense.world import Guidance, RectObstacle, crlb_of_positions, min_pairw
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular; the library uses the same rule.
 SINGULARITY_RTOL = 1e-12
+
+SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,11 @@ def slant_range(agent_planar: np.ndarray, target: TargetEstimate, params: Sensin
     return float(math.sqrt(offset[0] ** 2 + offset[1] ** 2 + params.altitude_m**2))
 
 
-def delay_to_range(delay_s: float, params: SensingParams) -> float:
+def delay_to_range(delay_s: float) -> float:
     """Convert a round-trip delay measurement to a one-way range: d = tau * c / 2."""
     if delay_s < 0:
         raise ValueError(f"delay_to_range: delay must be >= 0, got {delay_s!r}")
-    return delay_s * params.speed_of_light / 2.0
+    return delay_s * SPEED_OF_LIGHT / 2.0
 
 
 def noise_variance(distance_m, params: SensingParams):
@@ -174,6 +179,40 @@ def crlb_trace(fim: Fim2) -> float:
             f"is negligible against trace {fim.trace:.3e}"
         )
     return fim.trace / det
+
+
+def bisect_weight_peak(params: SensingParams) -> float:
+    """Elevation of the weight maximum, by bisection on the sign of its derivative.
+
+    The weight (a sin^4 + b sin^2) cos^2 with a = C / H^4 and b = 8 / H^2 is
+    smooth and unimodal on (0, pi/2), so its derivative changes sign exactly
+    once. Needs no closed form: the reference for
+    :func:`formsense.formation.optimal_elevation` at every coefficient ratio.
+    """
+    h = params.altitude_m
+    a = params.composite_snr_m4 / h**4
+    b = 8.0 / h**2
+
+    def slope_sign(phi: float) -> float:
+        s2 = math.sin(phi) ** 2
+        c2 = math.cos(phi) ** 2
+        # d(weight)/d(phi) divided by sin(2 phi), which is positive here.
+        return a * s2 * (2.0 * c2 - s2) + b * (c2 - s2)
+
+    lo, hi = math.radians(0.01), math.radians(89.99)
+    if slope_sign(lo) <= 0.0:
+        return lo
+    if slope_sign(hi) >= 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if slope_sign(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
 
 
 def pose_from_angles(

@@ -19,6 +19,7 @@ import numpy as np
 from formsense import (
     CommGraph,
     ControlGains,
+    DisplacementSet,
     SensingParams,
     SwarmState,
     TargetEstimate,
@@ -28,7 +29,6 @@ from formsense import (
     crlb_of_positions,
     displacement_control,
     displacement_error,
-    displacement_set,
     elevation_weight,
     load_config,
     optimal_azimuths,
@@ -232,7 +232,7 @@ def test_criterion_07_open_space_convergence():
     start = time.perf_counter()
     v_star = np.array([1.0, 0.0])
     formation = build_formation(DEFAULT_PARAMS, TARGET, 6)
-    disp = displacement_set(formation, v_star)
+    disp = DisplacementSet(formation.planar_positions, v_star)
     graph = CommGraph.ring_with_leader(6)
     gains = ControlGains(epsilon=0.01, consensus_gain=0.2)
     world = World(target=TARGET, motion_noise_std=0.0, dt=0.1)
@@ -348,7 +348,7 @@ def test_criterion_09_control_laws_are_gradients():
         worst_rep = max(worst_rep, float(np.linalg.norm(force + grad) / np.linalg.norm(force)))
 
     graph = CommGraph.ring_with_leader(6)
-    disp = displacement_set(build_formation(DEFAULT_PARAMS, TARGET, 6))
+    disp = DisplacementSet(build_formation(DEFAULT_PARAMS, TARGET, 6).planar_positions)
     ctrl_gains = ControlGains()
     h2 = 1e-5
     worst_disp = 0.0

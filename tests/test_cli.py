@@ -249,6 +249,28 @@ class TestErrorPaths:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
             assert "config error: sweep.altitudes_m[1]: SensingParams: SNR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"world": {"target_m": [1.0e300, 0.0]}},
+            {"formation": {"agent_count": 6, "prior_target_offset_m": [1.0e300, 0.0]}},
+            {"formation": {"agent_count": 6, "initial_rotation_deg": 1.0e300}},
+            {
+                "world": {"target_m": [1.0e308, 0.0]},
+                "formation": {"agent_count": 6, "prior_target_offset_m": [1.0e308, 0.0]},
+            },
+        ],
+        ids=["far_target", "far_prior_offset", "huge_rotation", "infinite_plan_target"],
+    )
+    def test_ring_that_rounds_to_a_point(self, tmp_path, capsys, sections):
+        cfg, _ = write_config(tmp_path, **sections)
+        for command in ("optimize", "simulate", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: formation: ") and err.count("\n") == 1
+            assert not out.exists()
+
     def test_overflowing_reference_velocity(self, tmp_path, capsys):
         guidance = {"mode": "constant", "velocity_mps": [1.0e308, 0.0]}
         cfg, _ = write_config(tmp_path, guidance=guidance)
@@ -330,6 +352,12 @@ class TestOutDirResolution:
         cfg, _ = write_config(tmp_path, output_dir=str(target_dir))
         assert main(["optimize", "--config", str(cfg)]) == 0
         assert (target_dir / "optimize.json").exists()
+
+    @pytest.mark.parametrize("value", [5, ""], ids=["number", "empty"])
+    def test_config_value_checked_under_the_flag(self, tmp_path, capsys, value):
+        cfg, _ = write_config(tmp_path, output_dir=value)
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: output_dir: expected a nonempty string" in capsys.readouterr().err
 
 
 class TestConsoleScript:

@@ -26,7 +26,6 @@ from formsense import (
     control_input,
     displacement_control,
     displacement_error,
-    displacement_set,
     local_cost,
     repulsion,
     scale_factor,
@@ -199,7 +198,7 @@ class TestConsensusVelocityStep:
 class TestDisplacementControl:
     def test_zero_at_full_size_embedding(self, default_params, target):
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         state = SwarmState(
             positions=formation.planar_positions,
             velocity_estimates=np.zeros((6, 2)),
@@ -209,7 +208,7 @@ class TestDisplacementControl:
 
     def test_zero_at_shrunk_embedding(self, default_params, target):
         formation = build_formation(default_params, target, 5)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         center = formation.planar_positions.mean(axis=0)
         shrunk = center + 0.5 * (formation.planar_positions - center)
         state = SwarmState(positions=shrunk, velocity_estimates=np.zeros((5, 2)))
@@ -230,7 +229,7 @@ class TestDisplacementControl:
 
     def test_total_momentum_conserved(self, default_params, target):
         rng = np.random.default_rng(77)
-        disp = displacement_set(build_formation(default_params, target, 6))
+        disp = DisplacementSet(build_formation(default_params, target, 6).planar_positions)
         for _ in range(50):
             state = SwarmState(
                 positions=rng.uniform(-50.0, 50.0, size=(6, 2)),
@@ -246,7 +245,7 @@ class TestDisplacementControl:
         """u_m must equal -eps/2 times the local displacement-cost gradient."""
         rng = np.random.default_rng(78)
         graph = CommGraph.ring_with_leader(6)
-        disp = displacement_set(build_formation(default_params, target, 6))
+        disp = DisplacementSet(build_formation(default_params, target, 6).planar_positions)
         gains = ControlGains()
         h = 1e-5
         for _ in range(20):
@@ -267,8 +266,8 @@ class TestDisplacementControl:
             np.testing.assert_allclose(u[m], -0.5 * gains.epsilon * grad, rtol=1e-6, atol=1e-10)
 
     def test_agent_count_mismatch_rejected(self, default_params, target):
-        seven = displacement_set(build_formation(default_params, target, 7))
-        six = displacement_set(build_formation(default_params, target, 6))
+        seven = DisplacementSet(build_formation(default_params, target, 7).planar_positions)
+        six = DisplacementSet(build_formation(default_params, target, 6).planar_positions)
         state = SwarmState(positions=np.zeros((6, 2)), velocity_estimates=np.zeros((6, 2)))
         with pytest.raises(ValueError, match="expected 6 agents, got 6 positions and 7 reference"):
             displacement_control(state.positions, CommGraph.ring(6), seven, ControlGains(), 1.0)
@@ -276,7 +275,7 @@ class TestDisplacementControl:
             displacement_error(np.zeros((5, 2)), CommGraph.ring(6), six)
 
     def test_bad_scale_rejected(self, default_params, target):
-        disp = displacement_set(build_formation(default_params, target, 3))
+        disp = DisplacementSet(build_formation(default_params, target, 3).planar_positions)
         state = SwarmState(positions=np.zeros((3, 2)), velocity_estimates=np.zeros((3, 2)))
         for scale in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="scale"):
@@ -290,7 +289,7 @@ class TestDisplacementControl:
             graph = random_connected_graph(rng)
             n = graph.agent_count
             formation = build_formation(default_params, target, n)
-            disp = displacement_set(formation)
+            disp = DisplacementSet(formation.planar_positions)
             gains = ControlGains(epsilon=0.9 / (2.0 * graph.max_degree))
             q = target.position + rng.uniform(-30.0, 30.0, size=(n, 2))
             err = displacement_error(q, graph, disp)
@@ -307,7 +306,7 @@ class TestDisplacementControl:
 class TestLocalCost:
     def test_zero_at_embedding_with_matched_velocity(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation, (1.0, 0.0))
+        disp = DisplacementSet(formation.planar_positions, (1.0, 0.0))
         q = formation.planar_positions
         state = SwarmState(positions=q, velocity_estimates=np.zeros((4, 2)))
         dt = 0.1
@@ -317,7 +316,7 @@ class TestLocalCost:
 
     def test_velocity_term_isolated(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         q = formation.planar_positions
         state = SwarmState(positions=q, velocity_estimates=np.zeros((4, 2)))
         cost = local_cost(state.positions, CommGraph.ring(4), disp, 0.5, q + 0.5 * np.array([0.3, -0.4]))
@@ -326,7 +325,7 @@ class TestLocalCost:
     def test_displacement_term_matches_manual_sum(self, default_params, target):
         rng = np.random.default_rng(90)
         graph = CommGraph.ring_with_leader(5)
-        disp = displacement_set(build_formation(default_params, target, 5))
+        disp = DisplacementSet(build_formation(default_params, target, 5).planar_positions)
         q = rng.uniform(-20.0, 20.0, size=(5, 2))
         state = SwarmState(positions=q, velocity_estimates=np.zeros((5, 2)))
         got = local_cost(state.positions, graph, disp, 0.1, q)  # realized velocity 0
@@ -344,7 +343,8 @@ class TestLocalCost:
         for agents in (3, 7, 8, 9, 40, 130):
             graph = random_connected_graph(rng, max_agents=agents)
             m = graph.agent_count
-            disp = displacement_set(build_formation(default_params, target, m), (0.4, -0.2))
+            formation = build_formation(default_params, target, m)
+            disp = DisplacementSet(formation.planar_positions, (0.4, -0.2))
             q = target.position + rng.uniform(-30.0, 30.0, size=(m, 2))
             nxt = q + rng.normal(0.0, 0.5, size=(m, 2))
             state = SwarmState(positions=q, velocity_estimates=np.zeros((m, 2)))
@@ -356,7 +356,7 @@ class TestLocalCost:
             assert got.tolist() == want
 
     def test_bad_dt_rejected(self, default_params, target):
-        disp = displacement_set(build_formation(default_params, target, 3))
+        disp = DisplacementSet(build_formation(default_params, target, 3).planar_positions)
         state = SwarmState(positions=np.zeros((3, 2)), velocity_estimates=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dt"):
             local_cost(state.positions, CommGraph.ring(3), disp, 0.0, np.zeros((3, 2)))
@@ -474,7 +474,7 @@ class TestControlInput:
     def test_reduces_to_displacement_law_in_open_space(self, default_params, target):
         rng = np.random.default_rng(92)
         graph = CommGraph.ring_with_leader(6)
-        disp = displacement_set(build_formation(default_params, target, 6))
+        disp = DisplacementSet(build_formation(default_params, target, 6).planar_positions)
         gains = ControlGains()
         state = SwarmState(
             positions=rng.uniform(-30.0, 30.0, size=(6, 2)),
@@ -487,7 +487,7 @@ class TestControlInput:
 
     def test_adds_repulsion_for_threatened_agent_only(self, default_params, target):
         graph = CommGraph.ring(4)
-        disp = displacement_set(build_formation(default_params, target, 4))
+        disp = DisplacementSet(build_formation(default_params, target, 4).planar_positions)
         gains = ControlGains(repulsion_gain=1.0, safety_radius_m=5.0)
         positions = np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 40.0], [0.0, 40.0]])
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((4, 2)))
@@ -504,7 +504,7 @@ class TestControlInput:
 
     def test_respects_current_scale(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         center = formation.planar_positions.mean(axis=0)
         shrunk = center + 0.37 * (formation.planar_positions - center)
         state = SwarmState(

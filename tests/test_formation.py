@@ -16,7 +16,6 @@ from formsense import (
     SensingParams,
     TargetEstimate,
     build_formation,
-    displacement_set,
     elevation_weight,
     optimal_azimuths,
     optimal_elevation,
@@ -97,11 +96,11 @@ class TestOptimalElevation:
         assert np.all(np.diff(phis) < 0.0)
 
     @pytest.mark.parametrize("ratio, limit_deg", [(1e13, ZENITH_LIMIT_DEG), (1e-13, 45.0)])
-    def test_bisection_fallback_regimes(self, ratio, limit_deg):
+    def test_ratio_1e13_limits(self, ratio, limit_deg):
         phi = optimal_elevation(params_for_ratio(ratio))
         assert math.degrees(phi) == pytest.approx(limit_deg, abs=1e-5)
 
-    def test_continuous_across_solver_switch(self):
+    def test_continuous_across_ratio_1e12(self):
         below = optimal_elevation(params_for_ratio(0.99e12))
         above = optimal_elevation(params_for_ratio(1.01e12))
         assert abs(below - above) < 1e-6
@@ -248,7 +247,7 @@ class TestFormationGeometryValidation:
 class TestDisplacementSet:
     def test_offsets_match_position_differences(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         q = formation.planar_positions
         r = disp.reference
         assert not r.flags.writeable
@@ -257,13 +256,13 @@ class TestDisplacementSet:
                 np.testing.assert_allclose(r[p] - r[m], q[p] - q[m], rtol=1e-12)
 
     def test_zero_diagonal_and_antisymmetry(self, default_params, target):
-        disp = displacement_set(build_formation(default_params, target, 6))
+        disp = DisplacementSet(build_formation(default_params, target, 6).planar_positions)
         offsets = dense_offsets(disp.reference)
         assert np.all(offsets[np.arange(6), np.arange(6)] == 0.0)
         assert np.array_equal(offsets, -offsets.transpose(1, 0, 2))
 
     def test_chain_consistency(self, default_params, target):
-        disp = displacement_set(build_formation(default_params, target, 5, 0.3))
+        disp = DisplacementSet(build_formation(default_params, target, 5, 0.3).planar_positions)
         o = dense_offsets(disp.reference)
         scale = np.abs(o).max()
         for p in range(5):
@@ -274,19 +273,19 @@ class TestDisplacementSet:
 
     def test_triangle_diameter_is_chord(self, default_params, target):
         formation = build_formation(default_params, target, 3)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         assert disp.nominal_diameter_m == pytest.approx(
             formation.ring_radius_m * math.sqrt(3.0), rel=1e-9
         )
 
     def test_hexagon_diameter_is_twice_radius(self, default_params, target):
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         assert disp.nominal_diameter_m == pytest.approx(2.0 * formation.ring_radius_m, rel=1e-9)
 
     def test_diameter_matches_brute_force(self, default_params, target):
         formation = build_formation(default_params, target, 7, 0.2)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         q = formation.planar_positions
         brute = max(
             float(np.linalg.norm(q[i] - q[j])) for i in range(7) for j in range(i + 1, 7)
@@ -294,11 +293,12 @@ class TestDisplacementSet:
         assert disp.nominal_diameter_m == pytest.approx(brute, rel=1e-12)
 
     def test_global_velocity_stored(self, default_params, target):
-        disp = displacement_set(build_formation(default_params, target, 3), (1.0, -0.5))
+        formation = build_formation(default_params, target, 3)
+        disp = DisplacementSet(formation.planar_positions, (1.0, -0.5))
         np.testing.assert_array_equal(disp.global_velocity, [1.0, -0.5])
 
     def test_default_velocity_is_zero(self, default_params, target):
-        disp = displacement_set(build_formation(default_params, target, 3))
+        disp = DisplacementSet(build_formation(default_params, target, 3).planar_positions)
         np.testing.assert_array_equal(disp.global_velocity, [0.0, 0.0])
 
     def test_rejects_bad_shape(self):

@@ -24,7 +24,6 @@ from formsense import (
     build_formation,
     crlb_of_positions,
     displacement_error,
-    displacement_set,
     local_cost,
     min_pairwise_distance,
     run_episode,
@@ -245,7 +244,7 @@ class TestWorld:
 class TestStep:
     def test_fixed_point(self, default_params, target):
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         world = World(target=target)
         state = embedding_state(formation)
         after = step(state, world, CommGraph.ring_with_leader(6), disp, ControlGains())
@@ -257,7 +256,7 @@ class TestStep:
     def test_uniform_translation(self, default_params, target):
         v_star = np.array([1.0, 0.0])
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation, v_star)
+        disp = DisplacementSet(formation.planar_positions, v_star)
         world = World(target=target, dt=0.1)
         graph = CommGraph.ring_with_leader(6)
         state = embedding_state(formation, velocity=v_star)
@@ -271,7 +270,7 @@ class TestStep:
 
     def test_noise_is_a_function_of_seed_and_step(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         graph = CommGraph.ring(4)
         world = World(target=target, motion_noise_std=0.05, rng_seed=7)
         state = embedding_state(formation)
@@ -281,7 +280,7 @@ class TestStep:
 
     def test_noise_differs_across_steps(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         graph = CommGraph.ring(4)
         world = World(target=target, motion_noise_std=0.05, rng_seed=7)
         s0 = embedding_state(formation)
@@ -297,7 +296,7 @@ class TestStep:
 
     def test_scale_shrinks_near_obstacle(self, default_params, target):
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         # Wall 6 m from the formation center: clearance - safety margin is
         # small against the 28 m formation diameter, so the scale drops.
         wall = RectObstacle(
@@ -329,13 +328,13 @@ class TestMetrics:
 
     def test_displacement_error_zero_at_embedding(self, default_params, target):
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         err = displacement_error(formation.planar_positions, CommGraph.ring_with_leader(6), disp)
         assert err == 0.0
 
     def test_displacement_error_counts_each_edge_once(self, default_params, target):
         formation = build_formation(default_params, target, 3)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         graph = CommGraph.ring(3)  # triangle: edges (0,1), (1,2), (0,2)
         positions = formation.planar_positions.copy()
         positions[0] += [1.0, 0.0]
@@ -357,7 +356,7 @@ class TestMetrics:
 class TestGuidance:
     def test_constant_mode_returns_reference(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation, (0.7, -0.1))
+        disp = DisplacementSet(formation.planar_positions, (0.7, -0.1))
         world = World(target=target)
         state = embedding_state(formation)
         guidance = Guidance(mode="constant")
@@ -368,7 +367,7 @@ class TestGuidance:
 
     def test_goal_mode_stops_at_goal(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         world = World(target=target)
         graph = CommGraph.ring(4)
         leader_offset = formation.planar_positions[0] - target.position
@@ -422,7 +421,7 @@ class TestGuidance:
 class TestRunEpisode:
     def test_immediate_convergence_at_embedding(self, default_params, target):
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         world = World(target=target)
         trace = run_episode(
             embedding_state(formation),
@@ -442,7 +441,7 @@ class TestRunEpisode:
 
     def test_zero_step_budget(self, default_params, target):
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         world = World(target=target)
         initial = embedding_state(formation)
         trace = run_episode(
@@ -463,7 +462,7 @@ class TestRunEpisode:
                 embedding_state(formation),
                 World(target=target),
                 CommGraph.ring(3),
-                displacement_set(formation),
+                DisplacementSet(formation.planar_positions),
                 ControlGains(),
                 default_params,
                 max_steps=-1,
@@ -471,7 +470,7 @@ class TestRunEpisode:
 
     def test_noisy_episode_is_reproducible(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         world = World(target=target, motion_noise_std=0.02, rng_seed=99)
         graph = CommGraph.ring(4)
         rng = np.random.default_rng(3)
@@ -491,7 +490,7 @@ class TestRunEpisode:
         Lyapunov function of the noise-free closed loop."""
         v_star = np.array([0.6, 0.0])
         formation = build_formation(default_params, target, 6)
-        disp = displacement_set(formation, v_star)
+        disp = DisplacementSet(formation.planar_positions, v_star)
         world = World(target=target)
         graph = CommGraph.ring_with_leader(6)
         rng = np.random.default_rng(8)
@@ -510,7 +509,7 @@ class TestRunEpisode:
 
     def test_safety_events_logged_for_contact(self, default_params, target):
         formation = build_formation(default_params, target, 3)
-        disp = displacement_set(formation)
+        disp = DisplacementSet(formation.planar_positions)
         block = RectObstacle(x_min=-100.0, x_max=300.0, y_min=-100.0, y_max=300.0)
         world = World(target=target, obstacles=(block,))
         state = embedding_state(formation)  # everyone inside the block
@@ -550,7 +549,7 @@ class TestRunEpisode:
             SwarmState(state.positions + 1.0, state.velocity_estimates),
             World(target=target, obstacles=(wall,)),
             CommGraph.ring(agents),
-            displacement_set(formation),
+            DisplacementSet(formation.planar_positions),
             ControlGains(),
             default_params,
             max_steps=steps,
@@ -576,7 +575,7 @@ class TestRunEpisode:
             initial,
             World(target=target, motion_noise_std=0.05, rng_seed=1),
             CommGraph.ring(6),
-            displacement_set(formation),
+            DisplacementSet(formation.planar_positions),
             ControlGains(),
             default_params,
             max_steps=steps,
@@ -596,7 +595,7 @@ class TestRunEpisode:
             rng_seed=11,
         )
         graph = CommGraph.ring_with_leader(6)
-        disp = displacement_set(formation, (0.3, -0.1))
+        disp = DisplacementSet(formation.planar_positions, (0.3, -0.1))
         gains = ControlGains()
         rng = np.random.default_rng(4)
         state = SwarmState(
@@ -628,7 +627,7 @@ class TestRunEpisode:
                 embedding_state(formation),
                 World(target=target, obstacles=(block,)),
                 CommGraph.ring(3),
-                displacement_set(formation),
+                DisplacementSet(formation.planar_positions),
                 gains,
                 default_params,
                 max_steps=5,
@@ -646,7 +645,7 @@ class TestRunEpisode:
                 embedding_state(formation),
                 World(target=target, obstacles=(block,)),
                 CommGraph.ring(3),
-                displacement_set(formation),
+                DisplacementSet(formation.planar_positions),
                 gains,
                 default_params,
                 max_steps=10**9,
@@ -661,7 +660,7 @@ class TestRunEpisode:
                 embedding_state(formation),
                 World(target=target),
                 CommGraph.ring_with_leader(6),
-                displacement_set(formation),
+                DisplacementSet(formation.planar_positions),
                 ControlGains(),
                 default_params,
                 max_steps=10**12,
@@ -677,7 +676,7 @@ class TestRunEpisode:
         rng = np.random.default_rng(12)
         for agents in (8, 9, 13):
             formation = build_formation(default_params, target, agents)
-            disp = displacement_set(formation, (0.3, -0.1))
+            disp = DisplacementSet(formation.planar_positions, (0.3, -0.1))
             graph = CommGraph.ring_with_leader(agents)
             world = World(target=target, motion_noise_std=0.3, rng_seed=agents)
             state = SwarmState(
@@ -736,7 +735,8 @@ def episodes(draw):
     scenario = draw(st.sampled_from(["settle", "open", "obstacles", "contact", "blow_up"]))
     target = TargetEstimate(np.array([80.0, 90.0]))
     formation = build_formation(_PARAMS, target, agents, draw(st.floats(0.0, 6.0)))
-    disp = displacement_set(formation, draw(st.sampled_from([(0.0, 0.0), (0.6, -0.2)])))
+    velocity = draw(st.sampled_from([(0.0, 0.0), (0.6, -0.2)]))
+    disp = DisplacementSet(formation.planar_positions, velocity)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     positions = formation.planar_positions
     if scenario != "settle":
@@ -815,7 +815,7 @@ class TestEpisodeColumns:
                 rng_seed=3,
             ),
             graph=CommGraph.ring(agents),
-            disp=displacement_set(formation, (0.05, 0.0)),
+            disp=DisplacementSet(formation.planar_positions, (0.05, 0.0)),
             gains=ControlGains(),
             params=default_params,
             max_steps=steps,
@@ -859,7 +859,7 @@ class TestEpisodeColumns:
             ),
             world=World(target=target),
             graph=CommGraph.complete(6),
-            disp=displacement_set(formation),
+            disp=DisplacementSet(formation.planar_positions),
             gains=ControlGains(epsilon=1.0, consensus_gain=0.1),
             params=default_params,
             max_steps=200,
