@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import benchmarks
 from .config import RunConfig, load_config
-from .errors import ConfigError, InsufficientAgentsError
+from .errors import ConfigError
 from .formation import theoretical_lower_bound
 from .world import EpisodeTrace, run_episode
 
@@ -218,7 +218,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed=args.seed, noise_free=args.noise_free)
-    except (ConfigError, InsufficientAgentsError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = _resolve_out_dir(args.out, config)
@@ -234,9 +234,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             paths = list(cmd_simulate(config, out_dir))
         else:
             paths = [cmd_sweep(config, out_dir)]
-    except InsufficientAgentsError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:  # degenerate geometry, a diverged run, an unwritable artifact
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -1,14 +1,17 @@
 """Run configuration: YAML schema, validation, defaults, canonical hashing.
 
 A config file fully determines a run. ``SCHEMA`` lists every field of every
-section with its type and default; one function checks a mapping against
-its table, and the typed values it returns are the section's canonical
-form. Short section code adds the rules that span fields (noise floors
-given in dBm are stored in watts, custom graphs, deployments, stability)
-and builds the domain objects. A short hash of the canonical form lets
-output files state exactly which configuration produced them. The output
-directory is excluded from the hash: two runs of the same experiment into
-different directories are still the same experiment.
+section with its type, its default and, for a number or a list of numbers,
+the interval its values must lie in, written as the error prints it. One
+function checks a mapping against its table, and the typed values it returns
+are the section's canonical form. Short section code adds only the rules
+that span fields (a noise floor in dBm or in watts, the SNR ceiling at the
+lowest sweep altitude, the leader index, custom graphs, explicit
+deployments, gain stability) and builds the domain objects. A short hash of
+the canonical form lets output files state exactly which configuration
+produced them. The output directory is excluded from the hash: two runs of
+the same experiment into different directories are still the same
+experiment.
 """
 
 from __future__ import annotations
@@ -33,34 +36,39 @@ from .world import Guidance, RectObstacle, World
 # per-step motion noise streams (which use small step indices).
 _DEPLOY_STREAM = 2**40
 
-# Flight altitudes accepted, in meters. Within them h^4 neither underflows
-# (1e-90 m would) nor overflows. The information weight C/h^4 + 8/h^2 also
-# depends on the composite SNR C: SensingParams bounds C/h^4 at each altitude.
-_ALTITUDE_RANGE_M = (1.0e-3, 1.0e6)
-
 _DEFAULT_SEED = 12345
 _DEFAULT_OUTPUT_DIR = "out"
 
-# Field types besides float and int: a 2-vector, or a raw value (a list that
-# the section code checks). A tuple of strings lists the allowed values.
+# Field types besides float and int: a 2-vector, a nonempty list of floats or
+# a raw list that section code checks. A tuple of strings lists the values.
 _VEC2 = "vec2"
+_FLOATS = "floats"
 _RAW = "raw"
 # The default of a field that must be given. A field whose default is None
 # has no value unless given.
 _REQUIRED = object()
 
-SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
+# Flight altitudes in meters: h^4 neither underflows (1e-90 m would) nor
+# overflows. SensingParams bounds the SNR C/h^4 at each altitude.
+_ALTITUDE_M = "[0.001, 1e+06]"
+
+# A field is (type, default[, interval]). The interval bounds a number or each
+# float of a list, written as errors print it: "[" and "]" include an end.
+SCHEMA: dict[str, dict[str, tuple]] = {
     "sensing": {
         "transmit_power_w": (float, 0.1),
         "processing_gain": (float, 1.0e3),
         "ref_channel_power_m4": (float, 1.0e-5),
         "kappa": (float, 1.0),
-        "noise_floor_dbm": (float, -90.0),
+        # 1e-33 to 1e27 W: past about -3000 or +3000 dBm the watts would
+        # leave the normal floats, and every receiver lies far inside.
+        "noise_floor_dbm": (float, -90.0, "[-300, 300]"),
         "noise_floor_w": (float, None),  # alternative to noise_floor_dbm
-        "altitude_m": (float, 20.0),
+        "altitude_m": (float, 20.0, _ALTITUDE_M),
     },
     "formation": {
-        "agent_count": (int, 6),
+        # An isotropic ring needs at least 3 agents; there is no upper end yet.
+        "agent_count": (int, 6, "[3, inf)"),
         "initial_rotation_deg": (float, 0.0),
         # Nonzero values plan the formation around an imperfect prior target
         # estimate while the CRLB is still evaluated at the true target.
@@ -70,7 +78,9 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "target_m": (_VEC2, [80.0, 90.0]),
         "obstacles": (_RAW, []),
         "motion_noise_std_m": (float, 0.01),
-        "dt_s": (float, 0.1),
+        # A step must advance time. A control period over 1000 s is no longer
+        # a control loop, and near 1e300 s the first step overflows.
+        "dt_s": (float, 0.1, "(0, 1000]"),
     },
     "graph": {
         "topology": (("ring", "ring_with_leader", "complete", "custom"), "ring_with_leader"),
@@ -81,9 +91,9 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     "deployment": {
         "kind": (("random_box", "explicit"), "random_box"),
         "center_m": (_VEC2, [0.0, 0.0]),
-        "side_m": (float, 50.0),
+        "side_m": (float, 50.0, "(0, inf)"),  # the random box needs an area
         "positions_m": (_RAW, None),  # for explicit deployment
-        "initial_scale": (float, 1.0),
+        "initial_scale": (float, 1.0, "(0, 1]"),  # shrinks the ring; at 0 a point
     },
     "guidance": {
         "mode": (("constant", "goal"), "constant"),
@@ -93,19 +103,27 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "arrival_tolerance_m": (float, 0.05),
     },
     "episode": {
-        "max_steps": (int, 4000),
-        "stop_tolerance_m2": (float, 1.0e-3),
+        "max_steps": (int, 4000, "[0, inf)"),  # 0 writes an empty trace
+        "stop_tolerance_m2": (float, 1.0e-3, "(0, inf)"),  # "error < 0" is never met
     },
     "sweep": {
-        "altitudes_m": (_RAW, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]),
+        "altitudes_m": (_FLOATS, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0], _ALTITUDE_M),
         "benchmarks": (_RAW, [{"kind": kind} for kind in KINDS]),
     },
 }
 
-# Tables of the entries of world.obstacles and sweep.benchmarks.
+# Tables of the entries of world.obstacles and sweep.benchmarks. Benchmark
+# lengths share the altitude's 1e6 m ceiling, far below the 1e77 m at which
+# rho^4 overflows; under 0.001 deg a fixed-elevation ring's radius H/tan(e)
+# heads for overflow. samples has no upper end yet.
 _OBSTACLE = {key: (float, _REQUIRED) for key in ("x_min", "x_max", "y_min", "y_max")}
+_BENCHMARK_RANGES = dict(
+    radius_factor="(0, 1e+06]", elevation_deg="[0.001, 90)", length_m="(0, 1e+06]",
+    lateral_offset_m="[-1e+06, 1e+06]", half_width_m="(0, 1e+06]", samples="[1, inf)",
+)
 _BENCHMARK = {
-    f.name: (KINDS, _REQUIRED) if f.name == "kind" else (type(f.default), f.default)
+    f.name: (KINDS, _REQUIRED) if f.name == "kind"
+    else (type(f.default), f.default, _BENCHMARK_RANGES[f.name])
     for f in fields(BenchmarkSpec)
 }
 
@@ -129,19 +147,30 @@ def _reject_unknown(name: str, given: dict, allowed: set[str]) -> None:
         raise ConfigError(f"{name}: unknown field(s) {sorted(unknown)}")
 
 
-def _as_float(name: str, value: Any) -> float:
+def _in_range(name: str, value: Any, interval: Optional[str]) -> Any:
+    """Return ``value`` if it lies in ``interval``, e.g. "(0, 1]" or "[3, inf)"."""
+    if interval is not None:
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        above = lo < value if interval[0] == "(" else lo <= value
+        below = value < hi if interval[-1] == ")" else value <= hi
+        if not (above and below):
+            raise ConfigError(f"{name}: must lie in {interval}, got {value!r}")
+    return value
+
+
+def _as_float(name: str, value: Any, interval: Optional[str] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     out = float(value)
     if not math.isfinite(out):
         raise ConfigError(f"{name}: must be finite, got {value!r}")
-    return out
+    return _in_range(name, out, interval)
 
 
-def _as_int(name: str, value: Any) -> int:
+def _as_int(name: str, value: Any, interval: Optional[str] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    return value
+    return _in_range(name, value, interval)
 
 
 def _as_vec2(name: str, value: Any) -> list[float]:
@@ -156,10 +185,14 @@ def _as_list(name: str, value: Any, nonempty: bool) -> list:
     return value
 
 
-_CONVERTERS = {float: _as_float, int: _as_int, _VEC2: _as_vec2}
+def _as_floats(name: str, value: Any, interval: str) -> list[float]:
+    return [_as_float(f"{name}[{i}]", v, interval) for i, v in enumerate(_as_list(name, value, True))]
 
 
-def _check_fields(name: str, value: Any, table: dict[str, tuple[Any, Any]]) -> dict:
+_CONVERTERS = {float: _as_float, int: _as_int, _VEC2: _as_vec2, _FLOATS: _as_floats}
+
+
+def _check_fields(name: str, value: Any, table: dict[str, tuple]) -> dict:
     """Check a mapping against its table and return its typed values.
 
     Unknown fields are rejected and missing ones take their default.
@@ -167,7 +200,7 @@ def _check_fields(name: str, value: Any, table: dict[str, tuple[Any, Any]]) -> d
     given = _expect_mapping(name, value)
     _reject_unknown(name, given, set(table))
     out = {}
-    for key, (kind, default) in table.items():
+    for key, (kind, default, *interval) in table.items():
         path = f"{name}.{key}"
         if key not in given and default is _REQUIRED:
             raise ConfigError(f"{path}: required")
@@ -175,7 +208,7 @@ def _check_fields(name: str, value: Any, table: dict[str, tuple[Any, Any]]) -> d
             continue
         value = given.get(key, default)
         if kind in _CONVERTERS:
-            value = _CONVERTERS[kind](path, value)
+            value = _CONVERTERS[kind](path, value, *interval)
         elif isinstance(kind, tuple) and value not in kind:
             raise ConfigError(f"{path}: expected one of {kind}, got {value!r}")
         out[key] = value
@@ -219,10 +252,7 @@ class RunConfig:
     config_hash: str
 
     def build_formation(self) -> FormationGeometry:
-        """The formation as planned, i.e. around the prior target estimate.
-
-        It is built once, when the config is parsed.
-        """
+        """The formation as planned around the prior target estimate, built at parse time."""
         return self.formation
 
     def displacement_set(self, formation: Optional[FormationGeometry] = None) -> DisplacementSet:
@@ -231,22 +261,11 @@ class RunConfig:
         return DisplacementSet(formation.planar_positions, velocity)
 
     def initial_state(self) -> SwarmState:
-        return SwarmState(
-            positions=self.initial_positions,
-            velocity_estimates=np.zeros_like(self.initial_positions),
-            scale=self.initial_scale,
-            step_index=0,
-        )
-
-
-def _check_altitude(name: str, altitude: float) -> None:
-    lo, hi = _ALTITUDE_RANGE_M
-    if not lo <= altitude <= hi:
-        raise ConfigError(f"{name}: must lie in [{lo:g}, {hi:g}] m, got {altitude!r}")
+        positions = self.initial_positions
+        return SwarmState(positions, np.zeros_like(positions), self.initial_scale, step_index=0)
 
 
 def _sensing(section: dict, given: Any) -> SensingParams:
-    _check_altitude("sensing.altitude_m", section["altitude_m"])
     dbm = section.pop("noise_floor_dbm")
     if "noise_floor_w" not in section:
         section["noise_floor_w"] = dbm_to_watts(dbm)
@@ -306,9 +325,6 @@ def _graph(section: dict, agent_count: int) -> CommGraph:
 
 def _initial_positions(section: dict, agent_count: int, seed: int) -> np.ndarray:
     """Validate the deployment section and place the agents it describes."""
-    scale = section["initial_scale"]
-    if not 0.0 < scale <= 1.0:
-        raise ConfigError(f"deployment.initial_scale: must lie in (0, 1], got {scale}")
     rows = section.pop("positions_m", None)
     if section["kind"] == "explicit":
         del section["center_m"], section["side_m"]
@@ -321,23 +337,14 @@ def _initial_positions(section: dict, agent_count: int, seed: int) -> np.ndarray
         ]
         positions = np.array(section["positions_m"], dtype=float)
     else:
-        side = section["side_m"]
-        if side <= 0:
-            raise ConfigError(f"deployment.side_m: must be > 0, got {side}")
         rng = np.random.default_rng([seed, _DEPLOY_STREAM])
         center = np.asarray(section["center_m"], dtype=float)
-        positions = center + side * rng.uniform(-0.5, 0.5, size=(agent_count, 2))
+        positions = center + section["side_m"] * rng.uniform(-0.5, 0.5, size=(agent_count, 2))
     positions.setflags(write=False)
     return positions
 
 
 def _sweep(section: dict, params: SensingParams) -> tuple[BenchmarkSpec, ...]:
-    altitudes = _as_list("sweep.altitudes_m", section["altitudes_m"], nonempty=True)
-    section["altitudes_m"] = []
-    for i, value in enumerate(altitudes):
-        altitude = _as_float(f"sweep.altitudes_m[{i}]", value)
-        _check_altitude(f"sweep.altitudes_m[{i}]", altitude)
-        section["altitudes_m"].append(altitude)
     lowest = int(np.argmin(section["altitudes_m"]))  # where the SNR C/h^4 is largest
     try:
         replace(params, altitude_m=section["altitudes_m"][lowest])
@@ -402,8 +409,6 @@ def build_config(
 
     params = _sensing(canonical["sensing"], raw.get("sensing"))
     agent_count = formation_c["agent_count"]
-    if agent_count < 3:
-        raise ConfigError(f"formation.agent_count: need at least 3 agents, got {agent_count}")
     world = _world(canonical["world"], seed, noise_free)
     graph = _graph(canonical["graph"], agent_count)
     try:
@@ -428,12 +433,6 @@ def build_config(
     except ValueError as exc:
         raise ConfigError(f"guidance: {exc}") from exc
 
-    if episode["max_steps"] < 0:
-        raise ConfigError(f"episode.max_steps: must be >= 0, got {episode['max_steps']}")
-    if episode["stop_tolerance_m2"] <= 0:
-        raise ConfigError(
-            f"episode.stop_tolerance_m2: must be > 0, got {episode['stop_tolerance_m2']}"
-        )
     benchmarks = _sweep(canonical["sweep"], params)
 
     output_dir = _output_dir(raw.get("output_dir", _DEFAULT_OUTPUT_DIR))

@@ -63,13 +63,13 @@ class SensingParams:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"SensingParams.{name}: must be a finite positive number, got {value!r}")
+        # Divided one factor at a time: kappa * sigma0^2 or h^4 alone can over- or underflow,
+        # and an infinite quotient fails the SNR ceiling.
         composite = (
-            self.transmit_power_w
-            * self.processing_gain
-            * self.ref_channel_power_m4
-            / (self.kappa * self.noise_floor_w)
+            self.transmit_power_w * self.processing_gain * self.ref_channel_power_m4
+            / self.kappa / self.noise_floor_w
         )
-        h = self.altitude_m  # divided one factor at a time: h^4 alone can over- or underflow
+        h = self.altitude_m
         if not composite / h / h / h / h <= _MAX_SNR:
             raise ValueError(f"SensingParams: SNR composite_snr_m4 / altitude_m^4 exceeds {_MAX_SNR:g}")
         object.__setattr__(self, "composite_snr_m4", composite)

@@ -428,10 +428,10 @@ def run_episode(
     chunks: list[dict] = []
     events: list[tuple[int, int]] = []
     positions, velocities, scale = initial.positions, initial.velocity_estimates, initial.scale
-    around = _surroundings(world, positions)[0]
     first_step, converged = 0, False
     # Overflow shows up as a non-finite metric, which the chunk's divergence check names.
     with np.errstate(over="ignore", invalid="ignore"):
+        around = _surroundings(world, positions)[0]
         while first_step < max_steps and not converged:
             size = min(chunk_steps, max_steps - first_step)
             q = np.empty((size + 1, agents, 2))

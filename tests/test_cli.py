@@ -250,6 +250,27 @@ class TestErrorPaths:
             assert "config error: sweep.altitudes_m[1]: SensingParams: SNR" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"world": {"dt_s": 1.0e300}}, "world.dt_s: must lie in (0, 1000], got 1e+300"),
+            ({"sensing": {"kappa": 5.0e-324}}, "sensing: SensingParams: SNR composite_snr_m4"),
+            (
+                {"sensing": {"noise_floor_dbm": 1.0e6}},
+                "sensing.noise_floor_dbm: must lie in [-300, 300], got 1000000.0",
+            ),
+        ],
+        ids=["huge_time_step", "underflowing_noise_power", "huge_noise_floor"],
+    )
+    def test_value_the_model_cannot_evaluate(self, tmp_path, capsys, sections, message):
+        cfg, _ = write_config(tmp_path, **sections)
+        for command in ("optimize", "simulate", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "sections",
         [
             {"world": {"target_m": [1.0e300, 0.0]}},
@@ -271,13 +292,21 @@ class TestErrorPaths:
             assert err.startswith("config error: formation: ") and err.count("\n") == 1
             assert not out.exists()
 
-    def test_overflowing_reference_velocity(self, tmp_path, capsys):
-        guidance = {"mode": "constant", "velocity_mps": [1.0e308, 0.0]}
-        cfg, _ = write_config(tmp_path, guidance=guidance)
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"guidance": {"mode": "constant", "velocity_mps": [1.0e308, 0.0]}},
+            {"deployment": {"center_m": [1.0e308, 0.0], "side_m": 1.0e308}},
+        ],
+        ids=["reference_velocity", "deployment"],
+    )
+    def test_overflowing_reference_velocity(self, tmp_path, capsys, sections):
+        cfg, _ = write_config(tmp_path, **sections)
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
         assert list(out.iterdir()) == []
 
     def test_diverged_run_exits_3_without_artifacts(self, tmp_path, capsys):

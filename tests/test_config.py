@@ -1,6 +1,7 @@
 """Config parsing, validation, canonicalization, and hashing."""
 
 import copy
+import math
 import re
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 import yaml
 
-from formsense import ConfigError, dbm_to_watts, load_config
-from formsense.config import build_config, canonical_yaml, hash_canonical
+from formsense import ConfigError, SensingParams, TargetEstimate, dbm_to_watts, load_config
+from formsense.benchmarks import BenchmarkSpec, sweep_rows
+from formsense.config import SCHEMA, _BENCHMARK, build_config, canonical_yaml, hash_canonical
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -268,6 +270,106 @@ class TestValidation:
             build_config(raw, **override)
 
 
+# Every field with an interval: SCHEMA paths, and the fields of a sweep.benchmarks entry.
+RANGED = [
+    ((section, key), kind, interval[0])
+    for section, table in SCHEMA.items()
+    for key, (kind, _, *interval) in table.items()
+    if interval
+] + [
+    (("sweep", "benchmarks", key), kind, interval)
+    for key, (kind, _, interval) in list(_BENCHMARK.items())[1:]  # every field but kind
+]
+# The benchmark kind each entry field shapes.
+BENCHMARK_KIND = {
+    "radius_factor": "clustered_polygon",
+    "elevation_deg": "fixed_elevation",
+    "length_m": "line",
+    "lateral_offset_m": "line",
+    "half_width_m": "random_cloud",
+    "samples": "random_cloud",
+}
+
+
+def interval_ends(kind, interval):
+    """(value, accepted) at each finite end of ``interval`` and one step outside it."""
+    cases = []
+    ends = interval[1:-1].split(",")
+    for end, closed, outward in ((ends[0], interval[0] == "[", -1), (ends[1], interval[-1] == "]", 1)):
+        end = float(end)
+        if math.isinf(end):
+            continue
+        if kind is int:
+            cases += [(int(end), closed), (int(end) + outward, False)]
+        else:
+            cases += [(end, closed), (float(np.nextafter(end, outward * math.inf)), False)]
+    return cases
+
+
+def with_value(path, value):
+    """The base config with ``path`` set to ``value``, the field path an error names, and a getter."""
+    raw = base_raw()
+    if path == ("sweep", "altitudes_m"):
+        raw["sweep"] = {"altitudes_m": [20.0, value]}
+        return raw, "sweep.altitudes_m[1]", lambda c: c["sweep"]["altitudes_m"][1]
+    if path[:2] == ("sweep", "benchmarks"):
+        raw["sweep"] = {"benchmarks": [{"kind": BENCHMARK_KIND[path[2]], path[2]: value}]}
+        return raw, f"sweep.benchmarks[0].{path[2]}", lambda c: c["sweep"]["benchmarks"][0][path[2]]
+    raw.setdefault(path[0], {})[path[1]] = value
+    if path == ("sensing", "noise_floor_dbm"):  # the canonical form holds watts
+        watts = dbm_to_watts(value)
+        return raw, ".".join(path), lambda c: value if c["sensing"]["noise_floor_w"] == watts else None
+    return raw, ".".join(path), lambda c: c[path[0]][path[1]]
+
+
+class TestRanges:
+    @pytest.mark.parametrize(
+        "path, value, accepted, interval",
+        [
+            (path, value, accepted, interval)
+            for path, kind, interval in RANGED
+            for value, accepted in interval_ends(kind, interval)
+        ],
+        ids=lambda x: ".".join(x) if isinstance(x, tuple) else repr(x),
+    )
+    def test_interval_ends(self, path, value, accepted, interval):
+        raw, name, get = with_value(path, value)
+        if accepted:
+            assert get(build_config(raw).canonical) == value
+        else:
+            with pytest.raises(ConfigError) as info:
+                build_config(raw)
+            assert str(info.value) == f"{name}: must lie in {interval}, got {value!r}"
+
+    def test_every_range_has_a_finite_end(self):
+        assert {("world", "dt_s"), ("sensing", "noise_floor_dbm"), ("sweep", "altitudes_m")} <= {
+            path for path, _, _ in RANGED
+        }
+        assert all(interval_ends(kind, interval) for _, kind, interval in RANGED)
+
+    @pytest.mark.parametrize("field", list(BENCHMARK_KIND))
+    def test_benchmark_range_ends_evaluate(self, field, target):
+        # Each benchmark at the ends of its range and of the altitude range, with
+        # C = 1e9 m^4 and at the SNR ceiling at 1 mm: a row or a domain error such
+        # as a ring that rounds to a point, never an overflow or invalid value.
+        interval = _BENCHMARK[field][2]
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        lo = lo if interval[0] == "[" else float(np.nextafter(lo, math.inf))
+        hi = hi if interval[-1] == "]" else float(np.nextafter(hi, -math.inf))
+        rows = []
+        for transmit_power_w in (0.1, 1.0e78):
+            params = SensingParams(transmit_power_w, 1.0e3, 1.0e-5, 1.0, 1.0e-12, 1.0e-3)
+            for value in filter(math.isfinite, (lo, hi)):
+                typed = _BENCHMARK[field][0](value)
+                spec = BenchmarkSpec(kind=BENCHMARK_KIND[field], **{field: typed})
+                for altitude in (1.0e-3, 1.0e6):
+                    try:
+                        rows += sweep_rows([spec], 6, target, params, [altitude], seed=1)
+                    except ValueError:
+                        pass
+        assert rows and all(row["crlb_m2"] is None or row["crlb_m2"] > 0 for row in rows)
+
+
 class TestGoldenHashes:
     """Every artifact is tagged with the config hash; parsing changes must keep it."""
 
@@ -308,6 +410,16 @@ class TestReadme:
         canonical = build_config(yaml.safe_load(match.group(1))).canonical
         canonical["world"]["obstacles"] = []  # the block shows one example rectangle
         assert canonical == build_config({}).canonical
+        # Every interval is in the comment on its field's line.
+        section, comments = None, {}
+        for line in match.group(1).splitlines():
+            code, _, comment = line.partition("#")
+            if not line.startswith(" "):
+                section = code.split(":")[0]
+            for field in re.findall(r"(\w+):", code):
+                comments[(section, field)] = comment
+        for path, _, interval in RANGED:
+            assert interval in comments[(path[0], path[-1])], path
 
     def test_library_block_runs(self, capsys):
         text = (ROOT / "README.md").read_text()

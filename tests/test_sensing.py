@@ -106,6 +106,11 @@ class TestSensingParams:
         with pytest.raises(ValueError, match="SNR"):
             dataclasses.replace(default_params, **changes)
 
+    def test_underflowing_noise_power_fails_the_ceiling(self, default_params):
+        # kappa * sigma0^2 = 5e-324 * 1e-12 underflows to 0; C itself overflows to inf.
+        with pytest.raises(ValueError, match="SNR"):
+            dataclasses.replace(default_params, kappa=5.0e-324)
+
     def test_snr_at_ceiling_keeps_crlb_finite(self, default_params, target):
         # C / h^4 = 1e100 at h = 1 m, the largest SNR accepted.
         params = dataclasses.replace(default_params, transmit_power_w=1e90, altitude_m=1.0)
