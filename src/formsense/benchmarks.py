@@ -11,10 +11,11 @@ how much they miss it as altitude grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import check_fields
 from .formation import build_formation, optimal_azimuths, theoretical_lower_bound
 from .sensing import SensingParams, TargetEstimate, crlb
 
@@ -22,6 +23,11 @@ KINDS = ("optimal", "line", "clustered_polygon", "fixed_elevation", "random_clou
 
 # Entropy-stream tag separating sweep draws from other consumers of the seed.
 _SWEEP_STREAM = 2**41
+
+# Lengths and the clustered ring's shrink factor share the flight altitude's 1e6 m ceiling,
+# far below the 1e77 m at which rho^4 overflows. Under 0.001 deg a fixed-elevation ring's
+# radius H/tan(e) heads for overflow. samples has no upper end yet.
+_LENGTH = "(0, 1e+06]"
 
 
 @dataclass(frozen=True)
@@ -43,28 +49,17 @@ class BenchmarkSpec:
     """
 
     kind: str
-    radius_factor: float = 0.25
-    elevation_deg: float = 30.0
-    length_m: float = 40.0
-    lateral_offset_m: float = 10.0
-    half_width_m: float = 30.0
-    samples: int = 25
+    radius_factor: float = field(default=0.25, metadata={"interval": _LENGTH})
+    elevation_deg: float = field(default=30.0, metadata={"interval": "[0.001, 90)"})
+    length_m: float = field(default=40.0, metadata={"interval": _LENGTH})
+    lateral_offset_m: float = field(default=10.0, metadata={"interval": "[-1e+06, 1e+06]"})
+    half_width_m: float = field(default=30.0, metadata={"interval": _LENGTH})
+    samples: int = field(default=25, metadata={"interval": "[1, inf)"})
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"BenchmarkSpec.kind: expected one of {KINDS}, got {self.kind!r}")
-        if not 0.0 < self.radius_factor:
-            raise ValueError(f"BenchmarkSpec.radius_factor: must be > 0, got {self.radius_factor!r}")
-        if not 0.0 < self.elevation_deg < 90.0:
-            raise ValueError(
-                f"BenchmarkSpec.elevation_deg: must lie in (0, 90), got {self.elevation_deg!r}"
-            )
-        if self.length_m <= 0:
-            raise ValueError(f"BenchmarkSpec.length_m: must be > 0, got {self.length_m!r}")
-        if self.half_width_m <= 0:
-            raise ValueError(f"BenchmarkSpec.half_width_m: must be > 0, got {self.half_width_m!r}")
-        if self.samples < 1:
-            raise ValueError(f"BenchmarkSpec.samples: must be >= 1, got {self.samples!r}")
+        check_fields(self)
 
 
 def benchmark_positions(

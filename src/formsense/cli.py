@@ -79,9 +79,10 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
 
 def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
     """Serialize an episode: JSONL steps, CSV plot columns, summary JSON."""
-    time_s, eta = trace.time_s.tolist(), trace.eta.tolist()
-    crlb = [_json_value(c) for c in trace.crlb_m2.tolist()]  # NaN marks a step without a CRLB
-    cost, clearance = trace.total_cost.tolist(), trace.min_clearance_m.tolist()
+    time_s, eta, cost = trace.time_s.tolist(), trace.eta.tolist(), trace.total_cost.tolist()
+    # NaN marks a step without a CRLB and inf a world without obstacles: null in JSONL, empty in CSV.
+    crlb = [_json_value(c) for c in trace.crlb_m2.tolist()]
+    clearance = [_json_value(c) for c in trace.min_clearance_m.tolist()]
     pairwise = trace.min_pairwise_m.tolist()
     rows = zip(
         time_s,
@@ -103,8 +104,8 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
                 "positions_m": positions,
                 "eta": e,
                 "crlb_m2": c,
-                "total_cost": _json_value(total),
-                "min_clearance_m": _json_value(clear),
+                "total_cost": total,
+                "min_clearance_m": clear,
                 "min_pairwise_m": pair,
                 "max_control_m": control,
                 "displacement_error_m2": error,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -27,10 +27,10 @@ import yaml
 
 from .benchmarks import KINDS, BenchmarkSpec
 from .control import CommGraph, ControlGains, SwarmState, check_stability
-from .errors import ConfigError
+from .errors import NON_NEGATIVE, POSITIVE, ConfigError, check_interval
 from .formation import DisplacementSet, FormationGeometry, build_formation
 from .sensing import SensingParams, TargetEstimate
-from .world import Guidance, RectObstacle, World
+from .world import GUIDANCE_MODES, Guidance, RectObstacle, World
 
 # Entropy-stream tag separating the initial deployment draw from the
 # per-step motion noise streams (which use small step indices).
@@ -52,18 +52,26 @@ _REQUIRED = object()
 # overflows. SensingParams bounds the SNR C/h^4 at each altitude.
 _ALTITUDE_M = "[0.001, 1e+06]"
 
-# A field is (type, default[, interval]). The interval bounds a number or each
-# float of a list, written as errors print it: "[" and "]" include an end.
+
+def _declared(cls: type, name: str, default: Any = MISSING) -> tuple:
+    """A number field with the interval, and unless given the default, of ``cls``'s field ``name``."""
+    declared = cls.__dataclass_fields__[name]
+    default = declared.default if default is MISSING else default
+    return (int if type(default) is int else float, default, declared.metadata["interval"])
+
+
+# A field is (type, default[, interval]). The interval bounds a number or each float of a list;
+# a field that becomes a domain type's field takes the interval that type declares.
 SCHEMA: dict[str, dict[str, tuple]] = {
     "sensing": {
-        "transmit_power_w": (float, 0.1),
-        "processing_gain": (float, 1.0e3),
-        "ref_channel_power_m4": (float, 1.0e-5),
-        "kappa": (float, 1.0),
+        "transmit_power_w": _declared(SensingParams, "transmit_power_w", 0.1),
+        "processing_gain": _declared(SensingParams, "processing_gain", 1.0e3),
+        "ref_channel_power_m4": _declared(SensingParams, "ref_channel_power_m4", 1.0e-5),
+        "kappa": _declared(SensingParams, "kappa", 1.0),
         # 1e-33 to 1e27 W: past about -3000 or +3000 dBm the watts would
         # leave the normal floats, and every receiver lies far inside.
         "noise_floor_dbm": (float, -90.0, "[-300, 300]"),
-        "noise_floor_w": (float, None),  # alternative to noise_floor_dbm
+        "noise_floor_w": _declared(SensingParams, "noise_floor_w", None),  # or noise_floor_dbm
         "altitude_m": (float, 20.0, _ALTITUDE_M),
     },
     "formation": {
@@ -77,34 +85,32 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "world": {
         "target_m": (_VEC2, [80.0, 90.0]),
         "obstacles": (_RAW, []),
-        "motion_noise_std_m": (float, 0.01),
-        # A step must advance time. A control period over 1000 s is no longer
-        # a control loop, and near 1e300 s the first step overflows.
-        "dt_s": (float, 0.1, "(0, 1000]"),
+        "motion_noise_std_m": _declared(World, "motion_noise_std", 0.01),
+        "dt_s": _declared(World, "dt"),
     },
     "graph": {
         "topology": (("ring", "ring_with_leader", "complete", "custom"), "ring_with_leader"),
         "leader_index": (int, 0),
         "adjacency": (_RAW, None),  # for the custom topology
     },
-    "gains": {f.name: (float, f.default) for f in fields(ControlGains)},
+    "gains": {f.name: _declared(ControlGains, f.name) for f in fields(ControlGains)},
     "deployment": {
         "kind": (("random_box", "explicit"), "random_box"),
         "center_m": (_VEC2, [0.0, 0.0]),
-        "side_m": (float, 50.0, "(0, inf)"),  # the random box needs an area
+        "side_m": (float, 50.0, POSITIVE),  # the random box needs an area
         "positions_m": (_RAW, None),  # for explicit deployment
-        "initial_scale": (float, 1.0, "(0, 1]"),  # shrinks the ring; at 0 a point
+        "initial_scale": _declared(SwarmState, "scale"),  # shrinks the ring
     },
     "guidance": {
-        "mode": (("constant", "goal"), "constant"),
+        "mode": (GUIDANCE_MODES, "constant"),
         "velocity_mps": (_VEC2, [0.0, 0.0]),
-        "max_speed_mps": (float, 1.2),
-        "gain_per_s": (float, 0.5),
-        "arrival_tolerance_m": (float, 0.05),
+        "max_speed_mps": _declared(Guidance, "max_speed_mps"),
+        "gain_per_s": _declared(Guidance, "gain_per_s"),
+        "arrival_tolerance_m": _declared(Guidance, "arrival_tolerance_m"),
     },
     "episode": {
-        "max_steps": (int, 4000, "[0, inf)"),  # 0 writes an empty trace
-        "stop_tolerance_m2": (float, 1.0e-3, "(0, inf)"),  # "error < 0" is never met
+        "max_steps": (int, 4000, NON_NEGATIVE),  # 0 writes an empty trace
+        "stop_tolerance_m2": (float, 1.0e-3, POSITIVE),  # "error < 0" is never met
     },
     "sweep": {
         "altitudes_m": (_FLOATS, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0], _ALTITUDE_M),
@@ -112,18 +118,10 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-# Tables of the entries of world.obstacles and sweep.benchmarks. Benchmark
-# lengths share the altitude's 1e6 m ceiling, far below the 1e77 m at which
-# rho^4 overflows; under 0.001 deg a fixed-elevation ring's radius H/tan(e)
-# heads for overflow. samples has no upper end yet.
+# Tables of the entries of world.obstacles and sweep.benchmarks.
 _OBSTACLE = {key: (float, _REQUIRED) for key in ("x_min", "x_max", "y_min", "y_max")}
-_BENCHMARK_RANGES = dict(
-    radius_factor="(0, 1e+06]", elevation_deg="[0.001, 90)", length_m="(0, 1e+06]",
-    lateral_offset_m="[-1e+06, 1e+06]", half_width_m="(0, 1e+06]", samples="[1, inf)",
-)
 _BENCHMARK = {
-    f.name: (KINDS, _REQUIRED) if f.name == "kind"
-    else (type(f.default), f.default, _BENCHMARK_RANGES[f.name])
+    f.name: (KINDS, _REQUIRED) if f.name == "kind" else _declared(BenchmarkSpec, f.name)
     for f in fields(BenchmarkSpec)
 }
 
@@ -147,30 +145,23 @@ def _reject_unknown(name: str, given: dict, allowed: set[str]) -> None:
         raise ConfigError(f"{name}: unknown field(s) {sorted(unknown)}")
 
 
-def _in_range(name: str, value: Any, interval: Optional[str]) -> Any:
-    """Return ``value`` if it lies in ``interval``, e.g. "(0, 1]" or "[3, inf)"."""
-    if interval is not None:
-        lo, hi = (float(end) for end in interval[1:-1].split(","))
-        above = lo < value if interval[0] == "(" else lo <= value
-        below = value < hi if interval[-1] == ")" else value <= hi
-        if not (above and below):
-            raise ConfigError(f"{name}: must lie in {interval}, got {value!r}")
-    return value
-
-
 def _as_float(name: str, value: Any, interval: Optional[str] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     out = float(value)
     if not math.isfinite(out):
         raise ConfigError(f"{name}: must be finite, got {value!r}")
-    return _in_range(name, out, interval)
+    if interval:
+        check_interval(name, out, interval, ConfigError)
+    return out
 
 
 def _as_int(name: str, value: Any, interval: Optional[str] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    return _in_range(name, value, interval)
+    if interval:
+        check_interval(name, value, interval, ConfigError)
+    return value
 
 
 def _as_vec2(name: str, value: Any) -> list[float]:
@@ -283,22 +274,18 @@ def _world(section: dict, seed: int, noise_free: bool) -> World:
     )
     if noise_free:
         section["motion_noise_std_m"] = 0.0
-    try:
-        return World(
-            target=TargetEstimate(np.array(section["target_m"])),
-            obstacles=obstacles,
-            motion_noise_std=section["motion_noise_std_m"],
-            dt=section["dt_s"],
-            rng_seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"world: {exc}") from exc
+    return World(
+        target=TargetEstimate(np.array(section["target_m"])),
+        obstacles=obstacles,
+        motion_noise_std=section["motion_noise_std_m"],
+        dt=section["dt_s"],
+        rng_seed=seed,
+    )
 
 
 def _graph(section: dict, agent_count: int) -> CommGraph:
     topology, leader = section["topology"], section["leader_index"]
-    if not 0 <= leader < agent_count:
-        raise ConfigError(f"graph.leader_index: must lie in [0, {agent_count - 1}], got {leader}")
+    check_interval("graph.leader_index", leader, f"[0, {agent_count - 1}]", ConfigError)
     adjacency = section.pop("adjacency", None)
     if topology == "custom":
         if adjacency is None:
@@ -428,10 +415,7 @@ def build_config(
         raise ConfigError(f"formation: {exc}") from exc
     leader_offset = formation.planar_positions[graph.leader_index] - plan_target.position
     guidance_c = {k: v for k, v in canonical["guidance"].items() if k != "velocity_mps"}
-    try:
-        guidance = Guidance(leader_offset=leader_offset, goal_m=plan_target.position, **guidance_c)
-    except ValueError as exc:
-        raise ConfigError(f"guidance: {exc}") from exc
+    guidance = Guidance(leader_offset=leader_offset, goal_m=plan_target.position, **guidance_c)
 
     benchmarks = _sweep(canonical["sweep"], params)
 

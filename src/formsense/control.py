@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import FRACTION, NON_NEGATIVE, POSITIVE, check_fields
 from .formation import DisplacementSet
 
 
@@ -121,8 +122,8 @@ class SwarmState:
 
     positions: np.ndarray
     velocity_estimates: np.ndarray
-    scale: float = 1.0
-    step_index: int = 0
+    scale: float = field(default=1.0, metadata={"interval": FRACTION})
+    step_index: int = field(default=0, metadata={"interval": NON_NEGATIVE})
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
@@ -136,10 +137,7 @@ class SwarmState:
             )
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(velocities))):
             raise ValueError("SwarmState: entries must be finite")
-        if not 0.0 < self.scale <= 1.0:
-            raise ValueError(f"SwarmState.scale: must lie in (0, 1], got {self.scale!r}")
-        if self.step_index < 0:
-            raise ValueError(f"SwarmState.step_index: must be >= 0, got {self.step_index!r}")
+        check_fields(self)
         positions.setflags(write=False)
         velocities.setflags(write=False)
         object.__setattr__(self, "positions", positions)
@@ -159,26 +157,15 @@ class ControlGains:
         eta_min: Lower clamp for the formation scale factor.
     """
 
-    epsilon: float = 0.01
-    consensus_gain: float = 0.2
-    repulsion_gain: float = 5.0
-    safety_radius_m: float = 5.0
-    repulsion_cap: float = 5.0
-    eta_min: float = 0.2
+    epsilon: float = field(default=0.01, metadata={"interval": POSITIVE})
+    consensus_gain: float = field(default=0.2, metadata={"interval": POSITIVE})
+    repulsion_gain: float = field(default=5.0, metadata={"interval": NON_NEGATIVE})
+    safety_radius_m: float = field(default=5.0, metadata={"interval": POSITIVE})
+    repulsion_cap: float = field(default=5.0, metadata={"interval": POSITIVE})
+    eta_min: float = field(default=0.2, metadata={"interval": FRACTION})
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"ControlGains.epsilon: must be > 0, got {self.epsilon!r}")
-        if self.consensus_gain <= 0:
-            raise ValueError(f"ControlGains.consensus_gain: must be > 0, got {self.consensus_gain!r}")
-        if self.repulsion_gain < 0:
-            raise ValueError(f"ControlGains.repulsion_gain: must be >= 0, got {self.repulsion_gain!r}")
-        if self.safety_radius_m <= 0:
-            raise ValueError(f"ControlGains.safety_radius_m: must be > 0, got {self.safety_radius_m!r}")
-        if self.repulsion_cap <= 0:
-            raise ValueError(f"ControlGains.repulsion_cap: must be > 0, got {self.repulsion_cap!r}")
-        if not 0.0 < self.eta_min <= 1.0:
-            raise ValueError(f"ControlGains.eta_min: must lie in (0, 1], got {self.eta_min!r}")
+        check_fields(self)
 
 
 def check_stability(gains: ControlGains, graph: CommGraph) -> None:

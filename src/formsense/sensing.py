@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularGeometryError
+from .errors import POSITIVE, SingularGeometryError, check_fields
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular. Scale-free by construction.
@@ -40,29 +40,19 @@ class SensingParams:
         altitude_m: Common flight altitude in meters.
     """
 
-    transmit_power_w: float
-    processing_gain: float
-    ref_channel_power_m4: float
-    kappa: float
-    noise_floor_w: float
-    altitude_m: float
+    transmit_power_w: float = field(metadata={"interval": POSITIVE})
+    processing_gain: float = field(metadata={"interval": POSITIVE})
+    ref_channel_power_m4: float = field(metadata={"interval": POSITIVE})
+    kappa: float = field(metadata={"interval": POSITIVE})
+    noise_floor_w: float = field(metadata={"interval": POSITIVE})
+    altitude_m: float = field(metadata={"interval": POSITIVE})
 
     # p * G_p * beta0 / (kappa * sigma0^2); the only combination the noise
     # and information formulas depend on. Units m^4.
     composite_snr_m4: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in (
-            "transmit_power_w",
-            "processing_gain",
-            "ref_channel_power_m4",
-            "kappa",
-            "noise_floor_w",
-            "altitude_m",
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"SensingParams.{name}: must be a finite positive number, got {value!r}")
+        check_fields(self)
         # Divided one factor at a time: kappa * sigma0^2 or h^4 alone can over- or underflow,
         # and an infinite quotient fails the SNR ceiling.
         composite = (
@@ -152,8 +142,6 @@ def elevation_weight(elevation_rad, params: SensingParams):
     cos_sq = np.cos(phi) ** 2
     out = (params.composite_snr_m4 * sin_sq**2 / h**4 + 8.0 * sin_sq / h**2) * cos_sq
     return float(out) if np.ndim(elevation_rad) == 0 else out
-
-
 
 
 def crlb(positions, target: TargetEstimate, params: SensingParams):

@@ -37,8 +37,11 @@ from .control import (
     local_cost,
     scale_factor,
 )
+from .errors import NON_NEGATIVE, POSITIVE, check_fields
 from .formation import DisplacementSet, _squared_distances
 from .sensing import SensingParams, TargetEstimate, crlb
+
+GUIDANCE_MODES = ("constant", "goal")  # how Guidance produces the reference velocity
 
 
 @dataclass(frozen=True)
@@ -68,18 +71,17 @@ class World:
 
     target: TargetEstimate
     obstacles: tuple[RectObstacle, ...] = ()
-    motion_noise_std: float = 0.0
-    dt: float = 0.1
+    motion_noise_std: float = field(default=0.0, metadata={"interval": NON_NEGATIVE})
+    # A step must advance time. A control period over 1000 s is no longer a
+    # control loop, and near 1e300 s the first step overflows.
+    dt: float = field(default=0.1, metadata={"interval": "(0, 1000]"})
     rng_seed: int = 0
     # Rectangle bounds as rows x_min, x_max, y_min, y_max over the K obstacles.
     _bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if self.dt <= 0:
-            raise ValueError(f"World.dt: must be > 0, got {self.dt!r}")
-        if self.motion_noise_std < 0:
-            raise ValueError(f"World.motion_noise_std: must be >= 0, got {self.motion_noise_std!r}")
+        check_fields(self)
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ValueError(f"World.rng_seed: must fit in an unsigned 64-bit int, got {self.rng_seed!r}")
         bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 4)
@@ -214,23 +216,16 @@ class Guidance:
     """
 
     mode: str = "constant"
-    max_speed_mps: float = 1.2
-    gain_per_s: float = 0.5
-    arrival_tolerance_m: float = 0.05
+    max_speed_mps: float = field(default=1.2, metadata={"interval": POSITIVE})
+    gain_per_s: float = field(default=0.5, metadata={"interval": POSITIVE})
+    arrival_tolerance_m: float = field(default=0.05, metadata={"interval": POSITIVE})
     leader_offset: np.ndarray = field(default_factory=lambda: np.zeros(2))
     goal_m: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("constant", "goal"):
-            raise ValueError(f"Guidance.mode: expected 'constant' or 'goal', got {self.mode!r}")
-        if self.max_speed_mps <= 0:
-            raise ValueError(f"Guidance.max_speed_mps: must be > 0, got {self.max_speed_mps!r}")
-        if self.gain_per_s <= 0:
-            raise ValueError(f"Guidance.gain_per_s: must be > 0, got {self.gain_per_s!r}")
-        if self.arrival_tolerance_m <= 0:
-            raise ValueError(
-                f"Guidance.arrival_tolerance_m: must be > 0, got {self.arrival_tolerance_m!r}"
-            )
+        if self.mode not in GUIDANCE_MODES:
+            raise ValueError(f"Guidance.mode: expected one of {GUIDANCE_MODES}, got {self.mode!r}")
+        check_fields(self)
         offset = np.asarray(self.leader_offset, dtype=float)
         if offset.shape != (2,) or not np.all(np.isfinite(offset)):
             raise ValueError("Guidance.leader_offset: expected finite 2-vector")

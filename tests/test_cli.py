@@ -357,6 +357,9 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "trace.jsonl").read_text().splitlines()
         assert [json.loads(line)["min_clearance_m"] for line in lines] == [None] * 3
+        # The CSV writes the same value as an empty cell, as it does a missing CRLB.
+        rows = read_rows(out / "trace.csv")
+        assert [row[CSV_HEADER.index("min_clearance")] for row in rows[1:]] == [""] * 3
 
 
 class TestOutDirResolution:

@@ -410,10 +410,11 @@ class TestReadme:
         canonical = build_config(yaml.safe_load(match.group(1))).canonical
         canonical["world"]["obstacles"] = []  # the block shows one example rectangle
         assert canonical == build_config({}).canonical
-        # Every interval is in the comment on its field's line.
+        # Every interval is in the comment on its field's line; a commented-out
+        # field line ("  # noise_floor_w: ...") shows an alternative field.
         section, comments = None, {}
         for line in match.group(1).splitlines():
-            code, _, comment = line.partition("#")
+            code, _, comment = re.sub(r"^(\s+)# ", r"\1", line).partition("#")
             if not line.startswith(" "):
                 section = code.split(":")[0]
             for field in re.findall(r"(\w+):", code):

@@ -11,6 +11,7 @@ import copy
 import csv
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -64,6 +65,9 @@ PATHS = sorted(
     key=repr,
 )
 
+# CSV columns that hold text; every other cell is empty or a finite number.
+TEXT_COLUMNS = {"config_hash", "formation_kind"}
+
 MAX = sys.float_info.max
 POOL = [
     "abc", "1.0e+300", True, False, None,
@@ -102,6 +106,12 @@ def _check_artifacts(out):
             assert path.suffix == ".csv"
             rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
             assert rows and all(len(row) == len(rows[0]) for row in rows)
+            for row in rows[1:]:
+                for column, cell in zip(rows[0], row):
+                    # Empty marks a value strict JSON writes as null.
+                    assert column in TEXT_COLUMNS or cell == "" or math.isfinite(float(cell)), (
+                        path.name, column, cell,
+                    )
 
 
 def run_all(path, value):
@@ -140,6 +150,7 @@ def replacements(draw):
 @example((("sensing", "kappa"), 5e-324))
 @example((("sensing", "noise_floor_dbm"), 1.0e6))
 @example((("world", "dt_s"), 1.0e300))
+@example((("world", "obstacles"), []))
 @example((("deployment",), {"center_m": [1.0e308, 0.0], "side_m": 1.0e308}))
 def test_one_field_replaced_ends_in_a_documented_outcome(replacement):
     run_all(*replacement)
