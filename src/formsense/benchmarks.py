@@ -48,7 +48,7 @@ class BenchmarkSpec:
         samples: Monte Carlo draws averaged for random_cloud.
     """
 
-    kind: str
+    kind: str = field(metadata={"choices": KINDS})
     radius_factor: float = field(default=0.25, metadata={"interval": _LENGTH})
     elevation_deg: float = field(default=30.0, metadata={"interval": "[0.001, 90)"})
     length_m: float = field(default=40.0, metadata={"interval": _LENGTH})
@@ -57,8 +57,6 @@ class BenchmarkSpec:
     samples: int = field(default=25, metadata={"interval": "[1, inf)"})
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"BenchmarkSpec.kind: expected one of {KINDS}, got {self.kind!r}")
         check_fields(self)
 
 

@@ -27,10 +27,10 @@ import yaml
 
 from .benchmarks import KINDS, BenchmarkSpec
 from .control import CommGraph, ControlGains, SwarmState, check_stability
-from .errors import NON_NEGATIVE, POSITIVE, ConfigError, check_interval
+from .errors import NON_NEGATIVE, POSITIVE, ConfigError, check_choice, check_interval
 from .formation import DisplacementSet, FormationGeometry, build_formation
 from .sensing import SensingParams, TargetEstimate
-from .world import GUIDANCE_MODES, Guidance, RectObstacle, World
+from .world import Guidance, RectObstacle, World
 
 # Entropy-stream tag separating the initial deployment draw from the
 # per-step motion noise streams (which use small step indices).
@@ -44,24 +44,22 @@ _DEFAULT_OUTPUT_DIR = "out"
 _VEC2 = "vec2"
 _FLOATS = "floats"
 _RAW = "raw"
-# The default of a field that must be given. A field whose default is None
-# has no value unless given.
-_REQUIRED = object()
-
-# Flight altitudes in meters: h^4 neither underflows (1e-90 m would) nor
-# overflows. SensingParams bounds the SNR C/h^4 at each altitude.
-_ALTITUDE_M = "[0.001, 1e+06]"
+# The default of a field that must be given, as of a dataclass field without one.
+# A field whose default is None has no value unless given.
+_REQUIRED = MISSING
 
 
 def _declared(cls: type, name: str, default: Any = MISSING) -> tuple:
-    """A number field with the interval, and unless given the default, of ``cls``'s field ``name``."""
+    """A field with the choices or interval, and unless given the default, of ``cls``'s ``name``."""
     declared = cls.__dataclass_fields__[name]
     default = declared.default if default is MISSING else default
+    if "choices" in declared.metadata:
+        return (declared.metadata["choices"], default)
     return (int if type(default) is int else float, default, declared.metadata["interval"])
 
 
 # A field is (type, default[, interval]). The interval bounds a number or each float of a list;
-# a field that becomes a domain type's field takes the interval that type declares.
+# a field that becomes a domain type's field takes the interval or choices that type declares.
 SCHEMA: dict[str, dict[str, tuple]] = {
     "sensing": {
         "transmit_power_w": _declared(SensingParams, "transmit_power_w", 0.1),
@@ -72,7 +70,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         # leave the normal floats, and every receiver lies far inside.
         "noise_floor_dbm": (float, -90.0, "[-300, 300]"),
         "noise_floor_w": _declared(SensingParams, "noise_floor_w", None),  # or noise_floor_dbm
-        "altitude_m": (float, 20.0, _ALTITUDE_M),
+        "altitude_m": _declared(SensingParams, "altitude_m", 20.0),
     },
     "formation": {
         # An isotropic ring needs at least 3 agents; there is no upper end yet.
@@ -102,7 +100,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "initial_scale": _declared(SwarmState, "scale"),  # shrinks the ring
     },
     "guidance": {
-        "mode": (GUIDANCE_MODES, "constant"),
+        "mode": _declared(Guidance, "mode"),
         "velocity_mps": (_VEC2, [0.0, 0.0]),
         "max_speed_mps": _declared(Guidance, "max_speed_mps"),
         "gain_per_s": _declared(Guidance, "gain_per_s"),
@@ -113,17 +111,16 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "stop_tolerance_m2": (float, 1.0e-3, POSITIVE),  # "error < 0" is never met
     },
     "sweep": {
-        "altitudes_m": (_FLOATS, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0], _ALTITUDE_M),
+        "altitudes_m": (  # each in the interval of sensing.altitude_m
+            _FLOATS, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0], _declared(SensingParams, "altitude_m")[2]
+        ),
         "benchmarks": (_RAW, [{"kind": kind} for kind in KINDS]),
     },
 }
 
 # Tables of the entries of world.obstacles and sweep.benchmarks.
 _OBSTACLE = {key: (float, _REQUIRED) for key in ("x_min", "x_max", "y_min", "y_max")}
-_BENCHMARK = {
-    f.name: (KINDS, _REQUIRED) if f.name == "kind" else _declared(BenchmarkSpec, f.name)
-    for f in fields(BenchmarkSpec)
-}
+_BENCHMARK = {f.name: _declared(BenchmarkSpec, f.name) for f in fields(BenchmarkSpec)}
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -200,8 +197,8 @@ def _check_fields(name: str, value: Any, table: dict[str, tuple]) -> dict:
         value = given.get(key, default)
         if kind in _CONVERTERS:
             value = _CONVERTERS[kind](path, value, *interval)
-        elif isinstance(kind, tuple) and value not in kind:
-            raise ConfigError(f"{path}: expected one of {kind}, got {value!r}")
+        elif isinstance(kind, tuple):
+            check_choice(path, value, kind, ConfigError)
         out[key] = value
     return out
 
@@ -275,7 +272,7 @@ def _world(section: dict, seed: int, noise_free: bool) -> World:
     if noise_free:
         section["motion_noise_std_m"] = 0.0
     return World(
-        target=TargetEstimate(np.array(section["target_m"])),
+        target=TargetEstimate(section["target_m"]),
         obstacles=obstacles,
         motion_noise_std=section["motion_noise_std_m"],
         dt=section["dt_s"],
@@ -287,18 +284,8 @@ def _graph(section: dict, agent_count: int) -> CommGraph:
     topology, leader = section["topology"], section["leader_index"]
     check_interval("graph.leader_index", leader, f"[0, {agent_count - 1}]", ConfigError)
     adjacency = section.pop("adjacency", None)
-    if topology == "custom":
-        if adjacency is None:
-            raise ConfigError("graph.adjacency: required for custom topology")
-        try:
-            adjacency = np.asarray(adjacency, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"graph.adjacency: {exc}") from exc
-        if adjacency.shape != (agent_count, agent_count):
-            raise ConfigError(
-                f"graph.adjacency: expected shape ({agent_count}, {agent_count}), "
-                f"got {adjacency.shape}"
-            )
+    if topology == "custom" and adjacency is None:
+        raise ConfigError("graph.adjacency: required for custom topology")
     try:
         if topology == "custom":
             graph = CommGraph(adjacency, leader)
@@ -307,6 +294,9 @@ def _graph(section: dict, agent_count: int) -> CommGraph:
             graph = getattr(CommGraph, topology)(agent_count, leader)
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc
+    if graph.agent_count != agent_count:
+        shape = (agent_count, agent_count)
+        raise ConfigError(f"graph.adjacency: expected shape {shape}, got {graph.adjacency.shape}")
     return graph
 
 

@@ -34,16 +34,15 @@ class CommGraph:
         leader_index: The agent that knows the reference velocity.
     """
 
-    adjacency: np.ndarray
+    adjacency: np.ndarray = field(metadata={"shape": "(M, M)"})
     leader_index: int = 0
     # Directed edges (m, p) sorted by m, then p; bins 2m, 2m + 1 of their x and y.
     _edges: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _xy_bins: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        adj = np.asarray(self.adjacency, dtype=float)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"CommGraph.adjacency: expected square matrix, got {adj.shape}")
+        check_fields(self)
+        adj = self.adjacency
         if not np.array_equal(adj, adj.T):
             raise ValueError("CommGraph.adjacency: must be symmetric")
         if np.any(np.diag(adj) != 0):
@@ -52,8 +51,6 @@ class CommGraph:
             raise ValueError("CommGraph.adjacency: entries must be 0 or 1")
         if not 0 <= self.leader_index < adj.shape[0]:
             raise ValueError(f"CommGraph.leader_index: out of range for {adj.shape[0]} agents")
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
         if not self._connected():
             raise ValueError("CommGraph.adjacency: graph must be connected")
         object.__setattr__(self, "_edges", np.nonzero(adj))
@@ -120,28 +117,13 @@ class CommGraph:
 class SwarmState:
     """Planar positions, velocity estimates, and formation scale at one step."""
 
-    positions: np.ndarray
-    velocity_estimates: np.ndarray
+    positions: np.ndarray = field(metadata={"shape": "(M, 2)"})
+    velocity_estimates: np.ndarray = field(metadata={"shape": "(M, 2)"})
     scale: float = field(default=1.0, metadata={"interval": FRACTION})
     step_index: int = field(default=0, metadata={"interval": NON_NEGATIVE})
 
     def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
-        velocities = np.asarray(self.velocity_estimates, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 2:
-            raise ValueError(f"SwarmState.positions: expected (M, 2), got {positions.shape}")
-        if velocities.shape != positions.shape:
-            raise ValueError(
-                f"SwarmState.velocity_estimates: shape {velocities.shape} "
-                f"does not match positions {positions.shape}"
-            )
-        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(velocities))):
-            raise ValueError("SwarmState: entries must be finite")
         check_fields(self)
-        positions.setflags(write=False)
-        velocities.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "velocity_estimates", velocities)
 
 
 @dataclass(frozen=True)

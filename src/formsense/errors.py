@@ -1,10 +1,16 @@
-"""Exception types shared across the package, and the one check of a number's interval.
+"""Exception types shared across the package, and the one check of a dataclass's declared fields.
 
-A dataclass field declares one as ``field(metadata={"interval": "(0, inf)"})``; see check_fields.
+A field declares what it accepts in its metadata, written the way the error prints it:
+``"interval"`` bounds a number, as in ``field(metadata={"interval": "(0, inf)"})``;
+``"choices"`` is a tuple of the strings it may be; ``"shape"`` makes an array field a finite,
+read-only float copy of the given shape, as in ``"(M, 2)"``. See check_fields.
 """
 
+from functools import cache
 from numbers import Real
 from typing import Any
+
+import numpy as np
 
 # Intervals that several fields share.
 POSITIVE = "(0, inf)"
@@ -41,8 +47,60 @@ def check_interval(name: str, value: Any, interval: str, error: type = ValueErro
         raise error(f"{name}: must lie in {interval}, got {value!r}")
 
 
+def check_choice(name: str, value: Any, choices: tuple, error: type = ValueError) -> None:
+    """Raise ``error("{name}: expected one of {choices}, got {value!r}")`` unless it is one."""
+    if not (isinstance(value, str) and value in choices):
+        raise error(f"{name}: expected one of {choices}, got {value!r}")
+
+
+@cache
+def _dims(shape: str) -> tuple:
+    """The lengths of a shape such as "(M, 2)": ints, and letters that stand for lengths >= 1."""
+    return tuple(int(d) if d.isdigit() else d for d in shape[1:-1].replace(" ", "").split(",") if d)
+
+
+def _frozen_array(name: str, value: Any, shape: str, lengths: dict) -> np.ndarray:
+    """A finite read-only float copy of ``value`` of the given shape.
+
+    A letter of ``shape`` must have the length ``lengths`` holds for it; a new one is bound there.
+    """
+    dims, bound = _dims(shape), dict(lengths)
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if (
+        array is None
+        or array.ndim != len(dims)
+        or not all(
+            n == (d if isinstance(d, int) else bound.setdefault(d, n)) > 0
+            for n, d in zip(array.shape, dims)
+        )
+        or not np.isfinite(array).all()
+    ):
+        where = "".join(f" with {d} = {lengths[d]}" for d in dict.fromkeys(dims) if d in lengths)
+        got = " ".join(repr(value).split())  # an array's repr on one line
+        raise ValueError(f"{name}: expected a finite {shape} array{where}, got {got}")
+    lengths.update(bound)
+    array.setflags(write=False)
+    return array
+
+
 def check_fields(obj: Any) -> None:
-    """Raise a ValueError naming ``Class.field`` for the first field of ``obj`` outside its interval."""
+    """Check every declared field of the frozen dataclass ``obj``, and store each array as a copy.
+
+    Raises a ValueError naming ``Class.field`` for the first field outside its interval, not one
+    of its choices, or not a finite array of its shape. A letter of a shape is one length shared
+    by every field of ``obj`` that names it. An array field whose default is None may be None.
+    """
+    lengths: dict[str, int] = {}
     for f in obj.__dataclass_fields__.values():
-        if "interval" in f.metadata:
-            check_interval(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name), f.metadata["interval"])
+        if not f.metadata:
+            continue
+        meta, name, value = f.metadata, f"{type(obj).__name__}.{f.name}", getattr(obj, f.name)
+        if "interval" in meta:
+            check_interval(name, value, meta["interval"])
+        elif "choices" in meta:
+            check_choice(name, value, meta["choices"])
+        elif "shape" in meta and not (value is None and f.default is None):
+            object.__setattr__(obj, f.name, _frozen_array(name, value, meta["shape"], lengths))

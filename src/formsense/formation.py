@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientAgentsError
+from .errors import InsufficientAgentsError, check_fields
 from .sensing import SensingParams, TargetEstimate, crlb, elevation_weight
 
 _GEOMETRY_RTOL = 1e-9
@@ -36,27 +36,21 @@ class FormationGeometry:
         crlb_m2: CRLB trace attained by this formation.
     """
 
-    planar_positions: np.ndarray
-    center: np.ndarray
+    planar_positions: np.ndarray = field(metadata={"shape": "(M, 2)"})
+    center: np.ndarray = field(metadata={"shape": "(2,)"})
     ring_radius_m: float
     elevation_rad: float
     initial_rotation_rad: float
     crlb_m2: float
 
     def __post_init__(self) -> None:
-        positions = np.array(self.planar_positions, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 2 or not np.all(np.isfinite(positions)):
-            raise ValueError("FormationGeometry.planar_positions: expected a finite (M, 2) array")
+        check_fields(self)
+        positions = self.planar_positions
         if len(positions) < 3:
             raise InsufficientAgentsError(
                 f"an isotropic formation needs at least 3 agents, got {len(positions)}"
             )
-        center = np.array(self.center, dtype=float)
-        positions.setflags(write=False)
-        center.setflags(write=False)
-        object.__setattr__(self, "planar_positions", positions)
-        object.__setattr__(self, "center", center)
-        offsets = positions - center
+        offsets = positions - self.center
         radii = np.hypot(offsets[:, 0], offsets[:, 1])
         if not np.allclose(radii, self.ring_radius_m, rtol=_GEOMETRY_RTOL, atol=1e-12):
             raise ValueError("FormationGeometry: agents are not equidistant from the center")
@@ -84,24 +78,13 @@ class DisplacementSet:
         nominal_diameter_m: Largest pairwise distance in the reference.
     """
 
-    reference: np.ndarray
-    global_velocity: np.ndarray = (0.0, 0.0)
+    reference: np.ndarray = field(metadata={"shape": "(M, 2)"})
+    global_velocity: np.ndarray = field(default=(0.0, 0.0), metadata={"shape": "(2,)"})
     nominal_diameter_m: float = field(init=False)
 
     def __post_init__(self) -> None:
-        reference = np.array(self.reference, dtype=float)
-        if reference.ndim != 2 or reference.shape[1] != 2 or len(reference) == 0:
-            raise ValueError(f"DisplacementSet.reference: expected (M, 2), got {reference.shape}")
-        if not np.all(np.isfinite(reference)):
-            raise ValueError("DisplacementSet.reference: entries must be finite")
-        velocity = np.array(self.global_velocity, dtype=float)
-        if velocity.shape != (2,) or not np.all(np.isfinite(velocity)):
-            raise ValueError("DisplacementSet.global_velocity: expected finite 2-vector")
-        reference.setflags(write=False)
-        velocity.setflags(write=False)
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "global_velocity", velocity)
-        diameter = float(np.sqrt(_squared_distances(reference).max()))
+        check_fields(self)
+        diameter = float(np.sqrt(_squared_distances(self.reference).max()))
         object.__setattr__(self, "nominal_diameter_m", diameter)
 
 
@@ -129,7 +112,7 @@ def optimal_elevation(params: SensingParams) -> float:
     tilts toward shorter ranges.
 
     The root is evaluated multiplied through by b, which needs no branch:
-    under the SNR ceiling C / H^4 <= 1e100 and at the altitudes a config
+    under the SNR ceiling C / H^4 <= 1e100 and at the altitudes SensingParams
     accepts, 1 mm to 1000 km, a^2, ab and b^2 are all finite.
     """
     h = params.altitude_m
@@ -187,7 +170,7 @@ def build_formation(
     )
     return FormationGeometry(
         planar_positions=positions,
-        center=target.position.copy(),
+        center=target.position,
         ring_radius_m=radius,
         elevation_rad=phi_star,
         initial_rotation_rad=float(initial_rotation_rad) % (2.0 * math.pi),

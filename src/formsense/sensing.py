@@ -23,7 +23,7 @@ from .errors import POSITIVE, SingularGeometryError, check_fields
 # matrix is treated as singular. Scale-free by construction.
 _SINGULARITY_RTOL = 1e-12
 
-# Ceiling on the SNR C / H^4; with the altitudes a config accepts it keeps the CRLB finite.
+# Ceiling on the SNR C / H^4; with the altitudes accepted it keeps the CRLB finite.
 _MAX_SNR = 1e100
 
 
@@ -45,7 +45,8 @@ class SensingParams:
     ref_channel_power_m4: float = field(metadata={"interval": POSITIVE})
     kappa: float = field(metadata={"interval": POSITIVE})
     noise_floor_w: float = field(metadata={"interval": POSITIVE})
-    altitude_m: float = field(metadata={"interval": POSITIVE})
+    # 1 mm to 1000 km: far past either end h^4 over- or underflows and the optimal elevation fails.
+    altitude_m: float = field(metadata={"interval": "[0.001, 1e+06]"})
 
     # p * G_p * beta0 / (kappa * sigma0^2); the only combination the noise
     # and information formulas depend on. Units m^4.
@@ -69,14 +70,10 @@ class SensingParams:
 class TargetEstimate:
     """Planar prior position of the ground target, in meters."""
 
-    position: np.ndarray
+    position: np.ndarray = field(metadata={"shape": "(2,)"})
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (2,) or not np.all(np.isfinite(pos)):
-            raise ValueError(f"TargetEstimate.position: expected finite 2-vector, got {self.position!r}")
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -90,16 +87,12 @@ class AgentPose:
     plain constructor only validates ranges.
     """
 
-    planar_position: np.ndarray
+    planar_position: np.ndarray = field(metadata={"shape": "(2,)"})
     elevation_rad: float
     azimuth_rad: float
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.planar_position, dtype=float)
-        if pos.shape != (2,) or not np.all(np.isfinite(pos)):
-            raise ValueError("AgentPose.planar_position: expected finite 2-vector")
-        pos.setflags(write=False)
-        object.__setattr__(self, "planar_position", pos)
+        check_fields(self)
         if not 0.0 < self.elevation_rad < math.pi / 2:
             raise ValueError(
                 f"AgentPose.elevation_rad: must lie strictly inside (0, pi/2), got {self.elevation_rad!r}"

@@ -215,28 +215,15 @@ class Guidance:
     an arrival condition.
     """
 
-    mode: str = "constant"
+    mode: str = field(default="constant", metadata={"choices": GUIDANCE_MODES})
     max_speed_mps: float = field(default=1.2, metadata={"interval": POSITIVE})
     gain_per_s: float = field(default=0.5, metadata={"interval": POSITIVE})
     arrival_tolerance_m: float = field(default=0.05, metadata={"interval": POSITIVE})
-    leader_offset: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    goal_m: Optional[np.ndarray] = None
+    leader_offset: np.ndarray = field(default=(0.0, 0.0), metadata={"shape": "(2,)"})
+    goal_m: Optional[np.ndarray] = field(default=None, metadata={"shape": "(2,)"})
 
     def __post_init__(self) -> None:
-        if self.mode not in GUIDANCE_MODES:
-            raise ValueError(f"Guidance.mode: expected one of {GUIDANCE_MODES}, got {self.mode!r}")
         check_fields(self)
-        offset = np.asarray(self.leader_offset, dtype=float)
-        if offset.shape != (2,) or not np.all(np.isfinite(offset)):
-            raise ValueError("Guidance.leader_offset: expected finite 2-vector")
-        offset.setflags(write=False)
-        object.__setattr__(self, "leader_offset", offset)
-        if self.goal_m is not None:
-            goal = np.asarray(self.goal_m, dtype=float)
-            if goal.shape != (2,) or not np.all(np.isfinite(goal)):
-                raise ValueError("Guidance.goal_m: expected finite 2-vector")
-            goal.setflags(write=False)
-            object.__setattr__(self, "goal_m", goal)
 
     def _to_goal(self, positions: np.ndarray, world: World, graph: CommGraph) -> np.ndarray:
         """Vector from the leader's estimate of the formation center to the steering goal.

@@ -98,12 +98,15 @@ class TestSensingParams:
         [
             {"transmit_power_w": 1e300, "processing_gain": 1e300},  # C overflows to inf
             {"transmit_power_w": 1e150, "processing_gain": 1e150, "altitude_m": 1e-3},
-            {"altitude_m": 1e-90},  # h^4 underflows; C / h^4 does not
+            {"altitude_m": 1e-90},  # h^4 underflows: below the altitude interval, checked first
             {"transmit_power_w": 1.1e90, "altitude_m": 1.0},  # C / h^4 = 1.1e100
         ],
     )
     def test_rejects_snr_above_ceiling(self, default_params, changes):
-        with pytest.raises(ValueError, match="SNR"):
+        message = "SNR"
+        if changes.get("altitude_m") == 1e-90:
+            message = r"SensingParams.altitude_m: must lie in \[0.001, 1e\+06\], got 1e-90"
+        with pytest.raises(ValueError, match=message):
             dataclasses.replace(default_params, **changes)
 
     def test_underflowing_noise_power_fails_the_ceiling(self, default_params):
@@ -117,9 +120,11 @@ class TestSensingParams:
         ring = target.position + np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])
         assert math.isfinite(crlb(ring, target, params))
 
-    def test_extreme_altitude_with_small_snr_accepted(self, default_params):
-        # h^4 overflows a float at 1e90 m; the SNR C / h^4 is still computed.
-        assert dataclasses.replace(default_params, altitude_m=1e90).altitude_m == 1e90
+    def test_extreme_altitude_with_small_snr_rejected(self, default_params):
+        # h^4 overflows a float at 1e90 m, and optimal_elevation with it, however small the SNR.
+        message = r"SensingParams.altitude_m: must lie in \[0.001, 1e\+06\], got 1e\+90"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(default_params, altitude_m=1e90)
 
 
 class TestSlantRange:
@@ -127,10 +132,10 @@ class TestSlantRange:
         assert slant_range(np.array([80.0, 90.0]), target, default_params) == 20.0
 
     def test_three_four_five(self):
-        params = unit_snr_params(altitude=1e-4)
+        params = unit_snr_params(altitude=1e-3)
         tgt = TargetEstimate(np.array([3.0, 4.0]))
         d = slant_range(np.array([0.0, 0.0]), tgt, params)
-        assert d == pytest.approx(5.0, abs=1e-8)
+        assert d == pytest.approx(math.hypot(5.0, 1e-3), abs=1e-8)
 
     def test_lateral_offset(self, default_params, target):
         d = slant_range(np.array([60.0, 90.0]), target, default_params)
