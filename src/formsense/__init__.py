@@ -22,7 +22,7 @@ from .control import (
     repulsion,
     scale_factor,
 )
-from .errors import ConfigError, InsufficientAgentsError, SingularGeometryError
+from .errors import ConfigError
 from .formation import (
     DisplacementSet,
     FormationGeometry,
@@ -54,11 +54,9 @@ __all__ = [
     "EpisodeTrace",
     "FormationGeometry",
     "Guidance",
-    "InsufficientAgentsError",
     "RectObstacle",
     "RunConfig",
     "SensingParams",
-    "SingularGeometryError",
     "SwarmState",
     "TargetEstimate",
     "World",

@@ -111,9 +111,9 @@ def sweep_rows(
     """CRLB of every benchmark at every altitude, with the analytic bound.
 
     random_cloud rows are Monte Carlo averages over one batch of draws; the
-    returned ``samples`` field records how many draws contributed (singular
-    draws are skipped, which has never been observed for continuous position
-    distributions).
+    returned ``samples`` field records how many draws contributed. A
+    formation without a bound (NaN from :func:`sensing.crlb`) contributes
+    nothing: a row none contributes to has ``crlb_m2`` None and ``samples`` 0.
     """
     if not altitudes_m:
         raise ValueError("sweep_rows: need at least one altitude")
@@ -137,8 +137,8 @@ def sweep_rows(
                 samples = int(values.size)
             else:
                 positions = benchmark_positions(spec, agent_count, target, params, ring=ring)
-                crlb_m2 = formation_crlb(positions, target, params)
-                samples = 1
+                value = formation_crlb(positions, target, params)
+                crlb_m2, samples = (None, 0) if math.isnan(value) else (value, 1)
             rows.append(
                 {
                     "altitude_m": float(altitude),

@@ -4,8 +4,9 @@ Every command reads one YAML config, writes deterministic artifacts into
 the output directory, and tags each artifact with the config hash and seed
 so a result file alone identifies the run that produced it. Exit codes:
 0 success, 2 configuration problem or an output directory that cannot be
-created, 3 runtime failure (degenerate geometry, a diverged run, a value
-strict JSON cannot hold, an unwritable artifact, or another domain error).
+created, 3 runtime failure (a diverged run, a value strict JSON cannot hold,
+an unwritable artifact, or another domain error). An undefined CRLB is none:
+it is null in JSON and an empty CSV cell.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
         "positions_m": formation.planar_positions.tolist(),
         "target_m": config.target.position.tolist(),
         "planned_target_m": config.plan_target.position.tolist(),
-        "crlb_m2": crlb,
+        "crlb_m2": _json_value(crlb),
         "bound_m2": bound,
         "config_hash": config.config_hash,
         "seed": config.seed,
@@ -235,7 +236,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             paths = list(cmd_simulate(config, out_dir))
         else:
             paths = [cmd_sweep(config, out_dir)]
-    except (ValueError, OSError) as exc:  # degenerate geometry, a diverged run, an unwritable artifact
+    except (ValueError, OSError) as exc:  # a diverged run, an unwritable artifact
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     for path in paths:

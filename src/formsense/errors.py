@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the one check of a dataclass's declared fields.
+"""The config error, and the one check of a dataclass's declared fields.
 
 A field declares what it accepts in its metadata, written the way the error prints it:
 ``"interval"`` bounds a number, as in ``field(metadata={"interval": "(0, inf)"})``;
 ``"choices"`` is a tuple of the strings it may be; ``"shape"`` makes an array field a finite,
 read-only float copy of the given shape, as in ``"(M, 2)"``. See check_fields.
+Every other error is a plain ValueError; a formation without a CRLB is none (its CRLB is NaN).
 """
 
 from functools import cache
@@ -26,14 +27,10 @@ class ConfigError(ValueError):
     """
 
 
-class InsufficientAgentsError(ValueError):
-    """An operation that needs an isotropic formation was asked for fewer
-    than three agents."""
-
-
-class SingularGeometryError(ValueError):
-    """The agent geometry carries no invertible position information
-    (e.g. all bearings collinear), so the CRLB is unbounded."""
+@cache
+def _ends(interval: str) -> tuple:
+    """The two ends of an interval such as "(0, 1]", as floats."""
+    return tuple(map(float, interval[1:-1].split(",")))
 
 
 def check_interval(name: str, value: Any, interval: str, error: type = ValueError) -> None:
@@ -41,7 +38,7 @@ def check_interval(name: str, value: Any, interval: str, error: type = ValueErro
 
     A bracket of ``interval``, as in "(0, 1]", includes its end; NaN and non-numbers lie in none.
     """
-    lo, hi = map(float, interval[1:-1].split(","))
+    lo, hi = _ends(interval)
     above = isinstance(value, Real) and (lo < value if interval[0] == "(" else lo <= value)
     if not (above and (value < hi if interval[-1] == ")" else value <= hi)):
         raise error(f"{name}: must lie in {interval}, got {value!r}")

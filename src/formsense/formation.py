@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientAgentsError, check_fields
+from .errors import check_fields
 from .sensing import SensingParams, TargetEstimate, crlb, elevation_weight
 
 _GEOMETRY_RTOL = 1e-9
@@ -47,9 +47,7 @@ class FormationGeometry:
         check_fields(self)
         positions = self.planar_positions
         if len(positions) < 3:
-            raise InsufficientAgentsError(
-                f"an isotropic formation needs at least 3 agents, got {len(positions)}"
-            )
+            raise ValueError(f"an isotropic formation needs at least 3 agents, got {len(positions)}")
         offsets = positions - self.center
         radii = np.hypot(offsets[:, 0], offsets[:, 1])
         if not np.allclose(radii, self.ring_radius_m, rtol=_GEOMETRY_RTOL, atol=1e-12):
@@ -129,9 +127,7 @@ def optimal_azimuths(agent_count: int, initial_rotation_rad: float = 0.0) -> np.
     the representative. Azimuths are normalized to [0, 2*pi).
     """
     if agent_count < 3:
-        raise InsufficientAgentsError(
-            f"an isotropic formation needs at least 3 agents, got {agent_count}"
-        )
+        raise ValueError(f"an isotropic formation needs at least 3 agents, got {agent_count}")
     raw = initial_rotation_rad + 2.0 * math.pi * np.arange(agent_count) / agent_count
     return raw % (2.0 * math.pi)
 
@@ -143,9 +139,7 @@ def theoretical_lower_bound(params: SensingParams, agent_count: int) -> float:
     elevation, arranged isotropically. Independent of the polygon rotation.
     """
     if agent_count < 3:
-        raise InsufficientAgentsError(
-            f"an isotropic formation needs at least 3 agents, got {agent_count}"
-        )
+        raise ValueError(f"an isotropic formation needs at least 3 agents, got {agent_count}")
     w_star = elevation_weight(optimal_elevation(params), params)
     return 4.0 / (agent_count * w_star)
 

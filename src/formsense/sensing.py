@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import POSITIVE, SingularGeometryError, check_fields
+from .errors import POSITIVE, check_fields
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular. Scale-free by construction.
@@ -148,16 +148,13 @@ def crlb(positions, target: TargetEstimate, params: SensingParams):
     because sin(phi) = H / rho and cos^2(phi) = |d|^2 / rho^2. The CRLB on the
     total position MSE is tr(J^-1) = tr(J) / det(J).
 
-    Returns a float for one (M, 2) formation. A batch returns an array of the
-    batch shape, NaN where a formation is singular.
+    Returns a float for one (M, 2) formation and an array of the batch shape
+    for a batch. NaN marks a formation without a bound: its J is (numerically)
+    singular, det(J) <= 1e-12 tr(J)^2, or an agent hovers directly above the
+    target, where its bearing is undefined.
 
     Raises:
-        SingularGeometryError: if one formation's J is (numerically) singular,
-            det(J) <= 1e-12 tr(J)^2: it carries no information about some
-            direction of the target position.
-        ValueError: on a shape other than (..., M, 2) with M >= 1, a
-            non-finite entry, or an agent directly above the target, whose
-            bearing is undefined.
+        ValueError: on a shape other than (..., M, 2) with M >= 1, or a non-finite entry.
     """
     q = np.asarray(positions, dtype=float)
     if q.ndim < 2 or q.shape[-1] != 2 or q.shape[-2] < 1:
@@ -166,8 +163,6 @@ def crlb(positions, target: TargetEstimate, params: SensingParams):
         raise ValueError("crlb: positions must be finite")
     d = q - target.position
     dx, dy = d[..., 0], d[..., 1]
-    if np.any((dx == 0.0) & (dy == 0.0)):
-        raise ValueError("crlb: an agent directly above the target has an undefined bearing")
     rho_sq = dx * dx + dy * dy + params.altitude_m**2
     w = (params.composite_snr_m4 / (rho_sq * rho_sq) + 8.0 / rho_sq) / rho_sq
     j_xx = (w * dx * dx).sum(axis=-1)
@@ -175,12 +170,8 @@ def crlb(positions, target: TargetEstimate, params: SensingParams):
     j_xy = (w * dx * dy).sum(axis=-1)
     trace = j_xx + j_yy
     det = j_xx * j_yy - j_xy * j_xy
-    singular = det <= _SINGULARITY_RTOL * trace * trace
-    if q.ndim > 2:
-        return trace / np.where(singular, np.nan, det)
-    if singular:
-        raise SingularGeometryError(
-            f"degenerate formation geometry: information determinant {det:.3e} "
-            f"is negligible against trace {trace:.3e}"
-        )
-    return float(trace / det)
+    overhead = ((dx == 0.0) & (dy == 0.0)).any(axis=-1)
+    undefined = (det <= _SINGULARITY_RTOL * trace * trace) | overhead
+    if q.ndim == 2:
+        return math.nan if undefined else float(trace / det)
+    return trace / np.where(undefined, np.nan, det)

@@ -22,6 +22,7 @@ max(2**16, M**2) pairwise distances, and the columns grow chunk by chunk.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,8 +83,12 @@ class World:
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         check_fields(self)
-        if not 0 <= int(self.rng_seed) < 2**64:
-            raise ValueError(f"World.rng_seed: must fit in an unsigned 64-bit int, got {self.rng_seed!r}")
+        try:
+            fits = 0 <= operator.index(self.rng_seed) < 2**64
+        except TypeError:
+            fits = False
+        if not fits:
+            raise ValueError(f"World.rng_seed: must be an int in [0, 2^64), got {self.rng_seed!r}")
         bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 4)
         object.__setattr__(self, "_bounds", bounds.T)
 
@@ -184,8 +189,8 @@ def step(
 def crlb_of_positions(positions: np.ndarray, world: World, params: SensingParams):
     """CRLB trace of the target estimate for agents hovering at these planar spots.
 
-    A float for (M, 2) positions; a batch (..., M, 2) gives an array, NaN
-    where a formation is singular (see :func:`formsense.sensing.crlb`).
+    A float for (M, 2) positions; a batch (..., M, 2) gives an array. NaN marks
+    a formation without a bound (see :func:`formsense.sensing.crlb`).
     """
     return crlb(positions, world.target, params)
 
@@ -352,15 +357,12 @@ def _chunk_columns(
         row = int(ok.argmin())
         bad = ", ".join(name for name, column in finite.items() if not column[row])
         raise ValueError(f"run_episode: diverged at step {first_step + row}: {bad} not finite")
-    crlb = np.full(len(after), math.nan)
-    defined = (after != world.target.position).any(axis=-1).all(axis=-1)
-    crlb[defined] = crlb_of_positions(after[defined], world, params)
     steps = np.arange(first_step + 1, first_step + len(after) + 1)
     columns = {
         "time_s": steps * world.dt,
         "positions": after,
         "eta": eta,
-        "crlb_m2": crlb,
+        "crlb_m2": crlb_of_positions(after, world, params),
         "total_cost": cost,
         "min_clearance_m": clearance.min(axis=1),
         "min_pairwise_m": min_pairwise,

@@ -44,7 +44,6 @@ from formsense.control import (
     local_cost,
     scale_factor,
 )
-from formsense.errors import SingularGeometryError
 from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
 from formsense.world import Guidance, RectObstacle, crlb_of_positions, min_pairwise_distance
 
@@ -53,6 +52,10 @@ from formsense.world import Guidance, RectObstacle, crlb_of_positions, min_pairw
 SINGULARITY_RTOL = 1e-12
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
+
+
+class SingularGeometryError(ValueError):
+    """The information matrix is (numerically) singular, so the oracle has no CRLB to give."""
 
 
 @dataclass(frozen=True)
@@ -413,9 +416,8 @@ def stepwise_episode(
             v_cmd = guidance.commanded_velocity(state.positions, world, graph, disp)
             positions, velocities, scale, u = _advance(state, world, graph, disp, gains, v_cmd)
             clearance = world.min_clearance(positions)[0]
-            try:
-                crlb: Optional[float] = crlb_of_positions(positions, world, params)
-            except (SingularGeometryError, ValueError):
+            crlb: Optional[float] = crlb_of_positions(positions, world, params)
+            if math.isnan(crlb):
                 crlb = None
             costs = local_cost(state.positions, graph, disp, world.dt, positions, v_cmd).tolist()
             record = StepRecord(

@@ -9,7 +9,6 @@ import pytest
 import formsense.benchmarks
 from formsense import (
     BenchmarkSpec,
-    SingularGeometryError,
     TargetEstimate,
     benchmark_positions,
     build_formation,
@@ -110,8 +109,7 @@ class TestFormationCrlb:
     def test_singular_line_through_target(self, default_params, target):
         spec = BenchmarkSpec(kind="line", lateral_offset_m=1e-9)
         positions = benchmark_positions(spec, 5, target, default_params)
-        with pytest.raises(SingularGeometryError):
-            formation_crlb(positions, target, default_params)
+        assert math.isnan(formation_crlb(positions, target, default_params))
 
 
 class TestSweepRows:

@@ -73,6 +73,21 @@ class TestOptimize:
         assert report["planned_target_m"] == [85.0, 87.0]
         assert report["crlb_m2"] > report["bound_m2"] * 1.01
 
+    def test_agent_over_the_true_target_has_no_crlb(self, tmp_path, capsys):
+        world = {"target_m": [0.0, 0.0]}
+        cfg, _ = write_config(tmp_path, "ring.yaml", world=world)
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "ring")]) == 0
+        radius = json.loads((tmp_path / "ring" / "optimize.json").read_text())["ring_radius_m"]
+        # Planned around [-r, 0], agent 0 of the ring lands on the true target.
+        formation = {"agent_count": 6, "prior_target_offset_m": [-radius, 0.0]}
+        cfg, _ = write_config(tmp_path, world=world, formation=formation)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "optimize.json").read_text())
+        assert report["positions_m"][0] == [0.0, 0.0]
+        assert report["crlb_m2"] is None
+        assert capsys.readouterr().err == ""
+
 
 class TestSimulate:
     def test_trace_files_consistent(self, tmp_path):
@@ -175,17 +190,21 @@ class TestSweep:
             if row[1] == "optimal":
                 assert crlb == pytest.approx(bound, rel=1e-9)
 
-    def test_singular_benchmark_maps_to_exit_3(self, tmp_path, capsys):
+    def test_singular_benchmark_writes_an_empty_cell(self, tmp_path, capsys):
         cfg, _ = write_config(
             tmp_path,
             sweep={
                 "altitudes_m": [20.0],
-                "benchmarks": [{"kind": "line", "lateral_offset_m": 0.0}],
+                "benchmarks": [{"kind": "optimal"}, {"kind": "line", "lateral_offset_m": 0.0}],
             },
         )
         out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
-        assert "runtime error" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, optimal, line = read_rows(out / "sweep.csv")
+        assert header == SWEEP_HEADER
+        assert optimal[1] == "optimal" and float(optimal[2]) > 0.0 and optimal[4] == "1"
+        assert line[1:3] == ["line", ""] and line[4] == "0"
 
 
 class TestErrorPaths:

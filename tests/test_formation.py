@@ -12,7 +12,6 @@ import pytest
 from formsense import (
     DisplacementSet,
     FormationGeometry,
-    InsufficientAgentsError,
     SensingParams,
     TargetEstimate,
     build_formation,
@@ -136,7 +135,7 @@ class TestOptimalAzimuths:
 
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_too_few_agents(self, count):
-        with pytest.raises(InsufficientAgentsError):
+        with pytest.raises(ValueError, match="at least 3 agents"):
             optimal_azimuths(count)
 
 
@@ -154,7 +153,7 @@ class TestTheoreticalLowerBound:
         assert b6 == pytest.approx(b3 / 2.0, rel=1e-12)
 
     def test_too_few_agents(self, default_params):
-        with pytest.raises(InsufficientAgentsError):
+        with pytest.raises(ValueError, match="at least 3 agents"):
             theoretical_lower_bound(default_params, 2)
 
 
@@ -205,7 +204,7 @@ class TestBuildFormation:
             assert crlb >= formation.crlb_m2 * (1.0 - 1e-12)
 
     def test_too_few_agents(self, default_params, target):
-        with pytest.raises(InsufficientAgentsError):
+        with pytest.raises(ValueError, match="at least 3 agents"):
             build_formation(default_params, target, 2)
 
 
@@ -240,7 +239,7 @@ class TestFormationGeometryValidation:
         assert not geometry.planar_positions.flags.writeable
 
     def test_too_few_agents_rejected(self, default_params, target):
-        with pytest.raises(InsufficientAgentsError):
+        with pytest.raises(ValueError, match="at least 3 agents"):
             self._geometry([(10.0, 0.0), (10.0, 180.0)], target, default_params)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import operator
+import re
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,12 @@ class TestWorld:
             World(target=target, motion_noise_std=-0.1)
         with pytest.raises(ValueError, match="rng_seed"):
             World(target=target, rng_seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 7.0, "7", None, 2**64])
+    def test_rng_seed_must_be_a_64_bit_unsigned_int(self, target, seed):
+        message = f"World.rng_seed: must be an int in [0, 2^64), got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            World(target=target, rng_seed=seed, motion_noise_std=0.1)
 
 
 class TestStep:
