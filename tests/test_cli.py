@@ -1,11 +1,13 @@
 """End-to-end CLI tests: artifacts, determinism, overrides, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,6 +207,34 @@ class TestSweep:
         assert header == SWEEP_HEADER
         assert optimal[1] == "optimal" and float(optimal[2]) > 0.0 and optimal[4] == "1"
         assert line[1:3] == ["line", ""] and line[4] == "0"
+
+
+class TestGoldenArtifacts:
+    def test_shipped_configs_write_the_golden_bytes(self, tmp_path):
+        """optimize, simulate and sweep on the three shipped configs write the recorded bytes.
+
+        ``golden_artifacts.sha256`` is ``sha256sum`` output relative to the output root. A
+        change that moves an artifact on purpose updates the file and says why.
+        """
+        tests = Path(__file__).parent
+        want = {}
+        for line in (tests / "golden_artifacts.sha256").read_text().splitlines():
+            digest, name = line.split()
+            want[name] = digest
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a shipped run raises no numpy warning
+            for config in ("baseline", "corridor", "sweep"):
+                for command in ("optimize", "simulate", "sweep"):
+                    path = tests.parent / "configs" / f"{config}.yaml"
+                    out = tmp_path / f"{config}-{command}"
+                    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        got = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.rglob("*")
+            if path.is_file()
+        }
+        moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+        assert not moved, f"artifacts differ from golden_artifacts.sha256: {moved}"
 
 
 class TestErrorPaths:
