@@ -5,14 +5,15 @@ the output directory, and tags each artifact with the config hash and seed
 so a result file alone identifies the run that produced it. Exit codes:
 0 success, 2 configuration problem or an output directory that cannot be
 created, 3 runtime failure (a diverged run, a value strict JSON cannot hold,
-an unwritable artifact, or another domain error). An undefined CRLB is none:
-it is null in JSON and an empty CSV cell.
+an unwritable artifact, running out of memory, or another domain error). An
+undefined CRLB is none: it is null in JSON and an empty CSV cell.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -27,6 +28,8 @@ from .formation import theoretical_lower_bound
 from .world import EpisodeTrace, run_episode
 
 OUTPUT_DIR_ENV = "FORMSENSE_OUT"
+# trace.csv's short headers of the first six EpisodeTrace.COLUMNS.
+_TRACE_CSV_HEADER = ["t", "crlb", "cost", "eta", "min_clearance", "min_pairwise"]
 
 
 def _json_value(x):
@@ -42,8 +45,23 @@ def _csv_value(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+def _tags(config: RunConfig) -> dict:
+    return {"config_hash": config.config_hash, "seed": config.seed}
+
+
+def _write_json(path: Path, payload: dict, config: RunConfig) -> Path:
+    text = json.dumps({**payload, **_tags(config)}, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
+    return path
+
+
+def _write_csv(path: Path, header: list[str], rows, config: RunConfig) -> Path:
+    tags = _tags(config)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*header, *tags])
+        writer.writerows([*map(_csv_value, row), *tags.values()] for row in rows)
+    return path
 
 
 def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
@@ -55,10 +73,7 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
     wrong estimate.
     """
     formation = config.build_formation()
-    bound = theoretical_lower_bound(config.params, config.agent_count)
-    crlb = benchmarks.formation_crlb(
-        formation.planar_positions, config.target, config.params
-    )
+    crlb = benchmarks.formation_crlb(formation.planar_positions, config.target, config.params)
     report = {
         "agent_count": config.agent_count,
         "altitude_m": config.params.altitude_m,
@@ -69,68 +84,31 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
         "target_m": config.target.position.tolist(),
         "planned_target_m": config.plan_target.position.tolist(),
         "crlb_m2": _json_value(crlb),
-        "bound_m2": bound,
-        "config_hash": config.config_hash,
-        "seed": config.seed,
+        "bound_m2": theoretical_lower_bound(config.params, config.agent_count),
     }
-    path = out_dir / "optimize.json"
-    _write_json(path, report)
-    return path
+    return _write_json(out_dir / "optimize.json", report, config)
 
 
 def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
     """Serialize an episode: JSONL steps, CSV plot columns, summary JSON."""
-    time_s, eta, cost = trace.time_s.tolist(), trace.eta.tolist(), trace.total_cost.tolist()
-    # NaN marks a step without a CRLB and inf a world without obstacles: null in JSONL, empty in CSV.
-    crlb = [_json_value(c) for c in trace.crlb_m2.tolist()]
-    clearance = [_json_value(c) for c in trace.min_clearance_m.tolist()]
-    pairwise = trace.min_pairwise_m.tolist()
-    rows = zip(
-        time_s,
-        trace.positions.tolist(),
-        eta,
-        crlb,
-        cost,
-        clearance,
-        pairwise,
-        trace.max_control_m.tolist(),
-        trace.displacement_error_m2.tolist(),
-    )
+    columns = {}
+    for name, none_if_nonfinite in EpisodeTrace.COLUMNS.items():
+        values = getattr(trace, name).tolist()
+        columns["positions_m" if name == "positions" else name] = (
+            [_json_value(x) for x in values] if none_if_nonfinite else values
+        )
+    tags = _tags(config)
+    keys = ["step", *columns, *tags]
+    rows = zip(itertools.count(), *columns.values(), *map(itertools.repeat, tags.values()))
     jsonl_path = out_dir / "trace.jsonl"
     with jsonl_path.open("w") as fh:  # line by line: the whole text would double the peak memory
-        for k, (t, positions, e, c, total, clear, pair, control, error) in enumerate(rows):
-            payload = {
-                "step": k,
-                "time_s": t,
-                "positions_m": positions,
-                "eta": e,
-                "crlb_m2": c,
-                "total_cost": total,
-                "min_clearance_m": clear,
-                "min_pairwise_m": pair,
-                "max_control_m": control,
-                "displacement_error_m2": error,
-                "config_hash": config.config_hash,
-                "seed": config.seed,
-            }
-            fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
-
-    csv_path = out_dir / "trace.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "crlb", "cost", "eta", "min_clearance", "min_pairwise", "config_hash", "seed"]
-        )
-        for row in zip(time_s, crlb, cost, eta, clearance, pairwise):
-            writer.writerow([_csv_value(x) for x in row] + [config.config_hash, config.seed])
-
+        for row in rows:
+            fh.write(json.dumps(dict(zip(keys, row)), sort_keys=True, allow_nan=False) + "\n")
+    plot = zip(*list(columns.values())[: len(_TRACE_CSV_HEADER)])
+    csv_path = _write_csv(out_dir / "trace.csv", _TRACE_CSV_HEADER, plot, config)
     summary = trace.summary()
     summary["bound_m2"] = theoretical_lower_bound(config.params, config.agent_count)
-    summary["config_hash"] = config.config_hash
-    summary["seed"] = config.seed
-    summary_path = out_dir / "summary.json"
-    _write_json(summary_path, summary)
-    return jsonl_path, csv_path, summary_path
+    return jsonl_path, csv_path, _write_json(out_dir / "summary.json", summary, config)
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
@@ -159,25 +137,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> Path:
         altitudes_m=list(config.sweep_altitudes_m),
         seed=config.seed,
     )
-    path = out_dir / "sweep.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["altitude_m", "formation_kind", "crlb_m2", "bound_m2", "samples", "config_hash", "seed"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    _csv_value(row["altitude_m"]),
-                    row["formation_kind"],
-                    _csv_value(row["crlb_m2"]),
-                    _csv_value(row["bound_m2"]),
-                    row["samples"],
-                    config.config_hash,
-                    config.seed,
-                ]
-            )
-    return path
+    header = ["altitude_m", "formation_kind", "crlb_m2", "bound_m2", "samples"]
+    return _write_csv(out_dir / "sweep.csv", header, ([row[h] for h in header] for row in rows), config)
 
 
 def _resolve_out_dir(flag_value: Optional[str], config: RunConfig) -> Path:
@@ -210,14 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out", default=None, help=f"output directory (overrides ${OUTPUT_DIR_ENV} and config)"
         )
-        p.add_argument(
-            "--noise-free", action="store_true", help="force motion noise to zero"
-        )
+        p.add_argument("--noise-free", action="store_true", help="force motion noise to zero")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MemoryError as exc:  # a config too large for this machine, while loading or running
+        detail = f": {exc}" if str(exc) else ""
+        print(f"runtime error: out of memory{detail}", file=sys.stderr)
+        return 3
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         config = load_config(args.config, seed=args.seed, noise_free=args.noise_free)
     except ConfigError as exc:

@@ -362,7 +362,7 @@ def load_config(
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         raise ConfigError(f"config: invalid YAML in {path}: {exc}") from exc
     raw = _expect_mapping("config", raw)
     return build_config(raw, seed=seed, noise_free=noise_free)

@@ -43,6 +43,8 @@ class CommGraph:
     def __post_init__(self) -> None:
         check_fields(self)
         adj = self.adjacency
+        if adj.shape[0] < 2:
+            raise ValueError(f"CommGraph.adjacency: need at least 2 agents, got {adj.shape[0]}")
         if not np.array_equal(adj, adj.T):
             raise ValueError("CommGraph.adjacency: must be symmetric")
         if np.any(np.diag(adj) != 0):

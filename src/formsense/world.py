@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -260,13 +260,6 @@ class Guidance:
         return v
 
 
-# The trace's per-step columns.
-_COLUMNS = (
-    "time_s", "positions", "eta", "crlb_m2", "total_cost",
-    "min_clearance_m", "min_pairwise_m", "max_control_m", "displacement_error_m2",
-)
-
-
 @dataclass(frozen=True)
 class EpisodeTrace:
     """Full record of one simulated episode, as read-only columns indexed by step.
@@ -278,6 +271,14 @@ class EpisodeTrace:
     the artifacts). A run with ``max_steps = 0`` has no rows and counts as
     not converged.
     """
+
+    # The per-step columns, the six that trace.csv plots first. True marks the two where
+    # a non-finite value means none: NaN without a CRLB, inf without an obstacle.
+    COLUMNS: ClassVar[dict[str, bool]] = {
+        "time_s": False, "crlb_m2": True, "total_cost": False, "eta": False,
+        "min_clearance_m": True, "min_pairwise_m": False,
+        "positions": False, "max_control_m": False, "displacement_error_m2": False,
+    }
 
     time_s: np.ndarray
     positions: np.ndarray
@@ -293,7 +294,7 @@ class EpisodeTrace:
     final_state: SwarmState
 
     def __post_init__(self) -> None:
-        for name in _COLUMNS:
+        for name in self.COLUMNS:
             getattr(self, name).setflags(write=False)
 
     @property
@@ -447,10 +448,11 @@ def run_episode(
             chunks.append(columns)
             events.extend(chunk_events)
             first_step += size
+    names = EpisodeTrace.COLUMNS
     if not chunks:
-        chunks.append({name: np.empty((0, agents, 2) if name == "positions" else 0) for name in _COLUMNS})
+        chunks.append({name: np.empty((0, agents, 2) if name == "positions" else 0) for name in names})
     return EpisodeTrace(
-        **{name: np.concatenate([c[name] for c in chunks]) for name in _COLUMNS},
+        **{name: np.concatenate([c[name] for c in chunks]) for name in names},
         safety_events=tuple(events),
         converged=converged,
         final_state=SwarmState(positions, velocities, scale, initial.step_index + first_step)

@@ -377,6 +377,32 @@ class TestErrorPaths:
         assert err.startswith(f"config error: config: cannot read {cfg}: ")
         assert err.count("\n") == 1
 
+    def test_deeply_nested_yaml(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("seed: " + "[" * 1000 + "1" + "]" * 1000 + "\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: invalid YAML in {cfg}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["load_config", "run_episode"])
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 3.2 GiB"),
+             "runtime error: out of memory: Unable to allocate 3.2 GiB\n"),
+            (MemoryError(), "runtime error: out of memory\n"),
+        ],
+    )
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, name, exc, line):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, name, exhausted)
+        cfg, _ = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == line
+
     def test_out_dir_below_a_file(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -398,7 +424,7 @@ class TestErrorPaths:
 
     def test_json_artifacts_reject_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError):
-            cli._write_json(tmp_path / "x.json", {"cost": float("nan")})
+            cli._write_json(tmp_path / "x.json", {"cost": float("nan")}, build_config({}))
 
     def test_obstacle_free_clearance_is_null(self, tmp_path):
         cfg, _ = write_config(tmp_path, episode={"max_steps": 3})

@@ -101,6 +101,10 @@ class TestCommGraph:
         with pytest.raises(ValueError, match="connected"):
             CommGraph(adj)
 
+    def test_rejects_a_single_agent(self):
+        with pytest.raises(ValueError, match=r"^CommGraph.adjacency: need at least 2 agents, got 1$"):
+            CommGraph(np.zeros((1, 1)))
+
     def test_rejects_bad_leader_index(self):
         with pytest.raises(ValueError, match="leader_index"):
             CommGraph.ring(4, leader_index=4)

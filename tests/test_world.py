@@ -710,7 +710,7 @@ def _assert_matches_oracle(trace, oracle):
     assert crlb == [r.crlb_m2 for r in records]
     assert [r.step for r in records] == list(range(trace.steps))
     columns = {f.name for f in dataclasses.fields(StepRecord)} - {"step"}
-    assert columns == set(world_module._COLUMNS)  # every record field is compared above
+    assert columns == set(world_module.EpisodeTrace.COLUMNS)  # every record field is compared above
     assert trace.safety_events == events
     assert trace.converged == converged
     assert np.array_equal(trace.final_state.positions, final.positions)
