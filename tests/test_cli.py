@@ -217,17 +217,15 @@ class TestGoldenArtifacts:
         change that moves an artifact on purpose updates the file and says why.
         """
         tests = Path(__file__).parent
-        want = {}
-        for line in (tests / "golden_artifacts.sha256").read_text().splitlines():
-            digest, name = line.split()
-            want[name] = digest
+        lines = (tests / "golden_artifacts.sha256").read_text().splitlines()
+        want = {name: digest for digest, name in map(str.split, lines)}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # a shipped run raises no numpy warning
             for config in ("baseline", "corridor", "sweep"):
                 for command in ("optimize", "simulate", "sweep"):
-                    path = tests.parent / "configs" / f"{config}.yaml"
+                    config_path = tests.parent / "configs" / f"{config}.yaml"
                     out = tmp_path / f"{config}-{command}"
-                    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+                    assert main([command, "--config", str(config_path), "--out", str(out)]) == 0
         got = {
             path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in tmp_path.rglob("*")
