@@ -286,33 +286,36 @@ def _graph(section: dict, agent_count: int) -> CommGraph:
     adjacency = section.pop("adjacency", None)
     if topology == "custom" and adjacency is None:
         raise ConfigError("graph.adjacency: required for custom topology")
+    if topology != "custom" and adjacency is not None:
+        raise ConfigError(f"graph.adjacency: only topology custom reads it, got topology {topology}")
     try:
         if topology == "custom":
-            graph = CommGraph(adjacency, leader)
-            section["adjacency"] = graph.adjacency.astype(int).tolist()
+            graph = CommGraph.from_adjacency(adjacency, leader)
+            section["adjacency"] = np.array(adjacency, dtype=float).astype(int).tolist()
         else:  # ring, ring_with_leader and complete are CommGraph constructors
             graph = getattr(CommGraph, topology)(agent_count, leader)
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc
     if graph.agent_count != agent_count:
-        shape = (agent_count, agent_count)
-        raise ConfigError(f"graph.adjacency: expected shape {shape}, got {graph.adjacency.shape}")
+        raise ConfigError(f"graph.adjacency: expected {agent_count} rows, got {graph.agent_count}")
     return graph
 
 
-def _initial_positions(section: dict, agent_count: int, seed: int) -> np.ndarray:
+def _initial_positions(section: dict, given: Any, agent_count: int, seed: int) -> np.ndarray:
     """Validate the deployment section and place the agents it describes."""
-    rows = section.pop("positions_m", None)
-    if section["kind"] == "explicit":
+    kind, rows = section["kind"], section.pop("positions_m", None)
+    if kind == "explicit":
+        if extra := [key for key in ("center_m", "side_m") if key in (given or {})]:
+            raise ConfigError(f"deployment.{extra[0]}: only kind random_box reads it, got kind {kind}")
         del section["center_m"], section["side_m"]
         if rows is None:
             raise ConfigError("deployment.positions_m: required for explicit deployment")
         if not isinstance(rows, list) or len(rows) != agent_count:
             raise ConfigError(f"deployment.positions_m: expected {agent_count} rows, got {rows!r}")
-        section["positions_m"] = [
-            _as_vec2(f"deployment.positions_m[{i}]", r) for i, r in enumerate(rows)
-        ]
+        section["positions_m"] = [_as_vec2(f"deployment.positions_m[{i}]", r) for i, r in enumerate(rows)]
         positions = np.array(section["positions_m"], dtype=float)
+    elif rows is not None:
+        raise ConfigError(f"deployment.positions_m: only kind explicit reads it, got kind {kind}")
     else:
         rng = np.random.default_rng([seed, _DEPLOY_STREAM])
         center = np.asarray(section["center_m"], dtype=float)
@@ -363,7 +366,9 @@ def load_config(
     try:
         raw = yaml.safe_load(text)
     except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep to parse
-        raise ConfigError(f"config: invalid YAML in {path}: {exc}") from exc
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None) or exc
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigError(f"config: invalid YAML in {path}: {problem}{where}") from exc
     raw = _expect_mapping("config", raw)
     return build_config(raw, seed=seed, noise_free=noise_free)
 
@@ -393,7 +398,7 @@ def build_config(
         check_stability(gains, graph)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    initial_positions = _initial_positions(canonical["deployment"], agent_count, seed)
+    deployed = _initial_positions(canonical["deployment"], raw.get("deployment"), agent_count, seed)
 
     rotation_rad = math.radians(formation_c["initial_rotation_deg"])
     try:
@@ -421,7 +426,7 @@ def build_config(
         graph=graph,
         gains=gains,
         guidance=guidance,
-        initial_positions=initial_positions,
+        initial_positions=deployed,
         initial_scale=canonical["deployment"]["initial_scale"],
         max_steps=episode["max_steps"],
         stop_tolerance_m2=episode["stop_tolerance_m2"],

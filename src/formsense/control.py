@@ -6,11 +6,9 @@ displacement law that is a gradient step on each agent's local formation
 error, obstacle repulsion from an inverse-distance potential, and a global
 scale factor that shrinks the whole target formation through narrow gaps.
 Every law is a pure function of arrays: (M, 2) positions or velocity
-estimates and the scale factor; the stepper in :mod:`formsense.world` owns
-state advancement.
-
-The laws gather per-edge differences from (M, 2) arrays over the graph's
-directed edges (m, p) and sum them back onto agent m: O(M + E) time and memory.
+estimates and the scale factor. The laws gather per-edge differences over the
+graph's directed edges (m, p) and sum them back onto agent m: O(M + E) time
+and memory. The stepper in :mod:`formsense.world` owns state advancement.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FRACTION, NON_NEGATIVE, POSITIVE, check_fields
+from .errors import FRACTION, NON_NEGATIVE, POSITIVE, check_fields, frozen_array
 from .formation import DisplacementSet
 
 
@@ -30,53 +28,49 @@ class CommGraph:
     """Undirected communication topology with a designated leader.
 
     Attributes:
-        adjacency: (M, M) binary symmetric matrix, zero diagonal.
+        links: (2, E) read-only ints: each link as the edges (m, p) and (p, m), sorted by
+            m, then p, as ``np.nonzero`` lists an adjacency matrix; the laws sum in this
+            order. Given (2, L) integer links, in either direction or both, the constructor
+            stores this form. The agents are 0 to M - 1, M - 1 the largest index named.
         leader_index: The agent that knows the reference velocity.
     """
 
-    adjacency: np.ndarray = field(metadata={"shape": "(M, M)"})
+    links: np.ndarray
     leader_index: int = 0
-    # Directed edges (m, p) sorted by m, then p; bins 2m, 2m + 1 of their x and y.
-    _edges: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _xy_bins: np.ndarray = field(init=False, repr=False, compare=False)
+    _xy_bins: np.ndarray = field(init=False, repr=False, compare=False)  # 2m, 2m + 1 per edge
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        adj = self.adjacency
-        if adj.shape[0] < 2:
-            raise ValueError(f"CommGraph.adjacency: need at least 2 agents, got {adj.shape[0]}")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("CommGraph.adjacency: must be symmetric")
-        if np.any(np.diag(adj) != 0):
-            raise ValueError("CommGraph.adjacency: diagonal must be zero")
-        if not np.all(np.isin(adj, (0.0, 1.0))):
-            raise ValueError("CommGraph.adjacency: entries must be 0 or 1")
-        if not 0 <= self.leader_index < adj.shape[0]:
-            raise ValueError(f"CommGraph.leader_index: out of range for {adj.shape[0]} agents")
-        if not self._connected():
-            raise ValueError("CommGraph.adjacency: graph must be connected")
-        object.__setattr__(self, "_edges", np.nonzero(adj))
-        object.__setattr__(self, "_xy_bins", (2 * self._edges[0][:, None] + (0, 1)).ravel())
-
-    def _connected(self) -> bool:
-        seen = np.zeros(self.agent_count, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            node = stack.pop()
-            for other in np.flatnonzero(self.adjacency[node]):
-                if not seen[other]:
-                    seen[other] = True
-                    stack.append(int(other))
-        return bool(seen.all())
+        links, leader = np.asarray(self.links), self.leader_index
+        indices = links.ndim == 2 and len(links) == 2 and links.dtype.kind in "iu" and links.size
+        if not indices or links.min() < 0:
+            got = " ".join(repr(self.links).split())
+            raise ValueError(f"CommGraph.links: expected a (2, L) array of agent indices >= 0, got {got}")
+        agents = int(links.max()) + 1
+        if agents - 1 > links.shape[1]:  # fewer links than a spanning tree needs
+            raise ValueError("CommGraph.links: graph must be connected")
+        m, p = links.astype(np.int64)
+        if np.any(m == p):
+            raise ValueError(f"CommGraph.links: self link at agent {m[m == p][0]}")
+        if not (isinstance(leader, (int, np.integer)) and 0 <= leader < agents):
+            raise ValueError(f"CommGraph.leader_index: must lie in [0, {agents - 1}], got {leader!r}")
+        key = np.sort(np.concatenate((m * agents + p, p * agents + m)))  # both directions, sorted
+        m, p = np.divmod(key[np.concatenate(([True], key[1:] != key[:-1]))], agents)  # each once
+        seen = np.arange(agents) == 0  # breadth-first search from agent 0, a level per pass
+        while not seen[p[seen[m]]].all():
+            seen[p[seen[m]]] = True
+        if not seen.all():
+            raise ValueError("CommGraph.links: graph must be connected")
+        object.__setattr__(self, "links", np.stack((m, p)))
+        self.links.setflags(write=False)
+        object.__setattr__(self, "_xy_bins", (2 * m[:, None] + (0, 1)).ravel())
 
     @property
     def agent_count(self) -> int:
-        return self.adjacency.shape[0]
+        return int(self.links[0, -1]) + 1
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return np.bincount(self.links[0])
 
     @property
     def max_degree(self) -> int:
@@ -85,34 +79,44 @@ class CommGraph:
     @property
     def max_follower_degree(self) -> int:
         """Largest degree among non-leader agents (the ones that run consensus)."""
-        mask = np.ones(self.agent_count, dtype=bool)
-        mask[self.leader_index] = False
-        return int(self.degrees[mask].max())
+        return int(np.delete(self.degrees, self.leader_index).max())
+
+    @classmethod
+    def from_adjacency(cls, adjacency, leader_index: int = 0) -> "CommGraph":
+        """The graph of an (M, M) symmetric 0/1 adjacency matrix with a zero diagonal."""
+        adj = frozen_array("CommGraph.adjacency", adjacency, "(M, M)", {})
+        if adj.shape[0] < 2:
+            raise ValueError(f"CommGraph.adjacency: need at least 2 agents, got {adj.shape[0]}")
+        if not np.array_equal(adj, adj.T):
+            raise ValueError("CommGraph.adjacency: must be symmetric")
+        if np.any(np.diag(adj) != 0):
+            raise ValueError("CommGraph.adjacency: diagonal must be zero")
+        if not np.all(np.isin(adj, (0.0, 1.0))):
+            raise ValueError("CommGraph.adjacency: entries must be 0 or 1")
+        if not adj[-1].any():  # the links alone would not name the last agent
+            raise ValueError("CommGraph.adjacency: graph must be connected")
+        return cls(np.stack(np.nonzero(adj)), leader_index)
 
     @classmethod
     def ring(cls, agent_count: int, leader_index: int = 0) -> "CommGraph":
         """Plain cycle over all agents."""
         if agent_count < 3:
             raise ValueError(f"CommGraph.ring: need at least 3 agents, got {agent_count}")
-        successor = np.roll(np.eye(agent_count), 1, axis=1)  # links m to m + 1 mod M
-        return cls(successor + successor.T, leader_index)
+        return cls((np.arange(agent_count) + [[0], [1]]) % agent_count, leader_index)  # m to m + 1 mod M
 
     @classmethod
     def ring_with_leader(cls, agent_count: int, leader_index: int = 0) -> "CommGraph":
         """Cycle over all agents plus chords from the leader to everyone."""
-        graph = cls.ring(agent_count, leader_index)
-        adj = np.array(graph.adjacency)
-        adj[leader_index, :] = 1.0
-        adj[:, leader_index] = 1.0
-        adj[leader_index, leader_index] = 0.0
-        return cls(adj, leader_index)
+        ring = cls.ring(agent_count, leader_index).links
+        others = np.delete(np.arange(agent_count), leader_index)
+        return cls(np.hstack((ring, [np.full_like(others, leader_index), others])), leader_index)
 
     @classmethod
     def complete(cls, agent_count: int, leader_index: int = 0) -> "CommGraph":
         if agent_count < 2:
             raise ValueError(f"CommGraph.complete: need at least 2 agents, got {agent_count}")
-        adj = np.ones((agent_count, agent_count)) - np.eye(agent_count)
-        return cls(adj, leader_index)
+        m, p = np.divmod(np.arange(agent_count**2), agent_count)
+        return cls(np.stack((m[m != p], p[m != p])), leader_index)
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,7 @@ def consensus_velocity_step(
     target_velocity = np.asarray(target_velocity, dtype=float)
     velocities = np.array(velocities, dtype=float)
     velocities[graph.leader_index] = target_velocity
-    m, p = graph._edges
+    m, p = graph.links
     correction = _edge_sum(graph, velocities.take(m, axis=0) - velocities.take(p, axis=0))
     updated = velocities - gains.consensus_gain * correction
     updated[graph.leader_index] = target_velocity
@@ -208,7 +212,7 @@ def _edge_sum(graph: CommGraph, values: np.ndarray) -> np.ndarray:
     if rows == 1 and width == 2:
         bins = graph._xy_bins
     else:
-        agent_rows = graph.agent_count * np.arange(rows)[:, None] + graph._edges[0]
+        agent_rows = graph.agent_count * np.arange(rows)[:, None] + graph.links[0]
         bins = (width * agent_rows[..., None] + np.arange(width)).ravel()
     summed = np.bincount(bins, values.ravel(), rows * graph.agent_count * width)
     return summed.reshape(*lead, graph.agent_count, width)
@@ -219,7 +223,7 @@ def _deviation(q: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale=1.0
 
     ``q`` is (..., M, 2): one set of positions, or a batch along the leading axes.
     """
-    (m, p), r = graph._edges, disp.reference
+    (m, p), r = graph.links, disp.reference
     if not q.shape[-2] == len(r) == graph.agent_count:
         raise ValueError(
             f"expected {graph.agent_count} agents, got {q.shape[-2]} positions and {len(r)} reference rows"

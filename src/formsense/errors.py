@@ -56,7 +56,7 @@ def _dims(shape: str) -> tuple:
     return tuple(int(d) if d.isdigit() else d for d in shape[1:-1].replace(" ", "").split(",") if d)
 
 
-def _frozen_array(name: str, value: Any, shape: str, lengths: dict) -> np.ndarray:
+def frozen_array(name: str, value: Any, shape: str, lengths: dict) -> np.ndarray:
     """A finite read-only float copy of ``value`` of the given shape.
 
     A letter of ``shape`` must have the length ``lengths`` holds for it; a new one is bound there.
@@ -100,4 +100,4 @@ def check_fields(obj: Any) -> None:
         elif "choices" in meta:
             check_choice(name, value, meta["choices"])
         elif "shape" in meta and not (value is None and f.default is None):
-            object.__setattr__(obj, f.name, _frozen_array(name, value, meta["shape"], lengths))
+            object.__setattr__(obj, f.name, frozen_array(name, value, meta["shape"], lengths))

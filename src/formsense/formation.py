@@ -82,19 +82,12 @@ class DisplacementSet:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        diameter = float(np.sqrt(_squared_distances(self.reference).max()))
-        object.__setattr__(self, "nominal_diameter_m", diameter)
-
-
-def _squared_distances(points: np.ndarray) -> np.ndarray:
-    """(..., M, M) squared distances between the rows of (..., M, 2) point arrays."""
-    x, y = points[..., 0], points[..., 1]
-    dx = x[..., :, None] - x[..., None, :]
-    dy = y[..., :, None] - y[..., None, :]
-    dx *= dx  # in place: at large M each fresh (M, M) array costs more than the arithmetic
-    dy *= dy
-    dx += dy
-    return dx
+        x, y = self.reference.T
+        dx, dy = x[:, None] - x, y[:, None] - y  # the one (M, M) pass, once per formation
+        dx *= dx  # in place: at large M each fresh (M, M) array costs more than the arithmetic
+        dy *= dy
+        dx += dy
+        object.__setattr__(self, "nominal_diameter_m", float(np.sqrt(dx.max())))
 
 
 def optimal_elevation(params: SensingParams) -> float:

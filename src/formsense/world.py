@@ -9,14 +9,6 @@ where u is the control input, g the consensus velocity estimate, and n
 zero-mean Gaussian noise drawn from a per-step seeded generator so that a
 whole episode is reproducible bit for bit. The step loop carries positions,
 velocity estimates and the scale as arrays, which the control laws take.
-
-An episode is recorded in columns: one array per quantity with a row per
-step (positions (steps, M, 2); time, scale factor, CRLB, formation cost,
-clearances, control and displacement error (steps,)). The step loop writes
-only what the dynamics and the stop rule need; after every chunk of
-max(1, min(256, 2**16 // M**2)) steps the remaining columns of that chunk
-are computed in batched calls, whose temporaries hold at most
-max(2**16, M**2) pairwise distances, and the columns grow chunk by chunk.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from .control import (
     scale_factor,
 )
 from .errors import NON_NEGATIVE, POSITIVE, check_fields
-from .formation import DisplacementSet, _squared_distances
+from .formation import DisplacementSet
 from .sensing import SensingParams, TargetEstimate, crlb
 
 GUIDANCE_MODES = ("constant", "goal")  # how Guidance produces the reference velocity
@@ -196,15 +188,23 @@ def crlb_of_positions(positions: np.ndarray, world: World, params: SensingParams
 
 
 def min_pairwise_distance(positions: np.ndarray):
-    """Smallest inter-agent distance of (M, 2) positions.
+    """Smallest inter-agent distance of (M, 2) positions; a batch (..., M, 2) gives an array.
 
-    A batch of shape (..., M, 2) gives an array of the batch shape.
+    Sorted by x, each agent is compared with the one s places on, s = 1, 2, ..., until no
+    row's smallest squared x gap is below its best (Hinrichs, Nievergelt & Schorn, IPL 1988).
+    A pair is dx*dx + dy*dy, so the minimum is the same double as over all M^2 pairs.
     """
     positions = np.asarray(positions, dtype=float)
-    squared = _squared_distances(positions)
-    agents = np.arange(positions.shape[-2])
-    squared[..., agents, agents] = math.inf  # an agent's distance to itself does not count
-    smallest = np.sqrt(squared.min(axis=(-2, -1)))
+    x, y = np.moveaxis(np.take_along_axis(positions, positions[..., :1].argsort(axis=-2), axis=-2), -1, 0)
+    best = np.full(x.shape[:-1], math.inf)
+    for s in range(1, x.shape[-1]):
+        dx, dy = x[..., s:] - x[..., :-s], y[..., s:] - y[..., :-s]
+        best = np.minimum(best, (dx * dx + dy * dy).min(axis=-1))  # a NaN pair keeps its row NaN
+        if not (dx.min(axis=-1) ** 2 < best).any():
+            break
+    # Equal infinite x sit side by side in the order, so the sweep sees their NaN pair; infinite y may not.
+    clash = ((y == math.inf).sum(axis=-1) > 1) | ((y == -math.inf).sum(axis=-1) > 1)
+    smallest = np.sqrt(np.where(clash, math.nan, best))
     return float(smallest) if positions.ndim == 2 else smallest
 
 
@@ -395,21 +395,18 @@ def run_episode(
     the step.
 
     The loop carries positions, velocity estimates and the scale as arrays
-    through the same :func:`_advance` as :func:`step`, and builds one
-    :class:`SwarmState`, the final state. It computes what the dynamics and
-    the stop rule need, with one :meth:`World.min_clearance` call per step on
-    the new positions and their centroid; the next step's control input
-    reuses its per-agent rows. Every chunk of C = max(1, min(256, 2**16 //
-    M**2)) steps is then measured in batched calls, whose temporaries hold at
-    most max(2**16, M**2) pairwise distances; a diverged run stops within one
-    chunk. Columns grow chunk by chunk, never from ``max_steps``.
+    through the same :func:`_advance` as :func:`step`, builds one
+    :class:`SwarmState`, the final one, and calls :meth:`World.min_clearance`
+    once per step, on the new positions and their centroid. Every 256 steps
+    the chunk's other columns are computed in batched calls on (256, M, 2) and
+    (256, E, 2) arrays for E directed edges, never (M, M) ones; a diverged run
+    stops within one chunk. Columns grow chunk by chunk, never from ``max_steps``.
     """
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
     if guidance is None:
         guidance = Guidance(mode="constant")
     agents = len(initial.positions)
-    chunk_steps = max(1, min(256, 2**16 // agents**2))
     chunks: list[dict] = []
     events: list[tuple[int, int]] = []
     positions, velocities, scale = initial.positions, initial.velocity_estimates, initial.scale
@@ -418,7 +415,7 @@ def run_episode(
     with np.errstate(over="ignore", invalid="ignore"):
         around = _surroundings(world, positions)[0]
         while first_step < max_steps and not converged:
-            size = min(chunk_steps, max_steps - first_step)
+            size = min(256, max_steps - first_step)  # one chunk
             q = np.empty((size + 1, agents, 2))
             q[0] = positions
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))

@@ -16,7 +16,12 @@ per-agent functions near the end of this module are the loops they replaced.
 
 The control laws work on the graph's edge list and an (M, 2) reference; the
 ``dense_*`` functions are the formulas over all M^2 pairs and the (M, M, 2)
-desired offsets that they replaced. Tests compare the two.
+desired offsets that they replaced. Tests compare the two. Likewise
+:class:`formsense.control.CommGraph` holds only its links: :func:`adjacency`
+rebuilds its (M, M) matrix and :func:`dense_topology` builds the named
+topologies as matrices, the way the library once did. And
+:func:`formsense.world.min_pairwise_distance` sweeps the agents sorted by x;
+:func:`dense_min_pairwise_distance` takes the minimum over all M^2 pairs.
 
 :func:`formsense.world.run_episode` carries the swarm as arrays, builds one
 :class:`SwarmState` per run and records the episode in columns, measured in
@@ -45,7 +50,7 @@ from formsense.control import (
     scale_factor,
 )
 from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
-from formsense.world import Guidance, RectObstacle, crlb_of_positions, min_pairwise_distance
+from formsense.world import Guidance, RectObstacle, crlb_of_positions
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular; the library uses the same rule.
@@ -353,6 +358,38 @@ def dense_displacement_error(positions, adjacency, reference) -> float:
     return float((adjacency * per_pair).sum() / 2.0)
 
 
+def adjacency(graph) -> np.ndarray:
+    """The (M, M) 0/1 float matrix of a CommGraph's links."""
+    dense = np.zeros((graph.agent_count, graph.agent_count))
+    dense[tuple(graph.links)] = 1.0
+    return dense
+
+
+def dense_topology(name: str, agent_count: int, leader_index: int) -> np.ndarray:
+    """(M, M) adjacency of a named topology: ring, ring_with_leader or complete."""
+    if name == "complete":
+        return np.ones((agent_count, agent_count)) - np.eye(agent_count)
+    successor = np.roll(np.eye(agent_count), 1, axis=1)  # links m to m + 1 mod M
+    dense = successor + successor.T
+    if name == "ring_with_leader":
+        dense[leader_index, :] = dense[:, leader_index] = 1.0
+        dense[leader_index, leader_index] = 0.0
+    return dense
+
+
+def dense_min_pairwise_distance(positions: np.ndarray):
+    """Smallest distance over all M^2 pairs of (..., M, 2) positions, self pairs excluded."""
+    positions = np.asarray(positions, dtype=float)
+    x, y = positions[..., 0], positions[..., 1]
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    squared = dx * dx + dy * dy
+    agents = np.arange(positions.shape[-2])
+    squared[..., agents, agents] = math.inf
+    smallest = np.sqrt(squared.min(axis=(-2, -1)))
+    return float(smallest) if positions.ndim == 2 else smallest
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """Metrics of one executed step; positions are the post-step state."""
@@ -428,7 +465,7 @@ def stepwise_episode(
                 crlb_m2=crlb,
                 total_cost=functools.reduce(operator.add, costs),
                 min_clearance_m=float(clearance.min()),
-                min_pairwise_m=min_pairwise_distance(positions),
+                min_pairwise_m=dense_min_pairwise_distance(positions),
                 max_control_m=float(np.linalg.norm(u, axis=1).max()),
                 displacement_error_m2=displacement_error(positions, graph, disp),
             )

@@ -41,6 +41,7 @@ from formsense import (
 )
 from formsense.benchmarks import BenchmarkSpec
 from formsense.cli import main as cli_main
+from oracle import adjacency
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ZENITH_LIMIT_DEG = 54.7356  # arctan(sqrt(2)) rounded down at the 4th decimal
@@ -360,7 +361,7 @@ def test_criterion_09_control_laws_are_gradients():
 
         def local_disp_cost(point):
             deviation = point - q - (disp.reference[m] - disp.reference)
-            return float((graph.adjacency[m] * (deviation**2).sum(axis=1)).sum())
+            return float((adjacency(graph)[m] * (deviation**2).sum(axis=1)).sum())
 
         grad = np.zeros(2)
         for axis in range(2):

@@ -375,6 +375,43 @@ class TestErrorPaths:
         assert err.startswith(f"config error: config: cannot read {cfg}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("seed: [1", "expected ',' or ']', but got '<stream end>' at line 1, column 9"),
+            ("sensing:\n  altitude_m: 20.0\n kappa: 1.0\n",
+             "expected <block end>, but found '<block mapping start>' at line 3, column 2"),
+            ("sensing:\n\taltitude_m: 20.0\n",
+             "found character '\\t' that cannot start any token at line 2, column 1"),
+        ],
+        ids=["unclosed flow sequence", "bad nested mapping", "tab indent"],
+    )
+    def test_invalid_yaml_is_one_line(self, tmp_path, capsys, text, problem):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text)
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config: invalid YAML in {cfg}: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "sections, line",
+        [
+            ({"graph": {"topology": "ring", "adjacency": [[0, 1], [1, 0]]}},
+             "graph.adjacency: only topology custom reads it, got topology ring"),
+            ({"deployment": {"kind": "random_box", "positions_m": [[0.0, 0.0]] * 6}},
+             "deployment.positions_m: only kind explicit reads it, got kind random_box"),
+            ({"deployment": {"kind": "explicit", "positions_m": [[0.0, 0.0]] * 6, "center_m": [0.0, 0.0]}},
+             "deployment.center_m: only kind random_box reads it, got kind explicit"),
+            ({"deployment": {"kind": "explicit", "positions_m": [[0.0, 0.0]] * 6, "side_m": 50.0}},
+             "deployment.side_m: only kind random_box reads it, got kind explicit"),
+        ],
+        ids=["adjacency with ring", "positions with random_box", "center with explicit", "side with explicit"],
+    )
+    def test_a_field_the_variant_ignores_is_rejected(self, tmp_path, capsys, sections, line):
+        cfg, _ = write_config(tmp_path, **sections)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+
     def test_deeply_nested_yaml(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("seed: " + "[" * 1000 + "1" + "]" * 1000 + "\n")

@@ -27,15 +27,18 @@ from formsense import (
     displacement_control,
     displacement_error,
     local_cost,
+    min_pairwise_distance,
     repulsion,
     scale_factor,
 )
 from oracle import (
+    adjacency,
     agent_cost,
     dense_consensus,
     dense_displacement_control,
     dense_displacement_error,
     dense_local_cost,
+    dense_topology,
 )
 
 
@@ -52,11 +55,14 @@ def random_connected_graph(rng: np.random.Generator, max_agents: int = 8) -> Com
         for j in range(i + 1, n):
             if rng.random() < 0.3:
                 adj[i, j] = adj[j, i] = 1.0
-    return CommGraph(adj, leader_index=int(rng.integers(0, n)))
+    return CommGraph.from_adjacency(adj, leader_index=int(rng.integers(0, n)))
+
+
+NOT_INDICES = r"expected a \(2, L\) array of agent indices >= 0"
 
 
 def two_agent_graph() -> CommGraph:
-    return CommGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), leader_index=0)
+    return CommGraph.from_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]), leader_index=0)
 
 
 class TestCommGraph:
@@ -82,38 +88,88 @@ class TestCommGraph:
         adj = np.zeros((3, 3))
         adj[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            CommGraph(adj)
+            CommGraph.from_adjacency(adj)
 
     def test_rejects_self_loop(self):
         adj = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            CommGraph(adj)
+            CommGraph.from_adjacency(adj)
 
     def test_rejects_weighted_edges(self):
         adj = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="0 or 1"):
-            CommGraph(adj)
+            CommGraph.from_adjacency(adj)
 
     def test_rejects_disconnected(self):
         adj = np.zeros((4, 4))
         adj[0, 1] = adj[1, 0] = 1.0
         adj[2, 3] = adj[3, 2] = 1.0
         with pytest.raises(ValueError, match="connected"):
-            CommGraph(adj)
+            CommGraph.from_adjacency(adj)
 
     def test_rejects_a_single_agent(self):
         with pytest.raises(ValueError, match=r"^CommGraph.adjacency: need at least 2 agents, got 1$"):
-            CommGraph(np.zeros((1, 1)))
+            CommGraph.from_adjacency(np.zeros((1, 1)))
 
     def test_rejects_bad_leader_index(self):
         with pytest.raises(ValueError, match="leader_index"):
             CommGraph.ring(4, leader_index=4)
+        for leader in (1.5, 1.0, -1, "1"):
+            with pytest.raises(ValueError) as raised:
+                CommGraph(np.array([[0, 1, 2, 3], [1, 2, 3, 0]]), leader)
+            assert str(raised.value) == f"CommGraph.leader_index: must lie in [0, 3], got {leader!r}"
 
     def test_random_graphs_accepted(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             graph = random_connected_graph(rng)
             assert graph.agent_count >= 3
+            np.testing.assert_array_equal(CommGraph(graph.links[:, ::-1]).links, graph.links)
+
+    def test_rejects_an_isolated_last_agent(self):
+        adj = np.zeros((3, 3))
+        adj[0, 1] = adj[1, 0] = 1.0
+        with pytest.raises(ValueError, match=r"^CommGraph.adjacency: graph must be connected$"):
+            CommGraph.from_adjacency(adj)
+
+    @pytest.mark.parametrize(
+        "links, message",
+        [
+            (np.array([[0.0, 1.5], [1.0, 2.0]]), NOT_INDICES),
+            (np.array([[0.0, 1.0], [1.0, 2.0]]), NOT_INDICES),
+            ([[True, False], [False, True]], NOT_INDICES),
+            ([[0, 1, 2]], NOT_INDICES),
+            (np.zeros((2, 0), dtype=int), NOT_INDICES),
+            ([[0, 1], [1, -1]], NOT_INDICES + r", got \[\[0, 1\], \[1, -1\]\]$"),
+            ([[0, 1, 2], [1, 2, 2]], r"self link at agent 2$"),
+            ([[0], [2**40]], r"graph must be connected$"),
+            ([[0, 2], [1, 3]], r"graph must be connected$"),
+        ],
+        ids=[
+            "fraction", "float", "bool", "one row", "no links", "negative", "self link", "huge index", "two parts",
+        ],
+    )
+    def test_links_are_checked_as_outside_input(self, links, message):
+        with pytest.raises(ValueError, match=f"^CommGraph.links: {message}"):
+            CommGraph(links)
+
+    def test_links_are_deduplicated_and_sorted(self):
+        graph = CommGraph([[2, 1, 0, 1], [0, 2, 1, 0]], leader_index=2)
+        np.testing.assert_array_equal(graph.links, [[0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]])
+        assert graph.agent_count == 3 and graph.leader_index == 2
+        assert not graph.links.flags.writeable
+
+    @pytest.mark.parametrize("name", ["ring", "ring_with_leader", "complete"])
+    def test_named_topologies_match_the_dense_oracle(self, name):
+        """The edge order np.nonzero gives fixes the laws' summation order."""
+        for agents in range(2 if name == "complete" else 3, 41):
+            for leader in range(agents):
+                graph = getattr(CommGraph, name)(agents, leader)
+                dense = dense_topology(name, agents, leader)
+                assert graph.agent_count == agents and graph.leader_index == leader
+                np.testing.assert_array_equal(graph.links, np.nonzero(dense))
+                np.testing.assert_array_equal(CommGraph.from_adjacency(dense, leader).links, graph.links)
+                np.testing.assert_array_equal(graph.degrees, dense.sum(axis=1))
 
 
 class TestCheckStability:
@@ -260,7 +316,7 @@ class TestDisplacementControl:
 
             def disp_cost(point):
                 deviation = point - q - (disp.reference[m] - disp.reference)
-                return float((graph.adjacency[m] * (deviation**2).sum(axis=1)).sum())
+                return float((adjacency(graph)[m] * (deviation**2).sum(axis=1)).sum())
 
             grad = np.zeros(2)
             for axis in range(2):
@@ -336,7 +392,7 @@ class TestLocalCost:
         for agent in range(5):
             expected = 0.0
             for p in range(5):
-                if graph.adjacency[agent, p]:
+                if adjacency(graph)[agent, p]:
                     expected += float(
                         ((q[agent] - q[p] - (disp.reference[agent] - disp.reference[p])) ** 2).sum()
                     )
@@ -354,7 +410,7 @@ class TestLocalCost:
             state = SwarmState(positions=q, velocity_estimates=np.zeros((m, 2)))
             got = local_cost(state.positions, graph, disp, 0.1, nxt)
             want = [
-                agent_cost(q, graph.adjacency, disp.reference, a, 0.1, nxt[a], disp.global_velocity)
+                agent_cost(q, adjacency(graph), disp.reference, a, 0.1, nxt[a], disp.global_velocity)
                 for a in range(m)
             ]
             assert got.tolist() == want
@@ -564,7 +620,7 @@ def swarms(draw):
         adj[parent, child] = adj[child, parent] = 1.0
     extra = np.triu(rng.random((agents, agents)) < density, 1)
     adj[extra | extra.T] = 1.0
-    graph = CommGraph(adj, leader_index=int(rng.integers(0, agents)))
+    graph = CommGraph.from_adjacency(adj, leader_index=int(rng.integers(0, agents)))
 
     def points():
         q = spread * rng.uniform(-1.0, 1.0, size=(agents, 2))
@@ -582,7 +638,7 @@ class TestEdgeListMatchesDense:
     @given(swarms(), st.floats(0.0, 1.0, exclude_min=True))
     def test_laws_match_dense_oracle(self, swarm, scale):
         graph, disp, state, nxt = swarm
-        adj, r, q = graph.adjacency, disp.reference, state.positions
+        adj, r, q = adjacency(graph), disp.reference, state.positions
         gains = ControlGains(epsilon=0.003, consensus_gain=0.004)
         v_ref = disp.global_velocity
 
@@ -603,7 +659,8 @@ class TestEdgeListMatchesDense:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_laws_allocate_linear_memory(self):
-        """At M=2048 one dense (M, M, 2) array alone would take 67 MB."""
+        """At M=2048 one dense (M, M, 2) array alone would take 67 MB, and a dense
+        (M, M) adjacency 34 MB; at M=4096 one (M, M) array of distances takes 134 MB."""
         agents = 2048
         rng = np.random.default_rng(92)
         graph = CommGraph.ring(agents)
@@ -615,17 +672,23 @@ class TestEdgeListMatchesDense:
             velocity_estimates=rng.normal(size=(agents, 2)),
         )
         gains = ControlGains()
-        laws = {
-            "consensus": lambda: consensus_velocity_step(state.velocity_estimates, graph, np.zeros(2), gains),
-            "displacement": lambda: displacement_control(state.positions, graph, disp, gains, 0.5),
-            "local_cost": lambda: local_cost(state.positions, graph, disp, 0.1, state.positions),
-            "displacement_error": lambda: displacement_error(state.positions, graph, disp),
+        wide = rng.uniform(-50.0, 50.0, size=(1, 2 * agents, 2))
+        calls = {  # name: (call, bound on its peak in MB)
+            "consensus": (
+                lambda: consensus_velocity_step(state.velocity_estimates, graph, np.zeros(2), gains), 16
+            ),
+            "displacement": (lambda: displacement_control(state.positions, graph, disp, gains, 0.5), 16),
+            "local_cost": (lambda: local_cost(state.positions, graph, disp, 0.1, state.positions), 16),
+            "displacement_error": (lambda: displacement_error(state.positions, graph, disp), 16),
+            "ring": (lambda: CommGraph.ring(agents), 2),
+            "ring_with_leader": (lambda: CommGraph.ring_with_leader(agents), 2),
+            "min_pairwise_distance": (lambda: min_pairwise_distance(wide), 1),
         }
-        for name, law in laws.items():
+        for name, (call, bound_mb) in calls.items():
             tracemalloc.start()
             try:
-                law()
+                call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16 * 2**20, f"{name}: peak {peak / 2**20:.1f} MB"
+            assert peak < bound_mb * 2**20, f"{name}: peak {peak / 2**20:.2f} MB"

@@ -51,7 +51,6 @@ VALID = {
     AgentPose: dict(planar_position=np.array([1.0, 2.0]), elevation_rad=0.5, azimuth_rad=0.0),
     FormationGeometry: dataclasses.asdict(TRIANGLE),
     DisplacementSet: dict(reference=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-    CommGraph: dict(adjacency=np.ones((3, 3)) - np.eye(3)),
 }
 
 
@@ -175,8 +174,25 @@ def test_shared_letter_is_one_length():
         "SwarmState.velocity_estimates: expected a finite (M, 2) array with M = 3, got "
         + one_line(np.zeros((4, 2)))
     )
-    with pytest.raises(ValueError, match=r"CommGraph.adjacency: expected a finite \(M, M\) array"):
-        CommGraph(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.zeros((3, 4)),
+        np.zeros(3),
+        np.zeros((0, 0)),
+        [[0, 1], [1]],
+        [[0, 1], [1, math.nan]],
+        [[0, math.inf], [math.inf, 0]],
+        "ab",
+    ],
+    ids=["wrong shape", "one axis", "no agents", "ragged rows", "nan", "inf", "string"],
+)
+def test_an_adjacency_is_a_finite_square_array(value):
+    with pytest.raises(ValueError) as info:
+        CommGraph.from_adjacency(value)
+    assert str(info.value) == f"CommGraph.adjacency: expected a finite (M, M) array, got {one_line(value)}"
 
 
 def choice_cases():
