@@ -141,15 +141,6 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> Path:
     return _write_csv(out_dir / "sweep.csv", header, ([row[h] for h in header] for row in rows), config)
 
 
-def _resolve_out_dir(flag_value: Optional[str], config: RunConfig) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env_value = os.environ.get(OUTPUT_DIR_ENV)
-    if env_value:
-        return Path(env_value)
-    return config.output_dir
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formsense",
@@ -191,7 +182,7 @@ def _run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = _resolve_out_dir(args.out, config)
+    out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

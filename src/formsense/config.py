@@ -366,8 +366,10 @@ def load_config(
     try:
         raw = yaml.safe_load(text)
     except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep to parse
-        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None) or exc
+        mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        # A ReaderError (a non-printable character) has no problem; its message has two lines.
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
         raise ConfigError(f"config: invalid YAML in {path}: {problem}{where}") from exc
     raw = _expect_mapping("config", raw)
     return build_config(raw, seed=seed, noise_free=noise_free)

@@ -55,9 +55,14 @@ class CommGraph:
             raise ValueError(f"CommGraph.leader_index: must lie in [0, {agents - 1}], got {leader!r}")
         key = np.sort(np.concatenate((m * agents + p, p * agents + m)))  # both directions, sorted
         m, p = np.divmod(key[np.concatenate(([True], key[1:] != key[:-1]))], agents)  # each once
-        seen = np.arange(agents) == 0  # breadth-first search from agent 0, a level per pass
-        while not seen[p[seen[m]]].all():
-            seen[p[seen[m]]] = True
+        start = np.searchsorted(m, np.arange(agents + 1))  # agent a's edges: start[a] to start[a + 1]
+        seen, frontier, slot = np.arange(agents) == 0, np.zeros(1, np.int64), np.empty(agents, np.int64)
+        while frontier.size:  # breadth-first search from agent 0, reading each edge once
+            count = start[frontier + 1] - start[frontier]
+            near = p[np.arange(count.sum()) + np.repeat(start[frontier] - np.cumsum(count) + count, count)]
+            near = near[~seen[near]]
+            seen[near], slot[near] = True, np.arange(near.size)
+            frontier = near[slot[near] == np.arange(near.size)]  # each agent once
         if not seen.all():
             raise ValueError("CommGraph.links: graph must be connected")
         object.__setattr__(self, "links", np.stack((m, p)))

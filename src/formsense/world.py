@@ -397,16 +397,18 @@ def run_episode(
     The loop carries positions, velocity estimates and the scale as arrays
     through the same :func:`_advance` as :func:`step`, builds one
     :class:`SwarmState`, the final one, and calls :meth:`World.min_clearance`
-    once per step, on the new positions and their centroid. Every 256 steps
-    the chunk's other columns are computed in batched calls on (256, M, 2) and
-    (256, E, 2) arrays for E directed edges, never (M, M) ones; a diverged run
-    stops within one chunk. Columns grow chunk by chunk, never from ``max_steps``.
+    once per step, on the new positions and their centroid. Every chunk of C
+    steps the other columns are computed in batched calls on (C, M, 2) and
+    (C, E, 2) arrays for E directed edges; C = min(256, max(1, 2**18 // E))
+    keeps a dense graph's temporaries near 4 MB. A diverged run stops within
+    one chunk. Columns grow chunk by chunk, never from ``max_steps``.
     """
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
     if guidance is None:
         guidance = Guidance(mode="constant")
     agents = len(initial.positions)
+    chunk_steps = max(1, min(256, 2**18 // graph.links.shape[1]))
     chunks: list[dict] = []
     events: list[tuple[int, int]] = []
     positions, velocities, scale = initial.positions, initial.velocity_estimates, initial.scale
@@ -415,7 +417,7 @@ def run_episode(
     with np.errstate(over="ignore", invalid="ignore"):
         around = _surroundings(world, positions)[0]
         while first_step < max_steps and not converged:
-            size = min(256, max_steps - first_step)  # one chunk
+            size = min(chunk_steps, max_steps - first_step)
             q = np.empty((size + 1, agents, 2))
             q[0] = positions
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))

@@ -383,8 +383,11 @@ class TestErrorPaths:
              "expected <block end>, but found '<block mapping start>' at line 3, column 2"),
             ("sensing:\n\taltitude_m: 20.0\n",
              "found character '\\t' that cannot start any token at line 2, column 1"),
+            ("seed: 7\noutput_dir: a\x07b\n",
+             "unacceptable character #x0007: special characters are not allowed"),
+            ("seed: \x00", "unacceptable character #x0000: special characters are not allowed"),
         ],
-        ids=["unclosed flow sequence", "bad nested mapping", "tab indent"],
+        ids=["unclosed flow sequence", "bad nested mapping", "tab indent", "bell", "nul"],
     )
     def test_invalid_yaml_is_one_line(self, tmp_path, capsys, text, problem):
         cfg = tmp_path / "run.yaml"

@@ -735,6 +735,29 @@ class TestRunEpisode:
         assert trace.converged and trace.steps == 1
         assert peak < 2**20
 
+    def test_dense_graph_chunks_stay_small(self, default_params, target):
+        """A complete graph of 200 agents has 39 800 directed edges: 64 steps in one chunk
+        would hold (64, E, 2) arrays of 41 MB each; the chunk shrinks to 6 steps instead."""
+        agents = 200
+        rng = np.random.default_rng(5)
+        reference = rng.uniform(-50.0, 50.0, size=(agents, 2))
+        args = (
+            SwarmState(reference + rng.uniform(-5.0, 5.0, size=(agents, 2)), np.zeros((agents, 2))),
+            World(target=target),
+            CommGraph.complete(agents),
+            DisplacementSet(reference),
+            ControlGains(epsilon=0.2 / agents, consensus_gain=0.5 / agents),
+            default_params,
+        )
+        tracemalloc.start()
+        try:
+            trace = run_episode(*args, max_steps=64, stop_tolerance=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.steps == 64
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_total_cost_sums_agents_left_to_right(self, default_params, target):
         """Builtin sum() of floats is compensated on Python 3.12 and later; the total is not."""
         rng = np.random.default_rng(12)
