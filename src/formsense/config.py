@@ -50,16 +50,18 @@ _REQUIRED = MISSING
 
 
 def _declared(cls: type, name: str, default: Any = MISSING) -> tuple:
-    """A field with the choices or interval, and unless given the default, of ``cls``'s ``name``."""
+    """``cls``'s field ``name``: its choices, (2,) shape or interval, and its default unless given."""
     declared = cls.__dataclass_fields__[name]
     default = declared.default if default is MISSING else default
     if "choices" in declared.metadata:
         return (declared.metadata["choices"], default)
+    if "shape" in declared.metadata:  # a (2,) array: the one shape a config field takes
+        return (_VEC2, default)
     return (int if type(default) is int else float, default, declared.metadata["interval"])
 
 
 # A field is (type, default[, interval]). The interval bounds a number or each float of a list;
-# a field that becomes a domain type's field takes the interval or choices that type declares.
+# a field that becomes a domain type's field takes the interval, choices or shape that type declares.
 SCHEMA: dict[str, dict[str, tuple]] = {
     "sensing": {
         "transmit_power_w": _declared(SensingParams, "transmit_power_w", 0.1),
@@ -99,13 +101,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "positions_m": (_RAW, None),  # for explicit deployment
         "initial_scale": _declared(SwarmState, "scale"),  # shrinks the ring
     },
-    "guidance": {
-        "mode": _declared(Guidance, "mode"),
-        "velocity_mps": (_VEC2, [0.0, 0.0]),
-        "max_speed_mps": _declared(Guidance, "max_speed_mps"),
-        "gain_per_s": _declared(Guidance, "gain_per_s"),
-        "arrival_tolerance_m": _declared(Guidance, "arrival_tolerance_m"),
-    },
+    "guidance": {f.name: _declared(Guidance, f.name) for f in fields(Guidance)},
     "episode": {
         "max_steps": (int, 4000, NON_NEGATIVE),  # 0 writes an empty trace
         "stop_tolerance_m2": (float, 1.0e-3, POSITIVE),  # "error < 0" is never met
@@ -215,7 +211,7 @@ def _entries(name: str, value: Any, table: dict, make, nonempty: bool) -> tuple[
     return checked, tuple(built)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """A fully resolved run configuration and its domain-typed pieces."""
 
@@ -244,9 +240,7 @@ class RunConfig:
         return self.formation
 
     def displacement_set(self, formation: Optional[FormationGeometry] = None) -> DisplacementSet:
-        formation = self.formation if formation is None else formation
-        velocity = self.canonical["guidance"]["velocity_mps"]
-        return DisplacementSet(formation.planar_positions, velocity)
+        return DisplacementSet((self.formation if formation is None else formation).planar_positions)
 
     def initial_state(self) -> SwarmState:
         positions = self.initial_positions
@@ -410,9 +404,7 @@ def build_config(
         formation = build_formation(params, plan_target, agent_count, rotation_rad)
     except ValueError as exc:  # e.g. a far target or rotation rounds the ring to a point
         raise ConfigError(f"formation: {exc}") from exc
-    leader_offset = formation.planar_positions[graph.leader_index] - plan_target.position
-    guidance_c = {k: v for k, v in canonical["guidance"].items() if k != "velocity_mps"}
-    guidance = Guidance(leader_offset=leader_offset, goal_m=plan_target.position, **guidance_c)
+    guidance = Guidance(**canonical["guidance"])
 
     benchmarks = _sweep(canonical["sweep"], params)
 

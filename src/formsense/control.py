@@ -23,7 +23,7 @@ from .errors import FRACTION, NON_NEGATIVE, POSITIVE, check_fields, frozen_array
 from .formation import DisplacementSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
     """Undirected communication topology with a designated leader.
 
@@ -37,7 +37,7 @@ class CommGraph:
 
     links: np.ndarray
     leader_index: int = 0
-    _xy_bins: np.ndarray = field(init=False, repr=False, compare=False)  # 2m, 2m + 1 per edge
+    _xy_bins: np.ndarray = field(init=False, repr=False)  # 2m, 2m + 1 per edge
 
     def __post_init__(self) -> None:
         links, leader = np.asarray(self.links), self.leader_index
@@ -124,7 +124,7 @@ class CommGraph:
         return cls(np.stack((m[m != p], p[m != p])), leader_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwarmState:
     """Planar positions, velocity estimates, and formation scale at one step."""
 
@@ -242,7 +242,7 @@ def local_cost(
     disp: DisplacementSet,
     dt: float,
     next_positions: np.ndarray,
-    target_velocity: Optional[np.ndarray] = None,
+    target_velocity: np.ndarray,
 ) -> np.ndarray:
     """Formation error as seen by each agent, shape (M,).
 
@@ -257,8 +257,6 @@ def local_cost(
     """
     if dt <= 0:
         raise ValueError(f"local_cost: dt must be > 0, got {dt!r}")
-    if target_velocity is None:
-        target_velocity = disp.global_velocity
     q = np.asarray(positions, dtype=float)
     squared = (_deviation(q, graph, disp) ** 2).sum(axis=-1)
     displacement_term = _edge_sum(graph, squared[..., None])[..., 0]

@@ -88,7 +88,7 @@ def check_fields(obj: Any) -> None:
 
     Raises a ValueError naming ``Class.field`` for the first field outside its interval, not one
     of its choices, or not a finite array of its shape. A letter of a shape is one length shared
-    by every field of ``obj`` that names it. An array field whose default is None may be None.
+    by every field of ``obj`` that names it.
     """
     lengths: dict[str, int] = {}
     for f in obj.__dataclass_fields__.values():
@@ -99,5 +99,5 @@ def check_fields(obj: Any) -> None:
             check_interval(name, value, meta["interval"])
         elif "choices" in meta:
             check_choice(name, value, meta["choices"])
-        elif "shape" in meta and not (value is None and f.default is None):
+        elif "shape" in meta:
             object.__setattr__(obj, f.name, frozen_array(name, value, meta["shape"], lengths))

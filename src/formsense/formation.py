@@ -22,7 +22,7 @@ from .sensing import SensingParams, TargetEstimate, crlb, elevation_weight
 _GEOMETRY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormationGeometry:
     """A regular-polygon sensing formation at a common elevation angle.
 
@@ -62,7 +62,7 @@ class FormationGeometry:
         return len(self.planar_positions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacementSet:
     """The formation a control law should hold, as one embedding.
 
@@ -71,23 +71,23 @@ class DisplacementSet:
             desired offset from agent p to agent m is reference[m] - reference[p],
             so it is antisymmetric and consistent along agent chains by
             construction; control laws read it on the graph's edges only.
-        global_velocity: Common reference velocity of the whole formation, m/s;
-            zero by default.
         nominal_diameter_m: Largest pairwise distance in the reference.
     """
 
     reference: np.ndarray = field(metadata={"shape": "(M, 2)"})
-    global_velocity: np.ndarray = field(default=(0.0, 0.0), metadata={"shape": "(2,)"})
     nominal_diameter_m: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_fields(self)
         x, y = self.reference.T
-        dx, dy = x[:, None] - x, y[:, None] - y  # the one (M, M) pass, once per formation
-        dx *= dx  # in place: at large M each fresh (M, M) array costs more than the arithmetic
-        dy *= dy
-        dx += dy
-        object.__setattr__(self, "nominal_diameter_m", float(np.sqrt(dx.max())))
+        rows, largest = max(1, 2**16 // len(x)), 0.0
+        for start in range(0, len(x), rows):  # (rows, M) blocks keep the memory linear in M
+            dx, dy = x[start : start + rows, None] - x, y[start : start + rows, None] - y
+            dx *= dx  # in place: each fresh block array costs more than the arithmetic
+            dy *= dy
+            dx += dy
+            largest = max(largest, float(dx.max()))
+        object.__setattr__(self, "nominal_diameter_m", math.sqrt(largest))
 
 
 def optimal_elevation(params: SensingParams) -> float:

@@ -66,7 +66,7 @@ class SensingParams:
         object.__setattr__(self, "composite_snr_m4", composite)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetEstimate:
     """Planar prior position of the ground target, in meters."""
 

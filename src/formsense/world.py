@@ -58,7 +58,7 @@ class RectObstacle:
 _FACE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class World:
     """Target, obstacles, noise level, and time base of a scenario."""
 
@@ -70,7 +70,7 @@ class World:
     dt: float = field(default=0.1, metadata={"interval": "(0, 1000]"})
     rng_seed: int = 0
     # Rectangle bounds as rows x_min, x_max, y_min, y_max over the K obstacles.
-    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    _bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -159,21 +159,23 @@ def step(
     graph: CommGraph,
     disp: DisplacementSet,
     gains: ControlGains,
-    target_velocity: Optional[np.ndarray] = None,
+    guidance: Optional[Guidance] = None,
 ) -> SwarmState:
     """Advance the swarm by one control period.
 
-    Runs velocity consensus, applies the combined control input at the
-    current formation scale, adds motion noise, then updates the scale from
-    the new centroid's obstacle clearance. The noise generator is seeded
-    from (world seed, step index), so the successor state is a pure function
-    of its inputs.
+    Takes the reference velocity from ``guidance`` as :func:`run_episode`
+    does (constant zero if None; in goal mode, toward the leader's slot of
+    the reference), runs velocity consensus, applies the combined control
+    input at the current formation scale, adds motion noise, then updates
+    the scale from the new centroid's obstacle clearance. The noise
+    generator is seeded from (world seed, step index), so the successor
+    state is a pure function of its inputs.
     """
-    if target_velocity is None:
-        target_velocity = disp.global_velocity
+    guidance = Guidance() if guidance is None else guidance
+    velocity = guidance.commanded_velocity(state.positions, graph, disp)
     positions, velocities, scale, _, _ = _advance(
         state.positions, state.velocity_estimates, state.scale, state.step_index,
-        _surroundings(world, state.positions)[0], world, graph, disp, gains, target_velocity,
+        _surroundings(world, state.positions)[0], world, graph, disp, gains, velocity,
     )
     return SwarmState(positions, velocities, scale, state.step_index + 1)
 
@@ -208,59 +210,50 @@ def min_pairwise_distance(positions: np.ndarray):
     return float(smallest) if positions.ndim == 2 else smallest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Guidance:
-    """How the reference velocity is produced during an episode.
+    """How the reference velocity is produced during an episode; the config's ``guidance`` section.
 
-    In ``constant`` mode the reference is the displacement set's global
-    velocity for the whole run. In ``goal`` mode the leader steers the
-    formation center onto the target's vertical projection: it estimates the
-    center from its own position and nominal offset, commands a saturated
-    proportional velocity toward the goal, and the episode's stop rule gains
-    an arrival condition.
+    In ``constant`` mode the reference is ``velocity_mps`` for the whole run.
+    In ``goal`` mode the leader steers onto its slot of the reference ring,
+    which is planned around the (believed) target: it commands a saturated
+    proportional velocity toward the slot, and the episode's stop rule gains
+    an arrival condition, the leader within ``arrival_tolerance_m`` of it.
     """
 
     mode: str = field(default="constant", metadata={"choices": GUIDANCE_MODES})
+    velocity_mps: np.ndarray = field(default=(0.0, 0.0), metadata={"shape": "(2,)"})
     max_speed_mps: float = field(default=1.2, metadata={"interval": POSITIVE})
     gain_per_s: float = field(default=0.5, metadata={"interval": POSITIVE})
     arrival_tolerance_m: float = field(default=0.05, metadata={"interval": POSITIVE})
-    leader_offset: np.ndarray = field(default=(0.0, 0.0), metadata={"shape": "(2,)"})
-    goal_m: Optional[np.ndarray] = field(default=None, metadata={"shape": "(2,)"})
 
     def __post_init__(self) -> None:
         check_fields(self)
 
-    def _to_goal(self, positions: np.ndarray, world: World, graph: CommGraph) -> np.ndarray:
-        """Vector from the leader's estimate of the formation center to the steering goal.
+    def _to_goal(self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet) -> np.ndarray:
+        """Vector from the leader to its slot of the reference."""
+        return disp.reference[graph.leader_index] - positions[graph.leader_index]
 
-        The goal is the explicit one if set, else the target's projection. The
-        two differ when the formation is planned around an imperfect prior
-        target estimate; the swarm can only steer toward what it believes the
-        target position to be.
-        """
-        goal = world.target.position if self.goal_m is None else self.goal_m
-        return goal - (positions[graph.leader_index] - self.leader_offset)
-
-    def center_error_m(self, positions: np.ndarray, world: World, graph: CommGraph) -> float:
-        """Distance from the leader's center estimate to the goal; 0 in constant mode."""
+    def center_error_m(self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet) -> float:
+        """Distance from the leader to its slot of the reference; 0 in constant mode."""
         if self.mode == "constant":
             return 0.0
-        return float(np.linalg.norm(self._to_goal(positions, world, graph)))
+        return float(np.linalg.norm(self._to_goal(positions, graph, disp)))
 
     def commanded_velocity(
-        self, positions: np.ndarray, world: World, graph: CommGraph, disp: DisplacementSet
+        self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
     ) -> np.ndarray:
-        """Reference velocity for (M, 2) positions."""
+        """Reference velocity (2,) for (M, 2) positions."""
         if self.mode == "constant":
-            return disp.global_velocity
-        v = self.gain_per_s * self._to_goal(positions, world, graph)
+            return self.velocity_mps
+        v = self.gain_per_s * self._to_goal(positions, graph, disp)
         speed = float(np.linalg.norm(v))
         if speed > self.max_speed_mps:
             v = v * (self.max_speed_mps / speed)
         return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpisodeTrace:
     """Full record of one simulated episode, as read-only columns indexed by step.
 
@@ -389,10 +382,10 @@ def run_episode(
 
     The stop rule requires the displacement error to drop below the
     tolerance with the scale factor recovered to (nearly) one; goal-mode
-    guidance additionally requires the formation center to have arrived at
-    the target. Non-convergence is reported in the trace, not raised; a run
-    whose positions or metrics stop being finite raises a ValueError naming
-    the step.
+    guidance additionally requires the leader to be within the arrival
+    tolerance of its slot of the reference. Non-convergence is reported in
+    the trace, not raised; a run whose positions or metrics stop being finite
+    raises a ValueError naming the step.
 
     The loop carries positions, velocity estimates and the scale as arrays
     through the same :func:`_advance` as :func:`step`, builds one
@@ -406,7 +399,7 @@ def run_episode(
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
     if guidance is None:
-        guidance = Guidance(mode="constant")
+        guidance = Guidance()
     agents = len(initial.positions)
     chunk_steps = max(1, min(256, 2**18 // graph.links.shape[1]))
     chunks: list[dict] = []
@@ -423,7 +416,7 @@ def run_episode(
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
             clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
             for i in range(size):
-                v = guidance.commanded_velocity(positions, world, graph, disp)
+                v = guidance.commanded_velocity(positions, graph, disp)
                 positions, velocities, scale, u[i], around = _advance(
                     positions, velocities, scale, initial.step_index + first_step + i, around,
                     world, graph, disp, gains, v,
@@ -436,7 +429,7 @@ def run_episode(
                 if (
                     error[i] < stop_tolerance
                     and scale >= 0.999
-                    and guidance.center_error_m(positions, world, graph) <= guidance.arrival_tolerance_m
+                    and guidance.center_error_m(positions, graph, disp) <= guidance.arrival_tolerance_m
                 ):
                     size, converged = i + 1, True
                     break

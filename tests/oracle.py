@@ -443,14 +443,14 @@ def stepwise_episode(
     divergence error. Costs are summed left to right over the agents.
     """
     if guidance is None:
-        guidance = Guidance(mode="constant")
+        guidance = Guidance()
     records: list[StepRecord] = []
     events: list[tuple[int, int]] = []
     state = initial
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_steps):
-            v_cmd = guidance.commanded_velocity(state.positions, world, graph, disp)
+            v_cmd = guidance.commanded_velocity(state.positions, graph, disp)
             positions, velocities, scale, u = _advance(state, world, graph, disp, gains, v_cmd)
             clearance = world.min_clearance(positions)[0]
             crlb: Optional[float] = crlb_of_positions(positions, world, params)
@@ -476,7 +476,7 @@ def stepwise_episode(
             if (
                 record.displacement_error_m2 < stop_tolerance
                 and state.scale >= 0.999
-                and guidance.center_error_m(state.positions, world, graph) <= guidance.arrival_tolerance_m
+                and guidance.center_error_m(state.positions, graph, disp) <= guidance.arrival_tolerance_m
             ):
                 converged = True
                 break

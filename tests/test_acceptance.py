@@ -20,6 +20,7 @@ from formsense import (
     CommGraph,
     ControlGains,
     DisplacementSet,
+    Guidance,
     SensingParams,
     SwarmState,
     TargetEstimate,
@@ -233,7 +234,8 @@ def test_criterion_07_open_space_convergence():
     start = time.perf_counter()
     v_star = np.array([1.0, 0.0])
     formation = build_formation(DEFAULT_PARAMS, TARGET, 6)
-    disp = DisplacementSet(formation.planar_positions, v_star)
+    disp = DisplacementSet(formation.planar_positions)
+    guidance = Guidance(velocity_mps=v_star)
     graph = CommGraph.ring_with_leader(6)
     gains = ControlGains(epsilon=0.01, consensus_gain=0.2)
     world = World(target=TARGET, motion_noise_std=0.0, dt=0.1)
@@ -245,7 +247,7 @@ def test_criterion_07_open_space_convergence():
     vel_errs = []
     disp_errs = []
     for _ in range(2000):
-        state = step(state, world, graph, disp, gains)
+        state = step(state, world, graph, disp, gains, guidance)
         vel_errs.append(float(np.linalg.norm(state.velocity_estimates - v_star, axis=1).max()))
         disp_errs.append(displacement_error(state.positions, graph, disp))
     vel_errs = np.array(vel_errs)

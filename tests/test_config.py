@@ -1,6 +1,7 @@
 """Config parsing, validation, canonicalization, and hashing."""
 
 import copy
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from formsense import ConfigError, SensingParams, TargetEstimate, dbm_to_watts, load_config
+from formsense import ConfigError, Guidance, SensingParams, TargetEstimate, dbm_to_watts, load_config
 from formsense.benchmarks import BenchmarkSpec, sweep_rows
 from formsense.config import SCHEMA, _BENCHMARK, build_config, canonical_yaml, hash_canonical
 
@@ -532,25 +533,30 @@ class TestPlanningAndGuidance:
         np.testing.assert_allclose(centroid, [85.0, 87.0], atol=1e-9)
         np.testing.assert_array_equal(cfg.target.position, [80.0, 90.0])
 
-    def test_leader_offset_matches_formation(self):
-        cfg = build_config(base_raw())
-        formation = cfg.build_formation()
-        expected = formation.planar_positions[cfg.graph.leader_index] - cfg.plan_target.position
-        np.testing.assert_allclose(cfg.guidance.leader_offset, expected, rtol=1e-12)
-
-    def test_goal_is_plan_target(self):
+    def test_leader_at_its_planned_slot_has_arrived(self):
         raw = base_raw()
         raw["formation"]["prior_target_offset_m"] = [5.0, -3.0]
         raw["guidance"] = {"mode": "goal"}
         cfg = build_config(raw)
-        np.testing.assert_allclose(cfg.guidance.goal_m, [85.0, 87.0], rtol=1e-12)
+        disp = cfg.displacement_set()
+        at_slots = cfg.formation.planar_positions
+        assert cfg.guidance.center_error_m(at_slots, cfg.graph, disp) == 0.0
+        # The ring is planned around the believed target, so the same ring over the true one is off.
+        at_true_target = at_slots + (cfg.target.position - cfg.plan_target.position)
+        error = cfg.guidance.center_error_m(at_true_target, cfg.graph, disp)
+        assert error == pytest.approx(math.hypot(5.0, 3.0), rel=1e-12)
 
-    def test_displacement_set_carries_velocity(self):
+    def test_guidance_carries_velocity(self):
         raw = base_raw()
         raw["guidance"] = {"velocity_mps": [0.4, -0.2]}
         cfg = build_config(raw)
-        disp = cfg.displacement_set()
-        np.testing.assert_array_equal(disp.global_velocity, [0.4, -0.2])
+        np.testing.assert_array_equal(cfg.guidance.velocity_mps, [0.4, -0.2])
+        positions = cfg.initial_state().positions
+        v = cfg.guidance.commanded_velocity(positions, cfg.graph, cfg.displacement_set())
+        np.testing.assert_array_equal(v, [0.4, -0.2])
+
+    def test_guidance_fields_are_the_section(self):
+        assert [f.name for f in dataclasses.fields(Guidance)] == list(SCHEMA["guidance"])
 
     def test_bad_guidance_mode(self):
         raw = base_raw()

@@ -279,7 +279,7 @@ class TestDisplacementControl:
         from formsense import DisplacementSet
 
         # Desired offset from agent 1 to agent 0: [4, 0].
-        disp = DisplacementSet(reference=[[4.0, 0.0], [0.0, 0.0]], global_velocity=np.zeros(2))
+        disp = DisplacementSet(reference=[[4.0, 0.0], [0.0, 0.0]])
         state = SwarmState(
             positions=np.array([[0.0, 0.0], [1.0, 1.0]]),
             velocity_estimates=np.zeros((2, 2)),
@@ -366,11 +366,11 @@ class TestDisplacementControl:
 class TestLocalCost:
     def test_zero_at_embedding_with_matched_velocity(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = DisplacementSet(formation.planar_positions, (1.0, 0.0))
+        disp = DisplacementSet(formation.planar_positions)
         q = formation.planar_positions
         state = SwarmState(positions=q, velocity_estimates=np.zeros((4, 2)))
-        dt = 0.1
-        cost = local_cost(state.positions, CommGraph.ring(4), disp, dt, q + dt * np.array([1.0, 0.0]))
+        dt, v = 0.1, np.array([1.0, 0.0])
+        cost = local_cost(state.positions, CommGraph.ring(4), disp, dt, q + dt * v, v)
         assert cost.shape == (4,)
         np.testing.assert_allclose(cost, 0.0, atol=1e-18)
 
@@ -379,7 +379,8 @@ class TestLocalCost:
         disp = DisplacementSet(formation.planar_positions)
         q = formation.planar_positions
         state = SwarmState(positions=q, velocity_estimates=np.zeros((4, 2)))
-        cost = local_cost(state.positions, CommGraph.ring(4), disp, 0.5, q + 0.5 * np.array([0.3, -0.4]))
+        realized = np.array([0.3, -0.4])
+        cost = local_cost(state.positions, CommGraph.ring(4), disp, 0.5, q + 0.5 * realized, np.zeros(2))
         np.testing.assert_allclose(cost, 0.25, rtol=1e-9)
 
     def test_displacement_term_matches_manual_sum(self, default_params, target):
@@ -388,7 +389,7 @@ class TestLocalCost:
         disp = DisplacementSet(build_formation(default_params, target, 5).planar_positions)
         q = rng.uniform(-20.0, 20.0, size=(5, 2))
         state = SwarmState(positions=q, velocity_estimates=np.zeros((5, 2)))
-        got = local_cost(state.positions, graph, disp, 0.1, q)  # realized velocity 0
+        got = local_cost(state.positions, graph, disp, 0.1, q, np.zeros(2))  # realized velocity 0
         for agent in range(5):
             expected = 0.0
             for p in range(5):
@@ -404,13 +405,13 @@ class TestLocalCost:
             graph = random_connected_graph(rng, max_agents=agents)
             m = graph.agent_count
             formation = build_formation(default_params, target, m)
-            disp = DisplacementSet(formation.planar_positions, (0.4, -0.2))
+            disp, v_ref = DisplacementSet(formation.planar_positions), np.array([0.4, -0.2])
             q = target.position + rng.uniform(-30.0, 30.0, size=(m, 2))
             nxt = q + rng.normal(0.0, 0.5, size=(m, 2))
             state = SwarmState(positions=q, velocity_estimates=np.zeros((m, 2)))
-            got = local_cost(state.positions, graph, disp, 0.1, nxt)
+            got = local_cost(state.positions, graph, disp, 0.1, nxt, v_ref)
             want = [
-                agent_cost(q, adjacency(graph), disp.reference, a, 0.1, nxt[a], disp.global_velocity)
+                agent_cost(q, adjacency(graph), disp.reference, a, 0.1, nxt[a], v_ref)
                 for a in range(m)
             ]
             assert got.tolist() == want
@@ -419,7 +420,7 @@ class TestLocalCost:
         disp = DisplacementSet(build_formation(default_params, target, 3).planar_positions)
         state = SwarmState(positions=np.zeros((3, 2)), velocity_estimates=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dt"):
-            local_cost(state.positions, CommGraph.ring(3), disp, 0.0, np.zeros((3, 2)))
+            local_cost(state.positions, CommGraph.ring(3), disp, 0.0, np.zeros((3, 2)), np.zeros(2))
 
 
 class TestRepulsion:
@@ -603,7 +604,7 @@ class TestSwarmState:
 
 @st.composite
 def swarms(draw):
-    """A random connected graph of 3-100 agents with positions, velocities and a reference.
+    """A random connected graph of 3-100 agents with positions, velocities, a reference and its velocity.
 
     Half the draws snap coordinates to a half-metre grid, so that equal
     positions and exactly cancelling differences occur.
@@ -626,9 +627,9 @@ def swarms(draw):
         q = spread * rng.uniform(-1.0, 1.0, size=(agents, 2))
         return np.round(2.0 * q) / 2.0 if snap else q
 
-    disp = DisplacementSet(reference=points(), global_velocity=rng.normal(size=2))
+    reference, v_ref = points(), rng.normal(size=2)
     state = SwarmState(positions=points(), velocity_estimates=rng.normal(size=(agents, 2)))
-    return graph, disp, state, points()
+    return graph, DisplacementSet(reference), v_ref, state, points()
 
 
 class TestEdgeListMatchesDense:
@@ -637,10 +638,9 @@ class TestEdgeListMatchesDense:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(swarms(), st.floats(0.0, 1.0, exclude_min=True))
     def test_laws_match_dense_oracle(self, swarm, scale):
-        graph, disp, state, nxt = swarm
+        graph, disp, v_ref, state, nxt = swarm
         adj, r, q = adjacency(graph), disp.reference, state.positions
         gains = ControlGains(epsilon=0.003, consensus_gain=0.004)
-        v_ref = disp.global_velocity
 
         got = consensus_velocity_step(state.velocity_estimates, graph, v_ref, gains)
         want = dense_consensus(state.velocity_estimates, adj, graph.leader_index, v_ref, 0.004)
@@ -650,7 +650,7 @@ class TestEdgeListMatchesDense:
         want = dense_displacement_control(q, adj, r, 0.003, scale)
         assert got.tobytes() == want.tobytes()
 
-        got = local_cost(state.positions, graph, disp, 0.1, nxt)
+        got = local_cost(state.positions, graph, disp, 0.1, nxt, v_ref)
         want = dense_local_cost(q, adj, r, 0.1, nxt, v_ref)
         assert got.tobytes() == want.tobytes()
 
@@ -664,9 +664,7 @@ class TestEdgeListMatchesDense:
         agents = 2048
         rng = np.random.default_rng(92)
         graph = CommGraph.ring(agents)
-        disp = DisplacementSet(
-            reference=rng.uniform(-50.0, 50.0, size=(agents, 2)), global_velocity=np.zeros(2)
-        )
+        disp = DisplacementSet(reference=rng.uniform(-50.0, 50.0, size=(agents, 2)))
         state = SwarmState(
             positions=rng.uniform(-50.0, 50.0, size=(agents, 2)),
             velocity_estimates=rng.normal(size=(agents, 2)),
@@ -678,11 +676,14 @@ class TestEdgeListMatchesDense:
                 lambda: consensus_velocity_step(state.velocity_estimates, graph, np.zeros(2), gains), 16
             ),
             "displacement": (lambda: displacement_control(state.positions, graph, disp, gains, 0.5), 16),
-            "local_cost": (lambda: local_cost(state.positions, graph, disp, 0.1, state.positions), 16),
+            "local_cost": (
+                lambda: local_cost(state.positions, graph, disp, 0.1, state.positions, np.zeros(2)), 16
+            ),
             "displacement_error": (lambda: displacement_error(state.positions, graph, disp), 16),
             "ring": (lambda: CommGraph.ring(agents), 2),
             "ring_with_leader": (lambda: CommGraph.ring_with_leader(agents), 2),
             "min_pairwise_distance": (lambda: min_pairwise_distance(wide), 1),
+            "DisplacementSet": (lambda: DisplacementSet(wide[0]), 4),
         }
         for name, (call, bound_mb) in calls.items():
             tracemalloc.start()

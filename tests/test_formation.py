@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formsense import (
     DisplacementSet,
@@ -291,20 +293,23 @@ class TestDisplacementSet:
         )
         assert disp.nominal_diameter_m == pytest.approx(brute, rel=1e-12)
 
-    def test_global_velocity_stored(self, default_params, target):
-        formation = build_formation(default_params, target, 3)
-        disp = DisplacementSet(formation.planar_positions, (1.0, -0.5))
-        np.testing.assert_array_equal(disp.global_velocity, [1.0, -0.5])
-
-    def test_default_velocity_is_zero(self, default_params, target):
-        disp = DisplacementSet(build_formation(default_params, target, 3).planar_positions)
-        np.testing.assert_array_equal(disp.global_velocity, [0.0, 0.0])
+    # The diameter is taken over (rows, M) blocks of 2**16 // M rows; from M = 257 on there are several.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 700), st.integers(0, 2**32 - 1), st.booleans())
+    def test_diameter_equals_dense_oracle_bit_for_bit(self, agents, seed, snap):
+        rng = np.random.default_rng(seed)
+        reference = 10.0 ** rng.uniform(-2.0, 4.0) * rng.uniform(-1.0, 1.0, size=(agents, 2))
+        if snap:  # ties between pairs in different blocks
+            reference = np.round(reference)
+        o = dense_offsets(reference)
+        want = math.sqrt(float((o[..., 0] * o[..., 0] + o[..., 1] * o[..., 1]).max()))
+        assert DisplacementSet(reference).nominal_diameter_m == want
 
     def test_rejects_bad_shape(self):
         for bad in (np.zeros((3, 3)), np.zeros((3, 3, 2)), np.zeros((0, 2))):
             with pytest.raises(ValueError, match="reference"):
-                DisplacementSet(reference=bad, global_velocity=np.zeros(2))
+                DisplacementSet(reference=bad)
 
     def test_rejects_non_finite_reference(self):
         with pytest.raises(ValueError, match="finite"):
-            DisplacementSet(reference=[[0.0, 0.0], [np.nan, 1.0]], global_velocity=np.zeros(2))
+            DisplacementSet(reference=[[0.0, 0.0], [np.nan, 1.0]])

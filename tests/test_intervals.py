@@ -45,7 +45,7 @@ VALID = {
     BenchmarkSpec: dict(kind="line"),
     ControlGains: {},
     World: dict(target=TargetEstimate(np.array([80.0, 90.0]))),
-    Guidance: dict(goal_m=np.array([1.0, 2.0])),
+    Guidance: dict(velocity_mps=np.array([1.0, 2.0])),
     SwarmState: dict(positions=np.zeros((3, 2)), velocity_estimates=np.zeros((3, 2))),
     TargetEstimate: dict(position=np.array([80.0, 90.0])),
     AgentPose: dict(planar_position=np.array([1.0, 2.0]), elevation_rad=0.5, azimuth_rad=0.0),
@@ -236,10 +236,10 @@ def test_a_formation_center_is_a_2_vector():
     assert str(info.value) == "FormationGeometry.center: expected a finite (2,) array, got [0, 0, 0]"
 
 
-def test_a_string_leader_offset_names_the_field():
+def test_a_string_velocity_names_the_field():
     with pytest.raises(ValueError) as info:
-        Guidance(leader_offset="ab")
-    assert str(info.value) == "Guidance.leader_offset: expected a finite (2,) array, got 'ab'"
+        Guidance(velocity_mps="ab")
+    assert str(info.value) == "Guidance.velocity_mps: expected a finite (2,) array, got 'ab'"
 
 
 def test_the_callers_array_stays_writable():

@@ -1,5 +1,11 @@
 """The package's public surface."""
 
+import copy
+import dataclasses
+from pathlib import Path
+
+import pytest
+
 import formsense
 
 
@@ -8,3 +14,30 @@ def test_public_names_resolve_and_are_unique_and_sorted():
     assert [name for name in names if not hasattr(formsense, name)] == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+CONFIG = formsense.load_config(Path(__file__).parents[1] / "configs" / "corridor.yaml")
+DISP = CONFIG.displacement_set()
+TRACE = formsense.run_episode(
+    CONFIG.initial_state(), CONFIG.world, CONFIG.graph, DISP, CONFIG.gains, CONFIG.params, max_steps=2
+)
+# One instance of every public dataclass.
+INSTANCES = {
+    type(value).__name__: value
+    for value in (
+        CONFIG, CONFIG.params, CONFIG.target, CONFIG.formation, CONFIG.world, CONFIG.world.obstacles[0],
+        CONFIG.graph, CONFIG.gains, CONFIG.guidance, CONFIG.initial_state(), CONFIG.sweep_benchmarks[0],
+        DISP, TRACE,
+    )
+}
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in formsense.__all__ if dataclasses.is_dataclass(getattr(formsense, name))]
+)
+def test_public_types_compare_and_hash(name):
+    """A type holding arrays compares and hashes by identity; == on its arrays would raise."""
+    value = INSTANCES[name]
+    assert value == value
+    assert isinstance(value == copy.deepcopy(value), bool)
+    hash(value)

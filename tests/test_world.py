@@ -264,12 +264,12 @@ class TestStep:
     def test_uniform_translation(self, default_params, target):
         v_star = np.array([1.0, 0.0])
         formation = build_formation(default_params, target, 6)
-        disp = DisplacementSet(formation.planar_positions, v_star)
+        disp = DisplacementSet(formation.planar_positions)
         world = World(target=target, dt=0.1)
         graph = CommGraph.ring_with_leader(6)
         state = embedding_state(formation, velocity=v_star)
         for _ in range(5):
-            after = step(state, world, graph, disp, ControlGains())
+            after = step(state, world, graph, disp, ControlGains(), Guidance(velocity_mps=v_star))
             np.testing.assert_allclose(
                 after.positions - state.positions, np.tile([0.1, 0.0], (6, 1)), atol=1e-12
             )
@@ -420,58 +420,53 @@ class TestMinPairwiseSweep:
 class TestGuidance:
     def test_constant_mode_returns_reference(self, default_params, target):
         formation = build_formation(default_params, target, 4)
-        disp = DisplacementSet(formation.planar_positions, (0.7, -0.1))
-        world = World(target=target)
+        disp = DisplacementSet(formation.planar_positions)
         state = embedding_state(formation)
-        guidance = Guidance(mode="constant")
+        guidance = Guidance(mode="constant", velocity_mps=(0.7, -0.1))
         np.testing.assert_array_equal(
-            guidance.commanded_velocity(state.positions, world, CommGraph.ring(4), disp), [0.7, -0.1]
+            guidance.commanded_velocity(state.positions, CommGraph.ring(4), disp), [0.7, -0.1]
         )
-        assert guidance.center_error_m(state.positions, world, CommGraph.ring(4)) == 0.0
+        assert guidance.center_error_m(state.positions, CommGraph.ring(4), disp) == 0.0
 
     def test_goal_mode_stops_at_goal(self, default_params, target):
         formation = build_formation(default_params, target, 4)
         disp = DisplacementSet(formation.planar_positions)
-        world = World(target=target)
         graph = CommGraph.ring(4)
-        leader_offset = formation.planar_positions[0] - target.position
-        guidance = Guidance(mode="goal", leader_offset=leader_offset)
-        state = embedding_state(formation)  # center already on the target
-        assert guidance.center_error_m(state.positions, world, graph) == pytest.approx(0.0, abs=1e-9)
-        v = guidance.commanded_velocity(state.positions, world, graph, disp)
-        assert np.linalg.norm(v) == pytest.approx(0.0, abs=1e-9)
+        guidance = Guidance(mode="goal")
+        state = embedding_state(formation)  # every agent on its slot
+        assert guidance.center_error_m(state.positions, graph, disp) == 0.0
+        assert np.array_equal(guidance.commanded_velocity(state.positions, graph, disp), [0.0, 0.0])
 
     def test_goal_mode_proportional_when_close(self, target):
-        world = World(target=target)
         graph = CommGraph.ring(3)
         positions = np.tile(target.position + np.array([1.0, 0.0]), (3, 1))
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         guidance = Guidance(mode="goal", gain_per_s=0.5, max_speed_mps=1.2)
-        disp = DisplacementSet(reference=np.zeros((3, 2)), global_velocity=np.zeros(2))
-        v = guidance.commanded_velocity(state.positions, world, graph, disp)
+        disp = DisplacementSet(reference=np.tile(target.position, (3, 1)))
+        v = guidance.commanded_velocity(state.positions, graph, disp)
         np.testing.assert_allclose(v, [-0.5, 0.0], rtol=1e-12)
 
     def test_goal_mode_saturates_when_far(self, target):
-        world = World(target=target)
         graph = CommGraph.ring(3)
         positions = np.tile(target.position + np.array([100.0, 0.0]), (3, 1))
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         guidance = Guidance(mode="goal", gain_per_s=0.5, max_speed_mps=1.2)
-        disp = DisplacementSet(reference=np.zeros((3, 2)), global_velocity=np.zeros(2))
-        v = guidance.commanded_velocity(state.positions, world, graph, disp)
+        disp = DisplacementSet(reference=np.tile(target.position, (3, 1)))
+        v = guidance.commanded_velocity(state.positions, graph, disp)
         assert np.linalg.norm(v) == pytest.approx(1.2, rel=1e-12)
         np.testing.assert_allclose(v / np.linalg.norm(v), [-1.0, 0.0], rtol=1e-12)
 
-    def test_explicit_goal_overrides_target(self, target):
-        world = World(target=target)
-        graph = CommGraph.ring(3)
-        goal = np.array([0.0, 0.0])
-        positions = np.tile(target.position, (3, 1))
-        state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
-        guidance = Guidance(mode="goal", goal_m=goal)
-        assert guidance.center_error_m(state.positions, world, graph) == pytest.approx(
-            float(np.linalg.norm(target.position - goal)), rel=1e-12
+    def test_goal_is_the_leaders_slot(self, default_params, target):
+        formation = build_formation(default_params, target, 3)
+        disp = DisplacementSet(formation.planar_positions)
+        graph = CommGraph.ring(3, leader_index=2)
+        positions = np.tile(target.position, (3, 1))  # the ring's center, not the leader's slot
+        guidance = Guidance(mode="goal", gain_per_s=0.5, max_speed_mps=1e3)
+        to_slot = formation.planar_positions[2] - target.position
+        assert guidance.center_error_m(positions, graph, disp) == pytest.approx(
+            formation.ring_radius_m, rel=1e-12
         )
+        np.testing.assert_array_equal(guidance.commanded_velocity(positions, graph, disp), 0.5 * to_slot)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mode"):
@@ -554,7 +549,7 @@ class TestRunEpisode:
         Lyapunov function of the noise-free closed loop."""
         v_star = np.array([0.6, 0.0])
         formation = build_formation(default_params, target, 6)
-        disp = DisplacementSet(formation.planar_positions, v_star)
+        disp = DisplacementSet(formation.planar_positions)
         world = World(target=target)
         graph = CommGraph.ring_with_leader(6)
         rng = np.random.default_rng(8)
@@ -564,7 +559,7 @@ class TestRunEpisode:
         )
         trace = run_episode(
             initial, world, graph, disp, ControlGains(), default_params,
-            max_steps=400, stop_tolerance=0.0,
+            max_steps=400, stop_tolerance=0.0, guidance=Guidance(velocity_mps=v_star),
         )
         costs = trace.total_cost
         errors = trace.displacement_error_m2
@@ -588,7 +583,7 @@ class TestRunEpisode:
     def test_crlb_is_none_for_singular_geometry(self, default_params):
         target = TargetEstimate(np.array([0.0, 0.0]))
         positions = np.array([[10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
-        disp = DisplacementSet(reference=positions, global_velocity=np.zeros(2))
+        disp = DisplacementSet(reference=positions)
         world = World(target=target)
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2)))
         trace = run_episode(
@@ -648,7 +643,10 @@ class TestRunEpisode:
         assert trace.steps == steps
         assert calls["__post_init__"] == 1
 
-    def test_public_step_matches_episode(self, default_params, target):
+    @pytest.mark.parametrize(
+        "guidance", [Guidance(velocity_mps=(0.3, -0.1)), Guidance(mode="goal")], ids=["constant", "goal"]
+    )
+    def test_public_step_matches_episode(self, default_params, target, guidance):
         """k calls of step() give the episode's positions and final state bit for bit."""
         formation = build_formation(default_params, target, 6)
         x, y = formation.planar_positions[0]
@@ -659,7 +657,7 @@ class TestRunEpisode:
             rng_seed=11,
         )
         graph = CommGraph.ring_with_leader(6)
-        disp = DisplacementSet(formation.planar_positions, (0.3, -0.1))
+        disp = DisplacementSet(formation.planar_positions)
         gains = ControlGains()
         rng = np.random.default_rng(4)
         state = SwarmState(
@@ -670,11 +668,12 @@ class TestRunEpisode:
         )
         steps = 40
         trace = run_episode(
-            state, world, graph, disp, gains, default_params, max_steps=steps, stop_tolerance=0.0
+            state, world, graph, disp, gains, default_params, max_steps=steps, stop_tolerance=0.0,
+            guidance=guidance,
         )
         assert trace.steps == steps and trace.safety_events and trace.eta.min() < 0.8
         for k in range(steps):
-            state = step(state, world, graph, disp, gains)
+            state = step(state, world, graph, disp, gains, guidance)
             assert state.positions.tobytes() == trace.positions[k].tobytes(), k
         final = trace.final_state
         assert final.positions.tobytes() == state.positions.tobytes()
@@ -763,17 +762,19 @@ class TestRunEpisode:
         rng = np.random.default_rng(12)
         for agents in (8, 9, 13):
             formation = build_formation(default_params, target, agents)
-            disp = DisplacementSet(formation.planar_positions, (0.3, -0.1))
+            disp, guidance = DisplacementSet(formation.planar_positions), Guidance(velocity_mps=(0.3, -0.1))
             graph = CommGraph.ring_with_leader(agents)
             world = World(target=target, motion_noise_std=0.3, rng_seed=agents)
             state = SwarmState(
                 positions=formation.planar_positions + rng.uniform(-9.0, 9.0, size=(agents, 2)),
                 velocity_estimates=rng.normal(size=(agents, 2)),
             )
-            trace = run_episode(state, world, graph, disp, ControlGains(), default_params, max_steps=5)
+            trace = run_episode(
+                state, world, graph, disp, ControlGains(), default_params, max_steps=5, guidance=guidance
+            )
             before = np.concatenate([state.positions[None], trace.positions[:-1]])
             for k in range(trace.steps):
-                costs = local_cost(before[k], graph, disp, world.dt, trace.positions[k], disp.global_velocity)
+                costs = local_cost(before[k], graph, disp, world.dt, trace.positions[k], guidance.velocity_mps)
                 assert trace.total_cost[k] == functools.reduce(operator.add, costs.tolist())
 
 
@@ -823,7 +824,7 @@ def episodes(draw):
     target = TargetEstimate(np.array([80.0, 90.0]))
     formation = build_formation(_PARAMS, target, agents, draw(st.floats(0.0, 6.0)))
     velocity = draw(st.sampled_from([(0.0, 0.0), (0.6, -0.2)]))
-    disp = DisplacementSet(formation.planar_positions, velocity)
+    disp = DisplacementSet(formation.planar_positions)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     positions = formation.planar_positions
     if scenario != "settle":
@@ -847,11 +848,7 @@ def episodes(draw):
         motion_noise_std=0.0 if scenario == "settle" else draw(st.sampled_from([0.0, 0.05])),
         rng_seed=draw(st.integers(0, 2**64 - 1)),
     )
-    if draw(st.booleans()):
-        guidance = Guidance(mode="constant")
-    else:
-        leader_offset = formation.planar_positions[graph.leader_index] - formation.center
-        guidance = Guidance(mode="goal", leader_offset=leader_offset)
+    guidance = Guidance(mode="constant" if draw(st.booleans()) else "goal", velocity_mps=velocity)
     gains = ControlGains(epsilon=epsilon, consensus_gain=0.5 / (graph.max_follower_degree + 1))
     initial = SwarmState(positions=positions, velocity_estimates=rng.normal(0.0, 0.02, size=(agents, 2)))
     return dict(
@@ -902,10 +899,11 @@ class TestEpisodeColumns:
                 rng_seed=3,
             ),
             graph=CommGraph.ring(agents),
-            disp=DisplacementSet(formation.planar_positions, (0.05, 0.0)),
+            disp=DisplacementSet(formation.planar_positions),
             gains=ControlGains(),
             params=default_params,
             max_steps=steps,
+            guidance=Guidance(velocity_mps=(0.05, 0.0)),
         )
         trace = run_episode(**kwargs)
         assert trace.steps == steps and trace.safety_events[-1][0] >= 256
@@ -925,7 +923,7 @@ class TestEpisodeColumns:
             initial=SwarmState(positions=positions, velocity_estimates=np.zeros((3, 2))),
             world=World(target=target),
             graph=CommGraph.ring(3),
-            disp=DisplacementSet(reference=positions, global_velocity=np.zeros(2)),
+            disp=DisplacementSet(reference=positions),
             gains=ControlGains(),
             params=default_params,
             max_steps=4,
