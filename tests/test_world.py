@@ -498,6 +498,25 @@ class TestRunEpisode:
         assert trace.max_control_m[0] == 0.0
         assert trace.crlb_m2[0] == pytest.approx(formation.crlb_m2, rel=1e-9)
 
+    def test_goal_mode_settles_only_once_the_leader_has_arrived(self, default_params, target):
+        """A settled shape 2 m off its reference stops at once in constant mode, later in goal mode."""
+        formation = build_formation(default_params, target, 6)
+        disp = DisplacementSet(formation.planar_positions)
+        graph = CommGraph.ring_with_leader(6)
+        shifted = SwarmState(
+            positions=formation.planar_positions + np.array([2.0, 0.0]),
+            velocity_estimates=np.zeros((6, 2)),
+        )
+        args = (shifted, World(target=target), graph, disp, ControlGains(), default_params)
+        assert run_episode(*args, max_steps=400).steps == 1
+        guidance = Guidance(mode="goal")
+        trace = run_episode(*args, max_steps=400, guidance=guidance)
+        assert trace.converged
+        assert trace.steps > 1
+        final = trace.final_state.positions
+        assert guidance.center_error_m(final, graph, disp) <= guidance.arrival_tolerance_m
+        assert guidance.center_error_m(trace.positions[0], graph, disp) > guidance.arrival_tolerance_m
+
     def test_zero_step_budget(self, default_params, target):
         formation = build_formation(default_params, target, 6)
         disp = DisplacementSet(formation.planar_positions)
