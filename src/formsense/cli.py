@@ -72,19 +72,19 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
     nonzero prior offset the report quantifies the cost of planning on a
     wrong estimate.
     """
-    formation = config.build_formation()
-    crlb = benchmarks.formation_crlb(formation.planar_positions, config.target, config.params)
+    formation, target = config.formation, config.world.target
+    crlb = benchmarks.formation_crlb(formation.planar_positions, target, config.params)
     report = {
-        "agent_count": config.agent_count,
+        "agent_count": formation.agent_count,
         "altitude_m": config.params.altitude_m,
         "elevation_deg": math.degrees(formation.elevation_rad),
         "elevation_rad": formation.elevation_rad,
         "ring_radius_m": formation.ring_radius_m,
         "positions_m": formation.planar_positions.tolist(),
-        "target_m": config.target.position.tolist(),
-        "planned_target_m": config.plan_target.position.tolist(),
+        "target_m": target.position.tolist(),
+        "planned_target_m": formation.center.tolist(),
         "crlb_m2": _json_value(crlb),
-        "bound_m2": theoretical_lower_bound(config.params, config.agent_count),
+        "bound_m2": theoretical_lower_bound(config.params, formation.agent_count),
     }
     return _write_json(out_dir / "optimize.json", report, config)
 
@@ -107,7 +107,7 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
     plot = zip(*list(columns.values())[: len(_TRACE_CSV_HEADER)])
     csv_path = _write_csv(out_dir / "trace.csv", _TRACE_CSV_HEADER, plot, config)
     summary = trace.summary()
-    summary["bound_m2"] = theoretical_lower_bound(config.params, config.agent_count)
+    summary["bound_m2"] = theoretical_lower_bound(config.params, config.formation.agent_count)
     return jsonl_path, csv_path, _write_json(out_dir / "summary.json", summary, config)
 
 
@@ -131,8 +131,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> Path:
     """Evaluate benchmark formations across altitudes and write one CSV."""
     rows = benchmarks.sweep_rows(
         specs=list(config.sweep_benchmarks),
-        agent_count=config.agent_count,
-        target=config.target,
+        agent_count=config.formation.agent_count,
+        target=config.world.target,
         base_params=config.params,
         altitudes_m=list(config.sweep_altitudes_m),
         seed=config.seed,

@@ -216,9 +216,6 @@ class RunConfig:
     """A fully resolved run configuration and its domain-typed pieces."""
 
     params: SensingParams
-    target: TargetEstimate
-    plan_target: TargetEstimate
-    agent_count: int
     formation: FormationGeometry
     world: World
     graph: CommGraph
@@ -412,9 +409,6 @@ def build_config(
 
     return RunConfig(
         params=params,
-        target=world.target,
-        plan_target=plan_target,
-        agent_count=agent_count,
         formation=formation,
         world=world,
         graph=graph,

@@ -55,15 +55,15 @@ class CommGraph:
             raise ValueError(f"CommGraph.leader_index: must lie in [0, {agents - 1}], got {leader!r}")
         key = np.sort(np.concatenate((m * agents + p, p * agents + m)))  # both directions, sorted
         m, p = np.divmod(key[np.concatenate(([True], key[1:] != key[:-1]))], agents)  # each once
-        start = np.searchsorted(m, np.arange(agents + 1))  # agent a's edges: start[a] to start[a + 1]
-        seen, frontier, slot = np.arange(agents) == 0, np.zeros(1, np.int64), np.empty(agents, np.int64)
-        while frontier.size:  # breadth-first search from agent 0, reading each edge once
-            count = start[frontier + 1] - start[frontier]
-            near = p[np.arange(count.sum()) + np.repeat(start[frontier] - np.cumsum(count) + count, count)]
-            near = near[~seen[near]]
-            seen[near], slot[near] = True, np.arange(near.size)
-            frontier = near[slot[near] == np.arange(near.size)]  # each agent once
-        if not seen.all():
+        start = np.searchsorted(m, np.arange(agents + 1)).tolist()  # agent a's edges: start[a] to start[a+1]
+        seen, stack = [True] + [False] * (agents - 1), [0]
+        while stack:  # depth-first walk from agent 0, reading each edge once
+            a = stack.pop()
+            for b in p[start[a] : start[a + 1]].tolist():
+                if not seen[b]:
+                    seen[b] = True
+                    stack.append(b)
+        if not all(seen):
             raise ValueError("CommGraph.links: graph must be connected")
         object.__setattr__(self, "links", np.stack((m, p)))
         self.links.setflags(write=False)

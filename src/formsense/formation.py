@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_fields
-from .sensing import SensingParams, TargetEstimate, crlb, elevation_weight
+from .sensing import SensingParams, TargetEstimate, elevation_weight
 
 _GEOMETRY_RTOL = 1e-9
 
@@ -32,16 +32,12 @@ class FormationGeometry:
         center: Polygon center, the target's vertical projection.
         ring_radius_m: Horizontal distance from each agent to the center.
         elevation_rad: Common elevation angle of all agents.
-        initial_rotation_rad: Azimuth of agent 0.
-        crlb_m2: CRLB trace attained by this formation.
     """
 
     planar_positions: np.ndarray = field(metadata={"shape": "(M, 2)"})
     center: np.ndarray = field(metadata={"shape": "(2,)"})
     ring_radius_m: float
     elevation_rad: float
-    initial_rotation_rad: float
-    crlb_m2: float
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -160,7 +156,5 @@ def build_formation(
         center=target.position,
         ring_radius_m=radius,
         elevation_rad=phi_star,
-        initial_rotation_rad=float(initial_rotation_rad) % (2.0 * math.pi),
-        crlb_m2=crlb(positions, target, params),
     )
 

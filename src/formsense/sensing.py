@@ -76,7 +76,7 @@ class TargetEstimate:
         check_fields(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentPose:
     """One agent's planar position plus its viewing angles of the target.
 

@@ -306,7 +306,7 @@ def test_criterion_08_corridor_transit():
                 f"eta {etas.min():.2f} -> {etas[-1]:.4f}, cost {pre_cost:.1f} -> "
                 f"{transient:.0f} -> {costs[-1]:.3f}"
             )
-    bound = theoretical_lower_bound(cfg.params, cfg.agent_count)
+    bound = theoretical_lower_bound(cfg.params, cfg.formation.agent_count)
     final_crlb = trace.crlb_m2[-1].item()
     near_bound = final_crlb is not None and abs(final_crlb / bound - 1.0) <= 0.01
     elapsed = time.perf_counter() - start

@@ -104,7 +104,7 @@ class TestFormationCrlb:
     def test_matches_built_formation(self, default_params, target):
         formation = build_formation(default_params, target, 6)
         crlb = formation_crlb(formation.planar_positions, target, default_params)
-        assert crlb == pytest.approx(formation.crlb_m2, rel=1e-12)
+        assert crlb == pytest.approx(theoretical_lower_bound(default_params, 6), rel=1e-9)
 
     def test_singular_line_through_target(self, default_params, target):
         spec = BenchmarkSpec(kind="line", lateral_offset_m=1e-9)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: artifacts, determinism, overrides, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -89,6 +90,16 @@ class TestOptimize:
         assert report["positions_m"][0] == [0.0, 0.0]
         assert report["crlb_m2"] is None
         assert capsys.readouterr().err == ""
+
+    def test_report_follows_the_world(self, tmp_path):
+        """The report reads the world's target and the formation's agents, the ones simulate uses."""
+        base = build_config({"formation": {"agent_count": 6}})
+        world = dataclasses.replace(base.world, target=formsense.TargetEstimate([0.0, 0.0]))
+        config = dataclasses.replace(base, world=world)
+        report = json.loads(cli.cmd_optimize(config, tmp_path).read_text())
+        assert report["target_m"] == [0.0, 0.0]
+        assert report["crlb_m2"] == formsense.crlb(config.formation.planar_positions, world.target, config.params)
+        assert report["agent_count"] == len(report["positions_m"])
 
 
 class TestSimulate:

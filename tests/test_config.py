@@ -39,7 +39,7 @@ class TestDbmToWatts:
 class TestDefaults:
     def test_defaults_fill_in(self):
         cfg = build_config(base_raw())
-        assert cfg.agent_count == 6
+        assert cfg.formation.agent_count == 6
         assert cfg.seed == 12345
         assert cfg.params.noise_floor_w == 1e-12
         assert cfg.params.composite_snr_m4 == pytest.approx(1e9, rel=1e-12)
@@ -56,7 +56,7 @@ class TestDefaults:
 
     def test_empty_config_is_valid(self):
         cfg = build_config({})
-        assert cfg.agent_count == 6
+        assert cfg.formation.agent_count == 6
         assert str(cfg.output_dir) == "out"
 
     def test_noise_floor_watts_alternative(self):
@@ -531,7 +531,7 @@ class TestPlanningAndGuidance:
         formation = cfg.build_formation()
         centroid = formation.planar_positions.mean(axis=0)
         np.testing.assert_allclose(centroid, [85.0, 87.0], atol=1e-9)
-        np.testing.assert_array_equal(cfg.target.position, [80.0, 90.0])
+        np.testing.assert_array_equal(cfg.world.target.position, [80.0, 90.0])
 
     def test_leader_at_its_planned_slot_has_arrived(self):
         raw = base_raw()
@@ -542,7 +542,7 @@ class TestPlanningAndGuidance:
         at_slots = cfg.formation.planar_positions
         assert cfg.guidance.center_error_m(at_slots, cfg.graph, disp) == 0.0
         # The ring is planned around the believed target, so the same ring over the true one is off.
-        at_true_target = at_slots + (cfg.target.position - cfg.plan_target.position)
+        at_true_target = at_slots + (cfg.world.target.position - cfg.formation.center)
         error = cfg.guidance.center_error_m(at_true_target, cfg.graph, disp)
         assert error == pytest.approx(math.hypot(5.0, 3.0), rel=1e-12)
 
@@ -598,5 +598,5 @@ class TestLoadConfig:
     def test_shipped_configs_parse(self):
         for name in ("baseline.yaml", "corridor.yaml", "sweep.yaml"):
             cfg = load_config(ROOT / "configs" / name)
-            assert cfg.agent_count >= 3
+            assert cfg.formation.agent_count >= 3
             assert len(cfg.config_hash) == 12

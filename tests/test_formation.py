@@ -17,6 +17,7 @@ from formsense import (
     SensingParams,
     TargetEstimate,
     build_formation,
+    crlb,
     elevation_weight,
     optimal_azimuths,
     optimal_elevation,
@@ -188,22 +189,23 @@ class TestBuildFormation:
     def test_attains_lower_bound(self, default_params, target, count):
         formation = build_formation(default_params, target, count)
         bound = theoretical_lower_bound(default_params, count)
-        assert formation.crlb_m2 == pytest.approx(bound, rel=1e-9)
+        assert crlb(formation.planar_positions, target, default_params) == pytest.approx(bound, rel=1e-9)
 
     def test_crlb_invariant_to_rotation(self, default_params, target):
         plain = build_formation(default_params, target, 6)
         spun = build_formation(default_params, target, 6, initial_rotation_rad=0.77)
-        assert spun.crlb_m2 == pytest.approx(plain.crlb_m2, rel=1e-12)
+        spun_crlb = crlb(spun.planar_positions, target, default_params)
+        assert spun_crlb == pytest.approx(crlb(plain.planar_positions, target, default_params), rel=1e-12)
         leader = spun.planar_positions[0] - target.position
         assert math.atan2(leader[1], leader[0]) == pytest.approx(0.77, rel=1e-12)
 
     def test_no_random_formation_does_better(self, default_params, target):
         formation = build_formation(default_params, target, 6)
+        best = crlb(formation.planar_positions, target, default_params)
         rng = np.random.default_rng(101)
         for _ in range(200):
             positions = target.position + rng.uniform(-60.0, 60.0, size=(6, 2))
-            crlb = pose_crlb(positions, target, default_params)
-            assert crlb >= formation.crlb_m2 * (1.0 - 1e-12)
+            assert pose_crlb(positions, target, default_params) >= best * (1.0 - 1e-12)
 
     def test_too_few_agents(self, default_params, target):
         with pytest.raises(ValueError, match="at least 3 agents"):
@@ -222,8 +224,6 @@ class TestFormationGeometryValidation:
             center=target.position,
             ring_radius_m=10.0,
             elevation_rad=math.atan2(params.altitude_m, 10.0),
-            initial_rotation_rad=0.0,
-            crlb_m2=1.0,
         )
 
     def test_unequal_radii_rejected(self, default_params, target):

@@ -25,7 +25,7 @@ TRACE = formsense.run_episode(
 INSTANCES = {
     type(value).__name__: value
     for value in (
-        CONFIG, CONFIG.params, CONFIG.target, CONFIG.formation, CONFIG.world, CONFIG.world.obstacles[0],
+        CONFIG, CONFIG.params, CONFIG.world.target, CONFIG.formation, CONFIG.world, CONFIG.world.obstacles[0],
         CONFIG.graph, CONFIG.gains, CONFIG.guidance, CONFIG.initial_state(), CONFIG.sweep_benchmarks[0],
         DISP, TRACE,
     )

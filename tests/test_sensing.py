@@ -10,6 +10,7 @@ the library's array-native :func:`formsense.crlb`, checked in ``TestCrlb``
 with property tests.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -283,6 +284,13 @@ class TestAgentPose:
     def test_bad_elevation_rejected(self, default_params, target, phi):
         with pytest.raises(ValueError):
             pose_from_angles(phi, 0.0, target, default_params)
+
+    def test_compares_and_hashes_by_identity(self):
+        """== on the position array would raise; a pose is equal to itself only."""
+        pose = AgentPose(np.array([1.0, 2.0]), 0.5, 0.0)
+        assert pose == pose
+        assert (pose == copy.deepcopy(pose)) is False
+        assert hash(pose) == hash(pose)
 
 
 class TestJacobian:
@@ -571,7 +579,7 @@ class TestCrlb:
         assert math.pi / 4.0 <= phi <= math.atan(math.sqrt(2.0))
         bound = theoretical_lower_bound(params, count)
         ring = build_formation(params, TARGET, count)
-        assert ring.crlb_m2 == pytest.approx(bound, rel=1e-9)
+        assert crlb(ring.planar_positions, TARGET, params) == pytest.approx(bound, rel=1e-9)
         cloud = data.draw(
             formations(
                 batch=(4,),

@@ -496,7 +496,8 @@ class TestRunEpisode:
         assert trace.time_s[0] == pytest.approx(0.1, rel=1e-12)
         assert trace.displacement_error_m2[0] == 0.0
         assert trace.max_control_m[0] == 0.0
-        assert trace.crlb_m2[0] == pytest.approx(formation.crlb_m2, rel=1e-9)
+        at_slots = crlb_of_positions(formation.planar_positions, world, default_params)
+        assert trace.crlb_m2[0] == pytest.approx(at_slots, rel=1e-9)
 
     def test_goal_mode_settles_only_once_the_leader_has_arrived(self, default_params, target):
         """A settled shape 2 m off its reference stops at once in constant mode, later in goal mode."""
