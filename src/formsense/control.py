@@ -13,6 +13,7 @@ and memory. The stepper in :mod:`formsense.world` owns state advancement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -223,6 +224,18 @@ def _edge_sum(graph: CommGraph, values: np.ndarray) -> np.ndarray:
     return summed.reshape(*lead, graph.agent_count, width)
 
 
+@functools.lru_cache(maxsize=1)
+def _reference_offsets(graph: CommGraph, disp: DisplacementSet) -> np.ndarray:
+    """(E, 2) desired offsets r_m - r_p on every directed edge (m, p), held for the last pair asked.
+
+    Both objects are frozen with read-only arrays; an episode asks for one pair on every step.
+    """
+    (m, p), r = graph.links, disp.reference
+    offsets = r.take(m, axis=0) - r.take(p, axis=0)
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _deviation(q: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale=1.0) -> np.ndarray:
     """(..., E, 2) deviation q_m - q_p - scale * (r_m - r_p) on every directed edge (m, p).
 
@@ -233,7 +246,7 @@ def _deviation(q: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale=1.0
         raise ValueError(
             f"expected {graph.agent_count} agents, got {q.shape[-2]} positions and {len(r)} reference rows"
         )
-    return q.take(m, axis=-2) - q.take(p, axis=-2) - scale * (r.take(m, axis=0) - r.take(p, axis=0))
+    return q.take(m, axis=-2) - q.take(p, axis=-2) - scale * _reference_offsets(graph, disp)
 
 
 def local_cost(
@@ -367,8 +380,10 @@ def control_input(
 
     ``clearance`` (M,), ``nearest`` (M, 2) and ``outward`` (M, 2) describe
     each agent's closest obstacle as :meth:`formsense.world.World.min_clearance`
-    returns them (``nearest`` and ``outward`` are None without obstacles).
-    Repulsion is evaluated only for the agents inside the safety radius.
+    returns them (``nearest`` and ``outward`` are None without obstacles, and
+    may be None when no agent is inside the safety radius). Repulsion is
+    evaluated only for the agents inside the safety radius; the rows of
+    ``nearest`` and ``outward`` of the agents outside it are not read.
     """
     u = displacement_control(positions, graph, disp, gains, scale)
     if nearest is not None:

@@ -6,9 +6,11 @@ the stepper advances the discrete dynamics
     q[k+1] = q[k] + u[k] + g[k] * dt + n[k]
 
 where u is the control input, g the consensus velocity estimate, and n
-zero-mean Gaussian noise drawn from a per-step seeded generator so that a
-whole episode is reproducible bit for bit. The step loop carries positions,
-velocity estimates and the scale as arrays, which the control laws take.
+zero-mean Gaussian noise. Step k's noise comes from one counter-based
+Philox generator keyed by the world's seed, its counter reset to k before
+the step's draws, so it is a pure function of (seed, k) and a whole episode
+is reproducible bit for bit. The step loop carries positions, velocity
+estimates and the scale as arrays, which the control laws take.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class RectObstacle:
 
 # Outward unit normals of a rectangle's faces, in the order x_min, x_max, y_min, y_max.
 _FACE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+_WORD = 2**64 - 1  # one 64-bit word of the Philox counter
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +74,7 @@ class World:
     rng_seed: int = 0
     # Rectangle bounds as rows x_min, x_max, y_min, y_max over the K obstacles.
     _bounds: np.ndarray = field(init=False, repr=False)
+    _noise: np.random.Generator = field(init=False, repr=False)  # Philox keyed by rng_seed
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -83,74 +87,116 @@ class World:
             raise ValueError(f"World.rng_seed: must be an int in [0, 2^64), got {self.rng_seed!r}")
         bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 4)
         object.__setattr__(self, "_bounds", bounds.T)
+        object.__setattr__(self, "_noise", np.random.Generator(np.random.Philox(key=self.rng_seed)))
+
+    def _distances(self, points: np.ndarray) -> np.ndarray:
+        """(N, K) distance from each of the points (N, 2) to each rectangle, 0 inside it.
+
+        Per axis the gap is max(x_min - x, x - x_max, 0), the same double as
+        x minus x clamped to [x_min, x_max] up to its sign, which hypot drops.
+        """
+        x, y = points[:, :1], points[:, 1:]
+        x_min, x_max, y_min, y_max = self._bounds
+        gap_x = np.maximum(np.maximum(x_min - x, x - x_max), 0.0)
+        return np.hypot(gap_x, np.maximum(np.maximum(y_min - y, y - y_max), 0.0))
+
+    def _clearance(self, points: np.ndarray) -> np.ndarray:
+        """Clearance (N,) of points (N, 2): the doubles of :meth:`min_clearance`'s first result."""
+        if not self.obstacles:
+            return np.full(len(points), math.inf)
+        return self._distances(points).min(axis=1)
+
+    def _motion_noise(self, first_step: int, shape: tuple[int, int, int]) -> np.ndarray:
+        """Motion noise (C, M, 2) of the C steps from ``first_step`` on; zeros without noise.
+
+        Step k's draws are the ziggurat normals of the Philox generator keyed
+        by ``rng_seed``, read from counter (0, k) with k split over the three
+        upper words and an empty buffer. The draws of step k advance only the
+        lowest word, so they are a pure function of (seed, k), whichever chunk
+        they are drawn in. The stream repeats after 2**192 steps. Two threads
+        must not draw from one world at the same time.
+        """
+        if self.motion_noise_std == 0.0:
+            return np.zeros(shape)
+        noise, bits = np.empty(shape), self._noise.bit_generator
+        state = {
+            "bit_generator": "Philox", "state": {"counter": None, "key": [self.rng_seed, 0]},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        for i in range(shape[0]):
+            k = first_step + i
+            state["state"]["counter"] = [0, k & _WORD, k >> 64 & _WORD, k >> 128 & _WORD]
+            bits.state = state
+            noise[i] = self._noise.normal(0.0, self.motion_noise_std, shape[1:])
+        return noise
 
     def min_clearance(
         self, points: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Clearance (...), nearest obstacle point (..., 2) and way out (..., 2) of points (..., 2).
 
-        One (N, K) clamp of all points against all rectangles; the closest
-        rectangle wins, the first one on ties. The way out is the outward
-        normal of that rectangle's nearest face (x_min, x_max, y_min, y_max,
-        the first on ties) for points in contact, else zero. Without
-        obstacles the clearance is inf and the other two are None.
+        One (N, K) distance table of all points to all rectangles; the
+        closest rectangle wins, the first one on ties, and the nearest point
+        is the point clamped to it. The way out is the outward normal of that
+        rectangle's nearest face (x_min, x_max, y_min, y_max, the first on
+        ties) for points in contact, else zero. Without obstacles the
+        clearance is inf and the other two are None.
         """
         points = np.asarray(points, dtype=float)
         shape = points.shape[:-1]
         if not self.obstacles:
             return np.full(shape, math.inf), None, None
         p = points.reshape(-1, 2)
-        x, y = p[:, :1], p[:, 1:]
-        x_min, x_max, y_min, y_max = self._bounds
-        near_x = np.minimum(np.maximum(x, x_min), x_max)
-        near_y = np.minimum(np.maximum(y, y_min), y_max)
-        dist = np.hypot(x - near_x, y - near_y)
-        rows = np.arange(len(p))
+        dist = self._distances(p)
         closest = dist.argmin(axis=1)
-        clearance = dist[rows, closest]
-        nearest = np.stack([near_x[rows, closest], near_y[rows, closest]], axis=1)
+        clearance = dist[np.arange(len(p)), closest]
+        low, high = self._bounds[::2, closest].T, self._bounds[1::2, closest].T  # (N, 2) corners
+        nearest = np.minimum(np.maximum(p, low), high)
         outward = np.zeros_like(p)
         contact = np.flatnonzero(clearance <= 0.0)
         if contact.size:
-            k, cx, cy = closest[contact], p[contact, 0], p[contact, 1]
-            gaps = np.stack([cx - x_min[k], x_max[k] - cx, cy - y_min[k], y_max[k] - cy], axis=1)
+            inside = p[contact]
+            gaps = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
             outward[contact] = _FACE_NORMALS[gaps.argmin(axis=1)]
         return clearance.reshape(shape), nearest.reshape(points.shape), outward.reshape(points.shape)
 
 
-def _surroundings(world: World, positions: np.ndarray) -> tuple[tuple, float]:
-    """Per-agent clearance rows of (M, 2) positions and their centroid's clearance, in one query."""
-    agents = len(positions)
-    points = world.min_clearance(np.concatenate((positions, positions.mean(axis=0, keepdims=True))))
-    return tuple(None if a is None else a[:agents] for a in points), float(points[0][agents])
+def _surroundings(world: World, positions: np.ndarray) -> tuple[np.ndarray, float]:
+    """Clearance (M,) of (M, 2) positions and their centroid's clearance, in one query."""
+    centroid = positions.sum(axis=0, keepdims=True) / len(positions)  # the double of mean
+    clearance = world._clearance(np.concatenate((positions, centroid)))
+    return clearance[:-1], float(clearance[-1])
 
 
 def _advance(
     positions: np.ndarray,
     velocities: np.ndarray,
     scale: float,
-    step_index: int,
-    around: tuple,
+    noise: np.ndarray,
+    clearance: np.ndarray,
     world: World,
     graph: CommGraph,
     disp: DisplacementSet,
     gains: ControlGains,
     target_velocity: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, tuple]:
-    """Next positions, velocity estimates, scale, control input u and clearance rows of one period.
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+    """Next positions, velocity estimates, scale, control input u and clearance of one period.
 
-    ``around`` holds the per-agent clearance rows of ``positions``, as :func:`_surroundings` gives them.
+    ``noise`` (M, 2) is the period's motion noise and ``clearance`` (M,) that of ``positions``,
+    as :func:`_surroundings` gives it. Only the agents inside the safety radius are looked up
+    with :meth:`World.min_clearance`, for their nearest obstacle points and ways out.
     """
     velocities = consensus_velocity_step(velocities, graph, target_velocity, gains)
-    u = control_input(positions, scale, graph, disp, gains, *around)
-    noise = 0.0
-    if world.motion_noise_std > 0.0:
-        rng = np.random.default_rng([world.rng_seed, step_index])
-        noise = rng.normal(0.0, world.motion_noise_std, size=positions.shape)
+    nearest = outward = None
+    close = np.flatnonzero(clearance < gains.safety_radius_m)
+    if close.size:  # rows outside the safety radius stay unset; control_input does not read them
+        nearest, outward = np.empty_like(positions), np.empty_like(positions)
+        _, nearest[close], outward[close] = world.min_clearance(positions[close])
+    u = control_input(positions, scale, graph, disp, gains, clearance, nearest, outward)
     positions = positions + u + velocities * world.dt + noise
-    around, centroid_clearance = _surroundings(world, positions)
+    clearance, centroid_clearance = _surroundings(world, positions)
     scale = scale_factor(disp.nominal_diameter_m, centroid_clearance, gains, scale)
-    return positions, velocities, scale, u, around
+    return positions, velocities, scale, u, clearance
 
 
 def step(
@@ -167,14 +213,17 @@ def step(
     does (constant zero if None; in goal mode, toward the leader's slot of
     the reference), runs velocity consensus, applies the combined control
     input at the current formation scale, adds motion noise, then updates
-    the scale from the new centroid's obstacle clearance. The noise
-    generator is seeded from (world seed, step index), so the successor
-    state is a pure function of its inputs.
+    the scale from the new centroid's obstacle clearance. It queries the
+    clearance of the agents and their centroid before and after the move,
+    and the nearest obstacle points of the agents inside the safety radius.
+    The noise is a pure function of (world seed, step index), so the
+    successor state is a pure function of its inputs.
     """
     guidance = Guidance() if guidance is None else guidance
     velocity = guidance.commanded_velocity(state.positions, graph, disp)
     positions, velocities, scale, _, _ = _advance(
-        state.positions, state.velocity_estimates, state.scale, state.step_index,
+        state.positions, state.velocity_estimates, state.scale,
+        world._motion_noise(state.step_index, (1, *state.positions.shape))[0],
         _surroundings(world, state.positions)[0], world, graph, disp, gains, velocity,
     )
     return SwarmState(positions, velocities, scale, state.step_index + 1)
@@ -388,13 +437,16 @@ def run_episode(
     raises a ValueError naming the step.
 
     The loop carries positions, velocity estimates and the scale as arrays
-    through the same :func:`_advance` as :func:`step`, builds one
-    :class:`SwarmState`, the final one, and calls :meth:`World.min_clearance`
-    once per step, on the new positions and their centroid. Every chunk of C
-    steps the other columns are computed in batched calls on (C, M, 2) and
-    (C, E, 2) arrays for E directed edges; C = min(256, max(1, 2**18 // E))
-    keeps a dense graph's temporaries near 4 MB. A diverged run stops within
-    one chunk. Columns grow chunk by chunk, never from ``max_steps``.
+    through the same :func:`_advance` as :func:`step` and builds one
+    :class:`SwarmState`, the final one. Each step queries the clearance of
+    the new positions and their centroid once, and calls
+    :meth:`World.min_clearance` only when it starts with agents inside the
+    safety radius, on those agents. Every chunk of C steps draws its motion
+    noise before its first step, and the other columns are computed in
+    batched calls on (C, M, 2) and (C, E, 2) arrays for E directed edges;
+    C = min(256, max(1, 2**18 // E)) keeps a dense graph's temporaries near
+    4 MB. A diverged run stops within one chunk. Columns grow chunk by
+    chunk, never from ``max_steps``.
     """
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
@@ -411,6 +463,7 @@ def run_episode(
         around = _surroundings(world, positions)[0]
         while first_step < max_steps and not converged:
             size = min(chunk_steps, max_steps - first_step)
+            noise = world._motion_noise(initial.step_index + first_step, (size, agents, 2))
             q = np.empty((size + 1, agents, 2))
             q[0] = positions
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
@@ -418,10 +471,9 @@ def run_episode(
             for i in range(size):
                 v = guidance.commanded_velocity(positions, graph, disp)
                 positions, velocities, scale, u[i], around = _advance(
-                    positions, velocities, scale, initial.step_index + first_step + i, around,
-                    world, graph, disp, gains, v,
+                    positions, velocities, scale, noise[i], around, world, graph, disp, gains, v,
                 )
-                q[i + 1], v_cmd[i], clearance[i], eta[i] = positions, v, around[0], scale
+                q[i + 1], v_cmd[i], clearance[i], eta[i] = positions, v, around, scale
                 error[i] = displacement_error(positions, graph, disp)
                 if not np.isfinite(positions).all():
                     size = i + 1  # the chunk's divergence check raises for this step

@@ -424,10 +424,7 @@ def _advance(state, world, graph, disp, gains, target_velocity):
     u = control_input(
         state.positions, state.scale, graph, disp, gains, *world.min_clearance(state.positions)
     )
-    noise = 0.0
-    if world.motion_noise_std > 0.0:
-        rng = np.random.default_rng([world.rng_seed, state.step_index])
-        noise = rng.normal(0.0, world.motion_noise_std, size=state.positions.shape)
+    noise = world._motion_noise(state.step_index, (1, *state.positions.shape))[0]
     positions = state.positions + u + velocities * world.dt + noise
     clearance = float(world.min_clearance(positions.mean(axis=0))[0])
     scale = scale_factor(disp.nominal_diameter_m, clearance, gains, state.scale)

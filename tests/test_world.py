@@ -4,8 +4,12 @@ import dataclasses
 import functools
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from oracle import (
 )
 
 BOX = RectObstacle(x_min=-5.0, x_max=5.0, y_min=-5.0, y_max=5.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def count_calls(monkeypatch, owner, name, calls):
@@ -158,6 +163,27 @@ class TestMinClearanceOracle:
                 np.testing.assert_array_equal(got_outward[i], np.zeros(2))
             else:
                 np.testing.assert_array_equal(got_outward[i], want_outward)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(rectangles(), max_size=6),
+        st.lists(
+            st.tuples(*[GRID | st.floats(-15.0, 15.0) | st.sampled_from([math.inf, -math.inf, math.nan])] * 2),
+            min_size=1,
+            max_size=20,
+        ),
+        st.booleans(),
+    )
+    def test_clearance_helper_equals_min_clearance_bit_for_bit(self, obstacles, points, repeat_first):
+        """Inside, on edges and corners, outside, at +-inf and NaN, between tied rectangles, or with none."""
+        if repeat_first and obstacles:
+            obstacles.append(obstacles[0])  # every point ties between the first and the last
+        world = World(target=TargetEstimate(np.zeros(2)), obstacles=tuple(obstacles))
+        points = np.array(points, dtype=float)
+        with np.errstate(invalid="ignore"):
+            got, want = world._clearance(points), world.min_clearance(points)[0]
+        assert got.shape == want.shape == (len(points),)
+        assert got.tobytes() == want.tobytes()  # NaN payloads too
 
     def test_ties_go_to_the_first_rectangle(self):
         left = RectObstacle(-3.0, -1.0, -1.0, 1.0)
@@ -317,6 +343,94 @@ class TestStep:
         state = embedding_state(formation)
         after = step(state, world, CommGraph.ring_with_leader(6), disp, ControlGains())
         assert after.scale < 1.0
+
+
+# A 300-step noisy corridor episode, hashed over every column; run in this process and in children.
+CORRIDOR_DIGEST = f"""
+import dataclasses, hashlib
+from formsense import run_episode
+from formsense.config import load_config
+config = dataclasses.replace(load_config({str(CONFIGS / "corridor.yaml")!r}), max_steps=300)
+assert config.world.motion_noise_std > 0.0
+trace = run_episode(
+    config.initial_state(), config.world, config.graph, config.displacement_set(), config.gains,
+    config.params, config.max_steps, 0.0, config.guidance,
+)
+digest = hashlib.sha256(b"".join(getattr(trace, name).tobytes() for name in trace.COLUMNS)).hexdigest()
+"""
+
+
+def unit_noise(seed: int, first_step: int, steps: int, agents: int = 6) -> np.ndarray:
+    """Motion noise (steps, agents, 2) of a world with unit standard deviation."""
+    world = World(target=TargetEstimate(np.zeros(2)), motion_noise_std=1.0, rng_seed=seed)
+    return world._motion_noise(first_step, (steps, agents, 2))
+
+
+class TestMotionNoise:
+    """The counter-keyed noise stream: step k's draws are a function of (seed, k) alone."""
+
+    @pytest.mark.parametrize("first_step", [0, 37, 2**64 - 3, 2**64 + 5, 2**130 + 1])
+    def test_chunk_draws_equal_single_steps(self, first_step):
+        chunk = unit_noise(3, first_step, 7)
+        last_first = [unit_noise(3, first_step + i, 1)[0] for i in reversed(range(7))]
+        assert chunk.tobytes() == np.stack(last_first[::-1]).tobytes()
+        # A chunk that starts mid-stream holds the same rows as one started earlier.
+        assert chunk[2:].tobytes() == unit_noise(3, first_step + 2, 5).tobytes()
+
+    def test_words_of_the_step_index_all_count(self):
+        steps = [0, 1, 2**64, 2**128, 2**64 + 1]
+        draws = [unit_noise(3, k, 1).tobytes() for k in steps]
+        assert len(set(draws)) == len(steps)
+
+    def test_standard_deviation_scales_the_unit_draws(self, target):
+        world = World(target=target, motion_noise_std=0.01, rng_seed=3)
+        assert np.array_equal(world._motion_noise(11, (4, 6, 2)), 0.01 * unit_noise(3, 11, 4))
+        assert not World(target=target, rng_seed=3)._motion_noise(11, (4, 6, 2)).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    def test_mean_and_variance(self, seed):
+        z = unit_noise(seed, 1000, 4000).ravel()
+        bound = 4.0 / math.sqrt(z.size)
+        assert abs(z.mean()) < bound
+        assert abs(z.var() - 1.0) < bound * math.sqrt(2.0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_kolmogorov_smirnov_against_standard_normal(self, seed):
+        z = np.sort(unit_noise(seed, 0, 4000).ravel())
+        cdf = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in z.tolist()])
+        n = z.size
+        statistic = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert statistic < 1.95 / math.sqrt(n)  # the 0.1 % critical value
+
+    def test_no_correlation_between_neighbouring_steps_agents_or_seeds(self):
+        z = unit_noise(5, 0, 4000).reshape(4000, 12)  # each step's 6 agents x 2 axes
+        bound = 5.0 / math.sqrt(len(z))
+        steps = np.corrcoef(z[:-1], z[1:], rowvar=False)[:12, 12:]  # every draw of k against every draw of k + 1
+        draws = np.corrcoef(z, rowvar=False)[~np.eye(12, dtype=bool)]  # agents and axes within a step
+        seeds = np.corrcoef(z, unit_noise(6, 0, 4000).reshape(4000, 12), rowvar=False)[:12, 12:]
+        assert np.abs(steps).max() < bound
+        assert np.abs(draws).max() < bound
+        assert np.abs(seeds).max() < bound
+
+    def test_episode_bytes_do_not_depend_on_simd_dispatch(self):
+        """A child with every dispatched CPU feature of numpy disabled hashes the same episode."""
+        multiarray = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath  # numpy 2 or 1
+        namespace = {}
+        exec(CORRIDOR_DIGEST, namespace)
+        report = (
+            f"\nfrom {multiarray.__name__} import __cpu_dispatch__, __cpu_features__"
+            "\nprint([name for name in __cpu_dispatch__ if __cpu_features__[name]])"
+            "\nprint(digest)"
+        )
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(multiarray.__cpu_dispatch__))
+        env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both at once
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(CONFIGS.parent / "src"), env.get("PYTHONPATH"))))
+        child = subprocess.run(
+            [sys.executable, "-c", CORRIDOR_DIGEST + report], env=env, capture_output=True, text=True, check=True
+        )
+        enabled, digest = child.stdout.splitlines()
+        assert enabled == "[]"  # the child ran on numpy's baseline kernels
+        assert digest == namespace["digest"]
 
 
 class TestMetrics:
@@ -619,20 +733,29 @@ class TestRunEpisode:
         calls = {}
         for name in ("control_input", "local_cost", "crlb_of_positions"):
             count_calls(monkeypatch, world_module, name, calls)
-        count_calls(monkeypatch, World, "min_clearance", calls)
+        count_calls(monkeypatch, World, "_clearance", calls)
+        looked_up = []  # the number of points of each World.min_clearance call
+        min_clearance = World.min_clearance
+        monkeypatch.setattr(
+            World, "min_clearance", lambda world, points: looked_up.append(len(points)) or min_clearance(world, points)
+        )
         formation = build_formation(default_params, target, agents)
-        wall = RectObstacle(x_min=0.0, x_max=10.0, y_min=0.0, y_max=10.0)
+        x, y = formation.planar_positions[0] + 1.0
+        wall = RectObstacle(x_min=x + 2.0, x_max=x + 12.0, y_min=y - 5.0, y_max=y + 5.0)  # beside agent 0
+        world, gains = World(target=target, obstacles=(wall,)), ControlGains()
         state = embedding_state(formation)
+        initial = SwarmState(state.positions + 1.0, state.velocity_estimates)
         steps = 300
         trace = run_episode(
-            SwarmState(state.positions + 1.0, state.velocity_estimates),
-            World(target=target, obstacles=(wall,)),
+            initial,
+            world,
             CommGraph.ring(agents),
             DisplacementSet(formation.planar_positions),
-            ControlGains(),
+            gains,
             default_params,
             max_steps=steps,
             stop_tolerance=0.0,
+            guidance=Guidance(velocity_mps=(0.0, 1.0)),  # the swarm flies past the wall
         )
         assert trace.steps == steps
         chunks = math.ceil(steps / 256)
@@ -640,9 +763,15 @@ class TestRunEpisode:
         assert calls == {
             "control_input": steps,
             "local_cost": chunks,
-            "min_clearance": steps + 1,
+            "_clearance": steps + 1,
             "crlb_of_positions": chunks,
         }
+        # One lookup per step that starts with agents inside the safety radius, on those agents.
+        rows = looked_up.copy()
+        starts = np.concatenate((initial.positions[None], trace.positions[:-1]))
+        inside = (world.min_clearance(starts)[0] < gains.safety_radius_m).sum(axis=1)
+        assert 0 < len(rows) < steps
+        assert rows == inside[inside > 0].tolist()
 
     @pytest.mark.parametrize("steps", [1, 300])
     def test_builds_one_swarm_state(self, default_params, target, monkeypatch, steps):
