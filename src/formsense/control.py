@@ -34,10 +34,12 @@ class CommGraph:
             order. Given (2, L) integer links, in either direction or both, the constructor
             stores this form. The agents are 0 to M - 1, M - 1 the largest index named.
         leader_index: The agent that knows the reference velocity.
+        agent_count: M, stored once by the constructor.
     """
 
     links: np.ndarray
     leader_index: int = 0
+    agent_count: int = field(init=False)
     _xy_bins: np.ndarray = field(init=False, repr=False)  # 2m, 2m + 1 per edge
 
     def __post_init__(self) -> None:
@@ -68,11 +70,8 @@ class CommGraph:
             raise ValueError("CommGraph.links: graph must be connected")
         object.__setattr__(self, "links", np.stack((m, p)))
         self.links.setflags(write=False)
+        object.__setattr__(self, "agent_count", agents)
         object.__setattr__(self, "_xy_bins", (2 * m[:, None] + (0, 1)).ravel())
-
-    @property
-    def agent_count(self) -> int:
-        return int(self.links[0, -1]) + 1
 
     @property
     def degrees(self) -> np.ndarray:
@@ -278,17 +277,16 @@ def local_cost(
     return displacement_term + (mismatch**2).sum(axis=-1)
 
 
-def displacement_error(
-    positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
-) -> float:
+def displacement_error(positions: np.ndarray, graph: CommGraph, disp: DisplacementSet):
     """Total squared deviation from the full-size desired offsets, over graph edges.
 
     Each undirected edge is counted once; the summand is symmetric in the
     edge's endpoints because both the position difference and the desired
-    offset flip sign together.
+    offset flip sign together. A float for (M, 2) positions; a batch
+    (..., M, 2) gives an array.
     """
-    per_edge = (_deviation(positions, graph, disp) ** 2).sum(axis=1)
-    return float(per_edge.sum() / 2.0)
+    per_edge = (_deviation(positions, graph, disp) ** 2).sum(axis=-1)
+    return per_edge.sum(axis=-1) / 2.0
 
 
 def displacement_control(
@@ -380,9 +378,9 @@ def control_input(
 
     ``clearance`` (M,), ``nearest`` (M, 2) and ``outward`` (M, 2) describe
     each agent's closest obstacle as :meth:`formsense.world.World.min_clearance`
-    returns them (``nearest`` and ``outward`` are None without obstacles, and
-    may be None when no agent is inside the safety radius). Repulsion is
-    evaluated only for the agents inside the safety radius; the rows of
+    returns them (``nearest`` and ``outward`` are None without obstacles).
+    Repulsion is evaluated only for the agents inside the safety radius, so
+    a query with ``within`` the safety radius is enough: the rows of
     ``nearest`` and ``outward`` of the agents outside it are not read.
     """
     u = displacement_control(positions, graph, disp, gains, scale)

@@ -89,23 +89,6 @@ class World:
         object.__setattr__(self, "_bounds", bounds.T)
         object.__setattr__(self, "_noise", np.random.Generator(np.random.Philox(key=self.rng_seed)))
 
-    def _distances(self, points: np.ndarray) -> np.ndarray:
-        """(N, K) distance from each of the points (N, 2) to each rectangle, 0 inside it.
-
-        Per axis the gap is max(x_min - x, x - x_max, 0), the same double as
-        x minus x clamped to [x_min, x_max] up to its sign, which hypot drops.
-        """
-        x, y = points[:, :1], points[:, 1:]
-        x_min, x_max, y_min, y_max = self._bounds
-        gap_x = np.maximum(np.maximum(x_min - x, x - x_max), 0.0)
-        return np.hypot(gap_x, np.maximum(np.maximum(y_min - y, y - y_max), 0.0))
-
-    def _clearance(self, points: np.ndarray) -> np.ndarray:
-        """Clearance (N,) of points (N, 2): the doubles of :meth:`min_clearance`'s first result."""
-        if not self.obstacles:
-            return np.full(len(points), math.inf)
-        return self._distances(points).min(axis=1)
-
     def _motion_noise(self, first_step: int, shape: tuple[int, int, int]) -> np.ndarray:
         """Motion noise (C, M, 2) of the C steps from ``first_step`` on; zeros without noise.
 
@@ -131,41 +114,50 @@ class World:
         return noise
 
     def min_clearance(
-        self, points: np.ndarray
+        self, points: np.ndarray, within: float = math.inf
     ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Clearance (...), nearest obstacle point (..., 2) and way out (..., 2) of points (..., 2).
 
-        One (N, K) distance table of all points to all rectangles; the
-        closest rectangle wins, the first one on ties, and the nearest point
-        is the point clamped to it. The way out is the outward normal of that
-        rectangle's nearest face (x_min, x_max, y_min, y_max, the first on
-        ties) for points in contact, else zero. Without obstacles the
-        clearance is inf and the other two are None.
+        One (N, K) table of the hypot of the per-axis gaps max(x_min - x, x - x_max, 0) of all
+        points to all rectangles; the clearance is its row minimum. A point farther than
+        ``within`` is not looked up: its nearest point is NaN and its way out zero. Otherwise
+        the closest rectangle wins, the first one on ties, and the nearest point is the point
+        clamped to it; the way out is the outward normal of that rectangle's nearest face
+        (x_min, x_max, y_min, y_max, the first on ties) for points in contact, else zero.
+        Without obstacles the clearance is inf and the other two are None.
         """
         points = np.asarray(points, dtype=float)
         shape = points.shape[:-1]
         if not self.obstacles:
             return np.full(shape, math.inf), None, None
         p = points.reshape(-1, 2)
-        dist = self._distances(p)
-        closest = dist.argmin(axis=1)
-        clearance = dist[np.arange(len(p)), closest]
-        low, high = self._bounds[::2, closest].T, self._bounds[1::2, closest].T  # (N, 2) corners
-        nearest = np.minimum(np.maximum(p, low), high)
-        outward = np.zeros_like(p)
-        contact = np.flatnonzero(clearance <= 0.0)
-        if contact.size:
-            inside = p[contact]
-            gaps = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
-            outward[contact] = _FACE_NORMALS[gaps.argmin(axis=1)]
+        x, y, (x_min, x_max, y_min, y_max) = p[:, :1], p[:, 1:], self._bounds
+        gap_x = np.maximum(np.maximum(x_min - x, x - x_max), 0.0)
+        dist = np.hypot(gap_x, np.maximum(np.maximum(y_min - y, y - y_max), 0.0))
+        clearance = dist.min(axis=1)
+        nearest, outward = np.full_like(p, math.nan), np.zeros_like(p)
+        rows = np.flatnonzero(~(clearance > within))  # a NaN point is looked up, as with the default
+        if rows.size:
+            closest, p = dist[rows].argmin(axis=1), p[rows]
+            low, high = self._bounds[::2, closest].T, self._bounds[1::2, closest].T  # (n, 2) corners
+            nearest[rows] = np.minimum(np.maximum(p, low), high)
+            contact = np.flatnonzero(clearance[rows] <= 0.0)
+            if contact.size:
+                inside = p[contact]
+                gaps = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
+                outward[rows[contact]] = _FACE_NORMALS[gaps.argmin(axis=1)]
         return clearance.reshape(shape), nearest.reshape(points.shape), outward.reshape(points.shape)
 
 
-def _surroundings(world: World, positions: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clearance (M,) of (M, 2) positions and their centroid's clearance, in one query."""
+def _surroundings(world: World, positions: np.ndarray, gains: ControlGains) -> tuple[tuple, float]:
+    """Surroundings of (M, 2) positions and their centroid's clearance, from one obstacle query.
+
+    The surroundings are the clearance, nearest obstacle points and ways out that
+    :meth:`World.min_clearance` gives with the agents inside the safety radius looked up.
+    """
     centroid = positions.sum(axis=0, keepdims=True) / len(positions)  # the double of mean
-    clearance = world._clearance(np.concatenate((positions, centroid)))
-    return clearance[:-1], float(clearance[-1])
+    around = world.min_clearance(np.concatenate((positions, centroid)), gains.safety_radius_m)
+    return tuple(None if a is None else a[:-1] for a in around), float(around[0][-1])
 
 
 def _advance(
@@ -173,30 +165,25 @@ def _advance(
     velocities: np.ndarray,
     scale: float,
     noise: np.ndarray,
-    clearance: np.ndarray,
+    around: tuple,
     world: World,
     graph: CommGraph,
     disp: DisplacementSet,
     gains: ControlGains,
     target_velocity: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-    """Next positions, velocity estimates, scale, control input u and clearance of one period.
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, tuple]:
+    """Next positions, velocity estimates, scale, control input u and surroundings of one period.
 
-    ``noise`` (M, 2) is the period's motion noise and ``clearance`` (M,) that of ``positions``,
-    as :func:`_surroundings` gives it. Only the agents inside the safety radius are looked up
-    with :meth:`World.min_clearance`, for their nearest obstacle points and ways out.
+    ``noise`` (M, 2) is the period's motion noise and ``around`` the surroundings of
+    ``positions`` as :func:`_surroundings` gives them; the returned ones are those of the
+    next positions, from the step's one obstacle query.
     """
     velocities = consensus_velocity_step(velocities, graph, target_velocity, gains)
-    nearest = outward = None
-    close = np.flatnonzero(clearance < gains.safety_radius_m)
-    if close.size:  # rows outside the safety radius stay unset; control_input does not read them
-        nearest, outward = np.empty_like(positions), np.empty_like(positions)
-        _, nearest[close], outward[close] = world.min_clearance(positions[close])
-    u = control_input(positions, scale, graph, disp, gains, clearance, nearest, outward)
+    u = control_input(positions, scale, graph, disp, gains, *around)
     positions = positions + u + velocities * world.dt + noise
-    clearance, centroid_clearance = _surroundings(world, positions)
+    around, centroid_clearance = _surroundings(world, positions, gains)
     scale = scale_factor(disp.nominal_diameter_m, centroid_clearance, gains, scale)
-    return positions, velocities, scale, u, clearance
+    return positions, velocities, scale, u, around
 
 
 def step(
@@ -214,17 +201,16 @@ def step(
     the reference), runs velocity consensus, applies the combined control
     input at the current formation scale, adds motion noise, then updates
     the scale from the new centroid's obstacle clearance. It queries the
-    clearance of the agents and their centroid before and after the move,
-    and the nearest obstacle points of the agents inside the safety radius.
-    The noise is a pure function of (world seed, step index), so the
-    successor state is a pure function of its inputs.
+    obstacles once for the agents and their centroid before the move and
+    once after it. The noise is a pure function of (world seed, step
+    index), so the successor state is a pure function of its inputs.
     """
     guidance = Guidance() if guidance is None else guidance
     velocity = guidance.commanded_velocity(state.positions, graph, disp)
     positions, velocities, scale, _, _ = _advance(
         state.positions, state.velocity_estimates, state.scale,
         world._motion_noise(state.step_index, (1, *state.positions.shape))[0],
-        _surroundings(world, state.positions)[0], world, graph, disp, gains, velocity,
+        _surroundings(world, state.positions, gains)[0], world, graph, disp, gains, velocity,
     )
     return SwarmState(positions, velocities, scale, state.step_index + 1)
 
@@ -280,14 +266,17 @@ class Guidance:
         check_fields(self)
 
     def _to_goal(self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet) -> np.ndarray:
-        """Vector from the leader to its slot of the reference."""
-        return disp.reference[graph.leader_index] - positions[graph.leader_index]
+        """Vector (..., 2) from the leader to its slot of the reference, for positions (..., M, 2)."""
+        return disp.reference[graph.leader_index] - positions[..., graph.leader_index, :]
 
-    def center_error_m(self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet) -> float:
-        """Distance from the leader to its slot of the reference; 0 in constant mode."""
+    def center_error_m(self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet):
+        """Distance from the leader to its slot of the reference; 0 in constant mode.
+
+        A float for (M, 2) positions; a batch (..., M, 2) gives an array.
+        """
         if self.mode == "constant":
-            return 0.0
-        return float(np.linalg.norm(self._to_goal(positions, graph, disp)))
+            return np.zeros(np.shape(positions)[:-2])[()]  # [()] makes a 0-d result a scalar
+        return np.linalg.norm(self._to_goal(positions, graph, disp), axis=-1)
 
     def commanded_velocity(
         self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
@@ -438,15 +427,16 @@ def run_episode(
 
     The loop carries positions, velocity estimates and the scale as arrays
     through the same :func:`_advance` as :func:`step` and builds one
-    :class:`SwarmState`, the final one. Each step queries the clearance of
-    the new positions and their centroid once, and calls
-    :meth:`World.min_clearance` only when it starts with agents inside the
-    safety radius, on those agents. Every chunk of C steps draws its motion
-    noise before its first step, and the other columns are computed in
-    batched calls on (C, M, 2) and (C, E, 2) arrays for E directed edges;
-    C = min(256, max(1, 2**18 // E)) keeps a dense graph's temporaries near
-    4 MB. A diverged run stops within one chunk. Columns grow chunk by
-    chunk, never from ``max_steps``.
+    :class:`SwarmState`, the final one. Each step makes one obstacle query,
+    :meth:`World.min_clearance` on the new positions and their centroid.
+    Every chunk of C steps draws its motion noise before its first step and
+    records only the dynamics per step; the displacement error, the arrival
+    distance, the stop rule and the other columns are computed after it in
+    batched calls on (C, M, 2) and (C, E, 2) arrays for E directed edges,
+    and the chunk is cut after its first settled step, so a converged run
+    computes at most C - 1 steps it discards. C = min(256, max(1, 2**18 // E))
+    keeps a dense graph's temporaries near 4 MB. A diverged run stops within
+    one chunk. Columns grow chunk by chunk, never from ``max_steps``.
     """
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
@@ -460,37 +450,35 @@ def run_episode(
     first_step, converged = 0, False
     # Overflow shows up as a non-finite metric, which the chunk's divergence check names.
     with np.errstate(over="ignore", invalid="ignore"):
-        around = _surroundings(world, positions)[0]
+        around = _surroundings(world, positions, gains)[0]
         while first_step < max_steps and not converged:
             size = min(chunk_steps, max_steps - first_step)
             noise = world._motion_noise(initial.step_index + first_step, (size, agents, 2))
-            q = np.empty((size + 1, agents, 2))
+            q, g = np.empty((size + 1, agents, 2)), np.empty((size, agents, 2))  # positions, velocities
             q[0] = positions
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
-            clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
+            clearance, eta = np.empty((size, agents)), np.empty(size)
             for i in range(size):
-                v = guidance.commanded_velocity(positions, graph, disp)
+                v_cmd[i] = v = guidance.commanded_velocity(positions, graph, disp)
                 positions, velocities, scale, u[i], around = _advance(
                     positions, velocities, scale, noise[i], around, world, graph, disp, gains, v,
                 )
-                q[i + 1], v_cmd[i], clearance[i], eta[i] = positions, v, around, scale
-                error[i] = displacement_error(positions, graph, disp)
+                q[i + 1], g[i], clearance[i], eta[i] = positions, velocities, around[0], scale
                 if not np.isfinite(positions).all():
                     size = i + 1  # the chunk's divergence check raises for this step
                     break
-                if (
-                    error[i] < stop_tolerance
-                    and scale >= 0.999
-                    and guidance.center_error_m(positions, graph, disp) <= guidance.arrival_tolerance_m
-                ):
-                    size, converged = i + 1, True
-                    break
+            error = displacement_error(q[1 : size + 1], graph, disp)
+            arrived = guidance.center_error_m(q[1 : size + 1], graph, disp) <= guidance.arrival_tolerance_m
+            settled = (error < stop_tolerance) & (eta[:size] >= 0.999) & arrived
+            if settled.any():
+                size, converged = int(settled.argmax()) + 1, True
             columns, chunk_events = _chunk_columns(
                 first_step, q[: size + 1], u[:size], v_cmd[:size], error[:size],
                 clearance[:size], eta[:size], world, graph, disp, params,
             )
             chunks.append(columns)
             events.extend(chunk_events)
+            positions, velocities, scale = q[size], g[size - 1], float(eta[size - 1])
             first_step += size
     names = EpisodeTrace.COLUMNS
     if not chunks:

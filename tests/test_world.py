@@ -36,6 +36,7 @@ from formsense import (
     theoretical_lower_bound,
 )
 from formsense import world as world_module
+from formsense.world import GUIDANCE_MODES
 from oracle import (
     StepRecord,
     clearance_of_point,
@@ -173,17 +174,27 @@ class TestMinClearanceOracle:
             max_size=20,
         ),
         st.booleans(),
+        st.sampled_from([0.0, 1.0, -1.0, math.inf]) | st.floats(0.0, 20.0),
     )
-    def test_clearance_helper_equals_min_clearance_bit_for_bit(self, obstacles, points, repeat_first):
+    def test_within_keeps_every_clearance_and_looks_up_the_rows_within(
+        self, obstacles, points, repeat_first, within
+    ):
         """Inside, on edges and corners, outside, at +-inf and NaN, between tied rectangles, or with none."""
         if repeat_first and obstacles:
             obstacles.append(obstacles[0])  # every point ties between the first and the last
         world = World(target=TargetEstimate(np.zeros(2)), obstacles=tuple(obstacles))
         points = np.array(points, dtype=float)
         with np.errstate(invalid="ignore"):
-            got, want = world._clearance(points), world.min_clearance(points)[0]
-        assert got.shape == want.shape == (len(points),)
-        assert got.tobytes() == want.tobytes()  # NaN payloads too
+            got, want = world.min_clearance(points, within), world.min_clearance(points)
+        assert got[0].shape == want[0].shape == (len(points),)
+        assert got[0].tobytes() == want[0].tobytes()  # NaN payloads too
+        if not obstacles:
+            assert got[1:] == want[1:] == (None, None)
+            return
+        rows = ~(want[0] > within)  # NaN points are looked up, as with the default
+        for looked_up, full in zip(got[1:], want[1:]):
+            assert looked_up[rows].tobytes() == full[rows].tobytes()
+        assert np.isnan(got[1][~rows]).all() and not got[2][~rows].any()
 
     def test_ties_go_to_the_first_rectangle(self):
         left = RectObstacle(-3.0, -1.0, -1.0, 1.0)
@@ -531,6 +542,28 @@ class TestMinPairwiseSweep:
         assert ("min_pairwise_m" in str(raised.value)) == (not oracle_finite) == (far_y == math.inf)
 
 
+class TestBatchedMetrics:
+    """A batch (B, M, 2) gives the doubles of B single calls, NaN and infinite rows included."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(formations(), st.integers(0, 2**32 - 1))
+    def test_displacement_error_and_arrival_distance(self, positions, seed):
+        agents = positions.shape[1]
+        rng = np.random.default_rng(seed)
+        graph = CommGraph.complete(agents, leader_index=int(rng.integers(agents)))
+        disp = DisplacementSet(rng.uniform(-20.0, 20.0, size=(agents, 2)))
+        metrics = [lambda q: displacement_error(q, graph, disp)] + [
+            functools.partial(Guidance(mode=mode).center_error_m, graph=graph, disp=disp)
+            for mode in GUIDANCE_MODES
+        ]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for metric in metrics:
+                got, single = metric(positions), [metric(q) for q in positions]
+                assert all(isinstance(value, float) for value in single)
+                assert got.shape == positions.shape[:1]
+                assert got.tobytes() == np.array(single).tobytes()
+
+
 class TestGuidance:
     def test_constant_mode_returns_reference(self, default_params, target):
         formation = build_formation(default_params, target, 4)
@@ -731,14 +764,9 @@ class TestRunEpisode:
     @pytest.mark.parametrize("agents", [6, 24])
     def test_one_control_and_cost_call_per_step(self, default_params, target, monkeypatch, agents):
         calls = {}
-        for name in ("control_input", "local_cost", "crlb_of_positions"):
+        for name in ("control_input", "local_cost", "crlb_of_positions", "displacement_error"):
             count_calls(monkeypatch, world_module, name, calls)
-        count_calls(monkeypatch, World, "_clearance", calls)
-        looked_up = []  # the number of points of each World.min_clearance call
-        min_clearance = World.min_clearance
-        monkeypatch.setattr(
-            World, "min_clearance", lambda world, points: looked_up.append(len(points)) or min_clearance(world, points)
-        )
+        count_calls(monkeypatch, World, "min_clearance", calls)
         formation = build_formation(default_params, target, agents)
         x, y = formation.planar_positions[0] + 1.0
         wall = RectObstacle(x_min=x + 2.0, x_max=x + 12.0, y_min=y - 5.0, y_max=y + 5.0)  # beside agent 0
@@ -763,15 +791,13 @@ class TestRunEpisode:
         assert calls == {
             "control_input": steps,
             "local_cost": chunks,
-            "_clearance": steps + 1,
             "crlb_of_positions": chunks,
+            "displacement_error": chunks,
+            "min_clearance": steps + 1,  # one obstacle query per step, whether or not repulsion fires
         }
-        # One lookup per step that starts with agents inside the safety radius, on those agents.
-        rows = looked_up.copy()
         starts = np.concatenate((initial.positions[None], trace.positions[:-1]))
-        inside = (world.min_clearance(starts)[0] < gains.safety_radius_m).sum(axis=1)
-        assert 0 < len(rows) < steps
-        assert rows == inside[inside > 0].tolist()
+        repelled = (world.min_clearance(starts)[0] < gains.safety_radius_m).any(axis=1)
+        assert 0 < repelled.sum() < steps
 
     @pytest.mark.parametrize("steps", [1, 300])
     def test_builds_one_swarm_state(self, default_params, target, monkeypatch, steps):
@@ -791,6 +817,34 @@ class TestRunEpisode:
         )
         assert trace.steps == steps
         assert calls["__post_init__"] == 1
+
+    @pytest.mark.parametrize("settle_at", [1, 100, 256, 257])
+    def test_settled_chunk_is_cut_at_the_public_steps(self, default_params, target, settle_at):
+        """An episode that settles on its first step, mid-chunk, on a chunk's last step or on
+        the next chunk's first gives that many step() calls' state bit for bit."""
+        formation = build_formation(default_params, target, 6)
+        x, y = formation.planar_positions.max(axis=0) + 100.0  # too far to shrink the formation
+        world = World(target, (RectObstacle(x, x + 5.0, y, y + 5.0),), motion_noise_std=1e-4, rng_seed=5)
+        graph, disp = CommGraph.ring_with_leader(6), DisplacementSet(formation.planar_positions)
+        gains, rng = ControlGains(), np.random.default_rng(6)
+        state = SwarmState(
+            positions=formation.planar_positions + rng.uniform(-2.0, 2.0, size=(6, 2)),
+            velocity_estimates=rng.normal(0.0, 0.1, size=(6, 2)),
+            step_index=9,
+        )
+        args = (state, world, graph, disp, gains, default_params)
+        errors = run_episode(*args, max_steps=300, stop_tolerance=0.0).displacement_error_m2
+        tolerance = np.nextafter(errors[settle_at - 1], math.inf)
+        assert errors[: settle_at - 1].min(initial=math.inf) >= tolerance  # the first settled step
+        trace = run_episode(*args, max_steps=300, stop_tolerance=tolerance)
+        assert trace.converged and trace.steps == settle_at
+        for _ in range(settle_at):
+            state = step(state, world, graph, disp, gains)
+        final = trace.final_state
+        assert final.positions.tobytes() == state.positions.tobytes()
+        assert final.velocity_estimates.tobytes() == state.velocity_estimates.tobytes()
+        assert (final.scale, final.step_index) == (state.scale, state.step_index)
+        assert state.step_index == 9 + settle_at
 
     @pytest.mark.parametrize(
         "guidance", [Guidance(velocity_mps=(0.3, -0.1)), Guidance(mode="goal")], ids=["constant", "goal"]
