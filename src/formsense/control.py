@@ -277,13 +277,15 @@ def local_cost(
     return displacement_term + (mismatch**2).sum(axis=-1)
 
 
-def displacement_error(positions: np.ndarray, graph: CommGraph, disp: DisplacementSet):
+def displacement_error(
+    positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
+) -> float | np.ndarray:
     """Total squared deviation from the full-size desired offsets, over graph edges.
 
     Each undirected edge is counted once; the summand is symmetric in the
     edge's endpoints because both the position difference and the desired
-    offset flip sign together. A float for (M, 2) positions; a batch
-    (..., M, 2) gives an array.
+    offset flip sign together. (M, 2) positions give an np.float64 (a
+    float); a batch (..., M, 2) gives an array (...).
     """
     per_edge = (_deviation(positions, graph, disp) ** 2).sum(axis=-1)
     return per_edge.sum(axis=-1) / 2.0
@@ -379,9 +381,7 @@ def control_input(
     ``clearance`` (M,), ``nearest`` (M, 2) and ``outward`` (M, 2) describe
     each agent's closest obstacle as :meth:`formsense.world.World.min_clearance`
     returns them (``nearest`` and ``outward`` are None without obstacles).
-    Repulsion is evaluated only for the agents inside the safety radius, so
-    a query with ``within`` the safety radius is enough: the rows of
-    ``nearest`` and ``outward`` of the agents outside it are not read.
+    Repulsion is evaluated only for the agents inside the safety radius.
     """
     u = displacement_control(positions, graph, disp, gains, scale)
     if nearest is not None:

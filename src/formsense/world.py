@@ -59,6 +59,7 @@ class RectObstacle:
 # Outward unit normals of a rectangle's faces, in the order x_min, x_max, y_min, y_max.
 _FACE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 _WORD = 2**64 - 1  # one 64-bit word of the Philox counter
+_STOP_STEPS = 16  # steps between two stop tests, so a settled run computes at most 15 it discards
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,17 +115,15 @@ class World:
         return noise
 
     def min_clearance(
-        self, points: np.ndarray, within: float = math.inf
+        self, points: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Clearance (...), nearest obstacle point (..., 2) and way out (..., 2) of points (..., 2).
 
         One (N, K) table of the hypot of the per-axis gaps max(x_min - x, x - x_max, 0) of all
-        points to all rectangles; the clearance is its row minimum. A point farther than
-        ``within`` is not looked up: its nearest point is NaN and its way out zero. Otherwise
-        the closest rectangle wins, the first one on ties, and the nearest point is the point
-        clamped to it; the way out is the outward normal of that rectangle's nearest face
-        (x_min, x_max, y_min, y_max, the first on ties) for points in contact, else zero.
-        Without obstacles the clearance is inf and the other two are None.
+        points to all rectangles; the closest rectangle wins, the first one on ties, and the
+        nearest point is the point clamped to it. The way out is the outward normal of that
+        rectangle's nearest face (x_min, x_max, y_min, y_max, the first on ties) for points in
+        contact, else zero. Without obstacles the clearance is inf and the other two are None.
         """
         points = np.asarray(points, dtype=float)
         shape = points.shape[:-1]
@@ -134,29 +133,23 @@ class World:
         x, y, (x_min, x_max, y_min, y_max) = p[:, :1], p[:, 1:], self._bounds
         gap_x = np.maximum(np.maximum(x_min - x, x - x_max), 0.0)
         dist = np.hypot(gap_x, np.maximum(np.maximum(y_min - y, y - y_max), 0.0))
-        clearance = dist.min(axis=1)
-        nearest, outward = np.full_like(p, math.nan), np.zeros_like(p)
-        rows = np.flatnonzero(~(clearance > within))  # a NaN point is looked up, as with the default
-        if rows.size:
-            closest, p = dist[rows].argmin(axis=1), p[rows]
-            low, high = self._bounds[::2, closest].T, self._bounds[1::2, closest].T  # (n, 2) corners
-            nearest[rows] = np.minimum(np.maximum(p, low), high)
-            contact = np.flatnonzero(clearance[rows] <= 0.0)
-            if contact.size:
-                inside = p[contact]
-                gaps = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
-                outward[rows[contact]] = _FACE_NORMALS[gaps.argmin(axis=1)]
+        closest = dist.argmin(axis=1)
+        clearance = dist[np.arange(len(p)), closest]
+        low, high = self._bounds[::2, closest].T, self._bounds[1::2, closest].T  # (N, 2) corners
+        nearest = np.minimum(np.maximum(p, low), high)
+        outward = np.zeros_like(p)
+        contact = np.flatnonzero(clearance <= 0.0)
+        if contact.size:
+            inside = p[contact]
+            gaps = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
+            outward[contact] = _FACE_NORMALS[gaps.argmin(axis=1)]
         return clearance.reshape(shape), nearest.reshape(points.shape), outward.reshape(points.shape)
 
 
-def _surroundings(world: World, positions: np.ndarray, gains: ControlGains) -> tuple[tuple, float]:
-    """Surroundings of (M, 2) positions and their centroid's clearance, from one obstacle query.
-
-    The surroundings are the clearance, nearest obstacle points and ways out that
-    :meth:`World.min_clearance` gives with the agents inside the safety radius looked up.
-    """
+def _surroundings(world: World, positions: np.ndarray) -> tuple[tuple, float]:
+    """Clearance, nearest points and ways out of (M, 2) positions, and their centroid's clearance."""
     centroid = positions.sum(axis=0, keepdims=True) / len(positions)  # the double of mean
-    around = world.min_clearance(np.concatenate((positions, centroid)), gains.safety_radius_m)
+    around = world.min_clearance(np.concatenate((positions, centroid)))
     return tuple(None if a is None else a[:-1] for a in around), float(around[0][-1])
 
 
@@ -181,7 +174,7 @@ def _advance(
     velocities = consensus_velocity_step(velocities, graph, target_velocity, gains)
     u = control_input(positions, scale, graph, disp, gains, *around)
     positions = positions + u + velocities * world.dt + noise
-    around, centroid_clearance = _surroundings(world, positions, gains)
+    around, centroid_clearance = _surroundings(world, positions)
     scale = scale_factor(disp.nominal_diameter_m, centroid_clearance, gains, scale)
     return positions, velocities, scale, u, around
 
@@ -210,7 +203,7 @@ def step(
     positions, velocities, scale, _, _ = _advance(
         state.positions, state.velocity_estimates, state.scale,
         world._motion_noise(state.step_index, (1, *state.positions.shape))[0],
-        _surroundings(world, state.positions, gains)[0], world, graph, disp, gains, velocity,
+        _surroundings(world, state.positions)[0], world, graph, disp, gains, velocity,
     )
     return SwarmState(positions, velocities, scale, state.step_index + 1)
 
@@ -269,10 +262,12 @@ class Guidance:
         """Vector (..., 2) from the leader to its slot of the reference, for positions (..., M, 2)."""
         return disp.reference[graph.leader_index] - positions[..., graph.leader_index, :]
 
-    def center_error_m(self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet):
+    def center_error_m(
+        self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
+    ) -> float | np.ndarray:
         """Distance from the leader to its slot of the reference; 0 in constant mode.
 
-        A float for (M, 2) positions; a batch (..., M, 2) gives an array.
+        (M, 2) positions give an np.float64 (a float); a batch (..., M, 2) gives an array (...).
         """
         if self.mode == "constant":
             return np.zeros(np.shape(positions)[:-2])[()]  # [()] makes a 0-d result a scalar
@@ -429,14 +424,15 @@ def run_episode(
     through the same :func:`_advance` as :func:`step` and builds one
     :class:`SwarmState`, the final one. Each step makes one obstacle query,
     :meth:`World.min_clearance` on the new positions and their centroid.
-    Every chunk of C steps draws its motion noise before its first step and
-    records only the dynamics per step; the displacement error, the arrival
-    distance, the stop rule and the other columns are computed after it in
-    batched calls on (C, M, 2) and (C, E, 2) arrays for E directed edges,
-    and the chunk is cut after its first settled step, so a converged run
-    computes at most C - 1 steps it discards. C = min(256, max(1, 2**18 // E))
-    keeps a dense graph's temporaries near 4 MB. A diverged run stops within
-    one chunk. Columns grow chunk by chunk, never from ``max_steps``.
+    A chunk of C steps records only the dynamics per step, in blocks of 16
+    steps that draw their motion noise before their first step. After each
+    block, batched calls give its displacement errors and arrival distances
+    and the stop rule cuts the chunk after the first settled step, so a
+    converged run computes at most 15 steps it discards. The other columns
+    are computed after the chunk in batched calls on (C, M, 2) and (C, E, 2)
+    arrays for E directed edges; C = min(256, max(1, 2**18 // E)) keeps a
+    dense graph's temporaries near 4 MB. A diverged run stops within one
+    chunk. Columns grow chunk by chunk, never from ``max_steps``.
     """
     if max_steps < 0:
         raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
@@ -450,28 +446,34 @@ def run_episode(
     first_step, converged = 0, False
     # Overflow shows up as a non-finite metric, which the chunk's divergence check names.
     with np.errstate(over="ignore", invalid="ignore"):
-        around = _surroundings(world, positions, gains)[0]
+        around = _surroundings(world, positions)[0]
         while first_step < max_steps and not converged:
             size = min(chunk_steps, max_steps - first_step)
-            noise = world._motion_noise(initial.step_index + first_step, (size, agents, 2))
             q, g = np.empty((size + 1, agents, 2)), np.empty((size, agents, 2))  # positions, velocities
             q[0] = positions
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
-            clearance, eta = np.empty((size, agents)), np.empty(size)
-            for i in range(size):
-                v_cmd[i] = v = guidance.commanded_velocity(positions, graph, disp)
-                positions, velocities, scale, u[i], around = _advance(
-                    positions, velocities, scale, noise[i], around, world, graph, disp, gains, v,
-                )
-                q[i + 1], g[i], clearance[i], eta[i] = positions, velocities, around[0], scale
-                if not np.isfinite(positions).all():
-                    size = i + 1  # the chunk's divergence check raises for this step
-                    break
-            error = displacement_error(q[1 : size + 1], graph, disp)
-            arrived = guidance.center_error_m(q[1 : size + 1], graph, disp) <= guidance.arrival_tolerance_m
-            settled = (error < stop_tolerance) & (eta[:size] >= 0.999) & arrived
-            if settled.any():
-                size, converged = int(settled.argmax()) + 1, True
+            clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
+            start = 0
+            while start < size and not converged:
+                end = min(start + _STOP_STEPS, size)
+                step_index = initial.step_index + first_step + start
+                noise = world._motion_noise(step_index, (end - start, agents, 2))
+                for i, n in zip(range(start, end), noise):  # n: step i's motion noise
+                    v_cmd[i] = v = guidance.commanded_velocity(positions, graph, disp)
+                    positions, velocities, scale, u[i], around = _advance(
+                        positions, velocities, scale, n, around, world, graph, disp, gains, v,
+                    )
+                    q[i + 1], g[i], clearance[i], eta[i] = positions, velocities, around[0], scale
+                    if not np.isfinite(positions).all():
+                        size = end = i + 1  # the chunk's divergence check raises for this step
+                        break
+                after = q[start + 1 : end + 1]
+                error[start:end] = displacement_error(after, graph, disp)
+                arrived = guidance.center_error_m(after, graph, disp) <= guidance.arrival_tolerance_m
+                settled = (error[start:end] < stop_tolerance) & (eta[start:end] >= 0.999) & arrived
+                if settled.any():
+                    size, converged = start + int(settled.argmax()) + 1, True
+                start = end
             columns, chunk_events = _chunk_columns(
                 first_step, q[: size + 1], u[:size], v_cmd[:size], error[:size],
                 clearance[:size], eta[:size], world, graph, disp, params,
