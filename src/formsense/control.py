@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -311,35 +310,23 @@ def displacement_control(
     return -gains.epsilon * _edge_sum(graph, deviation)
 
 
-def repulsion(
-    position: np.ndarray,
-    nearest_obstacle_point: np.ndarray,
-    gains: ControlGains,
-    fallback_direction: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Pushback from the nearest obstacle point, zero outside the safety radius.
+def repulsion(distance: float, way_out: np.ndarray, gains: ControlGains) -> np.ndarray:
+    """Pushback (2,) of an agent ``distance`` from its closest obstacle; zero from the safety radius on.
 
     The magnitude is the gradient of the potential
     0.5 * E_r * (1/l - 1/l_safe)^2, i.e. E_r * (1/l - 1/l_safe) / l^2,
-    directed from the obstacle toward the agent and capped. An agent exactly
-    on (or inside) the obstacle has no defined direction; the cap-magnitude
-    push then follows ``fallback_direction`` (unit +x if absent) and the
-    caller is expected to log the safety violation.
+    capped, and directed along ``way_out``, the agent's offset from its
+    nearest obstacle point. An agent in contact (distance zero) gets the cap
+    along ``way_out``, there the unit normal of the face to leave by; the
+    caller logs the safety violation. Both values come from
+    :meth:`formsense.world.World.min_clearance`.
     """
-    position = np.asarray(position, dtype=float)
-    offset = position - np.asarray(nearest_obstacle_point, dtype=float)
-    distance = float(np.hypot(offset[0], offset[1]))
     if distance >= gains.safety_radius_m:
         return np.zeros(2)
     if distance <= 0.0:
-        direction = None if fallback_direction is None else np.asarray(fallback_direction, dtype=float)
-        if direction is None or not np.any(direction):
-            direction = np.array([1.0, 0.0])
-        direction = direction / np.linalg.norm(direction)
-        return gains.repulsion_cap * direction
+        return gains.repulsion_cap * way_out
     magnitude = gains.repulsion_gain * (1.0 / distance - 1.0 / gains.safety_radius_m) / distance**2
-    magnitude = min(magnitude, gains.repulsion_cap)
-    return magnitude * (offset / distance)
+    return min(magnitude, gains.repulsion_cap) * (way_out / distance)
 
 
 def scale_factor(
@@ -373,18 +360,15 @@ def control_input(
     disp: DisplacementSet,
     gains: ControlGains,
     clearance: np.ndarray,
-    nearest: Optional[np.ndarray],
-    outward: Optional[np.ndarray],
+    way_out: np.ndarray,
 ) -> np.ndarray:
     """Total per-agent control of (M, 2) positions: displacement tracking at ``scale`` plus repulsion.
 
-    ``clearance`` (M,), ``nearest`` (M, 2) and ``outward`` (M, 2) describe
-    each agent's closest obstacle as :meth:`formsense.world.World.min_clearance`
-    returns them (``nearest`` and ``outward`` are None without obstacles).
+    ``clearance`` (M,) and ``way_out`` (M, 2) describe each agent's closest
+    obstacle as :meth:`formsense.world.World.min_clearance` returns them.
     Repulsion is evaluated only for the agents inside the safety radius.
     """
     u = displacement_control(positions, graph, disp, gains, scale)
-    if nearest is not None:
-        for m in np.flatnonzero(clearance < gains.safety_radius_m):
-            u[m] += repulsion(positions[m], nearest[m], gains, fallback_direction=outward[m])
+    for m in np.flatnonzero(clearance < gains.safety_radius_m):
+        u[m] += repulsion(clearance[m], way_out[m], gains)
     return u

@@ -114,21 +114,20 @@ class World:
             noise[i] = self._noise.normal(0.0, self.motion_noise_std, shape[1:])
         return noise
 
-    def min_clearance(
-        self, points: np.ndarray
-    ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Clearance (...), nearest obstacle point (..., 2) and way out (..., 2) of points (..., 2).
+    def min_clearance(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Clearance (...) and way out (..., 2) of points (..., 2): what repulsion reads.
 
         One (N, K) table of the hypot of the per-axis gaps max(x_min - x, x - x_max, 0) of all
-        points to all rectangles; the closest rectangle wins, the first one on ties, and the
-        nearest point is the point clamped to it. The way out is the outward normal of that
-        rectangle's nearest face (x_min, x_max, y_min, y_max, the first on ties) for points in
-        contact, else zero. Without obstacles the clearance is inf and the other two are None.
+        points to all rectangles; the closest rectangle wins, the first one on ties. Outside
+        every rectangle the way out is the point's offset from its nearest point of that
+        rectangle, so its hypot is the clearance bit for bit. In contact it is the outward unit
+        normal of that rectangle's nearest face (x_min, x_max, y_min, y_max, the first on ties).
+        Without obstacles the clearance is inf and the way out NaN.
         """
         points = np.asarray(points, dtype=float)
         shape = points.shape[:-1]
         if not self.obstacles:
-            return np.full(shape, math.inf), None, None
+            return np.full(shape, math.inf), np.full(points.shape, math.nan)
         p = points.reshape(-1, 2)
         x, y, (x_min, x_max, y_min, y_max) = p[:, :1], p[:, 1:], self._bounds
         gap_x = np.maximum(np.maximum(x_min - x, x - x_max), 0.0)
@@ -136,21 +135,20 @@ class World:
         closest = dist.argmin(axis=1)
         clearance = dist[np.arange(len(p)), closest]
         low, high = self._bounds[::2, closest].T, self._bounds[1::2, closest].T  # (N, 2) corners
-        nearest = np.minimum(np.maximum(p, low), high)
-        outward = np.zeros_like(p)
+        way_out = p - np.minimum(np.maximum(p, low), high)
         contact = np.flatnonzero(clearance <= 0.0)
         if contact.size:
             inside = p[contact]
             gaps = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
-            outward[contact] = _FACE_NORMALS[gaps.argmin(axis=1)]
-        return clearance.reshape(shape), nearest.reshape(points.shape), outward.reshape(points.shape)
+            way_out[contact] = _FACE_NORMALS[gaps.argmin(axis=1)]
+        return clearance.reshape(shape), way_out.reshape(points.shape)
 
 
-def _surroundings(world: World, positions: np.ndarray) -> tuple[tuple, float]:
-    """Clearance, nearest points and ways out of (M, 2) positions, and their centroid's clearance."""
+def _surroundings(world: World, positions: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """Clearance (M,) and ways out (M, 2) of (M, 2) positions, and their centroid's clearance."""
     centroid = positions.sum(axis=0, keepdims=True) / len(positions)  # the double of mean
-    around = world.min_clearance(np.concatenate((positions, centroid)))
-    return tuple(None if a is None else a[:-1] for a in around), float(around[0][-1])
+    clearance, way_out = world.min_clearance(np.concatenate((positions, centroid)))
+    return (clearance[:-1], way_out[:-1]), float(clearance[-1])
 
 
 def _advance(
@@ -187,16 +185,17 @@ def step(
     gains: ControlGains,
     guidance: Optional[Guidance] = None,
 ) -> SwarmState:
-    """Advance the swarm by one control period.
+    """Advance the swarm by one control period: the library's one-step entry point.
 
-    Takes the reference velocity from ``guidance`` as :func:`run_episode`
-    does (constant zero if None; in goal mode, toward the leader's slot of
-    the reference), runs velocity consensus, applies the combined control
-    input at the current formation scale, adds motion noise, then updates
-    the scale from the new centroid's obstacle clearance. It queries the
-    obstacles once for the agents and their centroid before the move and
-    once after it. The noise is a pure function of (world seed, step
-    index), so the successor state is a pure function of its inputs.
+    :func:`run_episode` does not call it; both run :func:`_advance`. Takes the
+    reference velocity from ``guidance`` as :func:`run_episode` does (constant
+    zero if None; in goal mode, toward the leader's slot of the reference), runs
+    velocity consensus, applies the combined control input at the current
+    formation scale, adds motion noise, then updates the scale from the new
+    centroid's obstacle clearance. It queries the obstacles once for the agents
+    and their centroid before the move and once after it. The noise is a pure
+    function of (world seed, step index), so the successor state is a pure
+    function of its inputs.
     """
     guidance = Guidance() if guidance is None else guidance
     velocity = guidance.commanded_velocity(state.positions, graph, disp)

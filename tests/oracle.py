@@ -7,9 +7,13 @@ its azimuth direction in a Python loop, and the trace of the inverse 2x2
 information matrix.
 
 Likewise :meth:`formsense.world.World.min_clearance` clamps all points
-against all rectangles at once, and :func:`formsense.control.local_cost`
-returns every agent's cost in one call; the per-rectangle, per-point and
-per-agent functions near the end of this module are the loops they replaced.
+against all rectangles at once and returns each point's clearance and way
+out, and :func:`formsense.control.local_cost` returns every agent's cost in
+one call; the per-rectangle, per-point and per-agent functions near the end
+of this module are the loops they replaced. :func:`point_repulsion` is the
+repulsion law as it read an agent's position, its nearest obstacle point and
+a fallback direction for contact; :func:`formsense.control.repulsion` reads
+the clearance and way out instead.
 
 :func:`formsense.formation.optimal_elevation` is a closed form;
 :func:`bisect_weight_peak` finds the same peak by bisection, with no algebra.
@@ -295,6 +299,37 @@ def clearance_of_point(obstacles, position: np.ndarray):
         return best, best_point, None
     containing = min(obstacles, key=lambda rect: rect_distance(rect, position))
     return best, best_point, escape_direction(containing, position)
+
+
+def point_repulsion(
+    position: np.ndarray,
+    nearest_obstacle_point: np.ndarray,
+    gains,
+    fallback_direction: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Pushback from the nearest obstacle point, zero outside the safety radius.
+
+    The magnitude is the gradient of the potential
+    0.5 * E_r * (1/l - 1/l_safe)^2, i.e. E_r * (1/l - 1/l_safe) / l^2,
+    directed from the obstacle toward the agent and capped. An agent exactly
+    on (or inside) the obstacle has no defined direction; the cap-magnitude
+    push then follows ``fallback_direction`` (unit +x if absent) and the
+    caller is expected to log the safety violation.
+    """
+    position = np.asarray(position, dtype=float)
+    offset = position - np.asarray(nearest_obstacle_point, dtype=float)
+    distance = float(np.hypot(offset[0], offset[1]))
+    if distance >= gains.safety_radius_m:
+        return np.zeros(2)
+    if distance <= 0.0:
+        direction = None if fallback_direction is None else np.asarray(fallback_direction, dtype=float)
+        if direction is None or not np.any(direction):
+            direction = np.array([1.0, 0.0])
+        direction = direction / np.linalg.norm(direction)
+        return gains.repulsion_cap * direction
+    magnitude = gains.repulsion_gain * (1.0 / distance - 1.0 / gains.safety_radius_m) / distance**2
+    magnitude = min(magnitude, gains.repulsion_cap)
+    return magnitude * (offset / distance)
 
 
 def agent_cost(positions, adjacency, reference, agent, dt, next_position, target_velocity) -> float:

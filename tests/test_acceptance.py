@@ -342,7 +342,7 @@ def test_criterion_09_control_laws_are_gradients():
         direction /= np.linalg.norm(direction)
         dist = float(rng.uniform(0.5, 4.99))  # inside (0.1, 1.0) * safety radius
         pos = nearest + dist * direction
-        force = repulsion(pos, nearest, gains)
+        force = repulsion(float(np.hypot(*(pos - nearest))), pos - nearest, gains)
         grad = np.zeros(2)
         for axis in range(2):
             e = np.zeros(2)

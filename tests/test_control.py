@@ -426,43 +426,37 @@ class TestLocalCost:
 class TestRepulsion:
     def test_zero_outside_safety_radius(self):
         gains = ControlGains(repulsion_gain=1.0, safety_radius_m=5.0)
-        out = repulsion(np.array([10.0, 0.0]), np.array([0.0, 0.0]), gains)
+        out = repulsion(10.0, np.array([10.0, 0.0]), gains)
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_zero_exactly_at_safety_radius(self):
         gains = ControlGains(repulsion_gain=1.0, safety_radius_m=5.0)
-        out = repulsion(np.array([5.0, 0.0]), np.array([0.0, 0.0]), gains)
+        out = repulsion(5.0, np.array([5.0, 0.0]), gains)
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_halfway_magnitude(self):
         # (1/2.5 - 1/5) / 2.5^2 = 0.032 with unit gain.
         gains = ControlGains(repulsion_gain=1.0, safety_radius_m=5.0)
-        out = repulsion(np.array([2.5, 0.0]), np.array([0.0, 0.0]), gains)
+        out = repulsion(2.5, np.array([2.5, 0.0]), gains)
         np.testing.assert_allclose(out, [0.032, 0.0], rtol=1e-12)
 
     def test_points_away_from_obstacle(self):
         gains = ControlGains(repulsion_gain=1.0, safety_radius_m=5.0)
         position = np.array([1.0, 2.0])
         nearest = np.array([0.0, 0.0])
-        out = repulsion(position, nearest, gains)
+        out = repulsion(float(np.hypot(*(position - nearest))), position - nearest, gains)
         direction = out / np.linalg.norm(out)
         np.testing.assert_allclose(direction, position / np.linalg.norm(position), rtol=1e-12)
 
     def test_capped_close_in(self):
         gains = ControlGains(repulsion_gain=5.0, safety_radius_m=5.0, repulsion_cap=5.0)
-        out = repulsion(np.array([1e-6, 0.0]), np.array([0.0, 0.0]), gains)
+        out = repulsion(1e-6, np.array([1e-6, 0.0]), gains)
         assert np.linalg.norm(out) == pytest.approx(5.0, rel=1e-12)
 
-    def test_zero_distance_uses_fallback_direction(self):
+    def test_contact_pushes_at_the_cap_along_the_way_out(self):
         gains = ControlGains(repulsion_cap=3.0)
-        point = np.array([2.0, 2.0])
-        out = repulsion(point, point, gains, fallback_direction=np.array([0.0, -2.0]))
+        out = repulsion(0.0, np.array([0.0, -1.0]), gains)
         np.testing.assert_allclose(out, [0.0, -3.0], rtol=1e-12)
-
-    def test_zero_distance_defaults_to_x(self):
-        gains = ControlGains(repulsion_cap=3.0)
-        point = np.array([2.0, 2.0])
-        np.testing.assert_allclose(repulsion(point, point, gains), [3.0, 0.0], rtol=1e-12)
 
     def test_matches_potential_gradient(self):
         """Force equals minus the central-difference gradient of the potential."""
@@ -482,7 +476,7 @@ class TestRepulsion:
             direction /= np.linalg.norm(direction)
             dist = float(rng.uniform(0.5, 4.99))
             pos = nearest + dist * direction
-            force = repulsion(pos, nearest, gains)
+            force = repulsion(float(np.hypot(*(pos - nearest))), pos - nearest, gains)
             grad = np.zeros(2)
             for axis in range(2):
                 e = np.zeros(2)
@@ -559,7 +553,7 @@ class TestControlInput:
         base = displacement_control(state.positions, graph, disp, gains, 1.0)
         u = control_input(state.positions, state.scale, graph, disp, gains, *world.min_clearance(positions))
         np.testing.assert_allclose(
-            u[0] - base[0], repulsion(positions[0], nearest, gains), rtol=1e-12
+            u[0] - base[0], repulsion(2.5, positions[0] - nearest, gains), rtol=1e-12
         )
         np.testing.assert_array_equal(u[1:], base[1:])
 

@@ -31,6 +31,7 @@ from formsense import (
     displacement_error,
     local_cost,
     min_pairwise_distance,
+    repulsion,
     run_episode,
     step,
     theoretical_lower_bound,
@@ -43,6 +44,7 @@ from oracle import (
     dense_min_pairwise_distance,
     escape_direction,
     nearest_point,
+    point_repulsion,
     rect_distance,
     stepwise_episode,
 )
@@ -90,13 +92,19 @@ class TestRectObstacle:
         ],
     )
     def test_nearest_point_clamps(self, position, expected):
-        np.testing.assert_array_equal(clearance((BOX,), np.array(position))[1], expected)
-        np.testing.assert_array_equal(nearest_point(BOX, np.array(position)), expected)
+        position = np.array(position)
+        np.testing.assert_array_equal(nearest_point(BOX, position), expected)
+        distance, way_out = clearance((BOX,), position)
+        if distance > 0.0:  # outside, the way out is the offset from the clamped point
+            np.testing.assert_array_equal(way_out, position - expected)
+        else:  # inside, the clamp is the point itself and the way out a face normal
+            np.testing.assert_array_equal(position, expected)
+            assert np.abs(way_out).tolist() in ([1.0, 0.0], [0.0, 1.0])
 
     def test_batched_rows_match_single_points(self):
         points = np.array([[12.0, -1.0], [0.0, 0.0], [5.0, 5.0], [-9.0, 7.0], [3.0, -5.0], [1.0, 1.0]])
         batch = clearance((BOX,), points.reshape(2, 3, 2))
-        assert batch[0].shape == (2, 3) and batch[1].shape == batch[2].shape == (2, 3, 2)
+        assert batch[0].shape == (2, 3) and batch[1].shape == (2, 3, 2)
         for got, point in zip(zip(*(a.reshape(6, *a.shape[2:]) for a in batch)), points):
             for g, single in zip(got, clearance((BOX,), point)):
                 np.testing.assert_array_equal(g, single)
@@ -124,7 +132,7 @@ class TestRectObstacle:
         ],
     )
     def test_escape_direction(self, position, expected):
-        np.testing.assert_array_equal(clearance((BOX,), np.array(position))[2], expected)
+        np.testing.assert_array_equal(clearance((BOX,), np.array(position))[1], expected)
         np.testing.assert_array_equal(escape_direction(BOX, np.array(position)), expected)
 
     @pytest.mark.parametrize(
@@ -155,51 +163,68 @@ class TestMinClearanceOracle:
     )
     def test_matches_per_rectangle_oracle_bit_for_bit(self, obstacles, points):
         points = np.array(points, dtype=float)
-        got_clearance, got_nearest, got_outward = clearance(tuple(obstacles), points)
+        got_clearance, got_way_out = clearance(tuple(obstacles), points)
         for i, point in enumerate(points):
             want_clearance, want_nearest, want_outward = clearance_of_point(obstacles, point)
             assert got_clearance[i] == want_clearance
-            np.testing.assert_array_equal(got_nearest[i], want_nearest)
-            if want_outward is None:
-                np.testing.assert_array_equal(got_outward[i], np.zeros(2))
+            if want_outward is None:  # outside every rectangle
+                np.testing.assert_array_equal(got_way_out[i], point - want_nearest)
+                assert np.hypot(*got_way_out[i]) == got_clearance[i]
             else:
-                np.testing.assert_array_equal(got_outward[i], want_outward)
+                np.testing.assert_array_equal(got_way_out[i], want_outward)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(rectangles(), min_size=1, max_size=6),
+        st.lists(st.tuples(GRID, GRID), min_size=1, max_size=20),
+        st.floats(0.0, 20.0),
+        st.floats(0.1, 30.0),
+        st.floats(0.01, 20.0),
+    )
+    def test_repulsion_matches_point_law_bit_for_bit(self, obstacles, points, gain, radius, cap):
+        """The law on (clearance, way out) gives the point-based law's doubles on every row."""
+        gains = ControlGains(repulsion_gain=gain, safety_radius_m=radius, repulsion_cap=cap)
+        points = np.array(points, dtype=float)
+        distances, ways_out = clearance(tuple(obstacles), points)
+        for point, distance, way_out in zip(points, distances, ways_out):
+            _, nearest, outward = clearance_of_point(obstacles, point)
+            want = point_repulsion(point, nearest, gains, fallback_direction=outward)
+            assert repulsion(distance, way_out, gains).tobytes() == want.tobytes()
 
     def test_ties_go_to_the_first_rectangle(self):
         left = RectObstacle(-3.0, -1.0, -1.0, 1.0)
         right = RectObstacle(1.0, 3.0, -1.0, 1.0)
-        _, nearest, _ = clearance((left, right), np.zeros(2))
-        np.testing.assert_array_equal(nearest, [-1.0, 0.0])
-        _, nearest, _ = clearance((right, left), np.zeros(2))
-        np.testing.assert_array_equal(nearest, [1.0, 0.0])
+        assert clearance((left, right), np.zeros(2))[1].tolist() == [1.0, 0.0]  # away from x = -1
+        assert clearance((right, left), np.zeros(2))[1].tolist() == [-1.0, 0.0]  # away from x = 1
         # A point inside two overlapping rectangles leaves through the first one's face.
         wide = RectObstacle(-10.0, 10.0, -0.5, 0.5)
         tall = RectObstacle(-0.5, 0.5, -10.0, 10.0)
         point = np.array([0.1, 0.0])
-        assert clearance((wide, tall), point)[2].tolist() == [0.0, -1.0]
-        assert clearance((tall, wide), point)[2].tolist() == [1.0, 0.0]
+        assert clearance((wide, tall), point)[1].tolist() == [0.0, -1.0]
+        assert clearance((tall, wide), point)[1].tolist() == [1.0, 0.0]
 
 
 class TestWorld:
     def test_no_obstacles_infinite_clearance(self, target):
         world = World(target=target)
-        clearance, nearest, outward = world.min_clearance(np.array([0.0, 0.0]))
+        clearance, way_out = world.min_clearance(np.array([0.0, 0.0]))
         assert clearance == math.inf
-        assert nearest is None and outward is None
+        assert way_out.shape == (2,) and np.isnan(way_out).all()
         assert world.min_clearance(np.zeros((4, 2)))[0].tolist() == [math.inf] * 4
+        np.testing.assert_array_equal(repulsion(clearance, way_out, ControlGains()), np.zeros(2))
 
     def test_single_obstacle_clearance(self, target):
         world = World(target=target, obstacles=(BOX,))
-        clearance, nearest, _ = world.min_clearance(np.array([9.0, 0.0]))
+        clearance, way_out = world.min_clearance(np.array([9.0, 0.0]))
         assert clearance == pytest.approx(4.0, rel=1e-12)
-        np.testing.assert_array_equal(nearest, [5.0, 0.0])
+        np.testing.assert_array_equal(way_out, [4.0, 0.0])  # from the nearest point (5, 0)
 
     def test_picks_nearest_of_several(self, target):
         far = RectObstacle(x_min=100.0, x_max=110.0, y_min=0.0, y_max=10.0)
         world = World(target=target, obstacles=(far, BOX))
-        clearance, nearest, _ = world.min_clearance(np.array([9.0, 0.0]))
+        clearance, way_out = world.min_clearance(np.array([9.0, 0.0]))
         assert clearance == pytest.approx(4.0, rel=1e-12)
-        np.testing.assert_array_equal(nearest, [5.0, 0.0])
+        np.testing.assert_array_equal(way_out, [4.0, 0.0])  # from BOX's (5, 0), not far's (100, 0)
 
     def test_clearance_matches_boundary_sampling(self, target):
         """Oracle: dense sampling of the obstacle boundaries."""
@@ -221,24 +246,23 @@ class TestWorld:
             p = rng.uniform(-20.0, 100.0, size=2)
             if min(rect_distance(ob, p) for ob in obstacles) == 0.0:
                 continue  # sampling oracle only valid outside
-            clearance, _, _ = world.min_clearance(p)
+            clearance, _ = world.min_clearance(p)
             sampled = float(np.hypot(*(boundary - p).T).min())
             assert clearance == pytest.approx(sampled, abs=1e-2)
             assert clearance <= sampled + 1e-12
 
     def test_contact_direction(self, target):
         world = World(target=target, obstacles=(BOX,))
-        clearance, nearest, outward = world.min_clearance(np.array([4.0, 0.0]))
+        clearance, way_out = world.min_clearance(np.array([4.0, 0.0]))
         assert clearance == 0.0
-        np.testing.assert_array_equal(nearest, [4.0, 0.0])
-        np.testing.assert_array_equal(outward, [1.0, 0.0])
+        np.testing.assert_array_equal(way_out, [1.0, 0.0])
 
-    def test_free_space_has_no_direction(self, target):
+    def test_free_space_way_out_is_the_offset(self, target):
         world = World(target=target, obstacles=(BOX,))
-        clearance, nearest, outward = world.min_clearance(np.array([9.0, 0.0]))
-        assert clearance == pytest.approx(4.0)
-        np.testing.assert_array_equal(outward, np.zeros(2))
-        np.testing.assert_array_equal(nearest, [5.0, 0.0])
+        clearance, way_out = world.min_clearance(np.array([8.0, 9.0]))
+        assert clearance == 5.0
+        np.testing.assert_array_equal(way_out, [3.0, 4.0])  # from the corner (5, 5)
+        assert np.hypot(*way_out) == clearance
 
     def test_validation(self, target):
         with pytest.raises(ValueError, match="dt"):
