@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -213,24 +213,70 @@ def _entries(name: str, value: Any, table: dict, make, nonempty: bool) -> tuple[
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """A fully resolved run configuration and its domain-typed pieces."""
+    """A run configuration made from one mapping, and its domain-typed pieces.
 
-    params: SensingParams
-    formation: FormationGeometry
-    world: World
-    graph: CommGraph
-    gains: ControlGains
-    guidance: Guidance
-    initial_positions: np.ndarray
-    initial_scale: float
-    max_steps: int
-    stop_tolerance_m2: float
-    sweep_altitudes_m: tuple[float, ...]
-    sweep_benchmarks: tuple[BenchmarkSpec, ...]
-    seed: int
-    output_dir: Path
+    ``canonical`` is given as any mapping :func:`build_config` accepts, less
+    ``output_dir``. Construction validates it, stores its canonical form and
+    builds every other field from that form, so an artifact's seed and hash
+    tags name the run that was made. Vary a config with :func:`build_config`
+    or ``dataclasses.replace(config, canonical=...)``; replacing a built field
+    raises ``ValueError``.
+    """
+
     canonical: dict
-    config_hash: str
+    output_dir: Path
+    params: SensingParams = field(init=False)
+    formation: FormationGeometry = field(init=False)
+    world: World = field(init=False)
+    graph: CommGraph = field(init=False)
+    gains: ControlGains = field(init=False)
+    guidance: Guidance = field(init=False)
+    initial_positions: np.ndarray = field(init=False)
+    initial_scale: float = field(init=False)
+    max_steps: int = field(init=False)
+    stop_tolerance_m2: float = field(init=False)
+    sweep_altitudes_m: tuple[float, ...] = field(init=False)
+    sweep_benchmarks: tuple[BenchmarkSpec, ...] = field(init=False)
+    seed: int = field(init=False)
+    config_hash: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        given = _expect_mapping("config", self.canonical)
+        _reject_unknown("config", given, {*SCHEMA, "seed"})
+        seed = _seed(given.get("seed", _DEFAULT_SEED))
+        canonical: dict[str, Any] = {
+            name: _check_fields(name, given.get(name), table) for name, table in SCHEMA.items()
+        }
+        canonical["seed"] = seed
+        formation_c, episode = canonical["formation"], canonical["episode"]
+
+        params = _sensing(canonical["sensing"], given.get("sensing"))
+        agent_count = formation_c["agent_count"]
+        world = _world(canonical["world"], seed)
+        graph = _graph(canonical["graph"], agent_count)
+        try:
+            gains = ControlGains(**canonical["gains"])
+            check_stability(gains, graph)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        deployed = _initial_positions(canonical["deployment"], given.get("deployment"), agent_count, seed)
+
+        rotation_rad = math.radians(formation_c["initial_rotation_deg"])
+        try:
+            offset = np.array(formation_c["prior_target_offset_m"])
+            with np.errstate(over="ignore"):  # an infinite plan target is rejected as not finite
+                plan_target = TargetEstimate(world.target.position + offset)
+            formation = build_formation(params, plan_target, agent_count, rotation_rad)
+        except ValueError as exc:  # e.g. a far target or rotation rounds the ring to a point
+            raise ConfigError(f"formation: {exc}") from exc
+        benchmarks = _sweep(canonical["sweep"], params)
+        vars(self).update(  # the frozen fields, set once from the canonical form
+            canonical=canonical, params=params, formation=formation, world=world, graph=graph, gains=gains,
+            guidance=Guidance(**canonical["guidance"]), initial_positions=deployed, seed=seed,
+            initial_scale=canonical["deployment"]["initial_scale"], max_steps=episode["max_steps"],
+            stop_tolerance_m2=episode["stop_tolerance_m2"], sweep_benchmarks=benchmarks,
+            sweep_altitudes_m=tuple(canonical["sweep"]["altitudes_m"]), config_hash=hash_canonical(canonical),
+        )
 
     def build_formation(self) -> FormationGeometry:
         """The formation as planned around the prior target estimate, built at parse time."""
@@ -256,12 +302,10 @@ def _sensing(section: dict, given: Any) -> SensingParams:
         raise ConfigError(f"sensing: {exc}") from exc
 
 
-def _world(section: dict, seed: int, noise_free: bool) -> World:
+def _world(section: dict, seed: int) -> World:
     section["obstacles"], obstacles = _entries(
         "world.obstacles", section["obstacles"], _OBSTACLE, RectObstacle, nonempty=False
     )
-    if noise_free:
-        section["motion_noise_std_m"] = 0.0
     return World(
         target=TargetEstimate(section["target_m"]),
         obstacles=obstacles,
@@ -334,12 +378,6 @@ def _seed(value: Any) -> int:
     return seed
 
 
-def _output_dir(value: Any) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"output_dir: expected a nonempty string, got {value!r}")
-    return value
-
-
 def load_config(
     path: str | Path,
     seed: Optional[int] = None,
@@ -366,65 +404,24 @@ def load_config(
     return build_config(raw, seed=seed, noise_free=noise_free)
 
 
-def build_config(
-    raw: dict,
-    seed: Optional[int] = None,
-    noise_free: bool = False,
-) -> RunConfig:
-    """Resolve a raw mapping (already YAML-parsed) into a RunConfig."""
-    _reject_unknown("config", raw, {*SCHEMA, "seed", "output_dir"})
-    # The file's own seed is checked even when overridden.
-    file_seed = _seed(raw.get("seed", _DEFAULT_SEED))
-    seed = file_seed if seed is None else _seed(seed)
-    canonical: dict[str, Any] = {
-        name: _check_fields(name, raw.get(name), table) for name, table in SCHEMA.items()
-    }
-    canonical["seed"] = seed
-    formation_c, episode = canonical["formation"], canonical["episode"]
+def build_config(raw: dict, seed: Optional[int] = None, noise_free: bool = False) -> RunConfig:
+    """Resolve a raw mapping (already YAML-parsed) into a RunConfig.
 
-    params = _sensing(canonical["sensing"], raw.get("sensing"))
-    agent_count = formation_c["agent_count"]
-    world = _world(canonical["world"], seed, noise_free)
-    graph = _graph(canonical["graph"], agent_count)
-    try:
-        gains = ControlGains(**canonical["gains"])
-        check_stability(gains, graph)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    deployed = _initial_positions(canonical["deployment"], raw.get("deployment"), agent_count, seed)
-
-    rotation_rad = math.radians(formation_c["initial_rotation_deg"])
-    try:
-        offset = np.array(formation_c["prior_target_offset_m"])
-        with np.errstate(over="ignore"):  # an infinite plan target is rejected as not finite
-            plan_target = TargetEstimate(world.target.position + offset)
-        formation = build_formation(params, plan_target, agent_count, rotation_rad)
-    except ValueError as exc:  # e.g. a far target or rotation rounds the ring to a point
-        raise ConfigError(f"formation: {exc}") from exc
-    guidance = Guidance(**canonical["guidance"])
-
-    benchmarks = _sweep(canonical["sweep"], params)
-
-    output_dir = _output_dir(raw.get("output_dir", _DEFAULT_OUTPUT_DIR))
-
-    return RunConfig(
-        params=params,
-        formation=formation,
-        world=world,
-        graph=graph,
-        gains=gains,
-        guidance=guidance,
-        initial_positions=deployed,
-        initial_scale=canonical["deployment"]["initial_scale"],
-        max_steps=episode["max_steps"],
-        stop_tolerance_m2=episode["stop_tolerance_m2"],
-        sweep_altitudes_m=tuple(canonical["sweep"]["altitudes_m"]),
-        sweep_benchmarks=benchmarks,
-        seed=seed,
-        output_dir=Path(output_dir),
-        canonical=canonical,
-        config_hash=hash_canonical(canonical),
-    )
+    ``raw`` holds what a config file does: the :data:`SCHEMA` sections, ``seed``
+    and ``output_dir``. ``seed`` replaces the file's seed and ``noise_free`` sets
+    ``world.motion_noise_std_m`` to 0, after the values they replace are checked.
+    """
+    given = dict(raw)
+    output_dir = given.pop("output_dir", _DEFAULT_OUTPUT_DIR)
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError(f"output_dir: expected a nonempty string, got {output_dir!r}")
+    if seed is not None:
+        _seed(given.get("seed", _DEFAULT_SEED))  # the file's own seed is checked even when overridden
+        given["seed"] = seed
+    if noise_free:
+        world = _check_fields("world", given.get("world"), SCHEMA["world"])
+        given["world"] = {**world, "motion_noise_std_m": 0.0}
+    return RunConfig(given, Path(output_dir))
 
 
 def canonical_yaml(canonical: dict) -> str:

@@ -318,13 +318,16 @@ def repulsion(distance: float, way_out: np.ndarray, gains: ControlGains) -> np.n
     capped, and directed along ``way_out``, the agent's offset from its
     nearest obstacle point. An agent in contact (distance zero) gets the cap
     along ``way_out``, there the unit normal of the face to leave by; the
-    caller logs the safety violation. Both values come from
-    :meth:`formsense.world.World.min_clearance`.
+    caller logs the safety violation. Below about 1.5e-162 m, where l^2
+    underflows to 0, a positive gain gives the cap and a zero gain nothing.
+    Both values come from :meth:`formsense.world.World.min_clearance`.
     """
     if distance >= gains.safety_radius_m:
         return np.zeros(2)
     if distance <= 0.0:
         return gains.repulsion_cap * way_out
+    if distance**2 == 0.0:  # an underflow: any positive gain is past the cap
+        return (gains.repulsion_cap if gains.repulsion_gain > 0 else 0.0) * (way_out / distance)
     magnitude = gains.repulsion_gain * (1.0 / distance - 1.0 / gains.safety_radius_m) / distance**2
     return min(magnitude, gains.repulsion_cap) * (way_out / distance)
 

@@ -23,7 +23,8 @@ The control laws work on the graph's edge list and an (M, 2) reference; the
 desired offsets that they replaced. Tests compare the two. Likewise
 :class:`formsense.control.CommGraph` holds only its links: :func:`adjacency`
 rebuilds its (M, M) matrix and :func:`dense_topology` builds the named
-topologies as matrices, the way the library once did. And
+topologies as matrices, the way the library once did; :func:`displacement_rate`
+reads the displacement law's convergence rate off the Laplacian's eigenvalues. And
 :func:`formsense.world.min_pairwise_distance` sweeps the agents sorted by x;
 :func:`dense_min_pairwise_distance` takes the minimum over all M^2 pairs.
 
@@ -398,6 +399,22 @@ def adjacency(graph) -> np.ndarray:
     dense = np.zeros((graph.agent_count, graph.agent_count))
     dense[tuple(graph.links)] = 1.0
     return dense
+
+
+def laplacian(graph) -> np.ndarray:
+    """The dense (M, M) Laplacian D - A of a CommGraph."""
+    dense = adjacency(graph)
+    return np.diag(dense.sum(axis=1)) - dense
+
+
+def displacement_rate(graph, epsilon: float) -> float:
+    """rho^2 = max (1 - epsilon * lambda)^2 over the nonzero eigenvalues lambda of the Laplacian.
+
+    Once the velocity estimates have settled, without noise, obstacles or guidance, the displacement
+    error evolves by I - epsilon * L and its squared norm shrinks by rho^2 per step.
+    """
+    eigenvalues = np.linalg.eigvalsh(laplacian(graph))
+    return max((1.0 - epsilon * lam) ** 2 for lam in eigenvalues if lam > 1e-9)
 
 
 def dense_topology(name: str, agent_count: int, leader_index: int) -> np.ndarray:

@@ -1,7 +1,6 @@
 """End-to-end CLI tests: artifacts, determinism, overrides, exit codes."""
 
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -93,10 +92,11 @@ class TestOptimize:
 
     def test_report_follows_the_world(self, tmp_path):
         """The report reads the world's target and the formation's agents, the ones simulate uses."""
-        base = build_config({"formation": {"agent_count": 6}})
-        world = dataclasses.replace(base.world, target=formsense.TargetEstimate([0.0, 0.0]))
-        config = dataclasses.replace(base, world=world)
+        formation = {"agent_count": 6, "prior_target_offset_m": [80.0, 90.0]}
+        config = build_config({"formation": formation, "world": {"target_m": [0.0, 0.0]}})
+        world = config.world
         report = json.loads(cli.cmd_optimize(config, tmp_path).read_text())
+        assert report["planned_target_m"] == [80.0, 90.0]  # the ring is planned away from the target
         assert report["target_m"] == [0.0, 0.0]
         assert report["crlb_m2"] == formsense.crlb(config.formation.planar_positions, world.target, config.params)
         assert report["agent_count"] == len(report["positions_m"])

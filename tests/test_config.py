@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -10,8 +11,11 @@ import numpy as np
 import pytest
 import yaml
 
-from formsense import ConfigError, Guidance, SensingParams, TargetEstimate, dbm_to_watts, load_config
+from formsense import (
+    ConfigError, Guidance, RunConfig, SensingParams, TargetEstimate, dbm_to_watts, load_config,
+)
 from formsense.benchmarks import BenchmarkSpec, sweep_rows
+from formsense.cli import cmd_simulate
 from formsense.config import SCHEMA, _BENCHMARK, build_config, canonical_yaml, hash_canonical
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -260,6 +264,7 @@ class TestValidation:
         [
             ("seed", "abc", {"seed": 4}, "seed: expected an integer"),
             ("seed", -1, {"seed": 4}, r"seed: must lie in \[0, 2\^63\)"),
+            ("world", {"motion_noise_std_m": -1.0}, {"noise_free": True}, "world.motion_noise_std_m"),
         ],
     )
     def test_overridden_file_value_still_checked(self, field, value, override, message):
@@ -600,3 +605,48 @@ class TestLoadConfig:
             cfg = load_config(ROOT / "configs" / name)
             assert cfg.formation.agent_count >= 3
             assert len(cfg.config_hash) == 12
+
+
+def rich_config():
+    """A config on every optional route, with both command-line overrides."""
+    raw = base_raw()
+    raw["sensing"]["noise_floor_w"] = 5e-13
+    raw["formation"]["agent_count"] = 3
+    raw["world"]["obstacles"] = [{"x_min": 30, "x_max": 40, "y_min": -5, "y_max": 5}]
+    raw["graph"] = {"topology": "custom", "adjacency": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+    raw["deployment"] = {"kind": "explicit", "positions_m": [[0, 0], [10, 0], [0, 10]], "initial_scale": 0.5}
+    raw["sweep"] = {"altitudes_m": [15, 25], "benchmarks": [{"kind": "line", "length_m": 40}]}
+    return build_config(raw, seed=7, noise_free=True)
+
+
+class TestReplace:
+    """A RunConfig is made of its canonical mapping; only that mapping and the output directory vary."""
+
+    @pytest.mark.parametrize("field, value", [("seed", 7), ("max_steps", 50), ("world", None)])
+    def test_built_fields_cannot_be_replaced(self, field, value):
+        config = load_config(ROOT / "configs" / "baseline.yaml")
+        with pytest.raises(ValueError, match=f"field {field} is declared with init=False"):
+            dataclasses.replace(config, **{field: value})
+
+    def test_replaced_canonical_tags_the_run_it_makes(self, tmp_path):
+        config = load_config(ROOT / "configs" / "baseline.yaml")
+        canonical = copy.deepcopy(config.canonical)
+        canonical["seed"] = 7
+        canonical["episode"]["max_steps"] = 50
+        varied = dataclasses.replace(config, canonical=canonical)
+        assert varied.world.rng_seed == 7
+        summary = json.loads(cmd_simulate(varied, tmp_path)[2].read_text())
+        assert (summary["steps"], summary["seed"]) == (50, 7)
+        assert summary["config_hash"] == hash_canonical(canonical) != config.config_hash
+
+    @pytest.mark.parametrize("name", ["baseline", "corridor", "sweep", "rich"])
+    def test_canonical_form_is_a_fixed_point(self, name):
+        config = rich_config() if name == "rich" else load_config(ROOT / "configs" / f"{name}.yaml")
+        rebuilt = dataclasses.replace(config, canonical=copy.deepcopy(config.canonical))
+        assert rebuilt.canonical == config.canonical
+        assert rebuilt.config_hash == config.config_hash
+        assert rebuilt.output_dir == config.output_dir
+
+    def test_canonical_names_no_output_dir(self):
+        with pytest.raises(ConfigError, match=r"config: unknown field\(s\) \['output_dir'\]"):
+            RunConfig(base_raw(), Path("out"))

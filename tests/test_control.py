@@ -458,6 +458,15 @@ class TestRepulsion:
         out = repulsion(0.0, np.array([0.0, -1.0]), gains)
         np.testing.assert_allclose(out, [0.0, -3.0], rtol=1e-12)
 
+    @pytest.mark.parametrize("gain, expected", [(5.0, [-3.0, 0.0]), (0.0, [0.0, 0.0])])
+    def test_underflowing_distance_gives_the_cap_or_nothing(self, target, gain, expected):
+        """At 1e-200 m the squared distance underflows to 0; the law divides by neither it nor 0/0."""
+        world = World(target=target, obstacles=(RectObstacle(0.0, 1.0, 0.0, 1.0),))
+        clearance, way_out = world.min_clearance([[-1e-200, 0.5]])
+        assert clearance[0] == 1e-200
+        gains = ControlGains(repulsion_gain=gain, repulsion_cap=3.0)
+        np.testing.assert_array_equal(repulsion(clearance[0], way_out[0], gains), expected)
+
     def test_matches_potential_gradient(self):
         """Force equals minus the central-difference gradient of the potential."""
         rng = np.random.default_rng(91)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import formsense
+from formsense.config import SCHEMA
 
 
 def test_public_names_resolve_and_are_unique_and_sorted():
@@ -41,3 +42,15 @@ def test_public_types_compare_and_hash(name):
     assert value == value
     assert isinstance(value == copy.deepcopy(value), bool)
     hash(value)
+
+
+def test_public_surface_does_not_grow():
+    """Settable values and public names, counted as the workflow's "Code size" step counts them.
+
+    A change that raises either bound edits it here and says why in CHANGES.md.
+    """
+    types = [t for t in map(vars(formsense).get, formsense.__all__) if dataclasses.is_dataclass(t)]
+    init_fields = sum(f.init for t in types for f in dataclasses.fields(t))
+    entries = sum(map(len, SCHEMA.values()))
+    assert init_fields + entries <= 96, (init_fields, entries)
+    assert len(formsense.__all__) <= 37

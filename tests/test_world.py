@@ -37,11 +37,13 @@ from formsense import (
     theoretical_lower_bound,
 )
 from formsense import world as world_module
+from formsense.config import build_config
 from formsense.world import GUIDANCE_MODES
 from oracle import (
     StepRecord,
     clearance_of_point,
     dense_min_pairwise_distance,
+    displacement_rate,
     escape_direction,
     nearest_point,
     point_repulsion,
@@ -351,14 +353,14 @@ class TestStep:
 
 # A 300-step noisy corridor episode, hashed over every column; run in this process and in children.
 CORRIDOR_DIGEST = f"""
-import dataclasses, hashlib
+import hashlib
 from formsense import run_episode
 from formsense.config import load_config
-config = dataclasses.replace(load_config({str(CONFIGS / "corridor.yaml")!r}), max_steps=300)
+config = load_config({str(CONFIGS / "corridor.yaml")!r})
 assert config.world.motion_noise_std > 0.0
 trace = run_episode(
     config.initial_state(), config.world, config.graph, config.displacement_set(), config.gains,
-    config.params, config.max_steps, 0.0, config.guidance,
+    config.params, 300, 0.0, config.guidance,
 )
 digest = hashlib.sha256(b"".join(getattr(trace, name).tobytes() for name in trace.COLUMNS)).hexdigest()
 """
@@ -1150,3 +1152,24 @@ class TestEpisodeColumns:
         with pytest.raises(ValueError) as got:
             run_episode(**kwargs)
         assert str(got.value) == str(want.value)
+
+
+class TestConvergenceRate:
+    """Without noise, obstacles or guidance the displacement law is linear; graph theory gives its rate."""
+
+    @pytest.mark.parametrize("topology", ["ring", "ring_with_leader", "complete"])
+    def test_error_ratio_is_the_laplacian_rate(self, topology):
+        raw = {"graph": {"topology": topology}, "gains": {"consensus_gain": 0.1}}
+        config = build_config(raw, noise_free=True)
+        assert config.formation.agent_count == 6 and not config.world.obstacles
+        assert config.guidance.mode == "constant" and not config.guidance.velocity_mps.any()
+        trace = run_episode(
+            config.initial_state(), config.world, config.graph, config.displacement_set(), config.gains,
+            config.params, 3000, 0.0, config.guidance,
+        )
+        error = trace.displacement_error_m2
+        # The first step below 1e-6 of the start: the slow mode dominates, and round-off does not yet.
+        k = int(np.argmax(error < 1e-6 * error[0]))
+        assert k > 0
+        rate = displacement_rate(config.graph, config.gains.epsilon)
+        assert error[k] / error[k - 1] == pytest.approx(rate, abs=1e-4)
