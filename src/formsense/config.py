@@ -57,7 +57,7 @@ def _declared(cls: type, name: str, default: Any = MISSING) -> tuple:
         return (declared.metadata["choices"], default)
     if "shape" in declared.metadata:  # a (2,) array: the one shape a config field takes
         return (_VEC2, default)
-    return (int if type(default) is int else float, default, declared.metadata["interval"])
+    return (int if declared.type in (int, "int") else float, default, declared.metadata["interval"])
 
 
 # A field is (type, default[, interval]). The interval bounds a number or each float of a list;
@@ -372,10 +372,7 @@ def _sweep(section: dict, params: SensingParams) -> tuple[BenchmarkSpec, ...]:
 
 
 def _seed(value: Any) -> int:
-    seed = _as_int("seed", value)
-    if seed < 0 or seed >= 2**63:
-        raise ConfigError(f"seed: must lie in [0, 2^63), got {seed}")
-    return seed
+    return _as_int("seed", value, "[0, 2^63)")
 
 
 def load_config(

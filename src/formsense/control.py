@@ -16,10 +16,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .errors import FRACTION, NON_NEGATIVE, POSITIVE, check_fields, frozen_array
+from .errors import FRACTION, NON_NEGATIVE, POSITIVE, check_fields, check_interval, frozen_array
 from .formation import DisplacementSet
 
 
@@ -53,8 +54,7 @@ class CommGraph:
         m, p = links.astype(np.int64)
         if np.any(m == p):
             raise ValueError(f"CommGraph.links: self link at agent {m[m == p][0]}")
-        if not (isinstance(leader, (int, np.integer)) and 0 <= leader < agents):
-            raise ValueError(f"CommGraph.leader_index: must lie in [0, {agents - 1}], got {leader!r}")
+        check_interval("CommGraph.leader_index", leader, f"[0, {agents - 1}]", number=Integral)
         key = np.sort(np.concatenate((m * agents + p, p * agents + m)))  # both directions, sorted
         m, p = np.divmod(key[np.concatenate(([True], key[1:] != key[:-1]))], agents)  # each once
         start = np.searchsorted(m, np.arange(agents + 1)).tolist()  # agent a's edges: start[a] to start[a+1]
@@ -316,18 +316,17 @@ def repulsion(distance: float, way_out: np.ndarray, gains: ControlGains) -> np.n
     The magnitude is the gradient of the potential
     0.5 * E_r * (1/l - 1/l_safe)^2, i.e. E_r * (1/l - 1/l_safe) / l^2,
     capped, and directed along ``way_out``, the agent's offset from its
-    nearest obstacle point. An agent in contact (distance zero) gets the cap
-    along ``way_out``, there the unit normal of the face to leave by; the
-    caller logs the safety violation. Below about 1.5e-162 m, where l^2
-    underflows to 0, a positive gain gives the cap and a zero gain nothing.
-    Both values come from :meth:`formsense.world.World.min_clearance`.
+    nearest obstacle point. Where l^2 is 0, in contact (distance zero, the
+    way out the unit normal of the face to leave by) or below about
+    1.5e-162 m where it underflows, a positive gain gives the cap and a zero
+    gain nothing; the caller logs a contact as a safety violation. Both
+    values come from :meth:`formsense.world.World.min_clearance`.
     """
     if distance >= gains.safety_radius_m:
         return np.zeros(2)
-    if distance <= 0.0:
-        return gains.repulsion_cap * way_out
-    if distance**2 == 0.0:  # an underflow: any positive gain is past the cap
-        return (gains.repulsion_cap if gains.repulsion_gain > 0 else 0.0) * (way_out / distance)
+    if distance**2 == 0.0:  # any positive gain is past the cap
+        push = gains.repulsion_cap if gains.repulsion_gain > 0 else 0.0
+        return push * (way_out if distance == 0.0 else way_out / distance)
     magnitude = gains.repulsion_gain * (1.0 / distance - 1.0 / gains.safety_radius_m) / distance**2
     return min(magnitude, gains.repulsion_cap) * (way_out / distance)
 

@@ -1,14 +1,15 @@
 """The config error, and the one check of a dataclass's declared fields.
 
 A field declares what it accepts in its metadata, written the way the error prints it:
-``"interval"`` bounds a number, as in ``field(metadata={"interval": "(0, inf)"})``;
+``"interval"`` bounds a number, an integer if the field is annotated ``int``, as in
+``field(metadata={"interval": "(0, inf)"})``;
 ``"choices"`` is a tuple of the strings it may be; ``"shape"`` makes an array field a finite,
 read-only float copy of the given shape, as in ``"(M, 2)"``. See check_fields.
 Every other error is a plain ValueError; a formation without a CRLB is none (its CRLB is NaN).
 """
 
 from functools import cache
-from numbers import Real
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
@@ -29,18 +30,23 @@ class ConfigError(ValueError):
 
 @cache
 def _ends(interval: str) -> tuple:
-    """The two ends of an interval such as "(0, 1]", as floats."""
-    return tuple(map(float, interval[1:-1].split(",")))
+    """The two ends of an interval such as "(0, 1]" as floats, a power such as "2^64" as an int."""
+    powers = (end.split("^") for end in interval[1:-1].split(","))
+    return tuple(int(end[0]) ** int(end[1]) if len(end) == 2 else float(end[0]) for end in powers)
 
 
-def check_interval(name: str, value: Any, interval: str, error: type = ValueError) -> None:
+def check_interval(
+    name: str, value: Any, interval: str, error: type = ValueError, number: type = Real
+) -> None:
     """Raise ``error("{name}: must lie in {interval}, got {value!r}")`` unless ``value`` lies in it.
 
-    A bracket of ``interval``, as in "(0, 1]", includes its end; NaN and non-numbers lie in none.
+    A bracket of ``interval``, as in "(0, 1]", includes its end; NaN lies in none. ``value`` must be
+    a ``number``: Real, or Integral for an int field, compared as a Python int, so exactly.
     """
     lo, hi = _ends(interval)
-    above = isinstance(value, Real) and (lo < value if interval[0] == "(" else lo <= value)
-    if not (above and (value < hi if interval[-1] == ")" else value <= hi)):
+    x = int(value) if number is Integral and isinstance(value, number) else value
+    above = isinstance(value, number) and (lo < x if interval[0] == "(" else lo <= x)
+    if not (above and (x < hi if interval[-1] == ")" else x <= hi)):
         raise error(f"{name}: must lie in {interval}, got {value!r}")
 
 
@@ -87,8 +93,8 @@ def check_fields(obj: Any) -> None:
     """Check every declared field of the frozen dataclass ``obj``, and store each array as a copy.
 
     Raises a ValueError naming ``Class.field`` for the first field outside its interval, not one
-    of its choices, or not a finite array of its shape. A letter of a shape is one length shared
-    by every field of ``obj`` that names it.
+    of its choices, or not a finite array of its shape; a field annotated ``int`` must be an integer.
+    A letter of a shape is one length shared by every field of ``obj`` that names it.
     """
     lengths: dict[str, int] = {}
     for f in obj.__dataclass_fields__.values():
@@ -96,7 +102,7 @@ def check_fields(obj: Any) -> None:
             continue
         meta, name, value = f.metadata, f"{type(obj).__name__}.{f.name}", getattr(obj, f.name)
         if "interval" in meta:
-            check_interval(name, value, meta["interval"])
+            check_interval(name, value, meta["interval"], number=Integral if f.type in (int, "int") else Real)
         elif "choices" in meta:
             check_choice(name, value, meta["choices"])
         elif "shape" in meta:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -109,14 +110,18 @@ def optimal_elevation(params: SensingParams) -> float:
     return math.atan(math.sqrt(t_star))
 
 
+def _check_ring_size(agent_count: int) -> None:
+    if not (isinstance(agent_count, Integral) and agent_count >= 3):
+        raise ValueError(f"an isotropic ring needs a whole number of at least 3 agents, got {agent_count!r}")
+
+
 def optimal_azimuths(agent_count: int, initial_rotation_rad: float = 0.0) -> np.ndarray:
     """Equally spaced azimuths whose second-harmonic sum cancels.
 
     Any rotation of the regular spacing works; ``initial_rotation_rad`` picks
     the representative. Azimuths are normalized to [0, 2*pi).
     """
-    if agent_count < 3:
-        raise ValueError(f"an isotropic formation needs at least 3 agents, got {agent_count}")
+    _check_ring_size(agent_count)
     raw = initial_rotation_rad + 2.0 * math.pi * np.arange(agent_count) / agent_count
     return raw % (2.0 * math.pi)
 
@@ -127,8 +132,7 @@ def theoretical_lower_bound(params: SensingParams, agent_count: int) -> float:
     Equals 4 / (M * w(phi*)): all M agents at the weight-maximizing
     elevation, arranged isotropically. Independent of the polygon rotation.
     """
-    if agent_count < 3:
-        raise ValueError(f"an isotropic formation needs at least 3 agents, got {agent_count}")
+    _check_ring_size(agent_count)
     w_star = elevation_weight(optimal_elevation(params), params)
     return 4.0 / (agent_count * w_star)
 

@@ -16,8 +16,8 @@ estimates and the scale as arrays, which the control laws take.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from .control import (
     local_cost,
     scale_factor,
 )
-from .errors import NON_NEGATIVE, POSITIVE, check_fields
+from .errors import NON_NEGATIVE, POSITIVE, check_fields, check_interval
 from .formation import DisplacementSet
 from .sensing import SensingParams, TargetEstimate, crlb
 
@@ -72,7 +72,7 @@ class World:
     # A step must advance time. A control period over 1000 s is no longer a
     # control loop, and near 1e300 s the first step overflows.
     dt: float = field(default=0.1, metadata={"interval": "(0, 1000]"})
-    rng_seed: int = 0
+    rng_seed: int = field(default=0, metadata={"interval": "[0, 2^64)"})  # the Philox key
     # Rectangle bounds as rows x_min, x_max, y_min, y_max over the K obstacles.
     _bounds: np.ndarray = field(init=False, repr=False)
     _noise: np.random.Generator = field(init=False, repr=False)  # Philox keyed by rng_seed
@@ -80,12 +80,6 @@ class World:
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         check_fields(self)
-        try:
-            fits = 0 <= operator.index(self.rng_seed) < 2**64
-        except TypeError:
-            fits = False
-        if not fits:
-            raise ValueError(f"World.rng_seed: must be an int in [0, 2^64), got {self.rng_seed!r}")
         bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 4)
         object.__setattr__(self, "_bounds", bounds.T)
         object.__setattr__(self, "_noise", np.random.Generator(np.random.Philox(key=self.rng_seed)))
@@ -433,8 +427,7 @@ def run_episode(
     dense graph's temporaries near 4 MB. A diverged run stops within one
     chunk. Columns grow chunk by chunk, never from ``max_steps``.
     """
-    if max_steps < 0:
-        raise ValueError(f"run_episode: max_steps must be >= 0, got {max_steps!r}")
+    check_interval("run_episode.max_steps", max_steps, NON_NEGATIVE, number=Integral)
     if guidance is None:
         guidance = Guidance()
     agents = len(initial.positions)

@@ -313,8 +313,9 @@ def point_repulsion(
     The magnitude is the gradient of the potential
     0.5 * E_r * (1/l - 1/l_safe)^2, i.e. E_r * (1/l - 1/l_safe) / l^2,
     directed from the obstacle toward the agent and capped. An agent exactly
-    on (or inside) the obstacle has no defined direction; the cap-magnitude
-    push then follows ``fallback_direction`` (unit +x if absent) and the
+    on (or inside) the obstacle has no defined direction; the push then
+    follows ``fallback_direction`` (unit +x if absent), the cap for a positive
+    gain and zero for a zero gain, whose potential is zero everywhere. The
     caller is expected to log the safety violation.
     """
     position = np.asarray(position, dtype=float)
@@ -327,7 +328,7 @@ def point_repulsion(
         if direction is None or not np.any(direction):
             direction = np.array([1.0, 0.0])
         direction = direction / np.linalg.norm(direction)
-        return gains.repulsion_cap * direction
+        return (gains.repulsion_cap if gains.repulsion_gain > 0 else 0.0) * direction
     magnitude = gains.repulsion_gain * (1.0 / distance - 1.0 / gains.safety_radius_m) / distance**2
     magnitude = min(magnitude, gains.repulsion_cap)
     return magnitude * (offset / distance)
@@ -415,6 +416,18 @@ def displacement_rate(graph, epsilon: float) -> float:
     """
     eigenvalues = np.linalg.eigvalsh(laplacian(graph))
     return max((1.0 - epsilon * lam) ** 2 for lam in eigenvalues if lam > 1e-9)
+
+
+def consensus_rate(graph, gain: float) -> float:
+    """rho_c = max |1 - gain * mu| over the eigenvalues mu of the grounded Laplacian.
+
+    The grounded Laplacian is the follower block of L: the leader's row and column deleted. With the
+    leader pinned to the reference, the followers' errors v - v_ref evolve by I - gain * L_ff, so
+    their norm shrinks by at most rho_c per step.
+    """
+    leader = graph.leader_index
+    grounded = np.delete(np.delete(laplacian(graph), leader, axis=0), leader, axis=1)
+    return float(np.abs(1.0 - gain * np.linalg.eigvalsh(grounded)).max())
 
 
 def dense_topology(name: str, agent_count: int, leader_index: int) -> np.ndarray:

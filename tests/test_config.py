@@ -17,6 +17,7 @@ from formsense import (
 from formsense.benchmarks import BenchmarkSpec, sweep_rows
 from formsense.cli import cmd_simulate
 from formsense.config import SCHEMA, _BENCHMARK, build_config, canonical_yaml, hash_canonical
+from formsense.errors import _ends
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -300,9 +301,8 @@ BENCHMARK_KIND = {
 def interval_ends(kind, interval):
     """(value, accepted) at each finite end of ``interval`` and one step outside it."""
     cases = []
-    ends = interval[1:-1].split(",")
-    for end, closed, outward in ((ends[0], interval[0] == "[", -1), (ends[1], interval[-1] == "]", 1)):
-        end = float(end)
+    lo, hi = _ends(interval)
+    for end, closed, outward in ((lo, interval[0] == "[", -1), (hi, interval[-1] == "]", 1)):
         if math.isinf(end):
             continue
         if kind is int:

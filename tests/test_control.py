@@ -119,6 +119,9 @@ class TestCommGraph:
                 CommGraph(np.array([[0, 1, 2, 3], [1, 2, 3, 0]]), leader)
             assert str(raised.value) == f"CommGraph.leader_index: must lie in [0, 3], got {leader!r}"
 
+    def test_accepts_a_numpy_int_leader(self):
+        assert CommGraph.ring(4, leader_index=np.int64(3)).leader_index == 3
+
     def test_random_graphs_accepted(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -453,10 +456,11 @@ class TestRepulsion:
         out = repulsion(1e-6, np.array([1e-6, 0.0]), gains)
         assert np.linalg.norm(out) == pytest.approx(5.0, rel=1e-12)
 
-    def test_contact_pushes_at_the_cap_along_the_way_out(self):
-        gains = ControlGains(repulsion_cap=3.0)
-        out = repulsion(0.0, np.array([0.0, -1.0]), gains)
-        np.testing.assert_allclose(out, [0.0, -3.0], rtol=1e-12)
+    @pytest.mark.parametrize("gain, expected", [(5.0, [0.0, -3.0]), (0.0, [0.0, 0.0])])
+    def test_contact_gives_the_cap_along_the_normal_or_nothing(self, gain, expected):
+        """A zero gain is a zero potential, so it pushes nothing, in contact too."""
+        gains = ControlGains(repulsion_gain=gain, repulsion_cap=3.0)
+        np.testing.assert_array_equal(repulsion(0.0, np.array([0.0, -1.0]), gains), expected)
 
     @pytest.mark.parametrize("gain, expected", [(5.0, [-3.0, 0.0]), (0.0, [0.0, 0.0])])
     def test_underflowing_distance_gives_the_cap_or_nothing(self, target, gain, expected):

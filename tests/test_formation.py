@@ -141,6 +141,11 @@ class TestOptimalAzimuths:
         with pytest.raises(ValueError, match="at least 3 agents"):
             optimal_azimuths(count)
 
+    def test_a_fractional_count_is_rejected(self):
+        """6.5 agents once gave 7 azimuths spaced 2 pi / 6.5 apart."""
+        with pytest.raises(ValueError, match="a whole number of at least 3 agents, got 6.5"):
+            optimal_azimuths(6.5)
+
 
 class TestTheoreticalLowerBound:
     def test_closed_form(self, default_params):
@@ -158,6 +163,12 @@ class TestTheoreticalLowerBound:
     def test_too_few_agents(self, default_params):
         with pytest.raises(ValueError, match="at least 3 agents"):
             theoretical_lower_bound(default_params, 2)
+
+    def test_a_fractional_count_is_rejected(self, default_params):
+        """6.5 agents once gave a bound below the one of 6 agents."""
+        with pytest.raises(ValueError, match="a whole number of at least 3 agents, got 6.5"):
+            theoretical_lower_bound(default_params, 6.5)
+        assert theoretical_lower_bound(default_params, np.int64(6)) == theoretical_lower_bound(default_params, 6)
 
 
 class TestBuildFormation:

@@ -29,6 +29,7 @@ from formsense import (
 )
 from formsense.benchmarks import KINDS
 from formsense.config import _BENCHMARK, SCHEMA
+from formsense.errors import _ends
 from formsense.sensing import AgentPose
 from formsense.world import GUIDANCE_MODES
 from test_config import interval_ends
@@ -65,6 +66,10 @@ def declared(key):
 
 
 DECLARED = declared("interval")
+# The fields annotated int, as check_fields reads them: each lies in its interval only as an integer.
+INTS = [
+    (cls, name, interval) for cls, name, interval in DECLARED if cls.__dataclass_fields__[name].type in (int, "int")
+]
 SHAPES = declared("shape")
 CHOICES = declared("choices")
 # What an array message adds when an earlier field of the instance has bound the shape's letter.
@@ -80,12 +85,17 @@ def ids(x):
 
 
 def cases():
-    """(cls, field, interval, value, accepted): NaN, +-inf, and each finite end and one step outside it."""
+    """(cls, field, interval, value, accepted): NaN, +-inf, and each finite end and one step outside it.
+
+    An int field also rejects a fraction and an integral float.
+    """
     for cls, name, interval in DECLARED:
-        for value in (math.nan, math.inf, -math.inf):
+        integer, rejected = (cls, name, interval) in INTS, (math.nan, math.inf, -math.inf)
+        if integer:
+            rejected += (_ends(interval)[0] + 0.5, 3.0)
+        for value in rejected:
             yield cls, name, interval, value, False
-        kind = int if isinstance(cls.__dataclass_fields__[name].default, int) else float
-        for value, accepted in interval_ends(kind, interval):
+        for value, accepted in interval_ends(int if integer else float, interval):
             yield cls, name, interval, value, accepted
 
 
@@ -117,6 +127,13 @@ def test_interval_ends(cls, name, interval, value, accepted):
         with pytest.raises(ValueError) as info:
             cls(**kwargs)
         assert str(info.value) == f"{cls.__name__}.{name}: must lie in {interval}, got {value!r}"
+
+
+def test_the_int_fields():
+    """The annotation, a string under ``from __future__ import annotations``, marks an int field."""
+    assert {(cls.__name__, name) for cls, name, _ in INTS} == {
+        ("BenchmarkSpec", "samples"), ("SwarmState", "step_index"), ("World", "rng_seed"),
+    }
 
 
 def test_a_value_that_is_not_a_number_is_out_of_range():

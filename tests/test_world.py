@@ -27,6 +27,8 @@ from formsense import (
     TargetEstimate,
     World,
     build_formation,
+    check_stability,
+    consensus_velocity_step,
     crlb_of_positions,
     displacement_error,
     local_cost,
@@ -42,6 +44,7 @@ from formsense.world import GUIDANCE_MODES
 from oracle import (
     StepRecord,
     clearance_of_point,
+    consensus_rate,
     dense_min_pairwise_distance,
     displacement_rate,
     escape_direction,
@@ -50,6 +53,7 @@ from oracle import (
     rect_distance,
     stepwise_episode,
 )
+from test_control import random_connected_graph
 
 BOX = RectObstacle(x_min=-5.0, x_max=5.0, y_min=-5.0, y_max=5.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -274,11 +278,16 @@ class TestWorld:
         with pytest.raises(ValueError, match="rng_seed"):
             World(target=target, rng_seed=-1)
 
-    @pytest.mark.parametrize("seed", [1.5, 7.0, "7", None, 2**64])
+    @pytest.mark.parametrize("seed", [1.5, 7.0, "7", None, 2**64, np.int64(-1)])
     def test_rng_seed_must_be_a_64_bit_unsigned_int(self, target, seed):
-        message = f"World.rng_seed: must be an int in [0, 2^64), got {seed!r}"
+        message = f"World.rng_seed: must lie in [0, 2^64), got {seed!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             World(target=target, rng_seed=seed, motion_noise_std=0.1)
+
+    def test_the_largest_rng_seed_is_valid(self, target):
+        """Compared as a float, 2^64 - 1 would round up to 2^64, outside the interval."""
+        world = World(target=target, rng_seed=np.uint64(2**64 - 1), motion_noise_std=0.1)
+        assert world._motion_noise(0, (1, 3, 2)).shape == (1, 3, 2)
 
 
 class TestStep:
@@ -676,9 +685,12 @@ class TestRunEpisode:
         assert summary["steps"] == 0
         assert summary["final_crlb_m2"] is None
 
-    def test_negative_budget_rejected(self, default_params, target):
+    @pytest.mark.parametrize("budget", [-1, 2.5, 2.0])
+    def test_a_budget_that_is_not_a_count_is_rejected(self, default_params, target, budget):
+        """A fractional budget once failed with a TypeError from inside the step loop."""
         formation = build_formation(default_params, target, 3)
-        with pytest.raises(ValueError, match="max_steps"):
+        message = f"run_episode.max_steps: must lie in [0, inf), got {budget!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_episode(
                 embedding_state(formation),
                 World(target=target),
@@ -686,7 +698,7 @@ class TestRunEpisode:
                 DisplacementSet(formation.planar_positions),
                 ControlGains(),
                 default_params,
-                max_steps=-1,
+                max_steps=budget,
             )
 
     def test_noisy_episode_is_reproducible(self, default_params, target):
@@ -1173,3 +1185,49 @@ class TestConvergenceRate:
         assert k > 0
         rate = displacement_rate(config.graph, config.gains.epsilon)
         assert error[k] / error[k - 1] == pytest.approx(rate, abs=1e-4)
+
+    @pytest.mark.parametrize("topology", ["ring", "ring_with_leader", "complete"])
+    def test_consensus_ratio_is_the_grounded_laplacian_rate(self, topology):
+        graph, gains = getattr(CommGraph, topology)(6, leader_index=0), ControlGains(consensus_gain=0.1)
+        reference = np.array([1.0, -2.0])
+        velocities = np.random.default_rng(5).uniform(-3.0, 3.0, size=(6, 2))
+        errors = [np.linalg.norm(velocities[1:] - reference)]
+        while errors[-1] >= 1e-6 * errors[0] and len(errors) <= 1000:
+            velocities = consensus_velocity_step(velocities, graph, reference, gains)
+            errors.append(np.linalg.norm(velocities[1:] - reference))
+        assert errors[-1] < 1e-6 * errors[0]
+        assert errors[-1] / errors[-2] == pytest.approx(consensus_rate(graph, 0.1), abs=1e-4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+    def test_every_step_contracts_at_least_at_the_spectral_rate(self, seed, epsilon_share, gain_share):
+        """Both errors evolve by a symmetric linear map, so no step shrinks them by less than its rate."""
+        rng = np.random.default_rng(seed)
+        graph = random_connected_graph(rng)
+        gains = ControlGains(
+            epsilon=epsilon_share / (2.0 * graph.max_degree),
+            consensus_gain=gain_share / (graph.max_follower_degree + 1),
+        )
+        check_stability(gains, graph)
+        agents = graph.agent_count
+        world = World(target=TargetEstimate(np.array([80.0, 90.0])))
+        params = SensingParams(0.1, 1.0e3, 1.0e-5, 1.0, 1.0e-12, 20.0)
+        initial = SwarmState(rng.uniform(-50.0, 50.0, size=(agents, 2)), np.zeros((agents, 2)))
+        disp = DisplacementSet(rng.uniform(-20.0, 20.0, size=(agents, 2)))
+        error = run_episode(initial, world, graph, disp, gains, params, 200, 0.0).displacement_error_m2
+        error = np.concatenate(([displacement_error(initial.positions, graph, disp)], error))
+        self.assert_bounded(error, displacement_rate(graph, gains.epsilon))
+
+        followers = np.arange(agents) != graph.leader_index
+        velocities, consensus = rng.uniform(-3.0, 3.0, size=(agents, 2)), []
+        for _ in range(200):
+            consensus.append(np.linalg.norm(velocities[followers]))
+            velocities = consensus_velocity_step(velocities, graph, np.zeros(2), gains)
+        self.assert_bounded(np.array(consensus), consensus_rate(graph, gains.consensus_gain))
+
+    @staticmethod
+    def assert_bounded(error, rate):
+        """Every per-step ratio is at most ``rate``, up to round-off, while the error is above 1e-12 of its start."""
+        live = error[:-1] > 1e-12 * error[0]
+        ratios = error[1:][live] / error[:-1][live]
+        assert ratios.max(initial=0.0) <= rate * (1.0 + 1e-9), (ratios.max(), rate)
