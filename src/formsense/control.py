@@ -104,8 +104,7 @@ class CommGraph:
     @classmethod
     def ring(cls, agent_count: int, leader_index: int = 0) -> "CommGraph":
         """Plain cycle over all agents."""
-        if agent_count < 3:
-            raise ValueError(f"CommGraph.ring: need at least 3 agents, got {agent_count}")
+        check_interval("CommGraph.ring.agent_count", agent_count, "[3, inf)", number=Integral)
         return cls((np.arange(agent_count) + [[0], [1]]) % agent_count, leader_index)  # m to m + 1 mod M
 
     @classmethod
@@ -117,8 +116,7 @@ class CommGraph:
 
     @classmethod
     def complete(cls, agent_count: int, leader_index: int = 0) -> "CommGraph":
-        if agent_count < 2:
-            raise ValueError(f"CommGraph.complete: need at least 2 agents, got {agent_count}")
+        check_interval("CommGraph.complete.agent_count", agent_count, "[2, inf)", number=Integral)
         m, p = np.divmod(np.arange(agent_count**2), agent_count)
         return cls(np.stack((m[m != p], p[m != p])), leader_index)
 
@@ -362,15 +360,17 @@ def control_input(
     disp: DisplacementSet,
     gains: ControlGains,
     clearance: np.ndarray,
-    way_out: np.ndarray,
+    way_out: np.ndarray | None,
 ) -> np.ndarray:
     """Total per-agent control of (M, 2) positions: displacement tracking at ``scale`` plus repulsion.
 
     ``clearance`` (M,) and ``way_out`` (M, 2) describe each agent's closest
     obstacle as :meth:`formsense.world.World.min_clearance` returns them.
-    Repulsion is evaluated only for the agents inside the safety radius.
+    Repulsion is evaluated only for the agents inside the safety radius, so
+    ``way_out`` is read only in their rows; None means no agent is inside it.
     """
     u = displacement_control(positions, graph, disp, gains, scale)
-    for m in np.flatnonzero(clearance < gains.safety_radius_m):
-        u[m] += repulsion(clearance[m], way_out[m], gains)
+    if way_out is not None:
+        for m in np.flatnonzero(clearance < gains.safety_radius_m):
+            u[m] += repulsion(clearance[m], way_out[m], gains)
     return u

@@ -41,11 +41,13 @@ def check_interval(
     """Raise ``error("{name}: must lie in {interval}, got {value!r}")`` unless ``value`` lies in it.
 
     A bracket of ``interval``, as in "(0, 1]", includes its end; NaN lies in none. ``value`` must be
-    a ``number``: Real, or Integral for an int field, compared as a Python int, so exactly.
+    a ``number``: Real, or Integral for an int field, compared as a Python int, so exactly. A bool
+    is neither.
     """
     lo, hi = _ends(interval)
-    x = int(value) if number is Integral and isinstance(value, number) else value
-    above = isinstance(value, number) and (lo < x if interval[0] == "(" else lo <= x)
+    is_number = isinstance(value, number) and not isinstance(value, bool)
+    x = int(value) if is_number and number is Integral else value
+    above = is_number and (lo < x if interval[0] == "(" else lo <= x)
     if not (above and (x < hi if interval[-1] == ")" else x <= hi)):
         raise error(f"{name}: must lie in {interval}, got {value!r}")
 

@@ -73,15 +73,15 @@ class World:
     # control loop, and near 1e300 s the first step overflows.
     dt: float = field(default=0.1, metadata={"interval": "(0, 1000]"})
     rng_seed: int = field(default=0, metadata={"interval": "[0, 2^64)"})  # the Philox key
-    # Rectangle bounds as rows x_min, x_max, y_min, y_max over the K obstacles.
+    # Rectangle corners (2, 2, K) over the K obstacles: low (x_min, y_min), then high (x_max, y_max).
     _bounds: np.ndarray = field(init=False, repr=False)
     _noise: np.random.Generator = field(init=False, repr=False)  # Philox keyed by rng_seed
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         check_fields(self)
-        bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 4)
-        object.__setattr__(self, "_bounds", bounds.T)
+        bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 2, 2)
+        object.__setattr__(self, "_bounds", bounds.transpose(2, 1, 0).copy())
         object.__setattr__(self, "_noise", np.random.Generator(np.random.Philox(key=self.rng_seed)))
 
     def _motion_noise(self, first_step: int, shape: tuple[int, int, int]) -> np.ndarray:
@@ -108,7 +108,7 @@ class World:
             noise[i] = self._noise.normal(0.0, self.motion_noise_std, shape[1:])
         return noise
 
-    def min_clearance(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def min_clearance(self, points: np.ndarray, within: float = math.inf) -> tuple[np.ndarray, np.ndarray | None]:
         """Clearance (...) and way out (..., 2) of points (..., 2): what repulsion reads.
 
         One (N, K) table of the hypot of the per-axis gaps max(x_min - x, x - x_max, 0) of all
@@ -116,33 +116,44 @@ class World:
         every rectangle the way out is the point's offset from its nearest point of that
         rectangle, so its hypot is the clearance bit for bit. In contact it is the outward unit
         normal of that rectangle's nearest face (x_min, x_max, y_min, y_max, the first on ties).
-        Without obstacles the clearance is inf and the way out NaN.
+        Only the rows whose clearance is below ``within`` (all by default) get a way out, the
+        others NaN; with a finite ``within`` and no such row it is None, and nothing is looked up.
+        Without obstacles the clearance is inf.
         """
         points = np.asarray(points, dtype=float)
         shape = points.shape[:-1]
         if not self.obstacles:
-            return np.full(shape, math.inf), np.full(points.shape, math.nan)
+            return np.full(shape, math.inf), np.full(points.shape, math.nan) if within == math.inf else None
         p = points.reshape(-1, 2)
-        x, y, (x_min, x_max, y_min, y_max) = p[:, :1], p[:, 1:], self._bounds
-        gap_x = np.maximum(np.maximum(x_min - x, x - x_max), 0.0)
-        dist = np.hypot(gap_x, np.maximum(np.maximum(y_min - y, y - y_max), 0.0))
+        (low, high), column = self._bounds, p[:, :, None]  # (2, K) corners by axis; (N, 2, 1) points
+        gaps = np.maximum(np.maximum(low - column, column - high), 0.0)
+        dist = np.hypot(gaps[:, 0], gaps[:, 1])
         closest = dist.argmin(axis=1)
-        clearance = dist[np.arange(len(p)), closest]
-        low, high = self._bounds[::2, closest].T, self._bounds[1::2, closest].T  # (N, 2) corners
-        way_out = p - np.minimum(np.maximum(p, low), high)
-        contact = np.flatnonzero(clearance <= 0.0)
+        rows = np.arange(len(p))
+        clearance = dist[rows, closest]
+        if within < math.inf:
+            rows = (clearance < within).nonzero()[0]
+            if not rows.size:
+                return clearance.reshape(shape), None
+        way_out, p, closest = np.full(p.shape, math.nan), p[rows], closest[rows]
+        low, high = low[:, closest].T, high[:, closest].T  # (n, 2) corners of the looked-up rows
+        way_out[rows] = p - np.minimum(np.maximum(p, low), high)
+        contact = np.flatnonzero(clearance[rows] <= 0.0)
         if contact.size:
             inside = p[contact]
             gaps = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
-            way_out[contact] = _FACE_NORMALS[gaps.argmin(axis=1)]
+            way_out[rows[contact]] = _FACE_NORMALS[gaps.argmin(axis=1)]
         return clearance.reshape(shape), way_out.reshape(points.shape)
 
 
-def _surroundings(world: World, positions: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-    """Clearance (M,) and ways out (M, 2) of (M, 2) positions, and their centroid's clearance."""
+def _surroundings(world: World, positions: np.ndarray, within: float) -> tuple[tuple, float]:
+    """Clearance (M,) and ways out (M, 2) of (M, 2) positions, and their centroid's clearance.
+
+    The ways out are those of :meth:`World.min_clearance` below ``within``: None if none is.
+    """
     centroid = positions.sum(axis=0, keepdims=True) / len(positions)  # the double of mean
-    clearance, way_out = world.min_clearance(np.concatenate((positions, centroid)))
-    return (clearance[:-1], way_out[:-1]), float(clearance[-1])
+    clearance, way_out = world.min_clearance(np.concatenate((positions, centroid)), within)
+    return (clearance[:-1], way_out if way_out is None else way_out[:-1]), float(clearance[-1])
 
 
 def _advance(
@@ -166,7 +177,7 @@ def _advance(
     velocities = consensus_velocity_step(velocities, graph, target_velocity, gains)
     u = control_input(positions, scale, graph, disp, gains, *around)
     positions = positions + u + velocities * world.dt + noise
-    around, centroid_clearance = _surroundings(world, positions)
+    around, centroid_clearance = _surroundings(world, positions, gains.safety_radius_m)
     scale = scale_factor(disp.nominal_diameter_m, centroid_clearance, gains, scale)
     return positions, velocities, scale, u, around
 
@@ -196,7 +207,7 @@ def step(
     positions, velocities, scale, _, _ = _advance(
         state.positions, state.velocity_estimates, state.scale,
         world._motion_noise(state.step_index, (1, *state.positions.shape))[0],
-        _surroundings(world, state.positions)[0], world, graph, disp, gains, velocity,
+        _surroundings(world, state.positions, gains.safety_radius_m)[0], world, graph, disp, gains, velocity,
     )
     return SwarmState(positions, velocities, scale, state.step_index + 1)
 
@@ -273,7 +284,7 @@ class Guidance:
         if self.mode == "constant":
             return self.velocity_mps
         v = self.gain_per_s * self._to_goal(positions, graph, disp)
-        speed = float(np.linalg.norm(v))
+        speed = math.sqrt(v.dot(v))  # np.linalg.norm's double, without its dispatch
         if speed > self.max_speed_mps:
             v = v * (self.max_speed_mps / speed)
         return v
@@ -438,7 +449,7 @@ def run_episode(
     first_step, converged = 0, False
     # Overflow shows up as a non-finite metric, which the chunk's divergence check names.
     with np.errstate(over="ignore", invalid="ignore"):
-        around = _surroundings(world, positions)[0]
+        around = _surroundings(world, positions, gains.safety_radius_m)[0]
         while first_step < max_steps and not converged:
             size = min(chunk_steps, max_steps - first_step)
             q, g = np.empty((size + 1, agents, 2)), np.empty((size, agents, 2))  # positions, velocities

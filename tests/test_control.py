@@ -114,10 +114,25 @@ class TestCommGraph:
     def test_rejects_bad_leader_index(self):
         with pytest.raises(ValueError, match="leader_index"):
             CommGraph.ring(4, leader_index=4)
-        for leader in (1.5, 1.0, -1, "1"):
+        for leader in (1.5, 1.0, -1, "1", True):
             with pytest.raises(ValueError) as raised:
                 CommGraph(np.array([[0, 1, 2, 3], [1, 2, 3, 0]]), leader)
             assert str(raised.value) == f"CommGraph.leader_index: must lie in [0, 3], got {leader!r}"
+
+    @pytest.mark.parametrize(
+        "make, count, interval",
+        [
+            (CommGraph.ring, 6.5, "[3, inf)"), (CommGraph.ring_with_leader, 6.5, "[3, inf)"),
+            (CommGraph.complete, 4.5, "[2, inf)"), (CommGraph.ring, True, "[3, inf)"),
+            (CommGraph.ring, 2, "[3, inf)"), (CommGraph.complete, 1, "[2, inf)"),
+        ],
+    )
+    def test_rejects_an_agent_count_that_is_not_a_count(self, make, count, interval):
+        """A fractional count once failed with a message about the links that did not name it."""
+        name = "complete" if make == CommGraph.complete else "ring"  # ring_with_leader builds a ring
+        with pytest.raises(ValueError) as raised:
+            make(count)
+        assert str(raised.value) == f"CommGraph.{name}.agent_count: must lie in {interval}, got {count!r}"
 
     def test_accepts_a_numpy_int_leader(self):
         assert CommGraph.ring(4, leader_index=np.int64(3)).leader_index == 3

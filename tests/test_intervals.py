@@ -85,12 +85,14 @@ def ids(x):
 
 
 def cases():
-    """(cls, field, interval, value, accepted): NaN, +-inf, and each finite end and one step outside it.
+    """(cls, field, interval, value, accepted): NaN, +-inf, a bool, and each finite end and one step
+    outside it.
 
-    An int field also rejects a fraction and an integral float.
+    A bool is not a number here, though Python counts True as the int 1. An int field also rejects
+    a fraction and an integral float.
     """
     for cls, name, interval in DECLARED:
-        integer, rejected = (cls, name, interval) in INTS, (math.nan, math.inf, -math.inf)
+        integer, rejected = (cls, name, interval) in INTS, (math.nan, math.inf, -math.inf, True, False)
         if integer:
             rejected += (_ends(interval)[0] + 0.5, 3.0)
         for value in rejected:

@@ -40,6 +40,7 @@ from formsense import (
 )
 from formsense import world as world_module
 from formsense.config import build_config
+from formsense.control import control_input
 from formsense.world import GUIDANCE_MODES
 from oracle import (
     StepRecord,
@@ -196,6 +197,56 @@ class TestMinClearanceOracle:
             _, nearest, outward = clearance_of_point(obstacles, point)
             want = point_repulsion(point, nearest, gains, fallback_direction=outward)
             assert repulsion(distance, way_out, gains).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(rectangles(), max_size=6),
+        st.lists(st.tuples(GRID | st.floats(-15.0, 15.0), GRID), min_size=1, max_size=20),
+        GRID.map(abs) | st.floats(0.0, 20.0),  # on the grid, a radius can equal a clearance
+    )
+    def test_a_radius_looks_up_the_rows_below_it_only(self, obstacles, points, within):
+        """Every clearance is the default's double, and so is the way out of every row below ``within``."""
+        points = np.array(points, dtype=float)
+        every_clearance, every_way_out = clearance(tuple(obstacles), points)
+        got_clearance, got_way_out = World(
+            target=TargetEstimate(np.zeros(2)), obstacles=tuple(obstacles)
+        ).min_clearance(points, within)
+        assert got_clearance.tobytes() == every_clearance.tobytes()
+        below = every_clearance < within
+        if not below.any():
+            assert got_way_out is None
+        else:
+            assert got_way_out[below].tobytes() == every_way_out[below].tobytes()
+            assert np.isnan(got_way_out[~below]).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(rectangles(), max_size=6),
+        st.lists(st.tuples(GRID, GRID), min_size=3, max_size=12),
+        st.integers(1, 24).map(lambda i: i / 2.0) | st.floats(0.01, 20.0),
+    )
+    def test_control_input_reads_no_row_at_or_beyond_the_radius(self, obstacles, points, radius):
+        """The step's query gives the control the doubles a query of every row gives it."""
+
+        class RowsInside:
+            """A way out whose rows at or beyond the radius fail the test when read."""
+
+            def __init__(self, way_out, inside):
+                self.way_out, self.inside = way_out, inside
+
+            def __getitem__(self, row):
+                assert self.inside[row], f"row {row} is read, at or beyond the radius"
+                return self.way_out[row]
+
+        points = np.array(points, dtype=float)
+        agents = len(points)
+        graph, gains = CommGraph.ring(agents), ControlGains(safety_radius_m=radius)
+        disp = DisplacementSet(np.c_[np.cos(np.arange(agents)), np.sin(np.arange(agents))])
+        world = World(target=TargetEstimate(np.zeros(2)), obstacles=tuple(obstacles))
+        want = control_input(points, 1.0, graph, disp, gains, *world.min_clearance(points))
+        near, way_out = world.min_clearance(points, radius)
+        guarded = None if way_out is None else RowsInside(way_out, near < radius)
+        assert control_input(points, 1.0, graph, disp, gains, near, guarded).tobytes() == want.tobytes()
 
     def test_ties_go_to_the_first_rectangle(self):
         left = RectObstacle(-3.0, -1.0, -1.0, 1.0)
@@ -685,7 +736,7 @@ class TestRunEpisode:
         assert summary["steps"] == 0
         assert summary["final_crlb_m2"] is None
 
-    @pytest.mark.parametrize("budget", [-1, 2.5, 2.0])
+    @pytest.mark.parametrize("budget", [-1, 2.5, 2.0, True])
     def test_a_budget_that_is_not_a_count_is_rejected(self, default_params, target, budget):
         """A fractional budget once failed with a TypeError from inside the step loop."""
         formation = build_formation(default_params, target, 3)
@@ -1185,6 +1236,23 @@ class TestConvergenceRate:
         assert k > 0
         rate = displacement_rate(config.graph, config.gains.epsilon)
         assert error[k] / error[k - 1] == pytest.approx(rate, abs=1e-4)
+
+    @pytest.mark.parametrize("topology", ["ring", "ring_with_leader", "complete"])
+    def test_a_run_settles_when_the_rate_says(self, topology):
+        """From a step where the slow mode dominates, the error falls to the tolerance at rate rho^2."""
+        config = build_config({"graph": {"topology": topology}, "gains": {"consensus_gain": 0.1}}, noise_free=True)
+        run = functools.partial(
+            run_episode, config.initial_state(), config.world, config.graph, config.displacement_set(),
+            config.gains, config.params, 3000, guidance=config.guidance,
+        )
+        error = run(stop_tolerance=0.0).displacement_error_m2
+        k = int(np.argmax(error < 1e-6 * error[0]))
+        tolerance = 1e-3 * error[k]
+        trace = run(stop_tolerance=tolerance)
+        assert trace.converged
+        rate = displacement_rate(config.graph, config.gains.epsilon)
+        predicted = math.ceil(math.log(tolerance / error[k]) / math.log(rate)) + k
+        assert abs(trace.steps - predicted) <= 2, (trace.steps, predicted)
 
     @pytest.mark.parametrize("topology", ["ring", "ring_with_leader", "complete"])
     def test_consensus_ratio_is_the_grounded_laplacian_rate(self, topology):
