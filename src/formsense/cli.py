@@ -39,12 +39,6 @@ def _json_value(x):
     return x
 
 
-def _csv_value(x) -> str:
-    if x is None:
-        return ""
-    return repr(x) if isinstance(x, float) else str(x)
-
-
 def _tags(config: RunConfig) -> dict:
     return {"config_hash": config.config_hash, "seed": config.seed}
 
@@ -60,7 +54,7 @@ def _write_csv(path: Path, header: list[str], rows, config: RunConfig) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*header, *tags])
-        writer.writerows([*map(_csv_value, row), *tags.values()] for row in rows)
+        writer.writerows([*row, *tags.values()] for row in rows)  # None as an empty field, a float by repr
     return path
 
 

@@ -39,6 +39,12 @@ _DEPLOY_STREAM = 2**40
 _DEFAULT_SEED = 12345
 _DEFAULT_OUTPUT_DIR = "out"
 
+# PyYAML's C loader and dumper (libyaml) where the installed PyYAML has them.
+_WITH_LIBYAML = yaml.__with_libyaml__
+# libyaml composes nested collections by recursion in C, which a deep enough
+# text overflows; deeper text goes to the pure-Python loader. Shipped configs nest 4 deep.
+_LIBYAML_MAX_DEPTH = 64
+
 # Field types besides float and int: a 2-vector, a nonempty list of floats or
 # a raw list that section code checks. A tuple of strings lists the values.
 _VEC2 = "vec2"
@@ -383,6 +389,8 @@ def load_config(
     """Parse and validate a YAML config file, applying CLI-level overrides.
 
     ``seed`` and ``noise_free`` change the effective configuration and its hash.
+    The text is parsed with libyaml where PyYAML has it; an error is named by the
+    pure-Python loader's problem, line and column (see :func:`_parse_yaml`).
     """
     path = Path(path)
     try:
@@ -390,7 +398,7 @@ def load_config(
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = _parse_yaml(text)
     except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -421,9 +429,43 @@ def build_config(raw: dict, seed: Optional[int] = None, noise_free: bool = False
     return RunConfig(given, Path(output_dir))
 
 
+def _parse_yaml(text: str) -> Any:
+    """The document in ``text``, read by libyaml where PyYAML has it.
+
+    Text nested deeper than :data:`_LIBYAML_MAX_DEPTH`, and text libyaml rejects, goes
+    to the pure-Python loader: it raises the error a config error names (a
+    ``RecursionError`` when too deep), or reads what libyaml could not.
+    """
+    if _WITH_LIBYAML:
+        try:
+            if _depth_within(text, _LIBYAML_MAX_DEPTH):
+                return yaml.load(text, Loader=yaml.CSafeLoader)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
+
+
+def _depth_within(text: str, limit: int) -> bool:
+    """Whether no collection of ``text`` is nested deeper than ``limit``; libyaml's parser is iterative."""
+    depth = 0
+    for event in yaml.parse(text, Loader=yaml.CSafeLoader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > limit:
+                return False
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return True
+
+
 def canonical_yaml(canonical: dict) -> str:
-    """Stable text form of a resolved config; equal configs give equal text."""
-    return yaml.safe_dump(canonical, sort_keys=True, default_flow_style=False)
+    """Stable text form of a resolved config; equal configs give equal text.
+
+    libyaml's emitter writes it where PyYAML has it, the pure-Python one otherwise;
+    both write the same text for a canonical form, so the hash does not depend on it.
+    """
+    dumper = yaml.CSafeDumper if _WITH_LIBYAML else yaml.SafeDumper
+    return yaml.dump(canonical, Dumper=dumper, sort_keys=True, default_flow_style=False)
 
 
 def hash_canonical(canonical: dict) -> str:

@@ -284,7 +284,7 @@ class Guidance:
         if self.mode == "constant":
             return self.velocity_mps
         v = self.gain_per_s * self._to_goal(positions, graph, disp)
-        speed = math.sqrt(v.dot(v))  # np.linalg.norm's double, without its dispatch
+        speed = math.sqrt(v[0] * v[0] + v[1] * v[1])  # not v.dot(v): BLAS kernels round it differently
         if speed > self.max_speed_mps:
             v = v * (self.max_speed_mps / speed)
         return v

@@ -15,6 +15,7 @@ import yaml
 
 import formsense
 from formsense import cli
+from formsense import config as config_module
 from formsense.cli import main
 from formsense.config import build_config
 
@@ -34,6 +35,13 @@ def write_config(tmp_path, name="run.yaml", **sections):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
     return path, raw
+
+
+def child_env(**extra) -> dict:
+    """The environment of a child process that imports this formsense, plus ``extra``."""
+    src = str(Path(formsense.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def read_rows(path):
@@ -220,6 +228,35 @@ class TestSweep:
         assert line[1:3] == ["line", ""] and line[4] == "0"
 
 
+# Simulates the two goal-mode configs and names the OpenBLAS kernel that ran (None if not found).
+GOAL_MODE_DIGESTS = f"""
+import contextlib, ctypes, glob, hashlib, io, json, os, tempfile
+from pathlib import Path
+import numpy
+from formsense.cli import main
+
+def openblas_kernel():
+    numpy_dir = os.path.dirname(numpy.__file__)
+    for path in glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "*openblas*")) + glob.glob(
+        os.path.join(numpy_dir, ".dylibs", "*openblas*")
+    ):
+        library = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(library, name):
+                getattr(library, name).restype = ctypes.c_char_p
+                return getattr(library, name)().decode()
+    return None
+
+kernel, digests = openblas_kernel(), {{}}
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    for name in ("baseline", "corridor"):
+        config = os.path.join({str(Path(__file__).resolve().parent.parent / "configs")!r}, name + ".yaml")
+        assert main(["simulate", "--config", config, "--out", os.path.join(out, name)]) == 0
+        for path in sorted(Path(out, name).iterdir()):
+            digests[name + "/" + path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+"""
+
+
 class TestGoldenArtifacts:
     def test_shipped_configs_write_the_golden_bytes(self, tmp_path):
         """optimize, simulate and sweep on the three shipped configs write the recorded bytes.
@@ -244,6 +281,30 @@ class TestGoldenArtifacts:
         }
         moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
         assert not moved, f"artifacts differ from golden_artifacts.sha256: {moved}"
+
+    def test_goal_mode_traces_do_not_depend_on_the_blas_kernel(self):
+        """A child on OpenBLAS's Haswell kernel writes the simulate bytes of this process's kernel."""
+        namespace = {}
+        exec(GOAL_MODE_DIGESTS, namespace)
+        child = subprocess.run(
+            [sys.executable, "-c", GOAL_MODE_DIGESTS + "\nprint(json.dumps([kernel, digests]))"],
+            env=child_env(OPENBLAS_CORETYPE="Haswell"), capture_output=True, text=True, timeout=300, check=True,
+        )
+        kernel, digests = json.loads(child.stdout.splitlines()[-1])
+        if kernel != "Haswell":
+            pytest.skip(f"OpenBLAS did not switch to its Haswell kernel: it reports {kernel}")
+        assert digests == namespace["digests"], f"default kernel {namespace['kernel']}"
+
+
+INVALID_YAML = [
+    ("seed: [1", "expected ',' or ']', but got '<stream end>' at line 1, column 9"),
+    ("sensing:\n  altitude_m: 20.0\n kappa: 1.0\n",
+     "expected <block end>, but found '<block mapping start>' at line 3, column 2"),
+    ("sensing:\n\taltitude_m: 20.0\n", "found character '\\t' that cannot start any token at line 2, column 1"),
+    ("seed: 7\noutput_dir: a\x07b\n", "unacceptable character #x0007: special characters are not allowed"),
+    ("seed: \x00", "unacceptable character #x0000: special characters are not allowed"),
+]
+INVALID_YAML_IDS = ["unclosed flow sequence", "bad nested mapping", "tab indent", "bell", "nul"]
 
 
 class TestErrorPaths:
@@ -386,26 +447,19 @@ class TestErrorPaths:
         assert err.startswith(f"config error: config: cannot read {cfg}: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "text, problem",
-        [
-            ("seed: [1", "expected ',' or ']', but got '<stream end>' at line 1, column 9"),
-            ("sensing:\n  altitude_m: 20.0\n kappa: 1.0\n",
-             "expected <block end>, but found '<block mapping start>' at line 3, column 2"),
-            ("sensing:\n\taltitude_m: 20.0\n",
-             "found character '\\t' that cannot start any token at line 2, column 1"),
-            ("seed: 7\noutput_dir: a\x07b\n",
-             "unacceptable character #x0007: special characters are not allowed"),
-            ("seed: \x00", "unacceptable character #x0000: special characters are not allowed"),
-        ],
-        ids=["unclosed flow sequence", "bad nested mapping", "tab indent", "bell", "nul"],
-    )
+    @pytest.mark.parametrize("text, problem", INVALID_YAML, ids=INVALID_YAML_IDS)
     def test_invalid_yaml_is_one_line(self, tmp_path, capsys, text, problem):
+        """libyaml finds each error; the pure-Python loader names it."""
         cfg = tmp_path / "run.yaml"
         cfg.write_text(text)
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: config: invalid YAML in {cfg}: {problem}\n"
+
+    @pytest.mark.parametrize("text, problem", INVALID_YAML, ids=INVALID_YAML_IDS)
+    def test_invalid_yaml_is_one_line_without_libyaml(self, tmp_path, capsys, monkeypatch, text, problem):
+        monkeypatch.setattr(config_module, "_WITH_LIBYAML", False)
+        self.test_invalid_yaml_is_one_line(tmp_path, capsys, text, problem)
 
     @pytest.mark.parametrize(
         "sections, line",
@@ -433,6 +487,20 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config: invalid YAML in {cfg}: ")
         assert err.count("\n") == 1
+
+    def test_deeply_nested_yaml_without_libyaml(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(config_module, "_WITH_LIBYAML", False)
+        self.test_deeply_nested_yaml(tmp_path, capsys)
+
+    def test_yaml_too_deep_for_libyaml_exits_2(self, tmp_path):
+        """libyaml's composer recurses in C: 100 000 brackets would end the process by a signal."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("seed: " + "[" * 100_000 + "1" + "]" * 100_000 + "\n")
+        command = [sys.executable, "-m", "formsense", "optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        proc = subprocess.run(command, capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 2  # a signal would read negative
+        assert proc.stderr.startswith(f"config error: config: invalid YAML in {cfg}: ")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["load_config", "run_episode"])
     @pytest.mark.parametrize(
@@ -522,9 +590,7 @@ class TestConsoleScript:
         if exe is not None:
             command, env = [exe], None
         else:  # not installed: run the imported package as a module
-            src = str(Path(formsense.__file__).resolve().parent.parent)
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            command, env = [sys.executable, "-m", "formsense"], {**os.environ, "PYTHONPATH": path}
+            command, env = [sys.executable, "-m", "formsense"], child_env()
         proc = subprocess.run(
             [*command, "--help"], capture_output=True, text=True, timeout=60, env=env
         )

@@ -10,13 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from formsense import config as config_module
 from formsense import (
     ConfigError, Guidance, RunConfig, SensingParams, TargetEstimate, dbm_to_watts, load_config,
 )
 from formsense.benchmarks import BenchmarkSpec, sweep_rows
 from formsense.cli import cmd_simulate
-from formsense.config import SCHEMA, _BENCHMARK, build_config, canonical_yaml, hash_canonical
+from formsense.config import SCHEMA, _BENCHMARK, _parse_yaml, build_config, canonical_yaml, hash_canonical
 from formsense.errors import _ends
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -650,3 +653,98 @@ class TestReplace:
     def test_canonical_names_no_output_dir(self):
         with pytest.raises(ConfigError, match=r"config: unknown field\(s\) \['output_dir'\]"):
             RunConfig(base_raw(), Path("out"))
+
+
+# The strings a canonical form holds: the values of every field with choices.
+CHOICES = sorted({c for table in (*SCHEMA.values(), _BENCHMARK) for kind, *_ in table.values()
+                  if isinstance(kind, tuple) for c in kind})
+KEYS = sorted({*SCHEMA, "seed", *(key for table in (*SCHEMA.values(), _BENCHMARK) for key in table)})
+
+
+def ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# Floats at the ends of the doubles and where repr switches to an exponent (1e16).
+EDGE_FLOATS = st.builds(
+    ulps_from, st.sampled_from([5e-324, -5e-324, 1e16, -1e16, 1.7976931348623157e308]), st.integers(-3, 3)
+)
+CANONICAL_VALUES = st.recursive(
+    st.floats() | EDGE_FLOATS | st.integers(-(2**63), 2**63) | st.sampled_from(CHOICES),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=30,
+)
+SHIPPED_TEXTS = [(ROOT / "configs" / f"{name}.yaml").read_text() for name in ("baseline", "corridor", "sweep")]
+# Characters of YAML's syntax, and the ones the two loaders are known to read differently.
+MUTATION_CHARS = "\t \n:-?[]{},#'\"!&*|>%@`.0123456789eE+x\ufeff\u00a0"
+
+
+@st.composite
+def mutated_configs(draw) -> str:
+    """A shipped config with 1 to 4 characters inserted, deleted or replaced."""
+    text = draw(st.sampled_from(SHIPPED_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        at, char = draw(st.integers(0, len(text))), draw(st.sampled_from(MUTATION_CHARS))
+        text = draw(st.sampled_from([text[:at] + char + text[at:], text[:at] + text[at + 1:],
+                                     text[:at] + char + text[at + 1:]]))
+    return text
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+class TestLibyaml:
+    """Configs are read and hashed with libyaml; the pure-Python loader names errors and reads deep text."""
+
+    @pytest.mark.parametrize("name, plain", [("baseline", "55f2c3529896"), ("corridor", "8435aa53b607"),
+                                             ("sweep", "d77a956e2490")])
+    def test_shipped_configs_never_reach_the_pure_python_loader(self, monkeypatch, name, plain):
+        """A silent fallback would keep every other test passing and lose the speed."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python loader or emitter ran although libyaml is present")
+
+        for attribute in ("safe_load", "SafeLoader", "safe_dump", "SafeDumper"):
+            monkeypatch.setattr(yaml, attribute, refuse)
+        assert load_config(ROOT / "configs" / f"{name}.yaml").config_hash == plain
+
+    @settings(max_examples=300, deadline=None)
+    @given(canonical=st.dictionaries(st.sampled_from(KEYS), CANONICAL_VALUES, min_size=1, max_size=6))
+    def test_both_emitters_write_the_same_text(self, canonical):
+        """``config_hash`` never depends on which emitter ran."""
+        libyaml_text = canonical_yaml(canonical)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(config_module, "_WITH_LIBYAML", False)
+            assert canonical_yaml(canonical) == libyaml_text
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mutated_configs())
+    def test_every_valid_config_reads_as_the_python_loader_reads_it(self, text):
+        try:
+            expected = yaml.safe_load(text)
+            if not isinstance(expected, dict):
+                return
+            build_config(expected)
+        except (yaml.YAMLError, ValueError):  # ConfigError, or a date like 2020-13-45 in either loader
+            return
+        assert repr(_parse_yaml(text)) == repr(expected)  # repr tells 1 from 1.0 and True
+
+    def test_text_deeper_than_the_cap_goes_to_the_pure_python_loader(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(yaml, "safe_load", seen.append)
+        cap = config_module._LIBYAML_MAX_DEPTH
+        nested = []
+        for _ in range(cap - 1):
+            nested = [nested]
+        assert _parse_yaml("[" * cap + "]" * cap) == nested and seen == []
+        deeper = "[" * (cap + 1) + "]" * (cap + 1)
+        assert _parse_yaml(deeper) is None and seen == [deeper]
+
+    def test_a_tab_separator_loads(self, tmp_path):
+        """libyaml reads a tab after a key as the YAML spec allows; the pure-Python scanner rejects it."""
+        path = tmp_path / "run.yaml"
+        path.write_text("seed:\t7\n")
+        assert load_config(path).seed == 7
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(config_module, "_WITH_LIBYAML", False)
+            with pytest.raises(ConfigError, match="found character '\\\\t' that cannot start any token"):
+                load_config(path)
