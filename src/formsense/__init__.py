@@ -7,7 +7,7 @@ comparison formations (:mod:`benchmarks`), and config/CLI plumbing
 (:mod:`config`, :mod:`cli`).
 """
 
-from .benchmarks import BenchmarkSpec, benchmark_positions, formation_crlb, sweep_rows
+from .benchmarks import BenchmarkSpec, benchmark_positions, sweep_rows
 from .config import RunConfig, dbm_to_watts, load_config
 from .control import (
     CommGraph,
@@ -37,7 +37,6 @@ from .world import (
     Guidance,
     RectObstacle,
     World,
-    crlb_of_positions,
     min_pairwise_distance,
     run_episode,
     step,
@@ -66,12 +65,10 @@ __all__ = [
     "consensus_velocity_step",
     "control_input",
     "crlb",
-    "crlb_of_positions",
     "dbm_to_watts",
     "displacement_control",
     "displacement_error",
     "elevation_weight",
-    "formation_crlb",
     "load_config",
     "local_cost",
     "min_pairwise_distance",

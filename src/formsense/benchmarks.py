@@ -110,10 +110,11 @@ def sweep_rows(
 ) -> list[dict]:
     """CRLB of every benchmark at every altitude, with the analytic bound.
 
-    random_cloud rows are Monte Carlo averages over one batch of draws; the
-    returned ``samples`` field records how many draws contributed. A
-    formation without a bound (NaN from :func:`sensing.crlb`) contributes
-    nothing: a row none contributes to has ``crlb_m2`` None and ``samples`` 0.
+    At each altitude the formations of every spec, one per kind and ``samples``
+    draws of random_cloud, are stacked and scored by one batched CRLB call. A row
+    is the mean over its formations that have a bound (NaN from
+    :func:`sensing.crlb` contributes nothing) and ``samples`` counts them: a row
+    none contributes to has ``crlb_m2`` None and ``samples`` 0.
     """
     if not altitudes_m:
         raise ValueError("sweep_rows: need at least one altitude")
@@ -125,27 +126,25 @@ def sweep_rows(
         ring = None
         if needs_ring:  # one build serves the optimal and clustered_polygon rows
             ring = build_formation(params, target, agent_count).planar_positions
+        stack = []
         for spec in specs:
+            rng, draws = None, None
             if spec.kind == "random_cloud":
-                rng = np.random.default_rng([seed, _SWEEP_STREAM, alt_index])
-                draws = benchmark_positions(
-                    spec, agent_count, target, params, rng, draws=spec.samples
-                )
-                values = formation_crlb(draws, target, params)
-                values = values[~np.isnan(values)]
-                crlb_m2 = float(np.mean(values)) if values.size else None
-                samples = int(values.size)
-            else:
-                positions = benchmark_positions(spec, agent_count, target, params, ring=ring)
-                value = formation_crlb(positions, target, params)
-                crlb_m2, samples = (None, 0) if math.isnan(value) else (value, 1)
+                rng, draws = np.random.default_rng([seed, _SWEEP_STREAM, alt_index]), spec.samples
+            positions = benchmark_positions(spec, agent_count, target, params, rng, ring, draws)
+            stack.append(positions.reshape(-1, agent_count, 2))
+        if not stack:  # no specs, no rows
+            break
+        values = formation_crlb(np.concatenate(stack), target, params)
+        for spec, scores in zip(specs, np.split(values, np.cumsum([len(block) for block in stack])[:-1])):
+            scores = scores[~np.isnan(scores)]
             rows.append(
                 {
                     "altitude_m": float(altitude),
                     "formation_kind": spec.kind,
-                    "crlb_m2": crlb_m2,
+                    "crlb_m2": float(scores.mean()) if scores.size else None,
                     "bound_m2": bound,
-                    "samples": samples,
+                    "samples": int(scores.size),
                 }
             )
     return rows

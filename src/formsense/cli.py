@@ -28,8 +28,11 @@ from .formation import theoretical_lower_bound
 from .world import EpisodeTrace, run_episode
 
 OUTPUT_DIR_ENV = "FORMSENSE_OUT"
-# trace.csv's short headers of the first six EpisodeTrace.COLUMNS.
-_TRACE_CSV_HEADER = ["t", "crlb", "cost", "eta", "min_clearance", "min_pairwise"]
+# trace.csv's plot columns: each short header and the EpisodeTrace column it reads.
+_TRACE_CSV = {
+    "t": "time_s", "crlb": "crlb_m2", "cost": "total_cost", "eta": "eta",
+    "min_clearance": "min_clearance_m", "min_pairwise": "min_pairwise_m",
+}
 
 
 def _json_value(x):
@@ -87,19 +90,17 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
     """Serialize an episode: JSONL steps, CSV plot columns, summary JSON."""
     columns = {}
     for name, none_if_nonfinite in EpisodeTrace.COLUMNS.items():
-        values = getattr(trace, name).tolist()
-        columns["positions_m" if name == "positions" else name] = (
-            [_json_value(x) for x in values] if none_if_nonfinite else values
-        )
+        values = trace.columns[name].tolist()
+        columns[name] = [_json_value(x) for x in values] if none_if_nonfinite else values
     tags = _tags(config)
-    keys = ["step", *columns, *tags]
+    keys = ["step", *("positions_m" if name == "positions" else name for name in columns), *tags]
     rows = zip(itertools.count(), *columns.values(), *map(itertools.repeat, tags.values()))
     jsonl_path = out_dir / "trace.jsonl"
     with jsonl_path.open("w") as fh:  # line by line: the whole text would double the peak memory
         for row in rows:
             fh.write(json.dumps(dict(zip(keys, row)), sort_keys=True, allow_nan=False) + "\n")
-    plot = zip(*list(columns.values())[: len(_TRACE_CSV_HEADER)])
-    csv_path = _write_csv(out_dir / "trace.csv", _TRACE_CSV_HEADER, plot, config)
+    plot = zip(*(columns[name] for name in _TRACE_CSV.values()))
+    csv_path = _write_csv(out_dir / "trace.csv", list(_TRACE_CSV), plot, config)
     summary = trace.summary()
     summary["bound_m2"] = theoretical_lower_bound(config.params, config.formation.agent_count)
     return jsonl_path, csv_path, _write_json(out_dir / "summary.json", summary, config)

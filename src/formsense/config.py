@@ -399,7 +399,7 @@ def load_config(
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         raw = _parse_yaml(text)
-    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep to parse
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:  # too deep to parse; a date that is no date
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         # A ReaderError (a non-printable character) has no problem; its message has two lines.

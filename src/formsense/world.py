@@ -292,60 +292,61 @@ class Guidance:
 
 @dataclass(frozen=True, eq=False)
 class EpisodeTrace:
-    """Full record of one simulated episode, as read-only columns indexed by step.
+    """Full record of one simulated episode: a table of read-only columns indexed by step.
 
+    ``columns`` maps each name of :attr:`COLUMNS` to an array of ``steps`` rows.
     Row k describes step k, contiguous from zero: ``time_s`` (k + 1) * dt,
     ``positions`` (steps, M, 2) after the step, the scale ``eta`` and the
     step's metrics. ``crlb_m2`` is NaN where the geometry is singular or an
     agent hovers directly above the target (None in :meth:`summary` and in
     the artifacts). A run with ``max_steps = 0`` has no rows and counts as
-    not converged.
+    not converged. Construction raises a ValueError naming a column that is
+    missing, unknown or of another length than ``time_s``.
     """
 
-    # The per-step columns, the six that trace.csv plots first. True marks the two where
-    # a non-finite value means none: NaN without a CRLB, inf without an obstacle.
+    # The names of the per-step columns. True marks the two where a non-finite value
+    # means none: NaN without a CRLB, inf without an obstacle.
     COLUMNS: ClassVar[dict[str, bool]] = {
-        "time_s": False, "crlb_m2": True, "total_cost": False, "eta": False,
-        "min_clearance_m": True, "min_pairwise_m": False,
-        "positions": False, "max_control_m": False, "displacement_error_m2": False,
+        "time_s": False, "positions": False, "eta": False, "crlb_m2": True, "total_cost": False,
+        "min_clearance_m": True, "min_pairwise_m": False, "max_control_m": False, "displacement_error_m2": False,
     }
 
-    time_s: np.ndarray
-    positions: np.ndarray
-    eta: np.ndarray
-    crlb_m2: np.ndarray
-    total_cost: np.ndarray
-    min_clearance_m: np.ndarray
-    min_pairwise_m: np.ndarray
-    max_control_m: np.ndarray
-    displacement_error_m2: np.ndarray
+    columns: dict[str, np.ndarray]
     safety_events: tuple[tuple[int, int], ...]
     converged: bool
     final_state: SwarmState
 
     def __post_init__(self) -> None:
-        for name in self.COLUMNS:
-            getattr(self, name).setflags(write=False)
+        missing, unknown = sorted(self.COLUMNS.keys() - self.columns), sorted(self.columns.keys() - self.COLUMNS)
+        if missing or unknown:
+            raise ValueError(f"EpisodeTrace.columns: missing {missing}, unknown {unknown}")
+        columns = {name: np.asarray(self.columns[name]).view() for name in self.COLUMNS}
+        time_s = columns["time_s"]
+        for name, column in columns.items():
+            if not column.shape or column.shape[:1] != time_s.shape[:1]:
+                raise ValueError(f"EpisodeTrace.columns: {name!r} has shape {column.shape}, time_s {time_s.shape}")
+            column.flags.writeable = False  # a read-only view: the caller's array stays writable
+        vars(self)["columns"] = columns
 
     @property
     def steps(self) -> int:
-        return len(self.eta)
+        return len(self.columns["time_s"])
 
     def summary(self) -> dict:
         """Plain-data digest of the episode for serialization."""
 
-        def final(column: np.ndarray):
-            return column[-1].item() if len(column) else None
+        def final(name: str):
+            return self.columns[name][-1].item() if self.steps else None
 
-        crlb = final(self.crlb_m2)
+        crlb = final("crlb_m2")
         return {
             "converged": self.converged,
             "steps": self.steps,
             "safety_violations": [list(e) for e in self.safety_events],
             "final_crlb_m2": None if crlb is None or math.isnan(crlb) else crlb,
-            "final_cost": final(self.total_cost),
-            "final_eta": final(self.eta),
-            "final_displacement_error_m2": final(self.displacement_error_m2),
+            "final_cost": final("total_cost"),
+            "final_eta": final("eta"),
+            "final_displacement_error_m2": final("displacement_error_m2"),
             "final_positions": self.final_state.positions.tolist(),
         }
 
@@ -489,7 +490,7 @@ def run_episode(
     if not chunks:
         chunks.append({name: np.empty((0, agents, 2) if name == "positions" else 0) for name in names})
     return EpisodeTrace(
-        **{name: np.concatenate([c[name] for c in chunks]) for name in names},
+        columns={name: np.concatenate([c[name] for c in chunks]) for name in names},
         safety_events=tuple(events),
         converged=converged,
         final_state=SwarmState(positions, velocities, scale, initial.step_index + first_step)

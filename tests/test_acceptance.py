@@ -27,7 +27,6 @@ from formsense import (
     World,
     benchmark_positions,
     build_formation,
-    crlb_of_positions,
     displacement_control,
     displacement_error,
     elevation_weight,
@@ -42,6 +41,7 @@ from formsense import (
 )
 from formsense.benchmarks import BenchmarkSpec
 from formsense.cli import main as cli_main
+from formsense.world import crlb_of_positions
 from oracle import adjacency
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -285,8 +285,8 @@ def test_criterion_08_corridor_transit():
         stop_tolerance=cfg.stop_tolerance_m2,
         guidance=cfg.guidance,
     )
-    etas = trace.eta
-    costs = trace.total_cost
+    etas = trace.columns["eta"]
+    costs = trace.columns["total_cost"]
     no_contact = len(trace.safety_events) == 0
     dips = np.flatnonzero(etas < 0.9)
     dipped = dips.size > 0
@@ -307,7 +307,7 @@ def test_criterion_08_corridor_transit():
                 f"{transient:.0f} -> {costs[-1]:.3f}"
             )
     bound = theoretical_lower_bound(cfg.params, cfg.formation.agent_count)
-    final_crlb = trace.crlb_m2[-1].item()
+    final_crlb = trace.columns["crlb_m2"][-1].item()
     near_bound = final_crlb is not None and abs(final_crlb / bound - 1.0) <= 0.01
     elapsed = time.perf_counter() - start
     ok = ok and near_bound and elapsed < 10.0

@@ -12,10 +12,10 @@ from formsense import (
     TargetEstimate,
     benchmark_positions,
     build_formation,
-    formation_crlb,
     sweep_rows,
     theoretical_lower_bound,
 )
+from formsense.benchmarks import formation_crlb
 from oracle import pose_crlb
 
 

@@ -303,8 +303,14 @@ INVALID_YAML = [
     ("sensing:\n\taltitude_m: 20.0\n", "found character '\\t' that cannot start any token at line 2, column 1"),
     ("seed: 7\noutput_dir: a\x07b\n", "unacceptable character #x0007: special characters are not allowed"),
     ("seed: \x00", "unacceptable character #x0000: special characters are not allowed"),
+    ("seed: 2020-13-45", "month must be in 1..12"),
+    ("seed: 2020-02-30", "day is out of range for month"),
+    ("world: {target_m: [1, 2001-01-32]}", "day is out of range for month"),
 ]
-INVALID_YAML_IDS = ["unclosed flow sequence", "bad nested mapping", "tab indent", "bell", "nul"]
+INVALID_YAML_IDS = [
+    "unclosed flow sequence", "bad nested mapping", "tab indent", "bell", "nul",
+    "month 13", "february 30", "nested day 32",
+]
 
 
 class TestErrorPaths:

@@ -9,6 +9,7 @@ failure too.
 import contextlib
 import copy
 import csv
+import datetime
 import io
 import json
 import math
@@ -68,12 +69,25 @@ PATHS = sorted(
 # CSV columns that hold text; every other cell is empty or a finite number.
 TEXT_COLUMNS = {"config_hash", "formation_kind"}
 
+
+
+class Date(str):
+    """A date-shaped scalar, written plain so that the loader reads it as a timestamp."""
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+_Dumper.add_representer(Date, lambda dumper, text: dumper.represent_scalar("tag:yaml.org,2002:timestamp", text))
+
 MAX = sys.float_info.max
 POOL = [
     "abc", "1.0e+300", True, False, None,
     0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
     1e300, -1e300, MAX, -MAX, float("nan"), float("inf"), float("-inf"),
     [], [1.0], [0.0, 0.0], [MAX, MAX], [1e300, -1e300], [[1.0, 2.0]], {}, {"x": 1.0},
+    datetime.date(2001, 1, 1), Date("2020-13-45"), Date("2020-02-30"), Date("2001-01-01 25:00:00"),
 ]
 HUGE_INTS = [2**63, 10**30]
 
@@ -120,7 +134,7 @@ def run_all(path, value):
     _replace(raw, path, value)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.yaml"
-        cfg.write_text(yaml.safe_dump(raw))
+        cfg.write_text(yaml.dump(raw, Dumper=_Dumper))
         for command in ("optimize", "simulate", "sweep"):
             out = Path(tmp) / command
             err = io.StringIO()
@@ -151,6 +165,8 @@ def replacements(draw):
 @example((("sensing", "noise_floor_dbm"), 1.0e6))
 @example((("world", "dt_s"), 1.0e300))
 @example((("world", "obstacles"), []))
+@example((("seed",), Date("2020-13-45")))
+@example((("world", "target_m", 1), Date("2020-02-30")))
 @example((("deployment",), {"center_m": [1.0e308, 0.0], "side_m": 1.0e308}))
 def test_one_field_replaced_ends_in_a_documented_outcome(replacement):
     run_all(*replacement)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formsense import (
@@ -29,7 +29,6 @@ from formsense import (
     build_formation,
     check_stability,
     consensus_velocity_step,
-    crlb_of_positions,
     displacement_error,
     local_cost,
     min_pairwise_distance,
@@ -39,9 +38,9 @@ from formsense import (
     theoretical_lower_bound,
 )
 from formsense import world as world_module
-from formsense.config import build_config
+from formsense.config import build_config, load_config
 from formsense.control import control_input
-from formsense.world import GUIDANCE_MODES
+from formsense.world import GUIDANCE_MODES, crlb_of_positions
 from oracle import (
     StepRecord,
     clearance_of_point,
@@ -422,7 +421,7 @@ trace = run_episode(
     config.initial_state(), config.world, config.graph, config.displacement_set(), config.gains,
     config.params, 300, 0.0, config.guidance,
 )
-digest = hashlib.sha256(b"".join(getattr(trace, name).tobytes() for name in trace.COLUMNS)).hexdigest()
+digest = hashlib.sha256(b"".join(trace.columns[name].tobytes() for name in trace.COLUMNS)).hexdigest()
 """
 
 
@@ -695,11 +694,11 @@ class TestRunEpisode:
         )
         assert trace.converged
         assert trace.steps == 1
-        assert trace.time_s[0] == pytest.approx(0.1, rel=1e-12)
-        assert trace.displacement_error_m2[0] == 0.0
-        assert trace.max_control_m[0] == 0.0
+        assert trace.columns["time_s"][0] == pytest.approx(0.1, rel=1e-12)
+        assert trace.columns["displacement_error_m2"][0] == 0.0
+        assert trace.columns["max_control_m"][0] == 0.0
         at_slots = crlb_of_positions(formation.planar_positions, world, default_params)
-        assert trace.crlb_m2[0] == pytest.approx(at_slots, rel=1e-9)
+        assert trace.columns["crlb_m2"][0] == pytest.approx(at_slots, rel=1e-9)
 
     def test_goal_mode_settles_only_once_the_leader_has_arrived(self, default_params, target):
         """A settled shape 2 m off its reference stops at once in constant mode, later in goal mode."""
@@ -718,7 +717,7 @@ class TestRunEpisode:
         assert trace.steps > 1
         final = trace.final_state.positions
         assert guidance.center_error_m(final, graph, disp) <= guidance.arrival_tolerance_m
-        assert guidance.center_error_m(trace.positions[0], graph, disp) > guidance.arrival_tolerance_m
+        assert guidance.center_error_m(trace.columns["positions"][0], graph, disp) > guidance.arrival_tolerance_m
 
     def test_zero_step_budget(self, default_params, target):
         formation = build_formation(default_params, target, 6)
@@ -729,7 +728,7 @@ class TestRunEpisode:
             initial, world, CommGraph.ring_with_leader(6), disp, ControlGains(),
             default_params, max_steps=0,
         )
-        assert trace.positions.shape == (0, 6, 2)
+        assert trace.columns["positions"].shape == (0, 6, 2)
         assert not trace.converged
         assert trace.final_state is initial
         summary = trace.summary()
@@ -766,7 +765,7 @@ class TestRunEpisode:
         a = run_episode(initial, world, graph, disp, **kwargs)
         b = run_episode(initial, world, graph, disp, **kwargs)
         assert a.steps == b.steps
-        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.columns["positions"], b.columns["positions"])
         assert a.summary() == b.summary()
 
     def test_cost_non_increasing_once_velocities_lock(self, default_params, target):
@@ -786,8 +785,8 @@ class TestRunEpisode:
             initial, world, graph, disp, ControlGains(), default_params,
             max_steps=400, stop_tolerance=0.0, guidance=Guidance(velocity_mps=v_star),
         )
-        costs = trace.total_cost
-        errors = trace.displacement_error_m2
+        costs = trace.columns["total_cost"]
+        errors = trace.columns["displacement_error_m2"]
         assert np.all(np.diff(costs) <= 1e-9 * np.maximum(1.0, costs[:-1]))
         assert np.all(np.diff(errors) <= 1e-12 * np.maximum(1.0, errors[:-1]))
 
@@ -803,7 +802,7 @@ class TestRunEpisode:
         )
         assert len(trace.safety_events) > 0
         assert all(s >= 0 and 0 <= m < 3 for s, m in trace.safety_events)
-        assert trace.min_clearance_m[0] == 0.0
+        assert trace.columns["min_clearance_m"][0] == 0.0
 
     def test_crlb_is_none_for_singular_geometry(self, default_params):
         target = TargetEstimate(np.array([0.0, 0.0]))
@@ -816,7 +815,7 @@ class TestRunEpisode:
             max_steps=2,
         )
         assert trace.converged  # collinear but perfectly in formation
-        assert np.isnan(trace.crlb_m2[0])
+        assert np.isnan(trace.columns["crlb_m2"][0])
         assert trace.summary()["final_crlb_m2"] is None
 
     @pytest.mark.parametrize("agents", [6, 24])
@@ -853,7 +852,7 @@ class TestRunEpisode:
             "displacement_error": 256 // 16 + math.ceil((steps - 256) / 16),  # one per stop test
             "min_clearance": steps + 1,  # one obstacle query per step, whether or not repulsion fires
         }
-        starts = np.concatenate((initial.positions[None], trace.positions[:-1]))
+        starts = np.concatenate((initial.positions[None], trace.columns["positions"][:-1]))
         repelled = (world.min_clearance(starts)[0] < gains.safety_radius_m).any(axis=1)
         assert 0 < repelled.sum() < steps
 
@@ -892,7 +891,7 @@ class TestRunEpisode:
             step_index=9,
         )
         args = (state, world, graph, disp, gains, default_params)
-        errors = run_episode(*args, max_steps=300, stop_tolerance=0.0).displacement_error_m2
+        errors = run_episode(*args, max_steps=300, stop_tolerance=0.0).columns["displacement_error_m2"]
         tolerance = np.nextafter(errors[settle_at - 1], math.inf)
         assert errors[: settle_at - 1].min(initial=math.inf) >= tolerance  # the first settled step
         trace = run_episode(*args, max_steps=300, stop_tolerance=tolerance)
@@ -933,10 +932,10 @@ class TestRunEpisode:
             state, world, graph, disp, gains, default_params, max_steps=steps, stop_tolerance=0.0,
             guidance=guidance,
         )
-        assert trace.steps == steps and trace.safety_events and trace.eta.min() < 0.8
+        assert trace.steps == steps and trace.safety_events and trace.columns["eta"].min() < 0.8
         for k in range(steps):
             state = step(state, world, graph, disp, gains, guidance)
-            assert state.positions.tobytes() == trace.positions[k].tobytes(), k
+            assert state.positions.tobytes() == trace.columns["positions"][k].tobytes(), k
         final = trace.final_state
         assert final.positions.tobytes() == state.positions.tobytes()
         assert final.velocity_estimates.tobytes() == state.velocity_estimates.tobytes()
@@ -1034,22 +1033,23 @@ class TestRunEpisode:
             trace = run_episode(
                 state, world, graph, disp, ControlGains(), default_params, max_steps=5, guidance=guidance
             )
-            before = np.concatenate([state.positions[None], trace.positions[:-1]])
+            after = trace.columns["positions"]
+            before = np.concatenate([state.positions[None], after[:-1]])
             for k in range(trace.steps):
-                costs = local_cost(before[k], graph, disp, world.dt, trace.positions[k], guidance.velocity_mps)
-                assert trace.total_cost[k] == functools.reduce(operator.add, costs.tolist())
+                costs = local_cost(before[k], graph, disp, world.dt, after[k], guidance.velocity_mps)
+                assert trace.columns["total_cost"][k] == functools.reduce(operator.add, costs.tolist())
 
 
 def _assert_matches_oracle(trace, oracle):
     records, events, converged, final = oracle
     assert trace.steps == len(records)
     if records:
-        assert np.array_equal(trace.positions, np.stack([r.positions for r in records]))
+        assert np.array_equal(trace.columns["positions"], np.stack([r.positions for r in records]))
     for name in ("time_s", "eta", "total_cost", "min_clearance_m", "min_pairwise_m",
                  "max_control_m", "displacement_error_m2"):
         want = np.array([getattr(r, name) for r in records], dtype=float)
-        assert getattr(trace, name).tobytes() == want.tobytes(), name
-    crlb = [None if math.isnan(c) else c for c in trace.crlb_m2.tolist()]
+        assert trace.columns[name].tobytes() == want.tobytes(), name
+    crlb = [None if math.isnan(c) else c for c in trace.columns["crlb_m2"].tolist()]
     assert crlb == [r.crlb_m2 for r in records]
     assert [r.step for r in records] == list(range(trace.steps))
     columns = {f.name for f in dataclasses.fields(StepRecord)} - {"step"}
@@ -1191,7 +1191,7 @@ class TestEpisodeColumns:
             max_steps=4,
         )
         trace = run_episode(**kwargs)
-        assert trace.converged and np.isnan(trace.crlb_m2).all()
+        assert trace.converged and np.isnan(trace.columns["crlb_m2"]).all()
         _assert_matches_oracle(trace, stepwise_episode(**kwargs))
 
     def test_positions_overflow_mid_chunk_matches_oracle(self, default_params, target):
@@ -1217,6 +1217,132 @@ class TestEpisodeColumns:
         assert str(got.value) == str(want.value)
 
 
+class TestEpisodeTrace:
+    """The trace is a table: four init fields, and columns of one row per step."""
+
+    @staticmethod
+    def table(default_params, target):
+        formation = build_formation(default_params, target, 4)
+        trace = run_episode(
+            embedding_state(formation), World(target=target), CommGraph.ring(4),
+            DisplacementSet(formation.planar_positions), ControlGains(), default_params, max_steps=3,
+            stop_tolerance=0.0,
+        )
+        return trace, {name: column.copy() for name, column in trace.columns.items()}
+
+    def test_init_fields_are_the_table_and_its_outcome(self):
+        fields = [f.name for f in dataclasses.fields(world_module.EpisodeTrace) if f.init]
+        assert fields == ["columns", "safety_events", "converged", "final_state"]
+
+    def test_columns_are_read_only_views(self, default_params, target):
+        trace, columns = self.table(default_params, target)
+        rebuilt = dataclasses.replace(trace, columns=columns)
+        assert list(rebuilt.columns) == list(trace.COLUMNS) and rebuilt.steps == 3
+        assert not any(column.flags.writeable for column in rebuilt.columns.values())
+        assert all(column.flags.writeable for column in columns.values())  # the caller's arrays
+        assert not hasattr(rebuilt, "eta")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda c: c.pop("eta"), r"missing \['eta'\], unknown \[\]"),
+            (lambda c: c.update(speed=c["eta"]), r"missing \[\], unknown \['speed'\]"),
+            (lambda c: c.update(eta=c["eta"][:2]), r"'eta' has shape \(2,\), time_s \(3,\)"),
+            (lambda c: c.update(time_s=0.1), r"'time_s' has shape \(\), time_s \(\)"),
+        ],
+        ids=["missing", "unknown", "short", "scalar"],
+    )
+    def test_construction_names_the_column(self, default_params, target, change, message):
+        trace, columns = self.table(default_params, target)
+        change(columns)
+        with pytest.raises(ValueError, match="EpisodeTrace.columns: " + message):
+            dataclasses.replace(trace, columns=columns)
+
+
+# Isometries of the plane on (..., 2) arrays. Each moves a double to a double exactly.
+ISOMETRIES = {
+    "mirror_x": lambda p: p * np.array([-1.0, 1.0]),
+    "mirror_y": lambda p: p * np.array([1.0, -1.0]),
+    "rotate_90": lambda p: p[..., ::-1] * np.array([-1.0, 1.0]),
+}
+
+
+@st.composite
+def noise_free_scenes(draw):
+    """run_episode arguments of a noise-free scene: 3-6 agents, up to two rectangles, either guidance.
+
+    Corners lie on the integers, agents start at (i + 0.3, j + 0.1) and the target at
+    (i + 0.7, j + 0.6): no agent starts equally far from two faces of a rectangle, or above the target.
+    """
+    agents = draw(st.integers(3, 6))
+    spot = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+    spots = st.lists(spot, min_size=agents, max_size=agents, unique=True)
+    obstacles = []
+    for _ in range(draw(st.integers(0, 2))):
+        (x, y), width, height = draw(spot), draw(st.integers(1, 24)), draw(st.integers(1, 24))
+        obstacles.append(RectObstacle(x, x + width, y, y + height))
+    velocity = np.array(draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))) / 10.0
+    return dict(
+        initial=SwarmState(np.array(draw(spots)) + (0.3, 0.1), np.array(draw(spots)) / 100.0),
+        world=World(target=TargetEstimate(np.array(draw(spot)) + (0.7, 0.6)), obstacles=tuple(obstacles)),
+        graph=CommGraph.ring_with_leader(agents),
+        disp=DisplacementSet(np.array(draw(spots)) * 1.5),
+        gains=ControlGains(),
+        params=_PARAMS,
+        max_steps=draw(st.integers(1, 40)),
+        stop_tolerance=1e-3,
+        guidance=Guidance(mode=draw(st.sampled_from(GUIDANCE_MODES)), velocity_mps=velocity),
+    )
+
+
+def _noise_free_corridor() -> dict:
+    config = load_config(CONFIGS / "corridor.yaml", noise_free=True)
+    return dict(
+        initial=config.initial_state(), world=config.world, graph=config.graph, disp=config.displacement_set(),
+        gains=config.gains, params=config.params, max_steps=config.max_steps,
+        stop_tolerance=config.stop_tolerance_m2, guidance=config.guidance,
+    )
+
+
+def _moved(scene: dict, move) -> dict:
+    """``scene`` with every point and vector moved by ``move``: agents, target, rectangles, slots, guidance."""
+    world, initial, guidance = scene["world"], scene["initial"], scene["guidance"]
+    obstacles = []
+    for o in world.obstacles:
+        (x_min, y_min), (x_max, y_max) = np.sort(move(np.array([[o.x_min, o.y_min], [o.x_max, o.y_max]])), axis=0)
+        obstacles.append(RectObstacle(x_min, x_max, y_min, y_max))
+    return {
+        **scene,
+        "initial": SwarmState(move(initial.positions), move(initial.velocity_estimates)),
+        "world": World(target=TargetEstimate(move(world.target.position)), obstacles=tuple(obstacles)),
+        "disp": DisplacementSet(move(scene["disp"].reference)),
+        "guidance": dataclasses.replace(guidance, velocity_mps=move(guidance.velocity_mps)),
+    }
+
+
+class TestSymmetry:
+    """A mirrored or quarter-turned noise-free scene records the mirrored or turned episode."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(noise_free_scenes())
+    @example(_noise_free_corridor())
+    def test_isometries_move_the_episode(self, scene):
+        trace = run_episode(**scene)
+        for name, move in ISOMETRIES.items():
+            moved = run_episode(**_moved(scene, move))
+            assert moved.steps == trace.steps and moved.converged == trace.converged, name
+            assert moved.safety_events == trace.safety_events, name
+            for column in trace.COLUMNS:
+                want, got = trace.columns[column], moved.columns[column]
+                if column == "positions":
+                    want = move(want)
+                if name == "rotate_90" and column == "crlb_m2":
+                    # J's cross term sums (w dx) dy on one side and (w dy) dx on the other.
+                    np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
+                else:
+                    assert got.tobytes() == want.tobytes(), (name, column)
+
+
 class TestConvergenceRate:
     """Without noise, obstacles or guidance the displacement law is linear; graph theory gives its rate."""
 
@@ -1230,7 +1356,7 @@ class TestConvergenceRate:
             config.initial_state(), config.world, config.graph, config.displacement_set(), config.gains,
             config.params, 3000, 0.0, config.guidance,
         )
-        error = trace.displacement_error_m2
+        error = trace.columns["displacement_error_m2"]
         # The first step below 1e-6 of the start: the slow mode dominates, and round-off does not yet.
         k = int(np.argmax(error < 1e-6 * error[0]))
         assert k > 0
@@ -1245,7 +1371,7 @@ class TestConvergenceRate:
             run_episode, config.initial_state(), config.world, config.graph, config.displacement_set(),
             config.gains, config.params, 3000, guidance=config.guidance,
         )
-        error = run(stop_tolerance=0.0).displacement_error_m2
+        error = run(stop_tolerance=0.0).columns["displacement_error_m2"]
         k = int(np.argmax(error < 1e-6 * error[0]))
         tolerance = 1e-3 * error[k]
         trace = run(stop_tolerance=tolerance)
@@ -1282,7 +1408,7 @@ class TestConvergenceRate:
         params = SensingParams(0.1, 1.0e3, 1.0e-5, 1.0, 1.0e-12, 20.0)
         initial = SwarmState(rng.uniform(-50.0, 50.0, size=(agents, 2)), np.zeros((agents, 2)))
         disp = DisplacementSet(rng.uniform(-20.0, 20.0, size=(agents, 2)))
-        error = run_episode(initial, world, graph, disp, gains, params, 200, 0.0).displacement_error_m2
+        error = run_episode(initial, world, graph, disp, gains, params, 200, 0.0).columns["displacement_error_m2"]
         error = np.concatenate(([displacement_error(initial.positions, graph, disp)], error))
         self.assert_bounded(error, displacement_rate(graph, gains.epsilon))
 
