@@ -32,8 +32,8 @@ from .formation import DisplacementSet, FormationGeometry, build_formation
 from .sensing import SensingParams, TargetEstimate
 from .world import Guidance, RectObstacle, World
 
-# Entropy-stream tag separating the initial deployment draw from the
-# per-step motion noise streams (which use small step indices).
+# Entropy-stream tag separating the initial deployment draw from the sweep's
+# [seed, _SWEEP_STREAM, altitude] streams; motion noise draws from no seed stream.
 _DEPLOY_STREAM = 2**40
 
 _DEFAULT_SEED = 12345
@@ -141,7 +141,7 @@ def _expect_mapping(name: str, value: Any) -> dict:
 def _reject_unknown(name: str, given: dict, allowed: set[str]) -> None:
     unknown = set(given) - allowed
     if unknown:
-        raise ConfigError(f"{name}: unknown field(s) {sorted(unknown)}")
+        raise ConfigError(f"{name}: unknown field(s) {sorted(unknown, key=str)}")  # YAML keys may be None or 1
 
 
 def _as_float(name: str, value: Any, interval: Optional[str] = None) -> float:

@@ -128,14 +128,12 @@ class World:
         (low, high), column = self._bounds, p[:, :, None]  # (2, K) corners by axis; (N, 2, 1) points
         gaps = np.maximum(np.maximum(low - column, column - high), 0.0)
         dist = np.hypot(gaps[:, 0], gaps[:, 1])
-        closest = dist.argmin(axis=1)
-        rows = np.arange(len(p))
-        clearance = dist[rows, closest]
+        clearance, rows = dist.min(axis=1), np.arange(len(p))  # a NaN row's minimum is NaN, as its argmin
         if within < math.inf:
             rows = (clearance < within).nonzero()[0]
             if not rows.size:
                 return clearance.reshape(shape), None
-        way_out, p, closest = np.full(p.shape, math.nan), p[rows], closest[rows]
+        way_out, p, closest = np.full(p.shape, math.nan), p[rows], dist[rows].argmin(axis=1)
         low, high = low[:, closest].T, high[:, closest].T  # (n, 2) corners of the looked-up rows
         way_out[rows] = p - np.minimum(np.maximum(p, low), high)
         contact = np.flatnonzero(clearance[rows] <= 0.0)
@@ -369,8 +367,7 @@ def _chunk_columns(
     ``q`` (n + 1, M, 2) holds the positions before the chunk's first step and
     after each of its steps; ``u``, ``v_cmd``, ``error``, ``clearance`` (per
     agent) and ``eta`` hold the loop's values per step. Raises a ValueError
-    naming the first step whose positions or metrics are not finite; the
-    clearance and eta of that step need not be set.
+    naming the first step whose positions or metrics are not finite.
     """
     after = q[1:]
     # Summed strictly left to right over the agents, on every Python version.
@@ -389,9 +386,8 @@ def _chunk_columns(
         row = int(ok.argmin())
         bad = ", ".join(name for name, column in finite.items() if not column[row])
         raise ValueError(f"run_episode: diverged at step {first_step + row}: {bad} not finite")
-    steps = np.arange(first_step + 1, first_step + len(after) + 1)
     columns = {
-        "time_s": steps * world.dt,
+        "time_s": np.arange(first_step + 1, first_step + len(after) + 1) * world.dt,
         "positions": after,
         "eta": eta,
         "crlb_m2": crlb_of_positions(after, world, params),
@@ -436,12 +432,12 @@ def run_episode(
     converged run computes at most 15 steps it discards. The other columns
     are computed after the chunk in batched calls on (C, M, 2) and (C, E, 2)
     arrays for E directed edges; C = min(256, max(1, 2**18 // E)) keeps a
-    dense graph's temporaries near 4 MB. A diverged run stops within one
+    dense graph's temporaries near 4 MB. Positions are not tested per step;
+    the chunk's check names the step, so a diverged run stops within one
     chunk. Columns grow chunk by chunk, never from ``max_steps``.
     """
     check_interval("run_episode.max_steps", max_steps, NON_NEGATIVE, number=Integral)
-    if guidance is None:
-        guidance = Guidance()
+    guidance = Guidance() if guidance is None else guidance
     agents = len(initial.positions)
     chunk_steps = max(1, min(256, 2**18 // graph.links.shape[1]))
     chunks: list[dict] = []
@@ -457,8 +453,7 @@ def run_episode(
             q[0] = positions
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
             clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
-            start = 0
-            while start < size and not converged:
+            for start in range(0, size, _STOP_STEPS):
                 end = min(start + _STOP_STEPS, size)
                 step_index = initial.step_index + first_step + start
                 noise = world._motion_noise(step_index, (end - start, agents, 2))
@@ -468,16 +463,13 @@ def run_episode(
                         positions, velocities, scale, n, around, world, graph, disp, gains, v,
                     )
                     q[i + 1], g[i], clearance[i], eta[i] = positions, velocities, around[0], scale
-                    if not np.isfinite(positions).all():
-                        size = end = i + 1  # the chunk's divergence check raises for this step
-                        break
                 after = q[start + 1 : end + 1]
                 error[start:end] = displacement_error(after, graph, disp)
                 arrived = guidance.center_error_m(after, graph, disp) <= guidance.arrival_tolerance_m
                 settled = (error[start:end] < stop_tolerance) & (eta[start:end] >= 0.999) & arrived
                 if settled.any():
                     size, converged = start + int(settled.argmax()) + 1, True
-                start = end
+                    break
             columns, chunk_events = _chunk_columns(
                 first_step, q[: size + 1], u[:size], v_cmd[:size], error[:size],
                 clearance[:size], eta[:size], world, graph, disp, params,

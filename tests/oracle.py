@@ -15,6 +15,10 @@ repulsion law as it read an agent's position, its nearest obstacle point and
 a fallback direction for contact; :func:`formsense.control.repulsion` reads
 the clearance and way out instead.
 
+:func:`likelihood_fim` estimates the information from the range distribution itself,
+as the covariance of the log-likelihood's score over seeded draws; the pose chain
+and :func:`range_fim_element` start from the closed form C/d^4 + 8/d^2 instead.
+
 :func:`formsense.formation.optimal_elevation` is a closed form;
 :func:`bisect_weight_peak` finds the same peak by bisection, with no algebra.
 
@@ -251,6 +255,39 @@ def poses_of(
 def pose_crlb(positions: np.ndarray, target: TargetEstimate, params: SensingParams) -> float:
     """CRLB of an (M, 2) formation through poses, the information matrix and its inverse trace."""
     return crlb_trace(target_fim(poses_of(positions, target, params), params))
+
+
+def likelihood_fim(
+    positions: np.ndarray, target: TargetEstimate, params: SensingParams, draws: int, seed: int,
+    step_m: float = 1e-3,
+) -> np.ndarray:
+    """Fisher information (2, 2) of the target position, E[s s^T] estimated from the measurement model.
+
+    Each of ``draws`` seeded snapshots holds one range per agent of (M, 2) ``positions``,
+    r ~ N(rho, rho^4 / C) with rho the slant range to the target. The score s is the gradient
+    of the snapshot's summed Gaussian log-likelihood in the target position, by central
+    differences of ``step_m`` metres. No closed form of the information enters.
+    """
+    positions = np.asarray(positions, dtype=float)
+
+    def slant(target_position: np.ndarray) -> np.ndarray:
+        offset = positions - target_position
+        return np.sqrt(offset[:, 0] ** 2 + offset[:, 1] ** 2 + params.altitude_m**2)
+
+    rho = slant(target.position)
+    noise = np.random.default_rng(seed).standard_normal((draws, len(rho)))
+    ranges = rho + np.sqrt(noise_variance(rho, params)) * noise
+
+    def log_likelihood(target_position: np.ndarray) -> np.ndarray:
+        rho = slant(target_position)
+        variance = noise_variance(rho, params)
+        return -0.5 * (np.log(2.0 * math.pi * variance) + (ranges - rho) ** 2 / variance).sum(axis=1)
+
+    score = np.column_stack([
+        (log_likelihood(target.position + step) - log_likelihood(target.position - step)) / (2.0 * step_m)
+        for step in step_m * np.eye(2)
+    ])
+    return score.T @ score / draws
 
 
 def nearest_point(rect: RectObstacle, position: np.ndarray) -> np.ndarray:

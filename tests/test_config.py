@@ -133,6 +133,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown field"):
             build_config(raw)
 
+    def test_unknown_keys_that_are_not_strings(self):
+        """YAML reads `1:` and a bare `?` as the keys 1 and None, which do not sort with strings."""
+        raw = base_raw()
+        raw.update({1: 2, None: None, "simulation": {}})
+        with pytest.raises(ConfigError, match=r"^config: unknown field\(s\) \[1, None, 'simulation'\]$"):
+            build_config(raw)
+        raw = base_raw()
+        raw["sensing"][2.5] = 1.0
+        with pytest.raises(ConfigError, match=r"^sensing: unknown field\(s\) \[2\.5\]$"):
+            build_config(raw)
+
     def test_unknown_section_field(self):
         raw = base_raw()
         raw["sensing"]["bandwidth_hz"] = 1e6

@@ -42,6 +42,7 @@ from oracle import (
     poses_of,
     delay_to_range,
     jacobian,
+    likelihood_fim,
     noise_variance,
     range_fim_element,
     slant_range,
@@ -631,3 +632,19 @@ class TestCrlb:
         positions = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match="finite"):
             crlb(positions, target, default_params)
+
+
+class TestLikelihoodInformation:
+    """The bound from the measurement model: no closed form of the information enters the oracle."""
+
+    # Transmit power 0.1 W gives the default C = 1e9 m^4, where the mean term carries nearly all
+    # the information; at 1e-7 W, C = 1e3 m^4 and the variance term carries 86 % of it on the ring.
+    @pytest.mark.parametrize("power, variance_share", [(0.1, 4.8e-6), (1e-7, 0.86)])
+    def test_score_covariance_inverts_to_the_crlb(self, default_params, target, power, variance_share):
+        params = dataclasses.replace(default_params, transmit_power_w=power)
+        ring = build_formation(params, target, 6).planar_positions
+        rho_sq = ((ring - target.position) ** 2).sum(axis=1) + params.altitude_m**2
+        mean_info, variance_info = params.composite_snr_m4 / rho_sq**2, 8.0 / rho_sq
+        assert variance_info / (mean_info + variance_info) == pytest.approx(variance_share, rel=0.01)
+        fim = likelihood_fim(ring, target, params, draws=200_000, seed=7)
+        assert np.trace(np.linalg.inv(fim)) == pytest.approx(crlb(ring, target, params), rel=0.03)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -975,6 +976,29 @@ class TestRunEpisode:
                 max_steps=10**9,
             )
         assert 0 < calls["control_input"] <= 256
+
+    def test_diverged_positions_mid_chunk_name_the_step(self, monkeypatch):
+        """An infinite draw at step 300, in the second chunk, makes that step's positions diverge."""
+        draws = World._motion_noise
+
+        def noise(world, first_step, shape):
+            out = draws(world, first_step, shape)
+            if first_step <= 300 < first_step + shape[0]:
+                out[300 - first_step, 2, 1] = math.inf
+            return out
+
+        monkeypatch.setattr(World, "_motion_noise", noise)
+        config = load_config(CONFIGS / "corridor.yaml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                run_episode(
+                    config.initial_state(), config.world, config.graph, config.displacement_set(),
+                    config.gains, config.params, 400, 0.0, config.guidance,
+                )
+        assert str(raised.value) == (
+            "run_episode: diverged at step 300: positions, total_cost, displacement_error_m2 not finite"
+        )
 
     def test_budget_is_not_allocated_up_front(self, default_params, target):
         formation = build_formation(default_params, target, 6)
