@@ -21,6 +21,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import benchmarks
 from .config import RunConfig, load_config
 from .errors import ConfigError
@@ -87,19 +89,40 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
 
 
 def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
-    """Serialize an episode: JSONL steps, CSV plot columns, summary JSON."""
-    columns = {}
+    """Serialize an episode: JSONL steps, CSV plot columns, summary JSON.
+
+    Every value is formatted once. Each scalar column becomes text by ``repr``
+    (a non-finite value of a column :attr:`EpisodeTrace.COLUMNS` marks
+    becomes none), and the same texts feed both ``trace.jsonl`` and
+    ``trace.csv``. Each JSONL line fills one template whose sorted keys and
+    tags were encoded once; ``positions`` is encoded row by row from the
+    array, so the column is never held as Python lists. Any other non-finite
+    value raises a ValueError naming its column and first step before a file
+    is opened.
+    """
+    texts, json_texts = {}, {}  # the CSV's none is an empty cell, the JSONL's null
     for name, none_if_nonfinite in EpisodeTrace.COLUMNS.items():
-        values = trace.columns[name].tolist()
-        columns[name] = [_json_value(x) for x in values] if none_if_nonfinite else values
-    tags = _tags(config)
-    keys = ["step", *("positions_m" if name == "positions" else name for name in columns), *tags]
-    rows = zip(itertools.count(), *columns.values(), *map(itertools.repeat, tags.values()))
+        column = trace.columns[name]
+        finite = np.isfinite(column).all(axis=tuple(range(1, column.ndim)))
+        if not (none_if_nonfinite or finite.all()):
+            raise ValueError(f"write_trace: {name} not finite at step {int(finite.argmin())}")
+        if name == "positions":
+            continue
+        texts[name] = json_texts[name] = list(map(repr, column.tolist()))
+        if none_if_nonfinite:
+            text = np.array(texts[name], dtype=object)
+            texts[name] = np.where(finite, text, None).tolist()
+            json_texts[name] = np.where(finite, text, "null").tolist()
+    # Numbered fields in the order of the rows below; the keys sorted and the tags encoded once.
+    tags = {key: json.dumps(value).replace("{", "{{").replace("}", "}}") for key, value in _tags(config).items()}
+    encoded = {key: "{%d}" % i for i, key in enumerate(["step", *json_texts, "positions_m"])} | tags
+    template = "{{" + ", ".join(f"{json.dumps(key)}: {encoded[key]}" for key in sorted(encoded)) + "}}\n"
+    positions = map(json.dumps, map(np.ndarray.tolist, trace.columns["positions"]))
+    lines = itertools.starmap(template.format, zip(range(trace.steps), *json_texts.values(), positions))
     jsonl_path = out_dir / "trace.jsonl"
-    with jsonl_path.open("w") as fh:  # line by line: the whole text would double the peak memory
-        for row in rows:
-            fh.write(json.dumps(dict(zip(keys, row)), sort_keys=True, allow_nan=False) + "\n")
-    plot = zip(*(columns[name] for name in _TRACE_CSV.values()))
+    with jsonl_path.open("w") as fh:
+        fh.writelines(lines)
+    plot = zip(*(texts[name] for name in _TRACE_CSV.values()))
     csv_path = _write_csv(out_dir / "trace.csv", list(_TRACE_CSV), plot, config)
     summary = trace.summary()
     summary["bound_m2"] = theoretical_lower_bound(config.params, config.formation.agent_count)

@@ -341,7 +341,7 @@ class EpisodeTrace:
             "converged": self.converged,
             "steps": self.steps,
             "safety_violations": [list(e) for e in self.safety_events],
-            "final_crlb_m2": None if crlb is None or math.isnan(crlb) else crlb,
+            "final_crlb_m2": None if crlb is None or not math.isfinite(crlb) else crlb,
             "final_cost": final("total_cost"),
             "final_eta": final("eta"),
             "final_displacement_error_m2": final("displacement_error_m2"),

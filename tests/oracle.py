@@ -18,6 +18,7 @@ the clearance and way out instead.
 :func:`likelihood_fim` estimates the information from the range distribution itself,
 as the covariance of the log-likelihood's score over seeded draws; the pose chain
 and :func:`range_fim_element` start from the closed form C/d^4 + 8/d^2 instead.
+:func:`gauss_newton_mse` measures the error of an estimator that runs on those draws.
 
 :func:`formsense.formation.optimal_elevation` is a closed form;
 :func:`bisect_weight_peak` finds the same peak by bisection, with no algebra.
@@ -38,11 +39,18 @@ batched calls per chunk of steps; :func:`stepwise_episode` at the end is the
 loop it replaced, with a :class:`SwarmState`, one :class:`StepRecord` (the
 per-step row type the library used to expose), three clearance queries, a
 CRLB, a cost call and a finiteness check per step.
+
+:func:`formsense.cli.write_trace` formats each value of a trace once and fills one
+line template per run; :func:`rowwise_trace_files` is the writer it replaced, one
+``json.dumps`` of a sorted dict and one ``csv.writer`` row per step.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -50,6 +58,7 @@ from typing import Optional
 
 import numpy as np
 
+from formsense.cli import _TRACE_CSV, _json_value, _tags
 from formsense.control import (
     SwarmState,
     consensus_velocity_step,
@@ -59,7 +68,7 @@ from formsense.control import (
     scale_factor,
 )
 from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
-from formsense.world import Guidance, RectObstacle, crlb_of_positions
+from formsense.world import EpisodeTrace, Guidance, RectObstacle, crlb_of_positions
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular; the library uses the same rule.
@@ -288,6 +297,37 @@ def likelihood_fim(
         for step in step_m * np.eye(2)
     ])
     return score.T @ score / draws
+
+
+def gauss_newton_mse(
+    positions: np.ndarray, target: TargetEstimate, params: SensingParams, draws: int, seed: int,
+    iterations: int = 20,
+) -> float:
+    """Mean squared error of weighted Gauss-Newton on seeded single-snapshot ranges, in m^2.
+
+    Each of ``draws`` snapshots holds one range per agent of (M, 2) ``positions``, drawn as in
+    :func:`likelihood_fim`. Starting at the true target, each of ``iterations`` steps linearizes
+    the slant ranges at the estimate and takes the least-squares step weighted by C / rho^4 there,
+    for all draws at once.
+    """
+    positions = np.asarray(positions, dtype=float)
+
+    def slant(estimate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        offset = positions - estimate[:, None, :]
+        return offset, np.sqrt(offset[..., 0] ** 2 + offset[..., 1] ** 2 + params.altitude_m**2)
+
+    rho = slant(target.position[None, :])[1][0]
+    noise = np.random.default_rng(seed).standard_normal((draws, len(rho)))
+    ranges = rho + np.sqrt(noise_variance(rho, params)) * noise
+    estimate = np.repeat(target.position[None, :], draws, axis=0)
+    for _ in range(iterations):
+        offset, rho = slant(estimate)
+        jx, jy = -offset[..., 0] / rho, -offset[..., 1] / rho
+        weight = params.composite_snr_m4 / rho**4
+        a, b, c = (weight * jx * jx).sum(axis=1), (weight * jx * jy).sum(axis=1), (weight * jy * jy).sum(axis=1)
+        gx, gy = (weight * jx * (ranges - rho)).sum(axis=1), (weight * jy * (ranges - rho)).sum(axis=1)
+        estimate = estimate + np.column_stack([c * gx - b * gy, a * gy - b * gx]) / (a * c - b * b)[:, None]
+    return float(((estimate - target.position) ** 2).sum(axis=1).mean())
 
 
 def nearest_point(rect: RectObstacle, position: np.ndarray) -> np.ndarray:
@@ -580,3 +620,29 @@ def stepwise_episode(
                 converged = True
                 break
     return records, tuple(events), converged, state
+
+
+def rowwise_trace_files(trace: EpisodeTrace, config, out_dir):
+    """Write ``trace.jsonl`` and ``trace.csv`` one row at a time; return their paths.
+
+    Each JSONL line is ``json.dumps`` of a dict with sorted keys and strict floats; each CSV
+    row goes through ``csv.writer``, which writes a float by ``repr`` and none as an empty cell.
+    """
+    columns = {}
+    for name, none_if_nonfinite in EpisodeTrace.COLUMNS.items():
+        values = trace.columns[name].tolist()
+        columns[name] = [_json_value(x) for x in values] if none_if_nonfinite else values
+    tags = _tags(config)
+    keys = ["step", *("positions_m" if name == "positions" else name for name in columns), *tags]
+    rows = zip(itertools.count(), *columns.values(), *map(itertools.repeat, tags.values()))
+    jsonl_path = out_dir / "trace.jsonl"
+    with jsonl_path.open("w") as fh:
+        for row in rows:
+            fh.write(json.dumps(dict(zip(keys, row)), sort_keys=True, allow_nan=False) + "\n")
+    csv_path = out_dir / "trace.csv"
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*_TRACE_CSV, *tags])
+        for row in zip(*(columns[name] for name in _TRACE_CSV.values())):
+            writer.writerow([*row, *tags.values()])
+    return jsonl_path, csv_path

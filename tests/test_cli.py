@@ -7,17 +7,25 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formsense
 from formsense import cli
 from formsense import config as config_module
 from formsense.cli import main
 from formsense.config import build_config
+from formsense.control import SwarmState
+from formsense.world import EpisodeTrace
+from oracle import rowwise_trace_files
 
 CSV_HEADER = ["t", "crlb", "cost", "eta", "min_clearance", "min_pairwise", "config_hash", "seed"]
 SWEEP_HEADER = ["altitude_m", "formation_kind", "crlb_m2", "bound_m2", "samples", "config_hash", "seed"]
@@ -185,6 +193,98 @@ class TestSimulate:
         b = json.loads((quiet / "summary.json").read_text())
         assert a["config_hash"] != b["config_hash"]
         assert (noisy / "trace.csv").read_bytes() != (quiet / "trace.csv").read_bytes()
+
+
+def hand_trace(columns: dict) -> EpisodeTrace:
+    """An episode trace of the given columns; its final state is M agents at the origin."""
+    agents = np.shape(columns["positions"])[1]
+    return EpisodeTrace(columns, (), False, SwarmState(np.zeros((agents, 2)), np.zeros((agents, 2))))
+
+
+def smooth_columns(steps: int, agents: int) -> dict:
+    """Finite columns of ``steps`` rows with positions of ``agents`` agents."""
+    rng = np.random.default_rng(3)
+    columns = {name: rng.normal(size=steps) * 10.0 for name in EpisodeTrace.COLUMNS}
+    columns["positions"] = rng.normal(size=(steps, agents, 2)) * 100.0
+    return columns
+
+
+# Floats whose text is easy to get wrong: signed zero, subnormal, smallest normal, exponent
+# switches, a sum that is not its literal, and integer values.
+AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1 + 0.2, 1e300, 1.0, -3.0, 1e15, 123456789.0]
+finite_values = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False))
+marked_values = st.one_of(finite_values, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+TAGGED = [build_config({"seed": seed}) for seed in (0, 12345, 2**63 - 1)]
+
+
+@st.composite
+def traces(draw):
+    steps, agents = draw(st.integers(0, 30)), draw(st.integers(1, 8))
+    columns = {}
+    for name, none_if_nonfinite in EpisodeTrace.COLUMNS.items():
+        size = steps * agents * 2 if name == "positions" else steps
+        values = draw(st.lists(marked_values if none_if_nonfinite else finite_values, min_size=size, max_size=size))
+        columns[name] = np.array(values, dtype=float)
+    columns["positions"] = columns["positions"].reshape(steps, agents, 2)
+    return hand_trace(columns)
+
+
+class TestTraceWriter:
+    @settings(max_examples=50, deadline=None)
+    @given(trace=traces(), config=st.sampled_from(TAGGED))
+    def test_writes_the_rowwise_writers_bytes(self, trace, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got"), Path(tmp, "want")
+            got.mkdir(), want.mkdir()
+            cli.write_trace(trace, config, got)
+            rowwise_trace_files(trace, config, want)
+            for name in ("trace.jsonl", "trace.csv"):
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["eta", "time_s", "total_cost", "positions"])
+    def test_non_finite_value_raises_before_any_file(self, tmp_path, name, value):
+        columns = smooth_columns(5, 3)
+        columns[name][2:4] = value
+        if name == "positions":  # and in one coordinate of one agent a step earlier
+            columns[name][1, 2, 1] = value
+        with pytest.raises(ValueError) as exc:
+            cli.write_trace(hand_trace(columns), build_config({}), tmp_path)
+        step = 1 if name == "positions" else 2
+        assert str(exc.value) == f"write_trace: {name} not finite at step {step}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_value_exits_3_with_an_empty_directory(self, tmp_path, capsys, monkeypatch):
+        columns = smooth_columns(5, 6)
+        columns["eta"][2] = float("nan")
+        monkeypatch.setattr(cli, "run_episode", lambda **kwargs: hand_trace(columns))
+        cfg, _ = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime error: write_trace: eta not finite at step 2\n"
+        assert list(out.iterdir()) == []
+
+    def test_memory_does_not_grow_with_the_positions_column(self, tmp_path):
+        """The positions go out row by row: the writer never holds the column as Python lists.
+
+        The rest of the peak depends on the step count alone: the scalar columns' texts and the
+        128 KiB record buffer of ``csv.writer``, about 0.43 MB at 400 steps. That is 0.7 of the
+        positions column at M=96, so the column is compared at M=192, and the growth from M=12.
+        A writer that lists the whole column peaks at about 8 times its size.
+        """
+        config, peaks, sizes = build_config({}), [], []
+        for agents in (12, 192):
+            columns = smooth_columns(400, agents)
+            trace = hand_trace(columns)
+            tracemalloc.start()
+            try:
+                cli.write_trace(trace, config, tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(columns["positions"].nbytes)
+        assert peaks[1] < sizes[1] / 2, peaks
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 8, peaks
 
 
 class TestSweep:
