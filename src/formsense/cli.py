@@ -37,13 +37,6 @@ _TRACE_CSV = {
 }
 
 
-def _json_value(x):
-    """JSON-safe scalar: non-finite floats become null."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
-
-
 def _tags(config: RunConfig) -> dict:
     return {"config_hash": config.config_hash, "seed": config.seed}
 
@@ -54,12 +47,12 @@ def _write_json(path: Path, payload: dict, config: RunConfig) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows, config: RunConfig) -> Path:
+def _write_csv(path: Path, header: list[str], columns, config: RunConfig) -> Path:
     tags = _tags(config)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*header, *tags])
-        writer.writerows([*row, *tags.values()] for row in rows)  # None as an empty field, a float by repr
+        writer.writerows(zip(*columns, *map(itertools.repeat, tags.values())))  # None as an empty cell, a float by repr
     return path
 
 
@@ -82,7 +75,7 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
         "positions_m": formation.planar_positions.tolist(),
         "target_m": target.position.tolist(),
         "planned_target_m": formation.center.tolist(),
-        "crlb_m2": _json_value(crlb),
+        "crlb_m2": crlb if math.isfinite(crlb) else None,
         "bound_m2": theoretical_lower_bound(config.params, formation.agent_count),
     }
     return _write_json(out_dir / "optimize.json", report, config)
@@ -122,7 +115,7 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
     jsonl_path = out_dir / "trace.jsonl"
     with jsonl_path.open("w") as fh:
         fh.writelines(lines)
-    plot = zip(*(texts[name] for name in _TRACE_CSV.values()))
+    plot = [texts[name] for name in _TRACE_CSV.values()]
     csv_path = _write_csv(out_dir / "trace.csv", list(_TRACE_CSV), plot, config)
     summary = trace.summary()
     summary["bound_m2"] = theoretical_lower_bound(config.params, config.formation.agent_count)
@@ -156,7 +149,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> Path:
         seed=config.seed,
     )
     header = ["altitude_m", "formation_kind", "crlb_m2", "bound_m2", "samples"]
-    return _write_csv(out_dir / "sweep.csv", header, ([row[h] for h in header] for row in rows), config)
+    return _write_csv(out_dir / "sweep.csv", header, [[row[h] for row in rows] for h in header], config)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,6 +17,7 @@ experiment.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -39,7 +40,7 @@ _DEPLOY_STREAM = 2**40
 _DEFAULT_SEED = 12345
 _DEFAULT_OUTPUT_DIR = "out"
 
-# PyYAML's C loader and dumper (libyaml) where the installed PyYAML has them.
+# PyYAML's C loader (libyaml) where the installed PyYAML has it.
 _WITH_LIBYAML = yaml.__with_libyaml__
 # libyaml composes nested collections by recursion in C, which a deep enough
 # text overflows; deeper text goes to the pure-Python loader. Shipped configs nest 4 deep.
@@ -458,16 +459,7 @@ def _depth_within(text: str, limit: int) -> bool:
     return True
 
 
-def canonical_yaml(canonical: dict) -> str:
-    """Stable text form of a resolved config; equal configs give equal text.
-
-    libyaml's emitter writes it where PyYAML has it, the pure-Python one otherwise;
-    both write the same text for a canonical form, so the hash does not depend on it.
-    """
-    dumper = yaml.CSafeDumper if _WITH_LIBYAML else yaml.SafeDumper
-    return yaml.dump(canonical, Dumper=dumper, sort_keys=True, default_flow_style=False)
-
-
 def hash_canonical(canonical: dict) -> str:
-    """Short digest identifying a resolved config."""
-    return hashlib.sha256(canonical_yaml(canonical).encode()).hexdigest()[:12]
+    """The first 12 hex digits of the sha256 of ``canonical`` as compact JSON with sorted keys."""
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]

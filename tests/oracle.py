@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from formsense.cli import _TRACE_CSV, _json_value, _tags
+from formsense.cli import _TRACE_CSV, _tags
 from formsense.control import (
     SwarmState,
     consensus_velocity_step,
@@ -627,11 +627,12 @@ def rowwise_trace_files(trace: EpisodeTrace, config, out_dir):
 
     Each JSONL line is ``json.dumps`` of a dict with sorted keys and strict floats; each CSV
     row goes through ``csv.writer``, which writes a float by ``repr`` and none as an empty cell.
+    A non-finite value of a column :attr:`EpisodeTrace.COLUMNS` marks is none.
     """
     columns = {}
     for name, none_if_nonfinite in EpisodeTrace.COLUMNS.items():
         values = trace.columns[name].tolist()
-        columns[name] = [_json_value(x) for x in values] if none_if_nonfinite else values
+        columns[name] = [x if math.isfinite(x) else None for x in values] if none_if_nonfinite else values
     tags = _tags(config)
     keys = ["step", *("positions_m" if name == "positions" else name for name in columns), *tags]
     rows = zip(itertools.count(), *columns.values(), *map(itertools.repeat, tags.values()))

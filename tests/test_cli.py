@@ -382,6 +382,16 @@ class TestGoldenArtifacts:
         moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
         assert not moved, f"artifacts differ from golden_artifacts.sha256: {moved}"
 
+    @pytest.mark.parametrize("name", ["baseline", "corridor", "sweep"])
+    def test_optimize_writes_the_same_bytes_without_libyaml(self, tmp_path, monkeypatch, name):
+        """The pure-Python loader reads a shipped config to the same config hash and report."""
+        config = str(Path(__file__).parent.parent / "configs" / f"{name}.yaml")
+        assert main(["optimize", "--config", config, "--out", str(tmp_path / "libyaml")]) == 0
+        monkeypatch.setattr(config_module, "_WITH_LIBYAML", False)
+        assert main(["optimize", "--config", config, "--out", str(tmp_path / "python")]) == 0
+        libyaml, python = ((tmp_path / out / "optimize.json").read_bytes() for out in ("libyaml", "python"))
+        assert python == libyaml
+
     def test_goal_mode_traces_do_not_depend_on_the_blas_kernel(self):
         """A child on OpenBLAS's Haswell kernel writes the simulate bytes of this process's kernel."""
         namespace = {}

@@ -19,7 +19,7 @@ from formsense import (
 )
 from formsense.benchmarks import BenchmarkSpec, sweep_rows
 from formsense.cli import cmd_simulate
-from formsense.config import SCHEMA, _BENCHMARK, _parse_yaml, build_config, canonical_yaml, hash_canonical
+from formsense.config import SCHEMA, _BENCHMARK, _parse_yaml, build_config, hash_canonical
 from formsense.errors import _ends
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +81,61 @@ class TestDefaults:
             build_config(raw)
 
 
+# The strings a canonical form holds: the values of every field with choices.
+CHOICES = sorted({c for table in (*SCHEMA.values(), _BENCHMARK) for kind, *_ in table.values()
+                  if isinstance(kind, tuple) for c in kind})
+KEYS = sorted({*SCHEMA, "seed", *(key for table in (*SCHEMA.values(), _BENCHMARK) for key in table)})
+
+
+def ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# Floats at the ends of the doubles and where repr switches to an exponent (1e16).
+EDGE_FLOATS = st.builds(
+    ulps_from, st.sampled_from([5e-324, -5e-324, 1e16, -1e16, 1.7976931348623157e308]), st.integers(-3, 3)
+)
+# A canonical form holds no NaN or infinity: the config rejects them.
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS.filter(math.isfinite)
+CANONICAL_VALUES = st.recursive(
+    FINITE_FLOATS | st.integers(-(2**63), 2**63) | st.sampled_from(CHOICES),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def reversed_order(value):
+    """``value`` with every mapping built in reversed insertion order."""
+    if isinstance(value, dict):
+        return {key: reversed_order(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [reversed_order(item) for item in value]
+    return value
+
+
+def one_edits(value):
+    """Every copy of ``value`` with one leaf changed in type, sign or last bit, or two list items swapped."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from ({**value, key: edited} for edited in one_edits(item))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from (value[:i] + [edited] + value[i + 1:] for edited in one_edits(item))
+        for i in range(len(value) - 1):
+            if json.dumps(value[i], sort_keys=True) != json.dumps(value[i + 1], sort_keys=True):
+                yield value[:i] + [value[i + 1], value[i]] + value[i + 2:]
+    elif isinstance(value, int):
+        yield float(value)  # 1 -> 1.0
+    elif isinstance(value, float):
+        if value.is_integer():
+            yield int(value)  # 1.0 -> 1
+        if value == 0.0:
+            yield -value  # 0.0 <-> -0.0
+        yield from filter(math.isfinite, (math.nextafter(value, math.inf), math.nextafter(value, -math.inf)))
+
+
 class TestHashing:
     def test_hash_shape(self):
         cfg = build_config(base_raw())
@@ -117,13 +172,18 @@ class TestHashing:
         assert rebuilt.canonical == cfg.canonical
         assert rebuilt.config_hash == cfg.config_hash
 
-    def test_canonical_yaml_is_loadable_and_sorted(self):
-        cfg = build_config(base_raw())
-        text = canonical_yaml(cfg.canonical)
-        assert yaml.safe_load(text) == cfg.canonical
-        assert hash_canonical(cfg.canonical) == cfg.config_hash
-        top_keys = [line.split(":")[0] for line in text.splitlines() if line and line[0] != " "]
-        assert top_keys == sorted(top_keys)
+    @settings(max_examples=50, deadline=None)
+    @given(canonical=st.dictionaries(st.sampled_from(KEYS), CANONICAL_VALUES, min_size=1, max_size=6))
+    def test_hash_names_the_canonical_form(self, canonical):
+        """Key order does not reach the hash; every other change of the JSON text does."""
+        digest = hash_canonical(canonical)
+        assert hash_canonical(reversed_order(canonical)) == digest
+        for edited in one_edits(canonical):
+            assert hash_canonical(edited) != digest, edited
+
+    def test_hash_of_a_literal(self):
+        """The hashed text is compact JSON: ``{"seed":1}``, with no space after the colon."""
+        assert hash_canonical({"seed": 1}) == "fbe47f6d82b4"
 
 
 class TestValidation:
@@ -391,15 +451,19 @@ class TestRanges:
 
 
 class TestGoldenHashes:
-    """Every artifact is tagged with the config hash; parsing changes must keep it."""
+    """Every artifact is tagged with the config hash; parsing changes must keep it.
+
+    A change that moves it on purpose records each old and new value in CHANGES.md.
+    """
 
     @pytest.mark.parametrize(
         "name, plain, seeded",
         [
-            ("baseline", "55f2c3529896", "eeba5b99d23d"),
-            ("corridor", "8435aa53b607", "9629e3b32438"),
-            ("sweep", "d77a956e2490", "96d41f6c2f6b"),
+            ("baseline", "8a8e16f9124e", "b2b44422ee78"),
+            ("corridor", "6a97fc729a49", "ddbd712e3e87"),
+            ("sweep", "8bf412430f53", "b6d4c619073e"),
         ],
+        ids=["baseline", "corridor", "sweep"],  # a moved hash keeps the test's name
     )
     def test_shipped_configs(self, name, plain, seeded):
         path = ROOT / "configs" / f"{name}.yaml"
@@ -408,7 +472,7 @@ class TestGoldenHashes:
 
     def test_empty_config_hashes_like_sweep_yaml(self):
         # Every value in configs/sweep.yaml is a default.
-        assert build_config({}).config_hash == "d77a956e2490"
+        assert build_config({}).config_hash == "8bf412430f53"
 
     def test_custom_graph_explicit_deployment_noise_watts(self):
         raw = base_raw()
@@ -420,7 +484,7 @@ class TestGoldenHashes:
             "positions_m": [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]],
             "initial_scale": 0.5,
         }
-        assert build_config(raw).config_hash == "620fdc37aaed"
+        assert build_config(raw).config_hash == "3723430e35cf"
 
 
 class TestReadme:
@@ -666,27 +730,6 @@ class TestReplace:
             RunConfig(base_raw(), Path("out"))
 
 
-# The strings a canonical form holds: the values of every field with choices.
-CHOICES = sorted({c for table in (*SCHEMA.values(), _BENCHMARK) for kind, *_ in table.values()
-                  if isinstance(kind, tuple) for c in kind})
-KEYS = sorted({*SCHEMA, "seed", *(key for table in (*SCHEMA.values(), _BENCHMARK) for key in table)})
-
-
-def ulps_from(x: float, steps: int) -> float:
-    for _ in range(abs(steps)):
-        x = math.nextafter(x, math.copysign(math.inf, steps))
-    return x
-
-
-# Floats at the ends of the doubles and where repr switches to an exponent (1e16).
-EDGE_FLOATS = st.builds(
-    ulps_from, st.sampled_from([5e-324, -5e-324, 1e16, -1e16, 1.7976931348623157e308]), st.integers(-3, 3)
-)
-CANONICAL_VALUES = st.recursive(
-    st.floats() | EDGE_FLOATS | st.integers(-(2**63), 2**63) | st.sampled_from(CHOICES),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
-    max_leaves=30,
-)
 SHIPPED_TEXTS = [(ROOT / "configs" / f"{name}.yaml").read_text() for name in ("baseline", "corridor", "sweep")]
 # Characters of YAML's syntax, and the ones the two loaders are known to read differently.
 MUTATION_CHARS = "\t \n:-?[]{},#'\"!&*|>%@`.0123456789eE+x\ufeff\u00a0"
@@ -705,27 +748,18 @@ def mutated_configs(draw) -> str:
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
 class TestLibyaml:
-    """Configs are read and hashed with libyaml; the pure-Python loader names errors and reads deep text."""
+    """Configs are read with libyaml; the pure-Python loader names errors and reads deep text."""
 
-    @pytest.mark.parametrize("name, plain", [("baseline", "55f2c3529896"), ("corridor", "8435aa53b607"),
-                                             ("sweep", "d77a956e2490")])
+    @pytest.mark.parametrize("name, plain", [("baseline", "8a8e16f9124e"), ("corridor", "6a97fc729a49"),
+                                             ("sweep", "8bf412430f53")], ids=["baseline", "corridor", "sweep"])
     def test_shipped_configs_never_reach_the_pure_python_loader(self, monkeypatch, name, plain):
         """A silent fallback would keep every other test passing and lose the speed."""
         def refuse(*args, **kwargs):
-            raise AssertionError("the pure-Python loader or emitter ran although libyaml is present")
+            raise AssertionError("the pure-Python loader ran although libyaml is present")
 
-        for attribute in ("safe_load", "SafeLoader", "safe_dump", "SafeDumper"):
+        for attribute in ("safe_load", "SafeLoader"):
             monkeypatch.setattr(yaml, attribute, refuse)
         assert load_config(ROOT / "configs" / f"{name}.yaml").config_hash == plain
-
-    @settings(max_examples=300, deadline=None)
-    @given(canonical=st.dictionaries(st.sampled_from(KEYS), CANONICAL_VALUES, min_size=1, max_size=6))
-    def test_both_emitters_write_the_same_text(self, canonical):
-        """``config_hash`` never depends on which emitter ran."""
-        libyaml_text = canonical_yaml(canonical)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(config_module, "_WITH_LIBYAML", False)
-            assert canonical_yaml(canonical) == libyaml_text
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=mutated_configs())
