@@ -6,11 +6,11 @@ the stepper advances the discrete dynamics
     q[k+1] = q[k] + u[k] + g[k] * dt + n[k]
 
 where u is the control input, g the consensus velocity estimate, and n
-zero-mean Gaussian noise. Step k's noise comes from one counter-based
-Philox generator keyed by the world's seed, its counter reset to k before
-the step's draws, so it is a pure function of (seed, k) and a whole episode
-is reproducible bit for bit. The step loop carries positions, velocity
-estimates and the scale as arrays, which the control laws take.
+zero-mean Gaussian noise. Step k's noise is row k mod 16 of block k // 16,
+drawn by a fresh Philox generator keyed by the world's seed with the block as
+its counter: a pure function of (seed, k), so an episode is reproducible bit
+for bit and a world holds no generator state. The step loop carries positions,
+velocity estimates and the scale as arrays, which the control laws take.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ class RectObstacle:
 
 # Outward unit normals of a rectangle's faces, in the order x_min, x_max, y_min, y_max.
 _FACE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
-_WORD = 2**64 - 1  # one 64-bit word of the Philox counter
-_STOP_STEPS = 16  # steps between two stop tests, so a settled run computes at most 15 it discards
+# Steps per stop test, so a settled run discards at most 15, and steps per motion noise block:
+# changing it changes the noise stream, so every noisy artifact and its golden digest.
+_STOP_STEPS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,37 +76,31 @@ class World:
     rng_seed: int = field(default=0, metadata={"interval": "[0, 2^64)"})  # the Philox key
     # Rectangle corners (2, 2, K) over the K obstacles: low (x_min, y_min), then high (x_max, y_max).
     _bounds: np.ndarray = field(init=False, repr=False)
-    _noise: np.random.Generator = field(init=False, repr=False)  # Philox keyed by rng_seed
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         check_fields(self)
         bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 2, 2)
         object.__setattr__(self, "_bounds", bounds.transpose(2, 1, 0).copy())
-        object.__setattr__(self, "_noise", np.random.Generator(np.random.Philox(key=self.rng_seed)))
 
     def _motion_noise(self, first_step: int, shape: tuple[int, int, int]) -> np.ndarray:
         """Motion noise (C, M, 2) of the C steps from ``first_step`` on; zeros without noise.
 
-        Step k's draws are the ziggurat normals of the Philox generator keyed
-        by ``rng_seed``, read from counter (0, k) with k split over the three
-        upper words and an empty buffer. The draws of step k advance only the
-        lowest word, so they are a pure function of (seed, k), whichever chunk
-        they are drawn in. The stream repeats after 2**192 steps. Two threads
-        must not draw from one world at the same time.
+        Step k's draws are row k mod 16 of block b = k // 16: the (16, M, 2) ziggurat
+        normals of a fresh Philox generator keyed by ``rng_seed`` at counter (0, b mod 2**192),
+        b in the three upper words. So they are a pure function of (seed, k), whichever chunk
+        or thread draws them. A block is drawn only up to the last row the call needs: the
+        draws are sequential, so that prefix holds the rows of the whole block.
         """
         if self.motion_noise_std == 0.0:
             return np.zeros(shape)
-        noise, bits = np.empty(shape), self._noise.bit_generator
-        state = {
-            "bit_generator": "Philox", "state": {"counter": None, "key": [self.rng_seed, 0]},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        for i in range(shape[0]):
-            k = first_step + i
-            state["state"]["counter"] = [0, k & _WORD, k >> 64 & _WORD, k >> 128 & _WORD]
-            bits.state = state
-            noise[i] = self._noise.normal(0.0, self.motion_noise_std, shape[1:])
+        noise, end = np.empty(shape), first_step + shape[0]
+        for block in range(first_step // _STOP_STEPS, -(-end // _STOP_STEPS)):
+            start = block * _STOP_STEPS
+            skip, stop = max(first_step - start, 0), min(start + _STOP_STEPS, end)
+            bits = np.random.Philox(counter=(block & (2**192 - 1)) << 64, key=self.rng_seed)
+            rows = np.random.Generator(bits).normal(0.0, self.motion_noise_std, (stop - start, *shape[1:]))
+            noise[start + skip - first_step : stop - first_step] = rows[skip:]
         return noise
 
     def min_clearance(self, points: np.ndarray, within: float = math.inf) -> tuple[np.ndarray, np.ndarray | None]:
@@ -198,7 +193,8 @@ def step(
     centroid's obstacle clearance. It queries the obstacles once for the agents
     and their centroid before the move and once after it. The noise is a pure
     function of (world seed, step index), so the successor state is a pure
-    function of its inputs.
+    function of its inputs. A noisy step builds the generator of its whole
+    noise block to draw its one row.
     """
     guidance = Guidance() if guidance is None else guidance
     velocity = guidance.commanded_velocity(state.positions, graph, disp)

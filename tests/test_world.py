@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -432,10 +433,16 @@ def unit_noise(seed: int, first_step: int, steps: int, agents: int = 6) -> np.nd
     return world._motion_noise(first_step, (steps, agents, 2))
 
 
+def block_rows(seed: int, block: int, agents: int) -> np.ndarray:
+    """The 16 rows (16, agents, 2) of a unit noise block, drawn whole from Philox counter (0, block)."""
+    bits = np.random.Philox(counter=(block % 2**192) * 2**64, key=seed)
+    return np.random.Generator(bits).normal(0.0, 1.0, (16, agents, 2))
+
+
 class TestMotionNoise:
     """The counter-keyed noise stream: step k's draws are a function of (seed, k) alone."""
 
-    @pytest.mark.parametrize("first_step", [0, 37, 2**64 - 3, 2**64 + 5, 2**130 + 1])
+    @pytest.mark.parametrize("first_step", [0, 37, 2**64 - 3, 2**64 + 5, 2**130 + 1, 2**200])
     def test_chunk_draws_equal_single_steps(self, first_step):
         chunk = unit_noise(3, first_step, 7)
         last_first = [unit_noise(3, first_step + i, 1)[0] for i in reversed(range(7))]
@@ -444,9 +451,54 @@ class TestMotionNoise:
         assert chunk[2:].tobytes() == unit_noise(3, first_step + 2, 5).tobytes()
 
     def test_words_of_the_step_index_all_count(self):
-        steps = [0, 1, 2**64, 2**128, 2**64 + 1]
+        steps = [16 * b for b in (0, 1, 2**64, 2**128, 2**64 + 1)]
         draws = [unit_noise(3, k, 1).tobytes() for k in steps]
         assert len(set(draws)) == len(steps)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        base=st.sampled_from([0, 2**64, 16 * 2**192]),
+        offset=st.integers(-40, 40),
+        steps=st.integers(1, 48),
+        cuts=st.lists(st.integers(1, 47), max_size=5),
+    )
+    def test_any_split_of_a_run_of_steps_draws_its_block_rows(self, base, offset, steps, cuts):
+        """Step k is row k mod 16 of block k // 16, however [k0, k0 + n) is split into draws.
+
+        The block index wraps after 2**192 blocks, so a run near 16 * 2**192 crosses back to block 0.
+        """
+        k0 = max(base + offset, 0)
+        whole = unit_noise(3, k0, steps, agents=2)
+        bounds = sorted({0, steps, *(c for c in cuts if c < steps)})
+        parts = [unit_noise(3, k0 + a, b - a, agents=2) for a, b in zip(bounds, bounds[1:])]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        blocks = range(k0 // 16, (k0 + steps - 1) // 16 + 1)
+        rows = np.concatenate([block_rows(3, b, 2) for b in blocks])[k0 % 16 :][:steps]
+        assert rows.tobytes() == whole.tobytes()
+        assert unit_noise(3, k0 + 16 * 2**192, steps, agents=2).tobytes() == whole.tobytes()
+
+    def test_threads_sharing_a_world_draw_the_serial_noise(self):
+        """Four threads draw disjoint steps from one world, switching as often as the interpreter can."""
+        world = World(target=TargetEstimate(np.zeros(2)), motion_noise_std=1.0, rng_seed=3)
+        serial = [world._motion_noise(k, (1, 6, 2)).tobytes() for k in range(1000)]
+        drawn = [b""] * 1000
+
+        def draw(first: int) -> None:
+            for k in range(first, 1000, 4):
+                drawn[k] = world._motion_noise(k, (1, 6, 2)).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(first,)) for first in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(a != b for a, b in zip(drawn, serial)) == 0
 
     def test_standard_deviation_scales_the_unit_draws(self, target):
         world = World(target=target, motion_noise_std=0.01, rng_seed=3)
