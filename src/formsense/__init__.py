@@ -35,7 +35,6 @@ from .sensing import SensingParams, TargetEstimate, crlb, elevation_weight
 from .world import (
     EpisodeTrace,
     Guidance,
-    RectObstacle,
     World,
     min_pairwise_distance,
     run_episode,
@@ -53,7 +52,6 @@ __all__ = [
     "EpisodeTrace",
     "FormationGeometry",
     "Guidance",
-    "RectObstacle",
     "RunConfig",
     "SensingParams",
     "SwarmState",

@@ -31,7 +31,7 @@ from .control import CommGraph, ControlGains, SwarmState, check_stability
 from .errors import NON_NEGATIVE, POSITIVE, ConfigError, check_choice, check_interval
 from .formation import DisplacementSet, FormationGeometry, build_formation
 from .sensing import SensingParams, TargetEstimate
-from .world import Guidance, RectObstacle, World
+from .world import Guidance, World
 
 # Entropy-stream tag separating the initial deployment draw from the sweep's
 # [seed, _SWEEP_STREAM, altitude] streams; motion noise draws from no seed stream.
@@ -310,16 +310,14 @@ def _sensing(section: dict, given: Any) -> SensingParams:
 
 
 def _world(section: dict, seed: int) -> World:
-    section["obstacles"], obstacles = _entries(
-        "world.obstacles", section["obstacles"], _OBSTACLE, RectObstacle, nonempty=False
+    section["obstacles"], rows = _entries(
+        "world.obstacles", section["obstacles"], _OBSTACLE, lambda **row: tuple(row.values()), nonempty=False
     )
-    return World(
-        target=TargetEstimate(section["target_m"]),
-        obstacles=obstacles,
-        motion_noise_std=section["motion_noise_std_m"],
-        dt=section["dt_s"],
-        rng_seed=seed,
-    )
+    noise, dt = section["motion_noise_std_m"], section["dt_s"]
+    try:
+        return World(TargetEstimate(section["target_m"]), rows, motion_noise_std=noise, dt=dt, rng_seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"world: {exc}") from exc
 
 
 def _graph(section: dict, agent_count: int) -> CommGraph:

@@ -1,6 +1,6 @@
 """Environment model and episode driver for the formation simulation.
 
-The world owns the target, the rectangular obstacles, and the motion noise;
+The world owns the target, the rectangular obstacles (one (K, 4) table), and the motion noise;
 the stepper advances the discrete dynamics
 
     q[k+1] = q[k] + u[k] + g[k] * dt + n[k]
@@ -32,28 +32,11 @@ from .control import (
     local_cost,
     scale_factor,
 )
-from .errors import NON_NEGATIVE, POSITIVE, check_fields, check_interval
+from .errors import NON_NEGATIVE, POSITIVE, check_fields, check_interval, frozen_array
 from .formation import DisplacementSet
 from .sensing import SensingParams, TargetEstimate, crlb
 
 GUIDANCE_MODES = ("constant", "goal")  # how Guidance produces the reference velocity
-
-
-@dataclass(frozen=True)
-class RectObstacle:
-    """Axis-aligned rectangular no-fly region, bounds in meters."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(
-                f"RectObstacle: need x_min < x_max and y_min < y_max, got "
-                f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
-            )
 
 
 # Outward unit normals of a rectangle's faces, in the order x_min, x_max, y_min, y_max.
@@ -65,10 +48,14 @@ _STOP_STEPS = 16
 
 @dataclass(frozen=True, eq=False)
 class World:
-    """Target, obstacles, noise level, and time base of a scenario."""
+    """Target, obstacles, noise level, and time base of a scenario.
+
+    ``obstacles`` holds a row (x_min, x_max, y_min, y_max) in meters per axis-aligned no-fly
+    rectangle: a read-only (K, 4) float copy, checked here; (), [] and a (0, 4) array mean none.
+    """
 
     target: TargetEstimate
-    obstacles: tuple[RectObstacle, ...] = ()
+    obstacles: np.ndarray = ()
     motion_noise_std: float = field(default=0.0, metadata={"interval": NON_NEGATIVE})
     # A step must advance time. A control period over 1000 s is no longer a
     # control loop, and near 1e300 s the first step overflows.
@@ -78,30 +65,37 @@ class World:
     _bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
         check_fields(self)
-        bounds = np.array([[o.x_min, o.x_max, o.y_min, o.y_max] for o in self.obstacles]).reshape(-1, 2, 2)
-        object.__setattr__(self, "_bounds", bounds.transpose(2, 1, 0).copy())
+        rows = self.obstacles
+        absent = rows.shape in ((0,), (0, 4)) if isinstance(rows, np.ndarray) else rows in ((), [])
+        rows = np.empty((0, 4)) if absent else frozen_array("World.obstacles", rows, "(K, 4)", {})
+        rows.setflags(write=False)
+        empty = np.flatnonzero((rows[:, 0] >= rows[:, 1]) | (rows[:, 2] >= rows[:, 3]))  # the bounds are finite
+        if empty.size:
+            k = empty[0]
+            raise ValueError(f"World.obstacles[{k}]: need x_min < x_max and y_min < y_max, got {rows[k].tolist()}")
+        object.__setattr__(self, "obstacles", rows)
+        object.__setattr__(self, "_bounds", rows.reshape(-1, 2, 2).transpose(2, 1, 0).copy())
 
     def _motion_noise(self, first_step: int, shape: tuple[int, int, int]) -> np.ndarray:
         """Motion noise (C, M, 2) of the C steps from ``first_step`` on; zeros without noise.
 
         Step k's draws are row k mod 16 of block b = k // 16: the (16, M, 2) ziggurat
         normals of a fresh Philox generator keyed by ``rng_seed`` at counter (0, b mod 2**192),
-        b in the three upper words. So they are a pure function of (seed, k), whichever chunk
-        or thread draws them. A block is drawn only up to the last row the call needs: the
-        draws are sequential, so that prefix holds the rows of the whole block.
+        b in the three upper words, times ``motion_noise_std``. So they are a pure function of
+        (seed, k), whichever chunk or thread draws them. The blocks are drawn in place from the
+        first row of the first one up to the last row the call needs: the draws are sequential,
+        so that prefix holds the rows of the whole block.
         """
         if self.motion_noise_std == 0.0:
             return np.zeros(shape)
-        noise, end = np.empty(shape), first_step + shape[0]
-        for block in range(first_step // _STOP_STEPS, -(-end // _STOP_STEPS)):
-            start = block * _STOP_STEPS
-            skip, stop = max(first_step - start, 0), min(start + _STOP_STEPS, end)
+        first, skip = divmod(first_step, _STOP_STEPS)
+        noise = np.empty((skip + shape[0], *shape[1:]))
+        for block, start in enumerate(range(0, len(noise), _STOP_STEPS), first):
             bits = np.random.Philox(counter=(block & (2**192 - 1)) << 64, key=self.rng_seed)
-            rows = np.random.Generator(bits).normal(0.0, self.motion_noise_std, (stop - start, *shape[1:]))
-            noise[start + skip - first_step : stop - first_step] = rows[skip:]
-        return noise
+            np.random.Generator(bits).standard_normal(out=noise[start : start + _STOP_STEPS])
+        noise *= self.motion_noise_std
+        return noise[skip:]
 
     def min_clearance(self, points: np.ndarray, within: float = math.inf) -> tuple[np.ndarray, np.ndarray | None]:
         """Clearance (...) and way out (..., 2) of points (..., 2): what repulsion reads.
@@ -117,7 +111,7 @@ class World:
         """
         points = np.asarray(points, dtype=float)
         shape = points.shape[:-1]
-        if not self.obstacles:
+        if not len(self.obstacles):
             return np.full(shape, math.inf), np.full(points.shape, math.nan) if within == math.inf else None
         p = points.reshape(-1, 2)
         (low, high), column = self._bounds, p[:, :, None]  # (2, K) corners by axis; (N, 2, 1) points

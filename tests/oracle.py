@@ -22,6 +22,9 @@ and :func:`range_fim_element` start from the closed form C/d^4 + 8/d^2 instead.
 
 :func:`formsense.formation.optimal_elevation` is a closed form;
 :func:`bisect_weight_peak` finds the same peak by bisection, with no algebra.
+:func:`exact_crlb` is the CRLB of float positions in ``Fraction`` arithmetic and
+:func:`decimal_bound` the bound at 60 decimal digits: the exact references that the
+rounding budget of "the bound is never beaten and the ring attains it" is measured against.
 
 The control laws work on the graph's edge list and an (M, 2) reference; the
 ``dense_*`` functions are the formulas over all M^2 pairs and the (M, M, 2)
@@ -54,6 +57,8 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -68,7 +73,7 @@ from formsense.control import (
     scale_factor,
 )
 from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
-from formsense.world import EpisodeTrace, Guidance, RectObstacle, crlb_of_positions
+from formsense.world import EpisodeTrace, Guidance, crlb_of_positions
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular; the library uses the same rule.
@@ -241,6 +246,39 @@ def bisect_weight_peak(params: SensingParams) -> float:
     return 0.5 * (lo + hi)
 
 
+def exact_crlb(positions: np.ndarray, target: TargetEstimate, params: SensingParams) -> Fraction:
+    """CRLB tr(J) / det(J) of (M, 2) float positions in exact rational arithmetic.
+
+    The formula of :func:`formsense.sensing.crlb` on the float inputs taken exactly: each
+    agent adds w d d^T with w = (C / rho^4 + 8 / rho^2) / rho^2, rho^2 = |d|^2 + H^2.
+    """
+    snr, h = Fraction(params.composite_snr_m4), Fraction(params.altitude_m)
+    tx, ty = (Fraction(float(v)) for v in target.position)
+    j_xx = j_yy = j_xy = Fraction(0)
+    for x, y in np.asarray(positions, dtype=float).tolist():
+        dx, dy = Fraction(x) - tx, Fraction(y) - ty
+        rho_sq = dx * dx + dy * dy + h * h
+        w = (snr / (rho_sq * rho_sq) + 8 / rho_sq) / rho_sq
+        j_xx, j_yy, j_xy = j_xx + w * dx * dx, j_yy + w * dy * dy, j_xy + w * dx * dy
+    return (j_xx + j_yy) / (j_xx * j_yy - j_xy * j_xy)
+
+
+def decimal_bound(params: SensingParams, agent_count: int) -> Decimal:
+    """The bound 4 / (M w*) from the closed-form root, in 60-digit decimal arithmetic.
+
+    With a = C / H^4 and b = 8 / H^2 of the float C and H taken exactly, the weight's
+    peak is at t* = tan^2(phi*) = (a + sqrt(a^2 + ab + b^2)) / (a + b), where
+    sin^2 = t* / (1 + t*), cos^2 = 1 / (1 + t*) and w* = (a sin^4 + b sin^2) cos^2.
+    """
+    with localcontext() as context:
+        context.prec = 60
+        h = Decimal(params.altitude_m)
+        a, b = Decimal(params.composite_snr_m4) / h**4, 8 / h**2
+        t = (a + (a * a + a * b + b * b).sqrt()) / (a + b)
+        sin_sq, cos_sq = t / (1 + t), 1 / (1 + t)
+        return 4 / (agent_count * (a * sin_sq + b) * sin_sq * cos_sq)
+
+
 def pose_from_angles(
     elevation_rad: float, azimuth_rad: float, target: TargetEstimate, params: SensingParams
 ) -> AgentPose:
@@ -330,32 +368,29 @@ def gauss_newton_mse(
     return float(((estimate - target.position) ** 2).sum(axis=1).mean())
 
 
-def nearest_point(rect: RectObstacle, position: np.ndarray) -> np.ndarray:
-    """Closest point of the rectangle: componentwise clamp of the position."""
+def nearest_point(rect, position: np.ndarray) -> np.ndarray:
+    """Closest point of the rectangle row (x_min, x_max, y_min, y_max): componentwise clamp of the position."""
+    x_min, x_max, y_min, y_max = rect
     position = np.asarray(position, dtype=float)
-    return np.array(
-        [
-            min(max(position[0], rect.x_min), rect.x_max),
-            min(max(position[1], rect.y_min), rect.y_max),
-        ]
-    )
+    return np.array([min(max(position[0], x_min), x_max), min(max(position[1], y_min), y_max)])
 
 
-def rect_distance(rect: RectObstacle, position: np.ndarray) -> float:
-    """Euclidean distance to the rectangle; zero on the boundary or inside."""
+def rect_distance(rect, position: np.ndarray) -> float:
+    """Euclidean distance to the rectangle row; zero on the boundary or inside."""
     position = np.asarray(position, dtype=float)
     nearest = nearest_point(rect, position)
     return float(np.hypot(position[0] - nearest[0], position[1] - nearest[1]))
 
 
-def escape_direction(rect: RectObstacle, position: np.ndarray) -> np.ndarray:
-    """Outward unit direction through the face nearest a point on or inside the rectangle."""
+def escape_direction(rect, position: np.ndarray) -> np.ndarray:
+    """Outward unit direction through the face nearest a point on or inside the rectangle row."""
+    x_min, x_max, y_min, y_max = rect
     position = np.asarray(position, dtype=float)
     gaps = (
-        (position[0] - rect.x_min, np.array([-1.0, 0.0])),
-        (rect.x_max - position[0], np.array([1.0, 0.0])),
-        (position[1] - rect.y_min, np.array([0.0, -1.0])),
-        (rect.y_max - position[1], np.array([0.0, 1.0])),
+        (position[0] - x_min, np.array([-1.0, 0.0])),
+        (x_max - position[0], np.array([1.0, 0.0])),
+        (position[1] - y_min, np.array([0.0, -1.0])),
+        (y_max - position[1], np.array([0.0, 1.0])),
     )
     return min(gaps, key=lambda g: g[0])[1]
 

@@ -278,7 +278,7 @@ class TestValidation:
     def test_bad_obstacle_bounds(self):
         raw = base_raw()
         raw["world"]["obstacles"] = [{"x_min": 5.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}]
-        with pytest.raises(ConfigError, match=r"world.obstacles\[0\]"):
+        with pytest.raises(ConfigError, match=r"world: World\.obstacles\[0\]: need x_min < x_max"):
             build_config(raw)
 
     def test_obstacle_missing_field(self):

@@ -17,7 +17,6 @@ from formsense import (
     CommGraph,
     ControlGains,
     DisplacementSet,
-    RectObstacle,
     SwarmState,
     World,
     build_formation,
@@ -480,7 +479,7 @@ class TestRepulsion:
     @pytest.mark.parametrize("gain, expected", [(5.0, [-3.0, 0.0]), (0.0, [0.0, 0.0])])
     def test_underflowing_distance_gives_the_cap_or_nothing(self, target, gain, expected):
         """At 1e-200 m the squared distance underflows to 0; the law divides by neither it nor 0/0."""
-        world = World(target=target, obstacles=(RectObstacle(0.0, 1.0, 0.0, 1.0),))
+        world = World(target=target, obstacles=((0.0, 1.0, 0.0, 1.0),))
         clearance, way_out = world.min_clearance([[-1e-200, 0.5]])
         assert clearance[0] == 1e-200
         gains = ControlGains(repulsion_gain=gain, repulsion_cap=3.0)
@@ -574,7 +573,7 @@ class TestControlInput:
         gains = ControlGains(repulsion_gain=1.0, safety_radius_m=5.0)
         positions = np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 40.0], [0.0, 40.0]])
         state = SwarmState(positions=positions, velocity_estimates=np.zeros((4, 2)))
-        post = RectObstacle(x_min=-4.0, x_max=-2.5, y_min=-1.0, y_max=1.0)
+        post = (-4.0, -2.5, -1.0, 1.0)
         world = World(target=target, obstacles=(post,))
         nearest = np.array([-2.5, 0.0])
 

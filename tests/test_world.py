@@ -23,7 +23,6 @@ from formsense import (
     ControlGains,
     DisplacementSet,
     Guidance,
-    RectObstacle,
     SensingParams,
     SwarmState,
     TargetEstimate,
@@ -57,7 +56,7 @@ from oracle import (
 )
 from test_control import random_connected_graph
 
-BOX = RectObstacle(x_min=-5.0, x_max=5.0, y_min=-5.0, y_max=5.0)
+BOX = (-5.0, 5.0, -5.0, 5.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -87,7 +86,8 @@ def clearance(obstacles, points):
 
 
 class TestRectObstacle:
-    """Single-rectangle queries, through World.min_clearance and the oracle."""
+    """One rectangle, a row (x_min, x_max, y_min, y_max) of World.obstacles: queries through
+    World.min_clearance and the oracle."""
 
     @pytest.mark.parametrize(
         "position, expected",
@@ -147,8 +147,60 @@ class TestRectObstacle:
         "bounds", [(5.0, -5.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 2.0, 2.0)]
     )
     def test_rejects_empty_rectangles(self, bounds):
+        with pytest.raises(ValueError, match=r"^World\.obstacles\[1\]: need x_min < x_max and y_min < y_max"):
+            World(target=TargetEstimate(np.zeros(2)), obstacles=(BOX, bounds, bounds))
+
+
+class TestObstacleTable:
+    """World.obstacles: a read-only (K, 4) float copy, checked once at construction."""
+
+    @pytest.mark.parametrize(
+        "obstacles",
+        [
+            [(0.0, math.nan, 0.0, 1.0)],
+            [(0.0, 1.0, -math.inf, 1.0)],
+            [(0.0, math.inf, 0.0, 1.0)],
+            [(0.0, 1.0, 0.0)],
+            [(0.0, 1.0, 0.0, 1.0, 2.0)],
+            [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0)],
+            (0.0, 1.0, 0.0, 1.0),
+            1.0,
+            None,
+            [[]],
+            "box",
+        ],
+    )
+    def test_rejects_what_is_not_a_finite_k_by_4_table(self, obstacles):
+        with pytest.raises(ValueError, match=r"^World\.obstacles: expected a finite \(K, 4\) array"):
+            World(target=TargetEstimate(np.zeros(2)), obstacles=obstacles)
+
+    @pytest.mark.parametrize("obstacles", [(), [], np.empty((0, 4)), np.empty(0)])
+    def test_empty_forms_mean_no_obstacles(self, obstacles):
+        world = World(target=TargetEstimate(np.zeros(2)), obstacles=obstacles)
+        assert world.obstacles.shape == (0, 4) and not world.obstacles.flags.writeable
+        clearance, way_out = world.min_clearance(np.zeros((3, 2)))
+        assert clearance.tolist() == [math.inf] * 3 and np.isnan(way_out).all()
+
+    def test_table_is_a_read_only_copy(self):
+        rows = np.array([BOX, (6.0, 7.0, -1.0, 1.0)])
+        world = World(target=TargetEstimate(np.zeros(2)), obstacles=rows)
+        assert world.obstacles.dtype == float and not world.obstacles.flags.writeable
+        assert not np.shares_memory(world.obstacles, rows)
+        rows[0] = (100.0, 101.0, 100.0, 101.0)  # the caller's array stays its own
+        assert world.obstacles[0].tolist() == list(BOX)
+        assert world.min_clearance(np.array([6.5, 3.0]))[0] == 1.5
         with pytest.raises(ValueError):
-            RectObstacle(*bounds)
+            world.obstacles[0, 0] = 0.0
+
+    @pytest.mark.parametrize("obstacles", [(), (BOX, (6.0, 7.0, -1.0, 1.0))])
+    def test_replace_round_trips(self, obstacles):
+        world = World(target=TargetEstimate(np.zeros(2)), obstacles=obstacles, motion_noise_std=0.1)
+        varied = dataclasses.replace(world, dt=0.2)
+        assert varied.dt == 0.2 and varied.obstacles.tobytes() == world.obstacles.tobytes()
+        assert varied.obstacles.shape == (len(obstacles), 4)
+        points = np.array([[0.0, 0.0], [6.5, 3.0], [9.0, -9.0]])
+        for got, want in zip(varied.min_clearance(points), world.min_clearance(points)):
+            assert got.tobytes() == want.tobytes()
 
 
 # Coordinates on a half-metre grid put points on edges and corners, inside
@@ -160,7 +212,7 @@ GRID = st.integers(-24, 24).map(lambda i: i / 2.0)
 def rectangles(draw):
     x0, y0 = draw(GRID), draw(GRID)
     width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    return RectObstacle(x0, x0 + width / 2.0, y0, y0 + height / 2.0)
+    return (x0, x0 + width / 2.0, y0, y0 + height / 2.0)
 
 
 class TestMinClearanceOracle:
@@ -250,13 +302,13 @@ class TestMinClearanceOracle:
         assert control_input(points, 1.0, graph, disp, gains, near, guarded).tobytes() == want.tobytes()
 
     def test_ties_go_to_the_first_rectangle(self):
-        left = RectObstacle(-3.0, -1.0, -1.0, 1.0)
-        right = RectObstacle(1.0, 3.0, -1.0, 1.0)
+        left = (-3.0, -1.0, -1.0, 1.0)
+        right = (1.0, 3.0, -1.0, 1.0)
         assert clearance((left, right), np.zeros(2))[1].tolist() == [1.0, 0.0]  # away from x = -1
         assert clearance((right, left), np.zeros(2))[1].tolist() == [-1.0, 0.0]  # away from x = 1
         # A point inside two overlapping rectangles leaves through the first one's face.
-        wide = RectObstacle(-10.0, 10.0, -0.5, 0.5)
-        tall = RectObstacle(-0.5, 0.5, -10.0, 10.0)
+        wide = (-10.0, 10.0, -0.5, 0.5)
+        tall = (-0.5, 0.5, -10.0, 10.0)
         point = np.array([0.1, 0.0])
         assert clearance((wide, tall), point)[1].tolist() == [0.0, -1.0]
         assert clearance((tall, wide), point)[1].tolist() == [1.0, 0.0]
@@ -278,7 +330,7 @@ class TestWorld:
         np.testing.assert_array_equal(way_out, [4.0, 0.0])  # from the nearest point (5, 0)
 
     def test_picks_nearest_of_several(self, target):
-        far = RectObstacle(x_min=100.0, x_max=110.0, y_min=0.0, y_max=10.0)
+        far = (100.0, 110.0, 0.0, 10.0)
         world = World(target=target, obstacles=(far, BOX))
         clearance, way_out = world.min_clearance(np.array([9.0, 0.0]))
         assert clearance == pytest.approx(4.0, rel=1e-12)
@@ -287,18 +339,18 @@ class TestWorld:
     def test_clearance_matches_boundary_sampling(self, target):
         """Oracle: dense sampling of the obstacle boundaries."""
         obstacles = (
-            RectObstacle(x_min=5.0, x_max=33.0, y_min=51.0, y_max=79.0),
-            RectObstacle(x_min=47.0, x_max=75.0, y_min=11.0, y_max=39.0),
+            (5.0, 33.0, 51.0, 79.0),
+            (47.0, 75.0, 11.0, 39.0),
         )
         world = World(target=target, obstacles=obstacles)
         rng = np.random.default_rng(13)
         boundary = []
-        for ob in obstacles:
+        for x_min, x_max, y_min, y_max in obstacles:
             s = np.linspace(0.0, 1.0, 2000)
-            boundary.append(np.c_[ob.x_min + s * (ob.x_max - ob.x_min), np.full_like(s, ob.y_min)])
-            boundary.append(np.c_[ob.x_min + s * (ob.x_max - ob.x_min), np.full_like(s, ob.y_max)])
-            boundary.append(np.c_[np.full_like(s, ob.x_min), ob.y_min + s * (ob.y_max - ob.y_min)])
-            boundary.append(np.c_[np.full_like(s, ob.x_max), ob.y_min + s * (ob.y_max - ob.y_min)])
+            boundary.append(np.c_[x_min + s * (x_max - x_min), np.full_like(s, y_min)])
+            boundary.append(np.c_[x_min + s * (x_max - x_min), np.full_like(s, y_max)])
+            boundary.append(np.c_[np.full_like(s, x_min), y_min + s * (y_max - y_min)])
+            boundary.append(np.c_[np.full_like(s, x_max), y_min + s * (y_max - y_min)])
         boundary = np.vstack(boundary)
         for _ in range(50):
             p = rng.uniform(-20.0, 100.0, size=2)
@@ -400,12 +452,8 @@ class TestStep:
         disp = DisplacementSet(formation.planar_positions)
         # Wall 6 m from the formation center: clearance - safety margin is
         # small against the 28 m formation diameter, so the scale drops.
-        wall = RectObstacle(
-            x_min=target.position[0] + 6.0,
-            x_max=target.position[0] + 20.0,
-            y_min=target.position[1] - 40.0,
-            y_max=target.position[1] + 40.0,
-        )
+        x, y = target.position
+        wall = (x + 6.0, x + 20.0, y - 40.0, y + 40.0)
         world = World(target=target, obstacles=(wall,))
         state = embedding_state(formation)
         after = step(state, world, CommGraph.ring_with_leader(6), disp, ControlGains())
@@ -846,7 +894,7 @@ class TestRunEpisode:
     def test_safety_events_logged_for_contact(self, default_params, target):
         formation = build_formation(default_params, target, 3)
         disp = DisplacementSet(formation.planar_positions)
-        block = RectObstacle(x_min=-100.0, x_max=300.0, y_min=-100.0, y_max=300.0)
+        block = (-100.0, 300.0, -100.0, 300.0)
         world = World(target=target, obstacles=(block,))
         state = embedding_state(formation)  # everyone inside the block
         trace = run_episode(
@@ -879,7 +927,7 @@ class TestRunEpisode:
         count_calls(monkeypatch, World, "min_clearance", calls)
         formation = build_formation(default_params, target, agents)
         x, y = formation.planar_positions[0] + 1.0
-        wall = RectObstacle(x_min=x + 2.0, x_max=x + 12.0, y_min=y - 5.0, y_max=y + 5.0)  # beside agent 0
+        wall = (x + 2.0, x + 12.0, y - 5.0, y + 5.0)  # beside agent 0
         world, gains = World(target=target, obstacles=(wall,)), ControlGains()
         state = embedding_state(formation)
         initial = SwarmState(state.positions + 1.0, state.velocity_estimates)
@@ -935,7 +983,7 @@ class TestRunEpisode:
         calls' state bit for bit."""
         formation = build_formation(default_params, target, 6)
         x, y = formation.planar_positions.max(axis=0) + 100.0  # too far to shrink the formation
-        world = World(target, (RectObstacle(x, x + 5.0, y, y + 5.0),), motion_noise_std=1e-4, rng_seed=5)
+        world = World(target, ((x, x + 5.0, y, y + 5.0),), motion_noise_std=1e-4, rng_seed=5)
         graph, disp = CommGraph.ring_with_leader(6), DisplacementSet(formation.planar_positions)
         gains, rng = ControlGains(), np.random.default_rng(6)
         state = SwarmState(
@@ -966,7 +1014,7 @@ class TestRunEpisode:
         x, y = formation.planar_positions[0]
         world = World(
             target=target,
-            obstacles=(RectObstacle(x - 20.0, x + 20.0, y - 20.0, y + 20.0), BOX),
+            obstacles=((x - 20.0, x + 20.0, y - 20.0, y + 20.0), BOX),
             motion_noise_std=0.05,
             rng_seed=11,
         )
@@ -997,7 +1045,7 @@ class TestRunEpisode:
 
     def test_diverged_run_names_the_step(self, default_params, target):
         formation = build_formation(default_params, target, 3)
-        block = RectObstacle(x_min=-100.0, x_max=300.0, y_min=-100.0, y_max=300.0)
+        block = (-100.0, 300.0, -100.0, 300.0)
         gains = ControlGains(repulsion_gain=1e300, repulsion_cap=1e300, safety_radius_m=1e6)
         with pytest.raises(ValueError, match="diverged at step 0: total_cost, "):
             run_episode(
@@ -1015,7 +1063,7 @@ class TestRunEpisode:
         calls = {}
         count_calls(monkeypatch, world_module, "control_input", calls)
         formation = build_formation(default_params, target, 3)
-        block = RectObstacle(x_min=-100.0, x_max=300.0, y_min=-100.0, y_max=300.0)
+        block = (-100.0, 300.0, -100.0, 300.0)
         gains = ControlGains(repulsion_gain=1e300, repulsion_cap=1e300, safety_radius_m=1e6)
         with pytest.raises(ValueError, match="diverged at step 0: total_cost, "):
             run_episode(
@@ -1174,7 +1222,7 @@ def episodes(draw):
         else:
             x, y = target.position + rng.uniform(-40.0, 40.0, size=2)
         w, h = rng.uniform(1.0, 15.0, size=2)
-        obstacles.append(RectObstacle(x - w, x + w, y - h, y + h))
+        obstacles.append((x - w, x + w, y - h, y + h))
     epsilon = 0.01
     if scenario == "blow_up":
         scatter = draw(st.sampled_from([1e140, 1e152, 1e280]))
@@ -1232,7 +1280,7 @@ class TestEpisodeColumns:
             initial=SwarmState(positions=positions, velocity_estimates=np.zeros((agents, 2))),
             world=World(
                 target=target,
-                obstacles=(BOX, RectObstacle(x - 1500.0, x + 1500.0, y - 1400.0, y + 1500.0)),
+                obstacles=(BOX, (x - 1500.0, x + 1500.0, y - 1400.0, y + 1500.0)),
                 motion_noise_std=0.05,
                 rng_seed=3,
             ),
@@ -1356,7 +1404,7 @@ def noise_free_scenes(draw):
     obstacles = []
     for _ in range(draw(st.integers(0, 2))):
         (x, y), width, height = draw(spot), draw(st.integers(1, 24)), draw(st.integers(1, 24))
-        obstacles.append(RectObstacle(x, x + width, y, y + height))
+        obstacles.append((x, x + width, y, y + height))
     velocity = np.array(draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))) / 10.0
     return dict(
         initial=SwarmState(np.array(draw(spots)) + (0.3, 0.1), np.array(draw(spots)) / 100.0),
@@ -1384,9 +1432,9 @@ def _moved(scene: dict, move) -> dict:
     """``scene`` with every point and vector moved by ``move``: agents, target, rectangles, slots, guidance."""
     world, initial, guidance = scene["world"], scene["initial"], scene["guidance"]
     obstacles = []
-    for o in world.obstacles:
-        (x_min, y_min), (x_max, y_max) = np.sort(move(np.array([[o.x_min, o.y_min], [o.x_max, o.y_max]])), axis=0)
-        obstacles.append(RectObstacle(x_min, x_max, y_min, y_max))
+    for x_min, x_max, y_min, y_max in world.obstacles:
+        (x_min, y_min), (x_max, y_max) = np.sort(move(np.array([[x_min, y_min], [x_max, y_max]])), axis=0)
+        obstacles.append((x_min, x_max, y_min, y_max))
     return {
         **scene,
         "initial": SwarmState(move(initial.positions), move(initial.velocity_estimates)),
@@ -1426,7 +1474,7 @@ class TestConvergenceRate:
     def test_error_ratio_is_the_laplacian_rate(self, topology):
         raw = {"graph": {"topology": topology}, "gains": {"consensus_gain": 0.1}}
         config = build_config(raw, noise_free=True)
-        assert config.formation.agent_count == 6 and not config.world.obstacles
+        assert config.formation.agent_count == 6 and not len(config.world.obstacles)
         assert config.guidance.mode == "constant" and not config.guidance.velocity_mps.any()
         trace = run_episode(
             config.initial_state(), config.world, config.graph, config.displacement_set(), config.gains,
