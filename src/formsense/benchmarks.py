@@ -10,13 +10,20 @@ how much they miss it as altitude grows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import check_fields
-from .formation import build_formation, optimal_azimuths, theoretical_lower_bound
+from .formation import (
+    _ring_radius,
+    _unit_polygon,
+    build_formation,
+    optimal_elevation,
+    theoretical_lower_bound,
+)
 from .sensing import SensingParams, TargetEstimate, crlb
 
 KINDS = ("optimal", "line", "clustered_polygon", "fixed_elevation", "random_cloud")
@@ -75,6 +82,11 @@ def benchmark_positions(
     given. ``draws`` stacks that many random_cloud instances into one
     (draws, M, 2) array, the same numbers as that many separate draws.
     """
+    return _positions(spec, agent_count, target, params, rng, ring, draws, None)
+
+
+def _positions(spec, agent_count, target, params, rng, ring, draws, directions) -> np.ndarray:
+    """:func:`benchmark_positions`, with the unit polygon ``directions`` built here when None."""
     s = target.position
     if spec.kind in ("optimal", "clustered_polygon") and ring is None:
         ring = build_formation(params, target, agent_count).planar_positions
@@ -86,9 +98,9 @@ def benchmark_positions(
     if spec.kind == "clustered_polygon":
         return s + spec.radius_factor * (ring - s)
     if spec.kind == "fixed_elevation":
-        radius = params.altitude_m / math.tan(math.radians(spec.elevation_deg))
-        azimuths = optimal_azimuths(agent_count)
-        return s + radius * np.column_stack([np.cos(azimuths), np.sin(azimuths)])
+        if directions is None:
+            directions = _unit_polygon(agent_count)
+        return s + _ring_radius(params.altitude_m, math.radians(spec.elevation_deg)) * directions
     if rng is None:
         raise ValueError("benchmark_positions: random_cloud needs an rng")
     size = (agent_count, 2) if draws is None else (draws, agent_count, 2)
@@ -110,39 +122,52 @@ def sweep_rows(
 ) -> list[dict]:
     """CRLB of every benchmark at every altitude, with the analytic bound.
 
-    At each altitude the formations of every spec, one per kind and ``samples``
-    draws of random_cloud, are stacked and scored by one batched CRLB call. A row
+    The formations of every spec, one per kind and ``samples`` draws of
+    random_cloud, fill one (F, M, 2) stack, scored by one batched CRLB call per
+    altitude. What does not depend on the altitude is built once: the unit
+    polygon of the three ring kinds and the line. Each altitude rescales the
+    polygon to its optimal and fixed-elevation rings, the arithmetic of
+    :func:`build_formation`, and draws its clouds from its own stream. A row
     is the mean over its formations that have a bound (NaN from
     :func:`sensing.crlb` contributes nothing) and ``samples`` counts them: a row
     none contributes to has ``crlb_m2`` None and ``samples`` 0.
     """
     if not altitudes_m:
         raise ValueError("sweep_rows: need at least one altitude")
-    needs_ring = any(spec.kind in ("optimal", "clustered_polygon") for spec in specs)
+    s = target.position
+    directions = None
+    if any(spec.kind in ("optimal", "clustered_polygon", "fixed_elevation") for spec in specs):
+        directions = _unit_polygon(agent_count)
+    sizes = [spec.samples if spec.kind == "random_cloud" else 1 for spec in specs]
+    spans = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
+    stack = np.empty((sum(sizes), agent_count, 2))
+    blocks = [stack[span] for span in spans]
+    for spec, block in zip(specs, blocks):
+        if spec.kind == "line":
+            block[0] = benchmark_positions(spec, agent_count, target, base_params)
     rows: list[dict] = []
     for alt_index, altitude in enumerate(altitudes_m):
         params = replace(base_params, altitude_m=float(altitude))
         bound = theoretical_lower_bound(params, agent_count)
-        ring = None
-        if needs_ring:  # one build serves the optimal and clustered_polygon rows
-            ring = build_formation(params, target, agent_count).planar_positions
-        stack = []
-        for spec in specs:
-            rng, draws = None, None
-            if spec.kind == "random_cloud":
-                rng, draws = np.random.default_rng([seed, _SWEEP_STREAM, alt_index]), spec.samples
-            positions = benchmark_positions(spec, agent_count, target, params, rng, ring, draws)
-            stack.append(positions.reshape(-1, agent_count, 2))
-        if not stack:  # no specs, no rows
+        if not specs:  # no specs, no rows
             break
-        values = formation_crlb(np.concatenate(stack), target, params)
-        for spec, scores in zip(specs, np.split(values, np.cumsum([len(block) for block in stack])[:-1])):
-            scores = scores[~np.isnan(scores)]
+        ring = None
+        if directions is not None:  # one ring serves the optimal and clustered_polygon rows
+            ring = s + _ring_radius(params.altitude_m, optimal_elevation(params)) * directions
+        for spec, block in zip(specs, blocks):
+            if spec.kind == "random_cloud":
+                rng = np.random.default_rng([seed, _SWEEP_STREAM, alt_index])
+                block[...] = benchmark_positions(spec, agent_count, target, params, rng, draws=spec.samples)
+            elif spec.kind != "line":
+                block[0] = _positions(spec, agent_count, target, params, None, ring, None, directions)
+        values = formation_crlb(stack, target, params)
+        for spec, span in zip(specs, spans):
+            scores = values[span][~np.isnan(values[span])]
             rows.append(
                 {
                     "altitude_m": float(altitude),
                     "formation_kind": spec.kind,
-                    "crlb_m2": float(scores.mean()) if scores.size else None,
+                    "crlb_m2": float(scores.sum()) / scores.size if scores.size else None,  # np.mean's double
                     "bound_m2": bound,
                     "samples": int(scores.size),
                 }

@@ -126,6 +126,17 @@ def optimal_azimuths(agent_count: int, initial_rotation_rad: float = 0.0) -> np.
     return raw % (2.0 * math.pi)
 
 
+def _unit_polygon(agent_count: int, initial_rotation_rad: float = 0.0) -> np.ndarray:
+    """Unit directions (M, 2) of the optimal azimuths: the ring about the origin at radius 1."""
+    azimuths = optimal_azimuths(agent_count, initial_rotation_rad)
+    return np.array([[math.cos(theta), math.sin(theta)] for theta in azimuths])
+
+
+def _ring_radius(altitude_m: float, elevation_rad: float) -> float:
+    """Horizontal distance at which an agent at this altitude sees the target at this elevation."""
+    return altitude_m / math.tan(elevation_rad)
+
+
 def theoretical_lower_bound(params: SensingParams, agent_count: int) -> float:
     """Minimum achievable CRLB trace for the given fleet size, in m^2.
 
@@ -150,13 +161,9 @@ def build_formation(
     equally spaced azimuths starting from ``initial_rotation_rad``.
     """
     phi_star = optimal_elevation(params)
-    radius = params.altitude_m / math.tan(phi_star)
-    azimuths = optimal_azimuths(agent_count, initial_rotation_rad)
-    positions = target.position + radius * np.array(
-        [[math.cos(theta), math.sin(theta)] for theta in azimuths]
-    )
+    radius = _ring_radius(params.altitude_m, phi_star)
     return FormationGeometry(
-        planar_positions=positions,
+        planar_positions=target.position + radius * _unit_polygon(agent_count, initial_rotation_rad),
         center=target.position,
         ring_radius_m=radius,
         elevation_rad=phi_star,

@@ -7,10 +7,11 @@ the stepper advances the discrete dynamics
 
 where u is the control input, g the consensus velocity estimate, and n
 zero-mean Gaussian noise. Step k's noise is row k mod 16 of block k // 16,
-drawn by a fresh Philox generator keyed by the world's seed with the block as
-its counter: a pure function of (seed, k), so an episode is reproducible bit
-for bit and a world holds no generator state. The step loop carries positions,
-velocity estimates and the scale as arrays, which the control laws take.
+drawn by a Philox generator set to its fresh state for the world's seed as key
+and the block as counter: a pure function of (seed, k), so an episode is
+reproducible bit for bit and a world holds no generator state. The step loop
+carries positions, velocity estimates and the scale as arrays, which the
+control laws take.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class World:
         """Motion noise (C, M, 2) of the C steps from ``first_step`` on; zeros without noise.
 
         Step k's draws are row k mod 16 of block b = k // 16: the (16, M, 2) ziggurat
-        normals of a fresh Philox generator keyed by ``rng_seed`` at counter (0, b mod 2**192),
-        b in the three upper words, times ``motion_noise_std``. So they are a pure function of
-        (seed, k), whichever chunk or thread draws them. The blocks are drawn in place from the
+        normals of a Philox generator in its fresh state for key ``rng_seed`` and counter
+        (0, b mod 2**192), b in the three upper words, times ``motion_noise_std``. So they are
+        a pure function of (seed, k), whichever chunk or thread draws them. The blocks are drawn in place from the
         first row of the first one up to the last row the call needs: the draws are sequential,
         so that prefix holds the rows of the whole block.
         """
@@ -91,9 +92,16 @@ class World:
             return np.zeros(shape)
         first, skip = divmod(first_step, _STOP_STEPS)
         noise = np.empty((skip + shape[0], *shape[1:]))
+        bits = np.random.Philox(0)  # a fixed seed draws no OS entropy; each block sets the whole state
+        generator = np.random.Generator(bits)
         for block, start in enumerate(range(0, len(noise), _STOP_STEPS), first):
-            bits = np.random.Philox(counter=(block & (2**192 - 1)) << 64, key=self.rng_seed)
-            np.random.Generator(bits).standard_normal(out=noise[start : start + _STOP_STEPS])
+            counter = [0, *((block >> shift) & (2**64 - 1) for shift in (0, 64, 128))]
+            bits.state = {  # the fresh state: empty buffer, no cached half-word
+                "bit_generator": "Philox",
+                "state": {"counter": counter, "key": [self.rng_seed, 0]},
+                "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+            generator.standard_normal(out=noise[start : start + _STOP_STEPS])
         noise *= self.motion_noise_std
         return noise[skip:]
 

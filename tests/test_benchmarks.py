@@ -5,18 +5,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formsense.benchmarks
+import formsense.formation
 from formsense import (
     BenchmarkSpec,
+    SensingParams,
     TargetEstimate,
     benchmark_positions,
     build_formation,
     sweep_rows,
     theoretical_lower_bound,
 )
-from formsense.benchmarks import formation_crlb
-from oracle import pose_crlb
+from formsense.benchmarks import KINDS, formation_crlb
+from oracle import RING_BUDGET, per_altitude_sweep_rows, pose_crlb
+
+
+def benchmark_specs(kinds=KINDS):
+    """Benchmarks of these kinds, with shape parameters that include singular lines (offset 0)."""
+    return st.builds(
+        BenchmarkSpec,
+        kind=st.sampled_from(kinds),
+        radius_factor=st.floats(0.05, 2.0),
+        elevation_deg=st.floats(1.0, 89.0),
+        length_m=st.floats(1.0, 200.0),
+        lateral_offset_m=st.sampled_from([0.0, -5.0]) | st.floats(-100.0, 100.0),
+        half_width_m=st.floats(1.0, 100.0),
+        samples=st.integers(1, 8),
+    )
 
 
 class TestBenchmarkSpec:
@@ -104,7 +122,7 @@ class TestFormationCrlb:
     def test_matches_built_formation(self, default_params, target):
         formation = build_formation(default_params, target, 6)
         crlb = formation_crlb(formation.planar_positions, target, default_params)
-        assert crlb == pytest.approx(theoretical_lower_bound(default_params, 6), rel=1e-9)
+        assert crlb == pytest.approx(theoretical_lower_bound(default_params, 6), rel=RING_BUDGET)
 
     def test_singular_line_through_target(self, default_params, target):
         spec = BenchmarkSpec(kind="line", lateral_offset_m=1e-9)
@@ -129,20 +147,16 @@ class TestSweepRows:
         assert {r["altitude_m"] for r in rows} == set(altitudes)
         for row in rows:
             assert set(row) == {"altitude_m", "formation_kind", "crlb_m2", "bound_m2", "samples"}
-            assert row["crlb_m2"] >= row["bound_m2"] * (1.0 - 1e-12)
+            assert row["crlb_m2"] >= row["bound_m2"] * (1.0 - RING_BUDGET)
 
     def test_bound_recomputed_per_altitude(self, default_params, target):
-        import dataclasses
-
         rows = sweep_rows(
             [BenchmarkSpec(kind="optimal")], 6, target, default_params, [10.0, 50.0], seed=1
         )
         for row in rows:
             params = dataclasses.replace(default_params, altitude_m=row["altitude_m"])
-            assert row["bound_m2"] == pytest.approx(
-                theoretical_lower_bound(params, 6), rel=1e-12
-            )
-            assert row["crlb_m2"] == pytest.approx(row["bound_m2"], rel=1e-9)
+            assert row["bound_m2"] == theoretical_lower_bound(params, 6)
+            assert row["crlb_m2"] == pytest.approx(row["bound_m2"], rel=RING_BUDGET)
 
     def test_random_cloud_reports_sample_count(self, default_params, target):
         rows = sweep_rows(
@@ -167,20 +181,32 @@ class TestSweepRows:
         again = sweep_rows(spec, 6, target, default_params, [20.0, 60.0], seed=9)
         assert forward[0] == again[0]
 
-    def test_ring_built_once_per_altitude(self, default_params, target, monkeypatch):
-        calls = []
-        build = formsense.benchmarks.build_formation
+    def test_builds_no_formation_geometry(self, default_params, target, monkeypatch):
+        def refuse(geometry):
+            raise AssertionError("sweep_rows built a FormationGeometry")
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        monkeypatch.setattr(formsense.formation.FormationGeometry, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="FormationGeometry"):
+            build_formation(default_params, target, 6)
+        rows = sweep_rows(self._specs(), 6, target, default_params, [10.0, 20.0, 30.0], seed=1)
+        assert len(rows) == 15
 
-        monkeypatch.setattr(formsense.benchmarks, "build_formation", counted)
-        sweep_rows(self._specs(), 6, target, default_params, [10.0, 20.0, 30.0], seed=1)
-        assert len(calls) == 3
-        calls.clear()
-        sweep_rows([BenchmarkSpec(kind="line")], 6, target, default_params, [10.0], seed=1)
-        assert calls == []
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(3, 30),
+        st.lists(st.floats(0.5, 500.0), min_size=1, max_size=4),
+        st.lists(benchmark_specs(), max_size=6) | st.lists(benchmark_specs(("line", "random_cloud")), max_size=3),
+        st.integers(0, 2**32),
+        st.floats(-7.0, 3.0).map(lambda e: 10.0**e),
+    )
+    def test_equals_the_per_altitude_loop(self, agents, altitudes, specs, seed, power):
+        """Row for row, bit for bit: rescaling one polygon gives what building each altitude gave."""
+        params = SensingParams(
+            transmit_power_w=power, processing_gain=1.0e3, ref_channel_power_m4=1.0e-5,
+            kappa=1.0, noise_floor_w=1.0e-12, altitude_m=20.0,
+        )
+        args = (specs, agents, TargetEstimate(np.array([80.0, 90.0])), params, altitudes, seed)
+        assert sweep_rows(*args) == per_altitude_sweep_rows(*args)
 
     def test_random_cloud_row_matches_pose_oracle(self, default_params, target):
         spec = BenchmarkSpec(kind="random_cloud", samples=8)

@@ -25,7 +25,7 @@ from formsense.cli import main
 from formsense.config import build_config
 from formsense.control import SwarmState
 from formsense.world import EpisodeTrace
-from oracle import rowwise_trace_files
+from oracle import RING_BUDGET, rowwise_trace_files
 
 CSV_HEADER = ["t", "crlb", "cost", "eta", "min_clearance", "min_pairwise", "config_hash", "seed"]
 SWEEP_HEADER = ["altitude_m", "formation_kind", "crlb_m2", "bound_m2", "samples", "config_hash", "seed"]
@@ -65,7 +65,7 @@ class TestOptimize:
         report = json.loads((out / "optimize.json").read_text())
         assert report["agent_count"] == 6
         assert 45.0 < report["elevation_deg"] < 54.7357
-        assert report["crlb_m2"] == pytest.approx(report["bound_m2"], rel=1e-9)
+        assert report["crlb_m2"] == pytest.approx(report["bound_m2"], rel=RING_BUDGET)
         assert len(report["positions_m"]) == 6
         assert len(report["config_hash"]) == 12
         assert report["seed"] == 12345
@@ -307,9 +307,9 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 3
         for row in rows[1:]:
             crlb, bound = float(row[2]), float(row[3])
-            assert crlb >= bound * (1.0 - 1e-12)
+            assert crlb >= bound * (1.0 - RING_BUDGET)
             if row[1] == "optimal":
-                assert crlb == pytest.approx(bound, rel=1e-9)
+                assert crlb == pytest.approx(bound, rel=RING_BUDGET)
 
     def test_singular_benchmark_writes_an_empty_cell(self, tmp_path, capsys):
         cfg, _ = write_config(

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formsense import (
@@ -33,12 +33,17 @@ from formsense import (
 )
 from formsense.sensing import AgentPose
 from oracle import (
+    BOUND_BUDGET,
+    CRLB_BUDGET,
+    ELEVATION_BUDGET,
+    RING_BUDGET,
     SPEED_OF_LIGHT,
     Fim2,
     SingularGeometryError,
     bisect_weight_peak,
     crlb_trace,
     decimal_bound,
+    decimal_elevation,
     exact_crlb,
     pose_crlb,
     pose_from_angles,
@@ -517,17 +522,6 @@ def formations(draw, batch=(), agents=st.integers(1, 8), radius=st.floats(0.5, 3
 
 TARGET = TargetEstimate(np.array([80.0, 90.0]))
 
-# Rounding budgets, in units of u = 2^-53. Measured on 120 000 rings over the config domain
-# (altitudes 1 mm to 1000 km, SNRs C / H^4 of 1e-80 to 1e100 with both ends, 3 to 12 agents)
-# under numpy's default and baseline kernels: crlb of the float ring is within 7.6 u of
-# exact_crlb, theoretical_lower_bound within 8.0 u of decimal_bound, and the exact CRLB of the
-# float ring lies above the exact bound by less than 3e-22 relative. So the ring attains the
-# bound, and nothing beats it, to RING_BUDGET: crlb's budget plus the bound's.
-U = 2.0**-53
-CRLB_BUDGET = BOUND_BUDGET = 10 * U
-RING_BUDGET = CRLB_BUDGET + BOUND_BUDGET
-
-
 def snr_params(altitude: float, snr: float) -> SensingParams:
     """Unit parameters but the transmit power, which sets the SNR C / H^4, rounded under its ceiling."""
     composite = snr * altitude**4
@@ -626,6 +620,24 @@ class TestCrlb:
         assert abs(Fraction(crlb(positions, TARGET, params)) - exact) <= CRLB_BUDGET * exact
         assert abs(Fraction(theoretical_lower_bound(params, count)) - bound) <= BOUND_BUDGET * bound
         assert exact >= bound * (1 - Fraction(1, 10**50))  # the 60-digit bound's own rounding
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(log_uniform(-3.0, 6.0), log_uniform(-80.0, 100.0), log_uniform(-8.0, 8.0), st.booleans())
+    @example(1e-3, 1e-80, 1.0, False)
+    @example(1e-3, 1e100, 1.0, False)
+    @example(1e6, 1e-80, 1.0, False)
+    @example(1e6, 1e100, 1.0, False)
+    def test_elevation_within_its_rounding_budget(self, altitude, snr, knee, at_knee):
+        """optimal_elevation against its 60-digit value, over the config domain with its corners.
+
+        Half the draws sit near the knee C H^2 / 8 = 1, where the optimum turns from 45 degrees
+        toward arctan(sqrt(2)); a log-uniform SNR alone lands mostly far to either side.
+        """
+        if at_knee:
+            snr = min(max(8.0 * knee / altitude**2, 1e-80), 1e100)
+        params = snr_params(altitude, snr)
+        exact = Fraction(decimal_elevation(params))
+        assert abs(Fraction(optimal_elevation(params)) - exact) <= ELEVATION_BUDGET * exact
 
     def test_singular_line_is_nan_alone_and_in_a_batch(self, default_params, target):
         line = benchmark_positions(

@@ -5,6 +5,7 @@ import functools
 import math
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -552,6 +553,21 @@ class TestMotionNoise:
         world = World(target=target, motion_noise_std=0.01, rng_seed=3)
         assert np.array_equal(world._motion_noise(11, (4, 6, 2)), 0.01 * unit_noise(3, 11, 4))
         assert not World(target=target, rng_seed=3)._motion_noise(11, (4, 6, 2)).any()
+
+    def test_noisy_steps_draw_no_os_entropy(self, default_params, target, monkeypatch):
+        """Each block sets the generator's whole state, so no OS entropy is drawn for a key it drops."""
+
+        def refuse(size):
+            raise AssertionError(f"drew {size} bytes of OS entropy")
+
+        monkeypatch.setattr(random, "_urandom", refuse)
+        formation = build_formation(default_params, target, 6)
+        args = (CommGraph.ring_with_leader(6), DisplacementSet(formation.planar_positions), ControlGains())
+        world = World(target=target, motion_noise_std=0.01, rng_seed=3)
+        state = embedding_state(formation)
+        assert not np.array_equal(step(state, world, *args).positions, state.positions)
+        trace = run_episode(state, world, *args, default_params, max_steps=40, stop_tolerance=0.0)
+        assert trace.steps == 40
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
     def test_mean_and_variance(self, seed):
