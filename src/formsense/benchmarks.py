@@ -104,7 +104,21 @@ def _positions(spec, agent_count, target, params, rng, ring, draws, directions) 
     if rng is None:
         raise ValueError("benchmark_positions: random_cloud needs an rng")
     size = (agent_count, 2) if draws is None else (draws, agent_count, 2)
-    return s + rng.uniform(-spec.half_width_m, spec.half_width_m, size=size)
+    return _draw_cloud(np.empty(size), spec, s, rng)
+
+
+def _draw_cloud(block, spec, s, rng) -> np.ndarray:
+    """Fill the C-contiguous ``block`` with uniform draws from the box about ``s``, in place.
+
+    The doubles of ``s + rng.uniform(-w, w, block.shape)``, w the half width: numpy's uniform
+    is low + (high - low) * next_double, and ``random`` draws the same next_double stream.
+    """
+    w = spec.half_width_m
+    rng.random(out=block)
+    block *= w - -w
+    block -= w
+    block += s
+    return block
 
 
 def formation_crlb(positions: np.ndarray, target: TargetEstimate, params: SensingParams):
@@ -127,10 +141,10 @@ def sweep_rows(
     altitude. What does not depend on the altitude is built once: the unit
     polygon of the three ring kinds and the line. Each altitude rescales the
     polygon to its optimal and fixed-elevation rings, the arithmetic of
-    :func:`build_formation`, and draws its clouds from its own stream. A row
-    is the mean over its formations that have a bound (NaN from
-    :func:`sensing.crlb` contributes nothing) and ``samples`` counts them: a row
-    none contributes to has ``crlb_m2`` None and ``samples`` 0.
+    :func:`build_formation`, and draws its clouds from its own stream in place
+    into the stack. A row is the mean over its formations that have a bound
+    (NaN from :func:`sensing.crlb` contributes nothing) and ``samples`` counts
+    them: a row none contributes to has ``crlb_m2`` None and ``samples`` 0.
     """
     if not altitudes_m:
         raise ValueError("sweep_rows: need at least one altitude")
@@ -156,20 +170,26 @@ def sweep_rows(
             ring = s + _ring_radius(params.altitude_m, optimal_elevation(params)) * directions
         for spec, block in zip(specs, blocks):
             if spec.kind == "random_cloud":
-                rng = np.random.default_rng([seed, _SWEEP_STREAM, alt_index])
-                block[...] = benchmark_positions(spec, agent_count, target, params, rng, draws=spec.samples)
+                _draw_cloud(block, spec, s, np.random.default_rng([seed, _SWEEP_STREAM, alt_index]))
             elif spec.kind != "line":
                 block[0] = _positions(spec, agent_count, target, params, None, ring, None, directions)
         values = formation_crlb(stack, target, params)
+        floats = values.tolist()
         for spec, span in zip(specs, spans):
-            scores = values[span][~np.isnan(values[span])]
+            if spec.kind == "random_cloud":
+                scores = values[span][~np.isnan(values[span])]
+                count = scores.size
+                mean = float(scores.sum()) / count if count else None  # np.mean's double
+            else:
+                mean = floats[span.start]
+                count = 0 if math.isnan(mean) else 1
             rows.append(
                 {
                     "altitude_m": float(altitude),
                     "formation_kind": spec.kind,
-                    "crlb_m2": float(scores.sum()) / scores.size if scores.size else None,  # np.mean's double
+                    "crlb_m2": mean if count else None,
                     "bound_m2": bound,
-                    "samples": int(scores.size),
+                    "samples": count,
                 }
             )
     return rows

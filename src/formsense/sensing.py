@@ -126,7 +126,7 @@ def elevation_weight(elevation_rad, params: SensingParams):
     scalars or arrays.
     """
     phi = np.asarray(elevation_rad, dtype=float)
-    if np.any(phi <= 0) or np.any(phi >= math.pi / 2):
+    if not ((phi > 0) & (phi < math.pi / 2)).all():  # NaN lies inside no interval
         raise ValueError(
             f"elevation_weight: elevation must lie strictly inside (0, pi/2), got {elevation_rad!r}"
         )
@@ -161,13 +161,22 @@ def crlb(positions, target: TargetEstimate, params: SensingParams):
         raise ValueError(f"crlb: expected positions of shape (..., M, 2), got {q.shape}")
     if not np.all(np.isfinite(q)):
         raise ValueError("crlb: positions must be finite")
-    d = q - target.position
-    dx, dy = d[..., 0], d[..., 1]
-    rho_sq = dx * dx + dy * dy + params.altitude_m**2
-    w = (params.composite_snr_m4 / (rho_sq * rho_sq) + 8.0 / rho_sq) / rho_sq
-    j_xx = (w * dx * dx).sum(axis=-1)
-    j_yy = (w * dy * dy).sum(axis=-1)
-    j_xy = (w * dx * dy).sum(axis=-1)
+    # Contiguous x and y planes, the doubles of q - s, and the formulas in place, associated as
+    # written: rho^2 = (dx dx + dy dy) + H^2, w = (C / (rho^2 rho^2) + 8 / rho^2) / rho^2, and
+    # J's entries ((w dx) dx), ((w dx) dy) and ((w dy) dy).
+    sx, sy = target.position.tolist()
+    dx, dy = q[..., 0] - sx, q[..., 1] - sy
+    rho_sq = dx * dx
+    rho_sq += dy * dy
+    rho_sq += params.altitude_m**2
+    w = rho_sq * rho_sq
+    np.divide(params.composite_snr_m4, w, out=w)
+    w += 8.0 / rho_sq
+    w /= rho_sq
+    w_dx, w_dy = w * dx, w * dy
+    j_xx = (w_dx * dx).sum(axis=-1)
+    j_yy = (w_dy * dy).sum(axis=-1)
+    j_xy = (w_dx * dy).sum(axis=-1)
     trace = j_xx + j_yy
     det = j_xx * j_yy - j_xy * j_xy
     overhead = ((dx == 0.0) & (dy == 0.0)).any(axis=-1)

@@ -36,6 +36,7 @@ from oracle import (
     BOUND_BUDGET,
     CRLB_BUDGET,
     ELEVATION_BUDGET,
+    OFF_RING_BUDGET,
     RING_BUDGET,
     SPEED_OF_LIGHT,
     Fim2,
@@ -45,9 +46,11 @@ from oracle import (
     decimal_bound,
     decimal_elevation,
     exact_crlb,
+    exact_fim,
     pose_crlb,
     pose_from_angles,
     poses_of,
+    strided_crlb,
     delay_to_range,
     gauss_newton_mse,
     jacobian,
@@ -263,6 +266,13 @@ class TestElevationWeight:
             elevation_weight(0.0, default_params)
         with pytest.raises(ValueError):
             elevation_weight(math.pi / 2, default_params)
+
+    def test_nan_rejected(self, default_params):
+        # NaN lies in no interval, as errors.check_interval has it.
+        with pytest.raises(ValueError, match=r"strictly inside \(0, pi/2\)"):
+            elevation_weight(math.nan, default_params)
+        with pytest.raises(ValueError, match=r"strictly inside \(0, pi/2\)"):
+            elevation_weight(np.array([0.5, math.nan, 0.7]), default_params)
 
 
 class TestAgentPose:
@@ -522,6 +532,29 @@ def formations(draw, batch=(), agents=st.integers(1, 8), radius=st.floats(0.5, 3
 
 TARGET = TargetEstimate(np.array([80.0, 90.0]))
 
+
+@st.composite
+def far_and_near_formations(draw):
+    """Positions (*batch, M, 2), batch (), (B,) or (B1, B2), at 1 mm to 1000 km from the target.
+
+    Returns the positions and whether one row puts all its agents on one line through the target
+    (a singular J) and whether another puts an agent exactly over it.
+    """
+    batch = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    count = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bearings = rng.uniform(0.0, 2.0 * math.pi, (*batch, count))
+    collinear, overhead = draw(st.booleans()), draw(st.booleans())
+    if collinear:  # the first row's agents on both sides of one bearing
+        row = bearings.reshape(-1, count)[0]
+        row[:] = row[0] + math.pi * (rng.random(count) < 0.5)
+    radii = 10.0 ** rng.uniform(-3.0, 6.0, bearings.shape)
+    positions = TARGET.position + radii[..., None] * np.stack([np.cos(bearings), np.sin(bearings)], axis=-1)
+    if overhead:  # one agent of the last row exactly over the target
+        positions.reshape(-1, count, 2)[-1, rng.integers(count)] = TARGET.position
+    return positions, collinear, overhead
+
+
 def snr_params(altitude: float, snr: float) -> SensingParams:
     """Unit parameters but the transmit power, which sets the SNR C / H^4, rounded under its ceiling."""
     composite = snr * altitude**4
@@ -543,6 +576,25 @@ def regime_params(altitude: float, snr: float) -> SensingParams:
 
 
 class TestCrlb:
+    @PROPERTY
+    @given(
+        far_and_near_formations(),
+        log_uniform(-3.0, 6.0),
+        st.sampled_from([1e-80, 1e100]) | log_uniform(-80.0, 100.0),
+    )
+    def test_equals_the_strided_kernel_bit_for_bit(self, drawn, altitude, snr):
+        """The contiguous in-place planes give the doubles the strided views of q - s gave."""
+        positions, collinear, overhead = drawn
+        params = snr_params(altitude, snr)
+        got, want = crlb(positions, TARGET, params), strided_crlb(positions, TARGET, params)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) == positions.shape[:-2]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if collinear:
+            assert np.isnan(np.reshape(got, -1)[0])
+        if overhead:
+            assert np.isnan(np.reshape(got, -1)[-1])
+
     @PROPERTY
     @given(st.data(), st.integers(1, 5))
     def test_batch_rows_equal_single_calls_bit_for_bit(self, data, rows):
@@ -620,6 +672,33 @@ class TestCrlb:
         assert abs(Fraction(crlb(positions, TARGET, params)) - exact) <= CRLB_BUDGET * exact
         assert abs(Fraction(theoretical_lower_bound(params, count)) - bound) <= BOUND_BUDGET * bound
         assert exact >= bound * (1 - Fraction(1, 10**50))  # the 60-digit bound's own rounding
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        log_uniform(-3.0, 6.0),
+        st.sampled_from([1e-80, 1e100]) | log_uniform(-80.0, 100.0),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+        st.floats(-7.0, 0.0),
+    )
+    def test_off_the_ring_within_its_conditioned_budget(self, altitude, snr, count, seed, spread):
+        """crlb against the exact CRLB of the same float positions, relative to tr(J)^2 / det(J).
+
+        Bearings spread over 2 pi 10^spread: nearly collinear formations have a large tr^2 / det,
+        up to the singularity rule's 1e12.
+        """
+        params = snr_params(altitude, snr)
+        rng = np.random.default_rng(seed)
+        bearings = rng.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi * 10.0**spread * rng.random(count)
+        radii = altitude * 10.0 ** rng.uniform(-2.0, 2.0, count)
+        positions = TARGET.position + radii[:, None] * np.column_stack([np.cos(bearings), np.sin(bearings)])
+        value = crlb(positions, TARGET, params)
+        if math.isnan(value):
+            return
+        j_xx, j_yy, j_xy = exact_fim(positions, TARGET, params)
+        trace, det = j_xx + j_yy, j_xx * j_yy - j_xy * j_xy
+        exact = trace / det
+        assert abs(Fraction(value) - exact) <= OFF_RING_BUDGET * (trace * trace / det) * exact
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(log_uniform(-3.0, 6.0), log_uniform(-80.0, 100.0), log_uniform(-8.0, 8.0), st.booleans())
