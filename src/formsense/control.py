@@ -8,7 +8,9 @@ scale factor that shrinks the whole target formation through narrow gaps.
 Every law is a pure function of arrays: (M, 2) positions or velocity
 estimates and the scale factor. The laws gather per-edge differences over the
 graph's directed edges (m, p) and sum them back onto agent m: O(M + E) time
-and memory. The stepper in :mod:`formsense.world` owns state advancement.
+and memory. A step makes that pass once for both of its laws, on the stack
+of its positions and velocity estimates. The stepper in :mod:`formsense.world`
+owns state advancement.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class CommGraph:
     links: np.ndarray
     leader_index: int = 0
     agent_count: int = field(init=False)
-    _xy_bins: np.ndarray = field(init=False, repr=False)  # 2m, 2m + 1 per edge
+    _stack_bins: np.ndarray = field(init=False, repr=False)  # 2m, 2m + 1, then 2M + 2m, 2M + 2m + 1 per edge
 
     def __post_init__(self) -> None:
         links, leader = np.asarray(self.links), self.leader_index
@@ -70,7 +72,7 @@ class CommGraph:
         object.__setattr__(self, "links", np.stack((m, p)))
         self.links.setflags(write=False)
         object.__setattr__(self, "agent_count", agents)
-        object.__setattr__(self, "_xy_bins", (2 * m[:, None] + (0, 1)).ravel())
+        object.__setattr__(self, "_stack_bins", (2 * (agents * np.arange(2)[:, None] + m)[..., None] + (0, 1)).ravel())
 
     @property
     def degrees(self) -> np.ndarray:
@@ -193,12 +195,14 @@ def consensus_velocity_step(
     connected graph the iteration contracts all estimates to the reference.
     ``velocities`` (M, 2) are the current estimates; they are not modified.
     """
-    target_velocity = np.asarray(target_velocity, dtype=float)
-    velocities = np.array(velocities, dtype=float)
-    velocities[graph.leader_index] = target_velocity
-    m, p = graph.links
-    correction = _edge_sum(graph, velocities.take(m, axis=0) - velocities.take(p, axis=0))
-    updated = velocities - gains.consensus_gain * correction
+    pinned = np.array(velocities, dtype=float)
+    pinned[graph.leader_index] = target_velocity
+    return _consensus(pinned, _edge_sum(graph, _deviation(pinned, graph, 0.0)), graph, target_velocity, gains)
+
+
+def _consensus(pinned: np.ndarray, sums: np.ndarray, graph: CommGraph, target_velocity, gains: ControlGains):
+    """The consensus round of (M, 2) estimates, the leader's pinned, from their edge sums sum_p (v_m - v_p)."""
+    updated = pinned - gains.consensus_gain * sums
     updated[graph.leader_index] = target_velocity
     return updated
 
@@ -211,8 +215,8 @@ def _edge_sum(graph: CommGraph, values: np.ndarray) -> np.ndarray:
     """
     *lead, _, width = values.shape
     rows = math.prod(lead)
-    if rows == 1 and width == 2:
-        bins = graph._xy_bins
+    if rows <= 2 and width == 2:  # one (E, 2) plane or the step's two
+        bins = graph._stack_bins[: values.size]
     else:
         agent_rows = graph.agent_count * np.arange(rows)[:, None] + graph.links[0]
         bins = (width * agent_rows[..., None] + np.arange(width)).ravel()
@@ -222,27 +226,42 @@ def _edge_sum(graph: CommGraph, values: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _reference_offsets(graph: CommGraph, disp: DisplacementSet) -> np.ndarray:
-    """(E, 2) desired offsets r_m - r_p on every directed edge (m, p), held for the last pair asked.
+    """(2, E, 2) planes r_m - r_p and 0 on every directed edge (m, p), held for the last pair asked.
 
-    Both objects are frozen with read-only arrays; an episode asks for one pair on every step.
+    The desired offsets of the positions, then those of the velocity estimates. Both objects
+    are frozen with read-only arrays; an episode asks for one pair on every step.
     """
     (m, p), r = graph.links, disp.reference
-    offsets = r.take(m, axis=0) - r.take(p, axis=0)
+    offsets = np.zeros((2, len(m), 2))
+    np.subtract(r.take(m, axis=0), r.take(p, axis=0), out=offsets[0])
     offsets.setflags(write=False)
     return offsets
 
 
-def _deviation(q: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale=1.0) -> np.ndarray:
-    """(..., E, 2) deviation q_m - q_p - scale * (r_m - r_p) on every directed edge (m, p).
+def _offsets(positions: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale: float = 1.0) -> np.ndarray:
+    """(2, E, 2) planes scale * (r_m - r_p) and 0: the offsets of the stack (2, M, 2) [positions, velocity estimates].
 
-    ``q`` is (..., M, 2): one set of positions, or a batch along the leading axes.
+    Plane 0 alone is the offsets of positions (..., M, 2). With scale in (0, 1] the zeros are
+    +0.0, and subtracting +0.0 leaves every velocity difference as it is, signed zeros included.
     """
-    (m, p), r = graph.links, disp.reference
-    if not q.shape[-2] == len(r) == graph.agent_count:
+    if not 0.0 < scale <= 1.0:
+        raise ValueError(f"displacement_control: scale must lie in (0, 1], got {scale!r}")
+    if not positions.shape[-2] == len(disp.reference) == graph.agent_count:
         raise ValueError(
-            f"expected {graph.agent_count} agents, got {q.shape[-2]} positions and {len(r)} reference rows"
+            f"expected {graph.agent_count} agents, got {positions.shape[-2]} positions "
+            f"and {len(disp.reference)} reference rows"
         )
-    return q.take(m, axis=-2) - q.take(p, axis=-2) - scale * _reference_offsets(graph, disp)
+    return scale * _reference_offsets(graph, disp)
+
+
+def _deviation(q: np.ndarray, graph: CommGraph, offsets) -> np.ndarray:
+    """(..., E, 2) deviation q_m - q_p - o_mp on every directed edge (m, p) of values q (..., M, 2).
+
+    ``q`` is one set of values or a batch along the leading axes; ``offsets`` are those of
+    :func:`_offsets`, or 0.0 for consensus. Every law sums these onto agent m.
+    """
+    m, p = graph.links
+    return q.take(m, axis=-2) - q.take(p, axis=-2) - offsets
 
 
 def local_cost(
@@ -267,7 +286,7 @@ def local_cost(
     if dt <= 0:
         raise ValueError(f"local_cost: dt must be > 0, got {dt!r}")
     q = np.asarray(positions, dtype=float)
-    squared = (_deviation(q, graph, disp) ** 2).sum(axis=-1)
+    squared = (_deviation(q, graph, _offsets(q, graph, disp)[0]) ** 2).sum(axis=-1)
     displacement_term = _edge_sum(graph, squared[..., None])[..., 0]
     realized = (np.asarray(next_positions, dtype=float) - q) / dt
     mismatch = realized - np.asarray(target_velocity, dtype=float)[..., None, :]
@@ -284,7 +303,7 @@ def displacement_error(
     offset flip sign together. (M, 2) positions give an np.float64 (a
     float); a batch (..., M, 2) gives an array (...).
     """
-    per_edge = (_deviation(positions, graph, disp) ** 2).sum(axis=-1)
+    per_edge = (_deviation(positions, graph, _offsets(positions, graph, disp)[0]) ** 2).sum(axis=-1)
     return per_edge.sum(axis=-1) / 2.0
 
 
@@ -302,10 +321,7 @@ def displacement_control(
     displacement error. The offsets enter scaled so the tracked formation
     can shrink near obstacles without changing shape.
     """
-    if not 0.0 < scale <= 1.0:
-        raise ValueError(f"displacement_control: scale must lie in (0, 1], got {scale!r}")
-    deviation = _deviation(np.asarray(positions, dtype=float), graph, disp, scale)
-    return -gains.epsilon * _edge_sum(graph, deviation)
+    return control_input(positions, scale, graph, disp, gains, None, None)
 
 
 def repulsion(distance: float, way_out: np.ndarray, gains: ControlGains) -> np.ndarray:
@@ -369,8 +385,39 @@ def control_input(
     Repulsion is evaluated only for the agents inside the safety radius, so
     ``way_out`` is read only in their rows; None means no agent is inside it.
     """
-    u = displacement_control(positions, graph, disp, gains, scale)
+    q = np.asarray(positions, dtype=float)
+    sums = _edge_sum(graph, _deviation(q, graph, _offsets(q, graph, disp, scale)[0]))
+    return _control(sums, gains, clearance, way_out)
+
+
+def _control(sums: np.ndarray, gains: ControlGains, clearance, way_out) -> np.ndarray:
+    """Control input (M, 2) from the edge sums of the scaled deviations, as :func:`control_input` reads its inputs."""
+    u = -gains.epsilon * sums
     if way_out is not None:
         for m in np.flatnonzero(clearance < gains.safety_radius_m):
             u[m] += repulsion(clearance[m], way_out[m], gains)
     return u
+
+
+def _step_laws(
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    scale: float,
+    graph: CommGraph,
+    disp: DisplacementSet,
+    gains: ControlGains,
+    target_velocity: np.ndarray,
+    clearance: np.ndarray,
+    way_out: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A step's control input and consensus estimates, both (M, 2), from one edge pass.
+
+    The pass runs on the (2, M, 2) stack [positions, velocity estimates with the leader's
+    pinned] with the offsets of :func:`_offsets`; every plane and component has its own bins,
+    which sum each agent's edges in edge order, so the two planes give the doubles of
+    :func:`control_input` and :func:`consensus_velocity_step`.
+    """
+    stack = np.array((positions, velocities))
+    stack[1, graph.leader_index] = target_velocity
+    sums = _edge_sum(graph, _deviation(stack, graph, _offsets(positions, graph, disp, scale)))
+    return _control(sums[0], gains, clearance, way_out), _consensus(stack[1], sums[1], graph, target_velocity, gains)

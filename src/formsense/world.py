@@ -27,12 +27,12 @@ from .control import (
     CommGraph,
     ControlGains,
     SwarmState,
-    consensus_velocity_step,
-    control_input,
+    _step_laws,
     displacement_error,
     local_cost,
     scale_factor,
 )
+from .control import consensus_velocity_step, control_input  # noqa: F401  perfbench probes them here (ROADMAP item 1a)
 from .errors import NON_NEGATIVE, POSITIVE, check_fields, check_interval, frozen_array
 from .formation import DisplacementSet
 from .sensing import SensingParams, TargetEstimate, crlb
@@ -108,11 +108,12 @@ class World:
     def min_clearance(self, points: np.ndarray, within: float = math.inf) -> tuple[np.ndarray, np.ndarray | None]:
         """Clearance (...) and way out (..., 2) of points (..., 2): what repulsion reads.
 
-        One (N, K) table of the hypot of the per-axis gaps max(x_min - x, x - x_max, 0) of all
-        points to all rectangles; the closest rectangle wins, the first one on ties. Outside
-        every rectangle the way out is the point's offset from its nearest point of that
-        rectangle, so its hypot is the clearance bit for bit. In contact it is the outward unit
-        normal of that rectangle's nearest face (x_min, x_max, y_min, y_max, the first on ties).
+        One (N, 2, K) table of the gaps p - min(max(p, low), high), each point's offset from
+        its nearest point of each rectangle, and one (N, K) table of their hypot, which ignores
+        signs (C99 F.10.4.3); the closest rectangle wins, the first one on ties. Outside every
+        rectangle the way out is the gap at the closest one, so its hypot is the clearance bit
+        for bit. In contact it is the outward unit normal of that rectangle's nearest face
+        (x_min, x_max, y_min, y_max, the first on ties).
         Only the rows whose clearance is below ``within`` (all by default) get a way out, the
         others NaN; with a finite ``within`` and no such row it is None, and nothing is looked up.
         Without obstacles the clearance is inf.
@@ -123,32 +124,23 @@ class World:
             return np.full(shape, math.inf), np.full(points.shape, math.nan) if within == math.inf else None
         p = points.reshape(-1, 2)
         (low, high), column = self._bounds, p[:, :, None]  # (2, K) corners by axis; (N, 2, 1) points
-        gaps = np.maximum(np.maximum(low - column, column - high), 0.0)
+        gaps = column - np.minimum(np.maximum(column, low), high)
         dist = np.hypot(gaps[:, 0], gaps[:, 1])
-        clearance, rows = dist.min(axis=1), np.arange(len(p))  # a NaN row's minimum is NaN, as its argmin
-        if within < math.inf:
+        clearance = dist.min(axis=1)  # a NaN row's minimum is NaN, as its argmin
+        if within == math.inf:
+            rows = np.arange(len(p))
+        else:
             rows = (clearance < within).nonzero()[0]
             if not rows.size:
                 return clearance.reshape(shape), None
-        way_out, p, closest = np.full(p.shape, math.nan), p[rows], dist[rows].argmin(axis=1)
-        low, high = low[:, closest].T, high[:, closest].T  # (n, 2) corners of the looked-up rows
-        way_out[rows] = p - np.minimum(np.maximum(p, low), high)
+        way_out, closest = np.full(p.shape, math.nan), dist[rows].argmin(axis=1)
+        way_out[rows] = gaps[rows, :, closest]
         contact = np.flatnonzero(clearance[rows] <= 0.0)
         if contact.size:
-            inside = p[contact]
-            gaps = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
-            way_out[rows[contact]] = _FACE_NORMALS[gaps.argmin(axis=1)]
+            inside, k = p[rows[contact]], closest[contact]
+            faces = np.stack((inside - low[:, k].T, high[:, k].T - inside), axis=-1).reshape(-1, 4)
+            way_out[rows[contact]] = _FACE_NORMALS[faces.argmin(axis=1)]
         return clearance.reshape(shape), way_out.reshape(points.shape)
-
-
-def _surroundings(world: World, positions: np.ndarray, within: float) -> tuple[tuple, float]:
-    """Clearance (M,) and ways out (M, 2) of (M, 2) positions, and their centroid's clearance.
-
-    The ways out are those of :meth:`World.min_clearance` below ``within``: None if none is.
-    """
-    centroid = positions.sum(axis=0, keepdims=True) / len(positions)  # the double of mean
-    clearance, way_out = world.min_clearance(np.concatenate((positions, centroid)), within)
-    return (clearance[:-1], way_out if way_out is None else way_out[:-1]), float(clearance[-1])
 
 
 def _advance(
@@ -165,16 +157,21 @@ def _advance(
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, tuple]:
     """Next positions, velocity estimates, scale, control input u and surroundings of one period.
 
-    ``noise`` (M, 2) is the period's motion noise and ``around`` the surroundings of
-    ``positions`` as :func:`_surroundings` gives them; the returned ones are those of the
-    next positions, from the step's one obstacle query.
+    ``noise`` (M, 2) is the period's motion noise and ``around`` the clearance (M,) and ways
+    out of ``positions``, as :meth:`World.min_clearance` gives them below the safety radius;
+    the returned ones are those of the next positions. The step's one obstacle query measures
+    them with their centroid, sum / M (the double of ``mean``), in the last row of one buffer.
     """
-    velocities = consensus_velocity_step(velocities, graph, target_velocity, gains)
-    u = control_input(positions, scale, graph, disp, gains, *around)
-    positions = positions + u + velocities * world.dt + noise
-    around, centroid_clearance = _surroundings(world, positions, gains.safety_radius_m)
-    scale = scale_factor(disp.nominal_diameter_m, centroid_clearance, gains, scale)
-    return positions, velocities, scale, u, around
+    u, velocities = _step_laws(positions, velocities, scale, graph, disp, gains, target_velocity, *around)
+    points = np.empty((len(positions) + 1, 2))
+    moved = points[:-1]
+    np.add(positions, u, out=moved)
+    moved += velocities * world.dt
+    moved += noise
+    np.divide(moved.sum(axis=0), len(moved), out=points[-1])
+    clearance, way_out = world.min_clearance(points, gains.safety_radius_m)
+    scale = scale_factor(disp.nominal_diameter_m, float(clearance[-1]), gains, scale)
+    return moved, velocities, scale, u, (clearance[:-1], way_out if way_out is None else way_out[:-1])
 
 
 def step(
@@ -193,7 +190,7 @@ def step(
     velocity consensus, applies the combined control input at the current
     formation scale, adds motion noise, then updates the scale from the new
     centroid's obstacle clearance. It queries the obstacles once for the agents
-    and their centroid before the move and once after it. The noise is a pure
+    before the move and once for them and their centroid after it. The noise is a pure
     function of (world seed, step index), so the successor state is a pure
     function of its inputs. A noisy step builds the generator of its whole
     noise block to draw its one row.
@@ -203,7 +200,7 @@ def step(
     positions, velocities, scale, _, _ = _advance(
         state.positions, state.velocity_estimates, state.scale,
         world._motion_noise(state.step_index, (1, *state.positions.shape))[0],
-        _surroundings(world, state.positions, gains.safety_radius_m)[0], world, graph, disp, gains, velocity,
+        world.min_clearance(state.positions, gains.safety_radius_m), world, graph, disp, gains, velocity,
     )
     return SwarmState(positions, velocities, scale, state.step_index + 1)
 
@@ -258,10 +255,6 @@ class Guidance:
     def __post_init__(self) -> None:
         check_fields(self)
 
-    def _to_goal(self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet) -> np.ndarray:
-        """Vector (..., 2) from the leader to its slot of the reference, for positions (..., M, 2)."""
-        return disp.reference[graph.leader_index] - positions[..., graph.leader_index, :]
-
     def center_error_m(
         self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
     ) -> float | np.ndarray:
@@ -271,19 +264,21 @@ class Guidance:
         """
         if self.mode == "constant":
             return np.zeros(np.shape(positions)[:-2])[()]  # [()] makes a 0-d result a scalar
-        return np.linalg.norm(self._to_goal(positions, graph, disp), axis=-1)
+        return np.linalg.norm(disp.reference[graph.leader_index] - positions[..., graph.leader_index, :], axis=-1)
 
     def commanded_velocity(
         self, positions: np.ndarray, graph: CommGraph, disp: DisplacementSet
     ) -> np.ndarray:
-        """Reference velocity (2,) for (M, 2) positions."""
+        """Reference velocity (2,) for (M, 2) positions, steered on Python floats."""
         if self.mode == "constant":
             return self.velocity_mps
-        v = self.gain_per_s * self._to_goal(positions, graph, disp)
-        speed = math.sqrt(v[0] * v[0] + v[1] * v[1])  # not v.dot(v): BLAS kernels round it differently
+        (x, y), (goal_x, goal_y) = positions[graph.leader_index].tolist(), disp.reference[graph.leader_index].tolist()
+        vx, vy = self.gain_per_s * (goal_x - x), self.gain_per_s * (goal_y - y)
+        speed = math.sqrt(vx * vx + vy * vy)  # not a dot product: BLAS kernels round it differently
         if speed > self.max_speed_mps:
-            v = v * (self.max_speed_mps / speed)
-        return v
+            shrink = self.max_speed_mps / speed
+            vx, vy = vx * shrink, vy * shrink
+        return np.array((vx, vy))
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,10 +416,11 @@ def run_episode(
 
     The loop carries positions, velocity estimates and the scale as arrays
     through the same :func:`_advance` as :func:`step` and builds one
-    :class:`SwarmState`, the final one. Each step makes one obstacle query,
-    :meth:`World.min_clearance` on the new positions and their centroid.
-    A chunk of C steps records only the dynamics per step, in blocks of 16
-    steps that draw their motion noise before their first step. After each
+    :class:`SwarmState`, the final one. Each step makes one edge pass for both
+    control laws and one obstacle query, :meth:`World.min_clearance` on the new
+    positions and their centroid. A chunk of C steps draws its motion noise in
+    one call before its first step and records only the dynamics per step, in
+    blocks of 16 steps. After each
     block, batched calls give its displacement errors and arrival distances
     and the stop rule cuts the chunk after the first settled step, so a
     converged run computes at most 15 steps it discards. The other columns
@@ -444,21 +440,20 @@ def run_episode(
     first_step, converged = 0, False
     # Overflow shows up as a non-finite metric, which the chunk's divergence check names.
     with np.errstate(over="ignore", invalid="ignore"):
-        around = _surroundings(world, positions, gains.safety_radius_m)[0]
+        around = world.min_clearance(positions, gains.safety_radius_m)
         while first_step < max_steps and not converged:
             size = min(chunk_steps, max_steps - first_step)
             q, g = np.empty((size + 1, agents, 2)), np.empty((size, agents, 2))  # positions, velocities
             q[0] = positions
             u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
             clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
+            noise = world._motion_noise(initial.step_index + first_step, (size, agents, 2))
             for start in range(0, size, _STOP_STEPS):
                 end = min(start + _STOP_STEPS, size)
-                step_index = initial.step_index + first_step + start
-                noise = world._motion_noise(step_index, (end - start, agents, 2))
-                for i, n in zip(range(start, end), noise):  # n: step i's motion noise
+                for i in range(start, end):
                     v_cmd[i] = v = guidance.commanded_velocity(positions, graph, disp)
                     positions, velocities, scale, u[i], around = _advance(
-                        positions, velocities, scale, n, around, world, graph, disp, gains, v,
+                        positions, velocities, scale, noise[i], around, world, graph, disp, gains, v,
                     )
                     q[i + 1], g[i], clearance[i], eta[i] = positions, velocities, around[0], scale
                 after = q[start + 1 : end + 1]

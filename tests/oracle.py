@@ -12,7 +12,10 @@ Likewise :meth:`formsense.world.World.min_clearance` clamps all points
 against all rectangles at once and returns each point's clearance and way
 out, and :func:`formsense.control.local_cost` returns every agent's cost in
 one call; the per-rectangle, per-point and per-agent functions near the end
-of this module are the loops they replaced. :func:`point_repulsion` is the
+of this module are the loops they replaced. :func:`max_gap_clearance` is the
+one-pass query as it measured the per-axis gaps max(max(low - x, x - high), 0)
+and clamped each looked-up row a second time for its way out; the two must give
+the same doubles. :func:`point_repulsion` is the
 repulsion law as it read an agent's position, its nearest obstacle point and
 a fallback direction for contact; :func:`formsense.control.repulsion` reads
 the clearance and way out instead.
@@ -494,6 +497,38 @@ def escape_direction(rect, position: np.ndarray) -> np.ndarray:
         (y_max - position[1], np.array([0.0, 1.0])),
     )
     return min(gaps, key=lambda g: g[0])[1]
+
+
+def max_gap_clearance(obstacles, points, within: float = math.inf):
+    """:meth:`formsense.world.World.min_clearance` as it read the gaps: max(max(low - x, x - high), 0) per axis.
+
+    The hypot of those gaps is the clearance; each row below ``within`` then clamps its point
+    against its closest rectangle again for the way out, p - min(max(p, low), high), and a row
+    in contact takes the outward normal of that rectangle's nearest face.
+    """
+    points = np.asarray(points, dtype=float)
+    shape, table = points.shape[:-1], np.asarray(obstacles, dtype=float).reshape(-1, 4)
+    if not len(table):
+        return np.full(shape, math.inf), np.full(points.shape, math.nan) if within == math.inf else None
+    p = points.reshape(-1, 2)
+    (low, high), column = table.reshape(-1, 2, 2).transpose(2, 1, 0), p[:, :, None]
+    gaps = np.maximum(np.maximum(low - column, column - high), 0.0)
+    dist = np.hypot(gaps[:, 0], gaps[:, 1])
+    clearance, rows = dist.min(axis=1), np.arange(len(p))
+    if within < math.inf:
+        rows = (clearance < within).nonzero()[0]
+        if not rows.size:
+            return clearance.reshape(shape), None
+    way_out, p, closest = np.full(p.shape, math.nan), p[rows], dist[rows].argmin(axis=1)
+    low, high = low[:, closest].T, high[:, closest].T
+    way_out[rows] = p - np.minimum(np.maximum(p, low), high)
+    contact = np.flatnonzero(clearance[rows] <= 0.0)
+    if contact.size:
+        inside = p[contact]
+        faces = np.stack((inside - low[contact], high[contact] - inside), axis=-1).reshape(-1, 4)
+        normals = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+        way_out[rows[contact]] = normals[faces.argmin(axis=1)]
+    return clearance.reshape(shape), way_out.reshape(points.shape)
 
 
 def clearance_of_point(obstacles, position: np.ndarray):

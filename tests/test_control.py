@@ -30,6 +30,7 @@ from formsense import (
     repulsion,
     scale_factor,
 )
+from formsense.control import _step_laws
 from oracle import (
     adjacency,
     agent_cost,
@@ -678,6 +679,13 @@ class TestEdgeListMatchesDense:
         got = displacement_error(q, graph, disp)
         want = dense_displacement_error(q, adj, r)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+        # The step's one pass over both laws gives their doubles, with estimates of either signed zero too.
+        v = state.velocity_estimates
+        for velocities in (v, np.trunc(v)):
+            u, estimates = _step_laws(q, velocities, scale, graph, disp, gains, v_ref, None, None)
+            assert u.tobytes() == displacement_control(q, graph, disp, gains, scale).tobytes()
+            assert estimates.tobytes() == consensus_velocity_step(velocities, graph, v_ref, gains).tobytes()
 
     def test_laws_allocate_linear_memory(self):
         """At M=2048 one dense (M, M, 2) array alone would take 67 MB, and a dense

@@ -50,6 +50,7 @@ from oracle import (
     dense_min_pairwise_distance,
     displacement_rate,
     escape_direction,
+    max_gap_clearance,
     nearest_point,
     point_repulsion,
     rect_distance,
@@ -81,9 +82,9 @@ def embedding_state(formation, velocity=None, scale=1.0):
     )
 
 
-def clearance(obstacles, points):
+def clearance(obstacles, points, within=math.inf):
     """World.min_clearance of a target-free world with these obstacles."""
-    return World(target=TargetEstimate(np.zeros(2)), obstacles=obstacles).min_clearance(points)
+    return World(target=TargetEstimate(np.zeros(2)), obstacles=obstacles).min_clearance(points, within)
 
 
 class TestRectObstacle:
@@ -207,6 +208,9 @@ class TestObstacleTable:
 # Coordinates on a half-metre grid put points on edges and corners, inside
 # rectangles, and at equal distance from several of them.
 GRID = st.integers(-24, 24).map(lambda i: i / 2.0)
+# The ends of the doubles: huge, tiny, signed zeros, the smallest subnormal, infinite and NaN.
+EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+HUGE_RECTANGLES = [(-1e300, 1e300, -1e-300, 1e-300), (1e-300, 1e300, -1e300, -1e-300), (-1e300, -1.0, 2.0, 1e300)]
 
 
 @st.composite
@@ -301,6 +305,26 @@ class TestMinClearanceOracle:
         near, way_out = world.min_clearance(points, radius)
         guarded = None if way_out is None else RowsInside(way_out, near < radius)
         assert control_input(points, 1.0, graph, disp, gains, near, guarded).tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_clamp_form_matches_max_gap_form_by_bytes(self, data):
+        """Gaps p - min(max(p, low), high) give the old gaps' clearance and way out, byte for byte.
+
+        Coordinates at the extremes of the doubles, infinite or NaN, and points on the faces
+        and corners of the rectangles; bounds up to 1e300 in size.
+        """
+        obstacles = data.draw(st.lists(rectangles() | st.sampled_from(HUGE_RECTANGLES), min_size=1, max_size=4))
+        on_edges = st.sampled_from(sorted({v for rect in obstacles for v in rect}))  # faces and corners
+        coordinate = GRID | st.sampled_from(EXTREMES) | on_edges
+        points = np.array(data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12)))
+        within = data.draw(st.sampled_from([math.inf, 5.0, 0.0, 1e-300, 1e300]) | GRID.map(abs))
+        got = clearance(tuple(obstacles), points, within)
+        want = max_gap_clearance(obstacles, points, within)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert (got[1] is None) == (want[1] is None)
+        if want[1] is not None:
+            assert got[1].tobytes() == want[1].tobytes()
 
     def test_ties_go_to_the_first_rectangle(self):
         left = (-3.0, -1.0, -1.0, 1.0)
@@ -938,7 +962,7 @@ class TestRunEpisode:
     @pytest.mark.parametrize("agents", [6, 24])
     def test_one_control_and_cost_call_per_step(self, default_params, target, monkeypatch, agents):
         calls = {}
-        for name in ("control_input", "local_cost", "crlb_of_positions", "displacement_error"):
+        for name in ("_step_laws", "local_cost", "crlb_of_positions", "displacement_error"):
             count_calls(monkeypatch, world_module, name, calls)
         count_calls(monkeypatch, World, "min_clearance", calls)
         formation = build_formation(default_params, target, agents)
@@ -963,7 +987,7 @@ class TestRunEpisode:
         chunks = math.ceil(steps / 256)
         assert chunks == 2
         assert calls == {
-            "control_input": steps,
+            "_step_laws": steps,  # the step's one evaluation of both control laws
             "local_cost": chunks,
             "crlb_of_positions": chunks,
             "displacement_error": 256 // 16 + math.ceil((steps - 256) / 16),  # one per stop test
@@ -1077,7 +1101,7 @@ class TestRunEpisode:
     def test_diverged_run_stops_within_one_chunk(self, default_params, target, monkeypatch):
         """The cost overflows at step 0 while the positions stay finite for a while."""
         calls = {}
-        count_calls(monkeypatch, world_module, "control_input", calls)
+        count_calls(monkeypatch, world_module, "_step_laws", calls)
         formation = build_formation(default_params, target, 3)
         block = (-100.0, 300.0, -100.0, 300.0)
         gains = ControlGains(repulsion_gain=1e300, repulsion_cap=1e300, safety_radius_m=1e6)
@@ -1091,7 +1115,7 @@ class TestRunEpisode:
                 default_params,
                 max_steps=10**9,
             )
-        assert 0 < calls["control_input"] <= 256
+        assert 0 < calls["_step_laws"] <= 256
 
     def test_diverged_positions_mid_chunk_name_the_step(self, monkeypatch):
         """An infinite draw at step 300, in the second chunk, makes that step's positions diverge."""
@@ -1183,8 +1207,8 @@ class TestRunEpisode:
 def _assert_matches_oracle(trace, oracle):
     records, events, converged, final = oracle
     assert trace.steps == len(records)
-    if records:
-        assert np.array_equal(trace.columns["positions"], np.stack([r.positions for r in records]))
+    if records:  # by bytes: np.array_equal takes -0.0 for 0.0
+        assert trace.columns["positions"].tobytes() == np.stack([r.positions for r in records]).tobytes()
     for name in ("time_s", "eta", "total_cost", "min_clearance_m", "min_pairwise_m",
                  "max_control_m", "displacement_error_m2"):
         want = np.array([getattr(r, name) for r in records], dtype=float)
@@ -1196,8 +1220,8 @@ def _assert_matches_oracle(trace, oracle):
     assert columns == set(world_module.EpisodeTrace.COLUMNS)  # every record field is compared above
     assert trace.safety_events == events
     assert trace.converged == converged
-    assert np.array_equal(trace.final_state.positions, final.positions)
-    assert np.array_equal(trace.final_state.velocity_estimates, final.velocity_estimates)
+    assert trace.final_state.positions.tobytes() == final.positions.tobytes()
+    assert trace.final_state.velocity_estimates.tobytes() == final.velocity_estimates.tobytes()
     assert (trace.final_state.scale, trace.final_state.step_index) == (final.scale, final.step_index)
 
 
