@@ -17,13 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import check_fields
-from .formation import (
-    _ring_radius,
-    _unit_polygon,
-    build_formation,
-    optimal_elevation,
-    theoretical_lower_bound,
-)
+from .formation import _ring, build_formation, optimal_elevation, theoretical_lower_bound
 from .sensing import SensingParams, TargetEstimate, crlb
 
 KINDS = ("optimal", "line", "clustered_polygon", "fixed_elevation", "random_cloud")
@@ -74,19 +68,11 @@ def benchmark_positions(
     params: SensingParams,
     rng: np.random.Generator | None = None,
     ring: np.ndarray | None = None,
-    draws: int | None = None,
 ) -> np.ndarray:
     """Planar positions of one benchmark instance, shape (M, 2).
 
-    ``ring`` is the optimal formation's (M, 2) positions, built here when not
-    given. ``draws`` stacks that many random_cloud instances into one
-    (draws, M, 2) array, the same numbers as that many separate draws.
+    ``ring`` is the optimal formation's (M, 2) positions, built here when not given.
     """
-    return _positions(spec, agent_count, target, params, rng, ring, draws, None)
-
-
-def _positions(spec, agent_count, target, params, rng, ring, draws, directions) -> np.ndarray:
-    """:func:`benchmark_positions`, with the unit polygon ``directions`` built here when None."""
     s = target.position
     if spec.kind in ("optimal", "clustered_polygon") and ring is None:
         ring = build_formation(params, target, agent_count).planar_positions
@@ -98,13 +84,10 @@ def _positions(spec, agent_count, target, params, rng, ring, draws, directions) 
     if spec.kind == "clustered_polygon":
         return s + spec.radius_factor * (ring - s)
     if spec.kind == "fixed_elevation":
-        if directions is None:
-            directions = _unit_polygon(agent_count)
-        return s + _ring_radius(params.altitude_m, math.radians(spec.elevation_deg)) * directions
+        return _ring(s, params.altitude_m, math.radians(spec.elevation_deg), agent_count)[0]
     if rng is None:
         raise ValueError("benchmark_positions: random_cloud needs an rng")
-    size = (agent_count, 2) if draws is None else (draws, agent_count, 2)
-    return _draw_cloud(np.empty(size), spec, s, rng)
+    return _draw_cloud(np.empty((agent_count, 2)), spec, s, rng)
 
 
 def _draw_cloud(block, spec, s, rng) -> np.ndarray:
@@ -138,41 +121,37 @@ def sweep_rows(
 
     The formations of every spec, one per kind and ``samples`` draws of
     random_cloud, fill one (F, M, 2) stack, scored by one batched CRLB call per
-    altitude. What does not depend on the altitude is built once: the unit
-    polygon of the three ring kinds and the line. Each altitude rescales the
-    polygon to its optimal and fixed-elevation rings, the arithmetic of
-    :func:`build_formation`, and draws its clouds from its own stream in place
-    into the stack. A row is the mean over its formations that have a bound
-    (NaN from :func:`sensing.crlb` contributes nothing) and ``samples`` counts
-    them: a row none contributes to has ``crlb_m2`` None and ``samples`` 0.
+    altitude. The line does not depend on the altitude and is built once. Each
+    altitude builds its optimal ring with :func:`build_formation`'s ring formula,
+    without a ``FormationGeometry``, and draws its clouds in place into the
+    stack. Every random_cloud spec at one altitude draws from the same stream,
+    keyed by (seed, 2**41, altitude index): common random numbers, so two
+    cloud specs differ only by their parameters, and equal specs give equal
+    rows. A row is the mean over its formations that have a bound (NaN from
+    :func:`sensing.crlb` contributes nothing) and ``samples`` counts them: a
+    row none contributes to has ``crlb_m2`` None and ``samples`` 0.
     """
     if not altitudes_m:
         raise ValueError("sweep_rows: need at least one altitude")
     s = target.position
-    directions = None
-    if any(spec.kind in ("optimal", "clustered_polygon", "fixed_elevation") for spec in specs):
-        directions = _unit_polygon(agent_count)
     sizes = [spec.samples if spec.kind == "random_cloud" else 1 for spec in specs]
     spans = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
     stack = np.empty((sum(sizes), agent_count, 2))
-    blocks = [stack[span] for span in spans]
-    for spec, block in zip(specs, blocks):
+    for spec, span in zip(specs, spans):
         if spec.kind == "line":
-            block[0] = benchmark_positions(spec, agent_count, target, base_params)
+            stack[span] = benchmark_positions(spec, agent_count, target, base_params)
     rows: list[dict] = []
     for alt_index, altitude in enumerate(altitudes_m):
         params = replace(base_params, altitude_m=float(altitude))
         bound = theoretical_lower_bound(params, agent_count)
         if not specs:  # no specs, no rows
             break
-        ring = None
-        if directions is not None:  # one ring serves the optimal and clustered_polygon rows
-            ring = s + _ring_radius(params.altitude_m, optimal_elevation(params)) * directions
-        for spec, block in zip(specs, blocks):
+        ring, _ = _ring(s, params.altitude_m, optimal_elevation(params), agent_count)
+        for spec, span in zip(specs, spans):
             if spec.kind == "random_cloud":
-                _draw_cloud(block, spec, s, np.random.default_rng([seed, _SWEEP_STREAM, alt_index]))
+                _draw_cloud(stack[span], spec, s, np.random.default_rng([seed, _SWEEP_STREAM, alt_index]))
             elif spec.kind != "line":
-                block[0] = _positions(spec, agent_count, target, params, None, ring, None, directions)
+                stack[span] = benchmark_positions(spec, agent_count, target, params, None, ring)
         values = formation_crlb(stack, target, params)
         floats = values.tolist()
         for spec, span in zip(specs, spans):

@@ -196,6 +196,8 @@ def consensus_velocity_step(
     ``velocities`` (M, 2) are the current estimates; they are not modified.
     """
     pinned = np.array(velocities, dtype=float)
+    if pinned.shape != (graph.agent_count, 2):
+        raise ValueError(f"consensus_velocity_step: expected {graph.agent_count} agents, got velocities {pinned.shape}")
     pinned[graph.leader_index] = target_velocity
     return _consensus(pinned, _edge_sum(graph, _deviation(pinned, graph, 0.0)), graph, target_velocity, gains)
 
@@ -245,7 +247,7 @@ def _offsets(positions: np.ndarray, graph: CommGraph, disp: DisplacementSet, sca
     +0.0, and subtracting +0.0 leaves every velocity difference as it is, signed zeros included.
     """
     if not 0.0 < scale <= 1.0:
-        raise ValueError(f"displacement_control: scale must lie in (0, 1], got {scale!r}")
+        raise ValueError(f"scale must lie in (0, 1], got {scale!r}")
     if not positions.shape[-2] == len(disp.reference) == graph.agent_count:
         raise ValueError(
             f"expected {graph.agent_count} agents, got {positions.shape[-2]} positions "
@@ -288,7 +290,10 @@ def local_cost(
     q = np.asarray(positions, dtype=float)
     squared = (_deviation(q, graph, _offsets(q, graph, disp)[0]) ** 2).sum(axis=-1)
     displacement_term = _edge_sum(graph, squared[..., None])[..., 0]
-    realized = (np.asarray(next_positions, dtype=float) - q) / dt
+    after = np.asarray(next_positions, dtype=float)
+    if after.shape != q.shape:
+        raise ValueError(f"local_cost.next_positions: expected shape {q.shape}, got {after.shape}")
+    realized = (after - q) / dt
     mismatch = realized - np.asarray(target_velocity, dtype=float)[..., None, :]
     return displacement_term + (mismatch**2).sum(axis=-1)
 

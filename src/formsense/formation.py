@@ -11,6 +11,7 @@ A regular polygon of three or more agents around the target does both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -126,15 +127,22 @@ def optimal_azimuths(agent_count: int, initial_rotation_rad: float = 0.0) -> np.
     return raw % (2.0 * math.pi)
 
 
+@functools.lru_cache
 def _unit_polygon(agent_count: int, initial_rotation_rad: float = 0.0) -> np.ndarray:
-    """Unit directions (M, 2) of the optimal azimuths: the ring about the origin at radius 1."""
+    """Unit directions (M, 2) of the optimal azimuths: the ring about the origin at radius 1, read-only."""
     azimuths = optimal_azimuths(agent_count, initial_rotation_rad)
-    return np.array([[math.cos(theta), math.sin(theta)] for theta in azimuths])
+    polygon = np.array([[math.cos(theta), math.sin(theta)] for theta in azimuths])
+    polygon.setflags(write=False)
+    return polygon
 
 
-def _ring_radius(altitude_m: float, elevation_rad: float) -> float:
-    """Horizontal distance at which an agent at this altitude sees the target at this elevation."""
-    return altitude_m / math.tan(elevation_rad)
+def _ring(
+    center: np.ndarray, altitude_m: float, elevation_rad: float, agent_count: int, rotation_rad: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """Optimal-azimuth polygon (M, 2) about ground point ``center`` seen at elevation e, and its radius H / tan(e)."""
+    _check_ring_size(agent_count)  # before the cache, whose key 6.0 would match 6
+    radius = altitude_m / math.tan(elevation_rad)
+    return center + radius * _unit_polygon(int(agent_count), float(rotation_rad)), radius
 
 
 def theoretical_lower_bound(params: SensingParams, agent_count: int) -> float:
@@ -161,9 +169,9 @@ def build_formation(
     equally spaced azimuths starting from ``initial_rotation_rad``.
     """
     phi_star = optimal_elevation(params)
-    radius = _ring_radius(params.altitude_m, phi_star)
+    positions, radius = _ring(target.position, params.altitude_m, phi_star, agent_count, initial_rotation_rad)
     return FormationGeometry(
-        planar_positions=target.position + radius * _unit_polygon(agent_count, initial_rotation_rad),
+        planar_positions=positions,
         center=target.position,
         ring_radius_m=radius,
         elevation_rad=phi_star,

@@ -119,6 +119,8 @@ class World:
         Without obstacles the clearance is inf.
         """
         points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (2,):
+            raise ValueError(f"World.min_clearance.points: expected shape (..., 2), got {points.shape}")
         shape = points.shape[:-1]
         if not len(self.obstacles):
             return np.full(shape, math.inf), np.full(points.shape, math.nan) if within == math.inf else None
@@ -222,6 +224,8 @@ def min_pairwise_distance(positions: np.ndarray):
     A pair is dx*dx + dy*dy, so the minimum is the same double as over all M^2 pairs.
     """
     positions = np.asarray(positions, dtype=float)
+    if positions.shape[-1:] != (2,) or positions.ndim < 2:
+        raise ValueError(f"min_pairwise_distance.positions: expected shape (..., M, 2), got {positions.shape}")
     x, y = np.moveaxis(np.take_along_axis(positions, positions[..., :1].argsort(axis=-2), axis=-2), -1, 0)
     best = np.full(x.shape[:-1], math.inf)
     for s in range(1, x.shape[-1]):

@@ -39,7 +39,8 @@ desired offsets that they replaced. Tests compare the two. Likewise
 :class:`formsense.control.CommGraph` holds only its links: :func:`adjacency`
 rebuilds its (M, M) matrix and :func:`dense_topology` builds the named
 topologies as matrices, the way the library once did; :func:`displacement_rate`
-reads the displacement law's convergence rate off the Laplacian's eigenvalues. And
+reads the displacement law's convergence rate off the Laplacian's eigenvalues, and
+:func:`noise_floor` the mean shape error that motion noise holds it at. And
 :func:`formsense.world.min_pairwise_distance` sweeps the agents sorted by x;
 :func:`dense_min_pairwise_distance` takes the minimum over all M^2 pairs.
 
@@ -664,6 +665,20 @@ def displacement_rate(graph, epsilon: float) -> float:
     """
     eigenvalues = np.linalg.eigvalsh(laplacian(graph))
     return max((1.0 - epsilon * lam) ** 2 for lam in eigenvalues if lam > 1e-9)
+
+
+def noise_floor(graph, gains, sigma: float) -> float:
+    """F = (2 sigma^2 / epsilon) * sum 1 / (2 - epsilon * lambda) over the nonzero eigenvalues of L.
+
+    Near the ring, with settled velocity estimates, no obstacles and constant guidance, the
+    shape error evolves on each axis by e_{k+1} = (I - epsilon L) e_k + n_k, n_k the motion
+    noise of standard deviation sigma per coordinate. Mode lambda is an AR(1) with stationary
+    variance sigma^2 / (epsilon lambda (2 - epsilon lambda)), and the displacement error is
+    e^T L e summed over both axes, so F is its stationary mean.
+    """
+    eigenvalues = np.linalg.eigvalsh(laplacian(graph))
+    epsilon = gains.epsilon
+    return 2.0 * sigma**2 / epsilon * sum(1.0 / (2.0 - epsilon * lam) for lam in eigenvalues if lam > 1e-9)
 
 
 def consensus_rate(graph, gain: float) -> float:

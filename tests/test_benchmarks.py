@@ -107,16 +107,6 @@ class TestBenchmarkPositions:
         assert positions.shape == (6, 2)
         assert np.all(np.abs(positions - target.position) <= 30.0)
 
-    def test_random_cloud_draws_stack_like_separate_draws(self, default_params, target):
-        spec = BenchmarkSpec(kind="random_cloud", half_width_m=30.0)
-        batch = benchmark_positions(
-            spec, 6, target, default_params, np.random.default_rng(4), draws=5
-        )
-        rng = np.random.default_rng(4)
-        separate = [benchmark_positions(spec, 6, target, default_params, rng) for _ in range(5)]
-        assert batch.shape == (5, 6, 2)
-        np.testing.assert_array_equal(batch, np.stack(separate))
-
 
 class TestFormationCrlb:
     def test_matches_built_formation(self, default_params, target):
@@ -180,6 +170,24 @@ class TestSweepRows:
         # Same index-based stream, so altitude 20 at index 0 stays identical.
         again = sweep_rows(spec, 6, target, default_params, [20.0, 60.0], seed=9)
         assert forward[0] == again[0]
+
+    def test_cloud_specs_share_one_stream_per_altitude(self, default_params, target):
+        """Common random numbers: every cloud spec at an altitude draws from (seed, 2**41, index)."""
+        spec = BenchmarkSpec(kind="random_cloud", samples=5)
+        wider = dataclasses.replace(spec, half_width_m=2.0 * spec.half_width_m)
+        rows = sweep_rows([spec, wider, spec], 6, target, default_params, [20.0, 40.0], seed=9)
+        alone = sweep_rows([spec], 6, target, default_params, [20.0, 40.0], seed=9)
+        for altitude in range(2):
+            first, second, third = rows[3 * altitude : 3 * altitude + 3]
+            assert first == third == alone[altitude]
+            assert second["crlb_m2"] != first["crlb_m2"]
+        # The same draws scaled by the half width: the wider box's positions, from the same unit draws.
+        rng = np.random.default_rng([9, formsense.benchmarks._SWEEP_STREAM, 0])
+        unit = rng.random((5, 6, 2))
+        box = [target.position + (2.0 * w * unit - w) for w in (spec.half_width_m, wider.half_width_m)]
+        params = dataclasses.replace(default_params, altitude_m=20.0)
+        means = [float(formation_crlb(b, target, params).sum()) / 5 for b in box]
+        assert [rows[0]["crlb_m2"], rows[1]["crlb_m2"]] == means
 
     def test_builds_no_formation_geometry(self, default_params, target, monkeypatch):
         def refuse(geometry):

@@ -359,6 +359,27 @@ class TestDisplacementControl:
             with pytest.raises(ValueError, match="scale"):
                 displacement_control(state.positions, CommGraph.ring(3), disp, ControlGains(), scale)
 
+    def test_consensus_and_cost_name_an_agent_count_mismatch(self, default_params, target):
+        graph, gains = CommGraph.ring(6), ControlGains()
+        with pytest.raises(ValueError, match=r"consensus_velocity_step: expected 6 agents, got .* \(5, 2\)"):
+            consensus_velocity_step(np.zeros((5, 2)), graph, np.zeros(2), gains)
+        disp = DisplacementSet(build_formation(default_params, target, 6).planar_positions)
+        with pytest.raises(ValueError, match=r"local_cost.next_positions: expected shape \(6, 2\), got \(5, 2\)"):
+            local_cost(np.zeros((6, 2)), graph, disp, 0.1, np.zeros((5, 2)), np.zeros(2))
+
+    def test_bad_scale_message_names_no_law(self, default_params, target):
+        """Every law that scales the offsets shares the check, so its message names the value only."""
+        graph, gains = CommGraph.ring(3), ControlGains()
+        disp = DisplacementSet(build_formation(default_params, target, 3).planar_positions)
+        q, none = np.zeros((3, 2)), (np.full(3, np.inf), None)
+        for law in (
+            lambda: displacement_control(q, graph, disp, gains, 1.5),
+            lambda: control_input(q, 1.5, graph, disp, gains, *none),
+            lambda: _step_laws(q, q, 1.5, graph, disp, gains, np.zeros(2), *none),
+        ):
+            with pytest.raises(ValueError, match=r"^scale must lie in \(0, 1\], got 1.5$"):
+                law()
+
     def test_closed_loop_error_contracts_on_random_graphs(self, default_params, target):
         rng = np.random.default_rng(79)
         from formsense import displacement_error

@@ -23,6 +23,7 @@ from formsense import (
     optimal_elevation,
     theoretical_lower_bound,
 )
+from formsense.formation import _unit_polygon
 from oracle import dense_offsets, pose_crlb, poses_of, target_fim
 
 ZENITH_LIMIT_DEG = math.degrees(math.atan(math.sqrt(2.0)))  # 54.7356103...
@@ -183,6 +184,22 @@ class TestBuildFormation:
         assert formation.ring_radius_m == pytest.approx(
             default_params.altitude_m / math.tan(phi), rel=1e-12
         )
+
+    def test_unit_polygon_is_one_cached_read_only_array(self, default_params, target):
+        """The polygon depends on (M, rotation) only, so every ring of that pair rescales one array."""
+        polygon = _unit_polygon(6, 0.77)
+        assert _unit_polygon(6, 0.77) is polygon
+        with pytest.raises(ValueError, match="read-only"):
+            polygon[0, 0] = 0.0
+        formation = build_formation(default_params, target, 6, initial_rotation_rad=0.77)
+        ring = target.position + formation.ring_radius_m * polygon
+        assert formation.planar_positions.tobytes() == ring.tobytes()
+        # 6.0 and a 0-d array, which the cache could not tell from 6 or could not hash, are rejected.
+        for count in (6.0, np.array(6)):
+            with pytest.raises(ValueError, match="a whole number of at least 3 agents, got"):
+                build_formation(default_params, target, count)
+        rotation = np.array(0.77)  # a 0-d array is not hashable, but any real scalar is a rotation
+        assert build_formation(default_params, target, 6, rotation).planar_positions.tobytes() == ring.tobytes()
 
     def test_radius_approaches_altitude_at_low_snr(self, target):
         params = params_for_ratio(1e-9, altitude=20.0)

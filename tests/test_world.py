@@ -50,8 +50,10 @@ from oracle import (
     dense_min_pairwise_distance,
     displacement_rate,
     escape_direction,
+    laplacian,
     max_gap_clearance,
     nearest_point,
+    noise_floor,
     point_repulsion,
     rect_distance,
     stepwise_episode,
@@ -399,6 +401,13 @@ class TestWorld:
         np.testing.assert_array_equal(way_out, [3.0, 4.0])  # from the corner (5, 5)
         assert np.hypot(*way_out) == clearance
 
+    @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.float64(1.0), np.zeros(3)])
+    @pytest.mark.parametrize("obstacles", [(), [(0.0, 1.0, 0.0, 1.0)]])
+    def test_shape_error_names_the_points(self, points, obstacles, target):
+        world = World(target=target, obstacles=obstacles)
+        with pytest.raises(ValueError, match=r"World.min_clearance.points: expected shape \(\.\.\., 2\), got"):
+            world.min_clearance(points)
+
     def test_validation(self, target):
         with pytest.raises(ValueError, match="dt"):
             World(target=target, dt=0.0)
@@ -713,6 +722,11 @@ class TestMinPairwiseSweep:
         finite = np.isfinite(want)
         assert got[finite].tobytes() == want[finite].tobytes()
         assert np.array_equal(got, single, equal_nan=True)
+
+    @pytest.mark.parametrize("positions", [np.zeros(3), np.float64(1.0), np.zeros((4, 3)), np.zeros(2)])
+    def test_shape_error_names_the_positions(self, positions):
+        with pytest.raises(ValueError, match=r"min_pairwise_distance.positions: expected shape \(\.\.\., M, 2\)"):
+            min_pairwise_distance(positions)
 
     def test_same_infinite_y_out_of_x_order_is_not_finite(self):
         positions = np.array([[0.0, math.inf], [1.0, 0.0], [2.0, 0.0], [9.0, math.inf]])
@@ -1505,6 +1519,46 @@ class TestSymmetry:
                     np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
                 else:
                     assert got.tobytes() == want.tobytes(), (name, column)
+
+
+class TestNoiseFloor:
+    """Motion noise holds the shape error at F, far above the shipped stop tolerance."""
+
+    def test_the_shipped_floor_is_51_tolerances(self):
+        config = load_config(CONFIGS / "baseline.yaml")
+        floor = noise_floor(config.graph, config.gains, config.world.motion_noise_std)
+        assert floor == pytest.approx(0.05092, abs=5e-6)
+        assert 50 < floor / config.stop_tolerance_m2 < 52
+
+    def test_a_noisy_run_on_the_ring_holds_its_mean_error_at_the_floor(self):
+        """Batch means: the run's mean error lies within 5 standard errors of F.
+
+        The slowest mode relaxes in tau = 1/(epsilon lambda_2) steps, about 72 here, and the
+        error, a square of the modes, in tau / 2. So the first 10 tau steps are dropped (the
+        transient left is e^-20 of F) and the rest is cut into blocks of 5 tau, long enough
+        that neighbouring block means barely correlate. Under the model the statistic
+        (mean - F) / (s / sqrt(n)) over n = 53 blocks is Student-t with 52 degrees of
+        freedom: |t| > 5 has probability 7e-6. In 4000 runs of the linear model the
+        statistic's spread was 1.05 and its largest size 4.6, so with the error's skew the
+        false-failure rate stays below about 1e-4.
+        """
+        config = load_config(CONFIGS / "baseline.yaml")
+        assert not len(config.world.obstacles) and config.world.motion_noise_std > 0.0
+        disp = config.displacement_set()
+        floor = noise_floor(config.graph, config.gains, config.world.motion_noise_std)
+        tau = 1.0 / (config.gains.epsilon * np.linalg.eigvalsh(laplacian(config.graph))[1])
+        burn_in, block, steps = math.ceil(10.0 * tau), math.ceil(5.0 * tau), 20_000
+        start = SwarmState(disp.reference, np.zeros_like(disp.reference))
+        trace = run_episode(
+            start, config.world, config.graph, disp, config.gains, config.params, steps,
+            config.stop_tolerance_m2, Guidance(),
+        )
+        assert trace.steps == steps and not trace.converged
+        blocks = (steps - burn_in) // block
+        means = trace.columns["displacement_error_m2"][burn_in : burn_in + blocks * block]
+        means = means.reshape(blocks, block).mean(axis=1)
+        standard_error = means.std(ddof=1) / math.sqrt(blocks)
+        assert abs(means.mean() - floor) <= 5.0 * standard_error, (means.mean(), floor, standard_error)
 
 
 class TestConvergenceRate:
