@@ -369,9 +369,13 @@ def scale_factor(
         )
     if world_clearance_m < 0:
         raise ValueError(f"scale_factor: clearance must be >= 0, got {world_clearance_m!r}")
-    raw = 2.0 * (world_clearance_m - gains.safety_radius_m) / nominal_diameter_m
-    raw = min(1.0, max(gains.eta_min, raw))
+    raw = min(1.0, max(gains.eta_min, _raw_scale(nominal_diameter_m, world_clearance_m, gains)))
     return 0.9 * previous_scale + 0.1 * raw
+
+
+def _raw_scale(nominal_diameter_m: float, world_clearance_m, gains: ControlGains):
+    """The raw factor 2 (c - l_safe) / D before its clamp, of one clearance or an array of them."""
+    return 2.0 * (world_clearance_m - gains.safety_radius_m) / nominal_diameter_m
 
 
 def control_input(

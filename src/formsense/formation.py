@@ -112,7 +112,7 @@ def optimal_elevation(params: SensingParams) -> float:
 
 
 def _check_ring_size(agent_count: int) -> None:
-    if not (isinstance(agent_count, Integral) and agent_count >= 3):
+    if not ((type(agent_count) is int or isinstance(agent_count, Integral)) and agent_count >= 3):
         raise ValueError(f"an isotropic ring needs a whole number of at least 3 agents, got {agent_count!r}")
 
 

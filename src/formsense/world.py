@@ -11,7 +11,8 @@ drawn by a Philox generator set to its fresh state for the world's seed as key
 and the block as counter: a pure function of (seed, k), so an episode is
 reproducible bit for bit and a world holds no generator state. The step loop
 carries positions, velocity estimates and the scale as arrays, which the
-control laws take.
+control laws take, and runs in stretches of steps that assume free field and
+share one obstacle query, which checks them afterwards.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .control import (
     CommGraph,
     ControlGains,
     SwarmState,
+    _raw_scale,
     _step_laws,
     displacement_error,
     local_cost,
@@ -145,35 +147,54 @@ class World:
         return clearance.reshape(shape), way_out.reshape(points.shape)
 
 
-def _advance(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    scale: float,
-    noise: np.ndarray,
-    around: tuple,
-    world: World,
-    graph: CommGraph,
-    disp: DisplacementSet,
-    gains: ControlGains,
-    target_velocity: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, tuple]:
-    """Next positions, velocity estimates, scale, control input u and surroundings of one period.
+def _buffers(n: int, agents: int) -> tuple[np.ndarray, ...]:
+    """Positions (n + 1, M, 2), estimates and inputs (n, M, 2), commands (n, 2), scales, clearances (n, M)."""
+    return (
+        np.empty((n + 1, agents, 2)), np.empty((n, agents, 2)), np.empty((n, agents, 2)),
+        np.empty((n, 2)), np.empty(n), np.empty((n, agents)),
+    )
 
-    ``noise`` (M, 2) is the period's motion noise and ``around`` the clearance (M,) and ways
-    out of ``positions``, as :meth:`World.min_clearance` gives them below the safety radius;
-    the returned ones are those of the next positions. The step's one obstacle query measures
-    them with their centroid, sum / M (the double of ``mean``), in the last row of one buffer.
+
+def _advance(
+    first: int, steps: int, rows: tuple[np.ndarray, ...], noise: np.ndarray, velocities: np.ndarray, scale: float,
+    around: tuple, world: World, graph: CommGraph, disp: DisplacementSet, gains: ControlGains, guidance: Guidance,
+) -> tuple[int, bool, np.ndarray, float, tuple]:
+    """Run steps ``first`` to ``first + steps - 1`` of ``rows`` (see :func:`_buffers`) as one stretch.
+
+    ``rows[0][first]`` holds the positions before the stretch, ``noise`` the motion noise of
+    each row, and ``around`` the clearance (M,) and ways out of those positions below the
+    safety radius, as :meth:`World.min_clearance` gives them. The first step reads ``around``;
+    each later one assumes no agent inside the radius, and every step the raw scale factor
+    clamped at 1, :func:`scale_factor` of an infinite clearance. One obstacle query then
+    measures each step's positions and their centroid, sum / M (the double of ``mean``).
+    The stretch stands up to its first step with an agent inside the radius or another raw
+    factor: that step's inputs held, so it keeps its move and takes its exact scale, and the
+    steps after it are dropped. Returns the steps that stand, whether the last one held, and
+    the velocity estimates, scale and surroundings after it.
     """
-    u, velocities = _step_laws(positions, velocities, scale, graph, disp, gains, target_velocity, *around)
-    points = np.empty((len(positions) + 1, 2))
-    moved = points[:-1]
-    np.add(positions, u, out=moved)
-    moved += velocities * world.dt
-    moved += noise
-    np.divide(moved.sum(axis=0), len(moved), out=points[-1])
-    clearance, way_out = world.min_clearance(points, gains.safety_radius_m)
-    scale = scale_factor(disp.nominal_diameter_m, float(clearance[-1]), gains, scale)
-    return moved, velocities, scale, u, (clearance[:-1], way_out if way_out is None else way_out[:-1])
+    q, g, u, v_cmd, eta, clearance = rows
+    end, diameter, start_scale = first + steps, disp.nominal_diameter_m, scale
+    positions = q[first]
+    for k in range(first, end):
+        v_cmd[k] = v = guidance.commanded_velocity(positions, graph, disp)
+        u[k], velocities = _step_laws(positions, velocities, scale, graph, disp, gains, v, *around)
+        positions = positions + u[k]
+        positions += velocities * world.dt
+        positions += noise[k]
+        q[k + 1], g[k], around = positions, velocities, (None, None)
+        eta[k] = scale = scale_factor(diameter, math.inf, gains, scale)
+    moved = q[first + 1 : end + 1]
+    points = np.concatenate((moved, moved.sum(axis=1, keepdims=True) / moved.shape[1]), axis=1)
+    measured, way_out = world.min_clearance(points, gains.safety_radius_m)
+    clearance[first:end] = measured[:, :-1]
+    free = (measured[:, :-1] >= gains.safety_radius_m).all(axis=1)
+    free &= _raw_scale(diameter, measured[:, -1], gains) >= 1.0
+    last = steps - 1 if free.all() else int(free.argmin())
+    if not free[last]:
+        previous = float(eta[first + last - 1]) if last else start_scale
+        eta[first + last] = scale = scale_factor(diameter, float(measured[last, -1]), gains, previous)
+    way_out = way_out if way_out is None else way_out[last, :-1]
+    return last + 1, bool(free[last]), g[first + last], scale, (measured[last, :-1], way_out)
 
 
 def step(
@@ -186,9 +207,9 @@ def step(
 ) -> SwarmState:
     """Advance the swarm by one control period: the library's one-step entry point.
 
-    :func:`run_episode` does not call it; both run :func:`_advance`. Takes the
-    reference velocity from ``guidance`` as :func:`run_episode` does (constant
-    zero if None; in goal mode, toward the leader's slot of the reference), runs
+    A stretch of one step of :func:`_advance`, as :func:`run_episode` runs them near
+    obstacles. Takes the reference velocity from ``guidance`` as :func:`run_episode` does
+    (constant zero if None; in goal mode, toward the leader's slot of the reference), runs
     velocity consensus, applies the combined control input at the current
     formation scale, adds motion noise, then updates the scale from the new
     centroid's obstacle clearance. It queries the obstacles once for the agents
@@ -197,14 +218,14 @@ def step(
     function of its inputs. A noisy step builds the generator of its whole
     noise block to draw its one row.
     """
-    guidance = Guidance() if guidance is None else guidance
-    velocity = guidance.commanded_velocity(state.positions, graph, disp)
-    positions, velocities, scale, _, _ = _advance(
-        state.positions, state.velocity_estimates, state.scale,
-        world._motion_noise(state.step_index, (1, *state.positions.shape))[0],
-        world.min_clearance(state.positions, gains.safety_radius_m), world, graph, disp, gains, velocity,
+    rows = _buffers(1, len(state.positions))
+    rows[0][0] = state.positions
+    _, _, velocities, scale, _ = _advance(
+        0, 1, rows, world._motion_noise(state.step_index, rows[1].shape), state.velocity_estimates, state.scale,
+        world.min_clearance(state.positions, gains.safety_radius_m), world, graph, disp, gains,
+        Guidance() if guidance is None else guidance,
     )
-    return SwarmState(positions, velocities, scale, state.step_index + 1)
+    return SwarmState(rows[0][1], velocities, scale, state.step_index + 1)
 
 
 def crlb_of_positions(positions: np.ndarray, world: World, params: SensingParams):
@@ -421,18 +442,22 @@ def run_episode(
     The loop carries positions, velocity estimates and the scale as arrays
     through the same :func:`_advance` as :func:`step` and builds one
     :class:`SwarmState`, the final one. Each step makes one edge pass for both
-    control laws and one obstacle query, :meth:`World.min_clearance` on the new
-    positions and their centroid. A chunk of C steps draws its motion noise in
-    one call before its first step and records only the dynamics per step, in
-    blocks of 16 steps. After each
-    block, batched calls give its displacement errors and arrival distances
-    and the stop rule cuts the chunk after the first settled step, so a
-    converged run computes at most 15 steps it discards. The other columns
-    are computed after the chunk in batched calls on (C, M, 2) and (C, E, 2)
-    arrays for E directed edges; C = min(256, max(1, 2**18 // E)) keeps a
-    dense graph's temporaries near 4 MB. Positions are not tested per step;
-    the chunk's check names the step, so a diverged run stops within one
-    chunk. Columns grow chunk by chunk, never from ``max_steps``.
+    control laws. Steps run in stretches that share one obstacle query on their
+    positions and centroids (see :func:`_advance`), and every value is the
+    double of a query per step. A stretch that held is followed by one twice as
+    long, up to the end of its block of 16 steps, any other by one step: near
+    obstacles each step makes its own query, and the dropped steps never
+    outnumber the kept ones. A chunk of C steps draws its motion noise in one
+    call before its first step and records only the dynamics per step, in
+    blocks of 16 steps. After each block, batched calls give its displacement
+    errors and arrival distances and the stop rule cuts the chunk after the
+    first settled step, so a converged run computes at most 15 steps it
+    discards. The other columns are computed after the chunk in batched calls
+    on (C, M, 2) and (C, E, 2) arrays for E directed edges;
+    C = min(256, max(1, 2**18 // E)) keeps a dense graph's temporaries near
+    4 MB. Positions are not tested per step; the chunk's check names the step,
+    so a diverged run stops within one chunk. Columns grow chunk by chunk,
+    never from ``max_steps``.
     """
     check_interval("run_episode.max_steps", max_steps, NON_NEGATIVE, number=Integral)
     guidance = Guidance() if guidance is None else guidance
@@ -441,25 +466,24 @@ def run_episode(
     chunks: list[dict] = []
     events: list[tuple[int, int]] = []
     positions, velocities, scale = initial.positions, initial.velocity_estimates, initial.scale
-    first_step, converged = 0, False
+    first_step, converged, stretch = 0, False, 1
     # Overflow shows up as a non-finite metric, which the chunk's divergence check names.
     with np.errstate(over="ignore", invalid="ignore"):
         around = world.min_clearance(positions, gains.safety_radius_m)
         while first_step < max_steps and not converged:
             size = min(chunk_steps, max_steps - first_step)
-            q, g = np.empty((size + 1, agents, 2)), np.empty((size, agents, 2))  # positions, velocities
-            q[0] = positions
-            u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
-            clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
+            rows = q, g, u, v_cmd, eta, clearance = _buffers(size, agents)
+            q[0], error = positions, np.empty(size)
             noise = world._motion_noise(initial.step_index + first_step, (size, agents, 2))
             for start in range(0, size, _STOP_STEPS):
-                end = min(start + _STOP_STEPS, size)
-                for i in range(start, end):
-                    v_cmd[i] = v = guidance.commanded_velocity(positions, graph, disp)
-                    positions, velocities, scale, u[i], around = _advance(
-                        positions, velocities, scale, noise[i], around, world, graph, disp, gains, v,
+                i, end = start, min(start + _STOP_STEPS, size)
+                while i < end:
+                    steps = min(stretch, end - i)
+                    stand, held, velocities, scale, around = _advance(
+                        i, steps, rows, noise, velocities, scale, around, world, graph, disp, gains, guidance,
                     )
-                    q[i + 1], g[i], clearance[i], eta[i] = positions, velocities, around[0], scale
+                    i += stand
+                    stretch = min(2 * stretch, _STOP_STEPS) if held else 1
                 after = q[start + 1 : end + 1]
                 error[start:end] = displacement_error(after, graph, disp)
                 arrived = guidance.center_error_m(after, graph, disp) <= guidance.arrival_tolerance_m

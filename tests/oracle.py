@@ -49,7 +49,9 @@ reads the displacement law's convergence rate off the Laplacian's eigenvalues, a
 batched calls per chunk of steps; :func:`stepwise_episode` at the end is the
 loop it replaced, with a :class:`SwarmState`, one :class:`StepRecord` (the
 per-step row type the library used to expose), three clearance queries, a
-CRLB, a cost call and a finiteness check per step.
+CRLB, a cost call and a finiteness check per step. :func:`per_step_episode` is the
+loop as it was before the steps ran in stretches: the same chunks and stop blocks,
+with one obstacle query per step on its new positions and their centroid.
 
 :func:`formsense.cli.write_trace` formats each value of a trace once and fills one
 line template per run; :func:`rowwise_trace_files` is the writer it replaced, one
@@ -80,6 +82,7 @@ from formsense.benchmarks import _SWEEP_STREAM, benchmark_positions
 from formsense.cli import _TRACE_CSV, _tags
 from formsense.control import (
     SwarmState,
+    _step_laws,
     consensus_velocity_step,
     control_input,
     displacement_error,
@@ -88,7 +91,7 @@ from formsense.control import (
 )
 from formsense.formation import build_formation, theoretical_lower_bound
 from formsense.sensing import AgentPose, SensingParams, TargetEstimate, elevation_weight
-from formsense.world import EpisodeTrace, Guidance, crlb_of_positions
+from formsense.world import _STOP_STEPS, EpisodeTrace, Guidance, _chunk_columns, crlb_of_positions
 
 # Determinant threshold (relative to trace^2) below which a 2x2 information
 # matrix is treated as singular; the library uses the same rule.
@@ -806,6 +809,81 @@ def stepwise_episode(
                 converged = True
                 break
     return records, tuple(events), converged, state
+
+
+def per_step_advance(positions, velocities, scale, noise, around, world, graph, disp, gains, target_velocity):
+    """Next positions, velocity estimates, scale, control input u and surroundings of one period.
+
+    ``noise`` (M, 2) is the period's motion noise and ``around`` the clearance (M,) and ways
+    out of ``positions``, as :meth:`World.min_clearance` gives them below the safety radius;
+    the returned ones are those of the next positions. The step's one obstacle query measures
+    them with their centroid, sum / M (the double of ``mean``), in the last row of one buffer.
+    """
+    u, velocities = _step_laws(positions, velocities, scale, graph, disp, gains, target_velocity, *around)
+    points = np.empty((len(positions) + 1, 2))
+    moved = points[:-1]
+    np.add(positions, u, out=moved)
+    moved += velocities * world.dt
+    moved += noise
+    np.divide(moved.sum(axis=0), len(moved), out=points[-1])
+    clearance, way_out = world.min_clearance(points, gains.safety_radius_m)
+    scale = scale_factor(disp.nominal_diameter_m, float(clearance[-1]), gains, scale)
+    return moved, velocities, scale, u, (clearance[:-1], way_out if way_out is None else way_out[:-1])
+
+
+def per_step_episode(
+    initial, world, graph, disp, gains, params, max_steps, stop_tolerance=1e-3, guidance=None
+) -> EpisodeTrace:
+    """:func:`formsense.world.run_episode` with one obstacle query per step, through :func:`per_step_advance`."""
+    guidance = Guidance() if guidance is None else guidance
+    agents = len(initial.positions)
+    chunk_steps = max(1, min(256, 2**18 // graph.links.shape[1]))
+    chunks: list[dict] = []
+    events: list[tuple[int, int]] = []
+    positions, velocities, scale = initial.positions, initial.velocity_estimates, initial.scale
+    first_step, converged = 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        around = world.min_clearance(positions, gains.safety_radius_m)
+        while first_step < max_steps and not converged:
+            size = min(chunk_steps, max_steps - first_step)
+            q, g = np.empty((size + 1, agents, 2)), np.empty((size, agents, 2))  # positions, velocities
+            q[0] = positions
+            u, v_cmd = np.empty((size, agents, 2)), np.empty((size, 2))
+            clearance, eta, error = np.empty((size, agents)), np.empty(size), np.empty(size)
+            noise = world._motion_noise(initial.step_index + first_step, (size, agents, 2))
+            for start in range(0, size, _STOP_STEPS):
+                end = min(start + _STOP_STEPS, size)
+                for i in range(start, end):
+                    v_cmd[i] = v = guidance.commanded_velocity(positions, graph, disp)
+                    positions, velocities, scale, u[i], around = per_step_advance(
+                        positions, velocities, scale, noise[i], around, world, graph, disp, gains, v,
+                    )
+                    q[i + 1], g[i], clearance[i], eta[i] = positions, velocities, around[0], scale
+                after = q[start + 1 : end + 1]
+                error[start:end] = displacement_error(after, graph, disp)
+                arrived = guidance.center_error_m(after, graph, disp) <= guidance.arrival_tolerance_m
+                settled = (error[start:end] < stop_tolerance) & (eta[start:end] >= 0.999) & arrived
+                if settled.any():
+                    size, converged = start + int(settled.argmax()) + 1, True
+                    break
+            columns, chunk_events = _chunk_columns(
+                first_step, q[: size + 1], u[:size], v_cmd[:size], error[:size],
+                clearance[:size], eta[:size], world, graph, disp, params,
+            )
+            chunks.append(columns)
+            events.extend(chunk_events)
+            positions, velocities, scale = q[size], g[size - 1], float(eta[size - 1])
+            first_step += size
+    names = EpisodeTrace.COLUMNS
+    if not chunks:
+        chunks.append({name: np.empty((0, agents, 2) if name == "positions" else 0) for name in names})
+    return EpisodeTrace(
+        columns={name: np.concatenate([c[name] for c in chunks]) for name in names},
+        safety_events=tuple(events),
+        converged=converged,
+        final_state=SwarmState(positions, velocities, scale, initial.step_index + first_step)
+        if first_step else initial,
+    )
 
 
 def rowwise_trace_files(trace: EpisodeTrace, config, out_dir):

@@ -194,8 +194,8 @@ class TestBuildFormation:
         formation = build_formation(default_params, target, 6, initial_rotation_rad=0.77)
         ring = target.position + formation.ring_radius_m * polygon
         assert formation.planar_positions.tobytes() == ring.tobytes()
-        # 6.0 and a 0-d array, which the cache could not tell from 6 or could not hash, are rejected.
-        for count in (6.0, np.array(6)):
+        # 6.0 and a 0-d array, which the cache could not tell from 6 or could not hash, are rejected, as is True.
+        for count in (6.0, np.array(6), True):
             with pytest.raises(ValueError, match="a whole number of at least 3 agents, got"):
                 build_formation(default_params, target, count)
         rotation = np.array(0.77)  # a 0-d array is not hashable, but any real scalar is a rotation

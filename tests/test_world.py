@@ -54,6 +54,7 @@ from oracle import (
     max_gap_clearance,
     nearest_point,
     noise_floor,
+    per_step_episode,
     point_repulsion,
     rect_distance,
     stepwise_episode,
@@ -1000,16 +1001,51 @@ class TestRunEpisode:
         assert trace.steps == steps
         chunks = math.ceil(steps / 256)
         assert chunks == 2
+        # Beside the wall each step is a stretch of its own: all 300 at M=24. At M=6 steps 0-158
+        # are, then the free-field stretches of 1, 2, 4, 8 and 2 steps to the end of their block,
+        # one per block of 16 up to step 287, and 12 steps: 1 + 159 + 13 queries. No step is dropped.
+        queries = {6: 173, 24: 301}[agents]
         assert calls == {
             "_step_laws": steps,  # the step's one evaluation of both control laws
             "local_cost": chunks,
             "crlb_of_positions": chunks,
             "displacement_error": 256 // 16 + math.ceil((steps - 256) / 16),  # one per stop test
-            "min_clearance": steps + 1,  # one obstacle query per step, whether or not repulsion fires
+            "min_clearance": queries,  # one obstacle query per stretch, and one before the first
         }
         starts = np.concatenate((initial.positions[None], trace.columns["positions"][:-1]))
         repelled = (world.min_clearance(starts)[0] < gains.safety_radius_m).any(axis=1)
         assert 0 < repelled.sum() < steps
+
+    @pytest.mark.parametrize("wall", ["far", "at_radius"])
+    def test_free_field_makes_one_query_per_stretch(self, default_params, target, monkeypatch, wall):
+        """Stretches of 1, 2, 4, 8 and 1 steps fill the first block of 16, then one stretch per
+        block. ``far`` flies a ring past a wall 100 m away; ``at_radius`` holds a triangle at rest
+        on its reference with agent 0 exactly at the safety radius of a wall, which exerts no
+        repulsion and so leaves every step free field."""
+        far = wall == "far"
+        formation = build_formation(default_params, target, 6 if far else 3)
+        x, y = formation.planar_positions[0]
+        gap, velocity = (100.0, (0.0, 1.0)) if far else (5.0, (0.0, 0.0))
+        world = World(target=target, obstacles=((x + gap, x + gap + 10.0, y - 5.0, y + 5.0),))
+        radius = 5.0 if far else float(world.min_clearance(formation.planar_positions[0])[0])
+        calls, steps = {}, 300
+        count_calls(monkeypatch, world_module, "_step_laws", calls)
+        count_calls(monkeypatch, World, "min_clearance", calls)
+        trace = run_episode(
+            embedding_state(formation, velocity),
+            world,
+            CommGraph.ring(formation.agent_count),
+            DisplacementSet(formation.planar_positions),
+            ControlGains(safety_radius_m=radius),
+            default_params,
+            max_steps=steps,
+            stop_tolerance=0.0,
+            guidance=Guidance(velocity_mps=velocity),
+        )
+        assert trace.steps == steps and (trace.columns["eta"] == 1.0).all()
+        if not far:
+            assert (trace.columns["min_clearance_m"] == radius).all()
+        assert calls == {"_step_laws": steps, "min_clearance": 1 + 5 + (math.ceil(steps / 16) - 1)}
 
     @pytest.mark.parametrize("steps", [1, 300])
     def test_builds_one_swarm_state(self, default_params, target, monkeypatch, steps):
@@ -1393,6 +1429,108 @@ class TestEpisodeColumns:
         with pytest.raises(ValueError) as got:
             run_episode(**kwargs)
         assert str(got.value) == str(want.value)
+
+
+_STRETCH_SCENARIOS = ("pass", "gap", "goal", "contact", "open", "settle", "blow_up")
+
+
+@st.composite
+def stretch_episodes(draw, scenario):
+    """run_episode arguments whose free-field stretches stand whole, break and restart.
+
+    M of 3, 6, 24 or 96 and up to 320 steps. ``pass`` flies the formation at a constant
+    reference velocity, from 5-120 steps away, past or into up to two rectangles beside its
+    path: agents come within the safety radius of them, or the centroid only within
+    r + D/2, or neither. ``gap`` flies it between two, ``goal`` steers it to its slot past
+    them, ``contact`` puts rectangles around agents, ``open`` has none, ``settle`` starts
+    near the formation in open space without noise, and ``blow_up`` scatters it by
+    1e140-1e280 m with an unstable gain, so the run diverges.
+    """
+    agents = draw(st.sampled_from([3, 6, 24, 96]))
+    graph = getattr(CommGraph, draw(st.sampled_from(["ring", "ring_with_leader"])))(agents)
+    target = TargetEstimate(np.array([80.0, 90.0]))
+    formation = build_formation(_PARAMS, target, agents, draw(st.floats(0.0, 6.0)))
+    disp = DisplacementSet(formation.planar_positions)
+    gains = ControlGains(
+        epsilon=min(0.01, 0.4 / graph.max_degree), consensus_gain=0.5 / (graph.max_follower_degree + 1),
+        safety_radius_m=draw(st.sampled_from([5.0, 2.0])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reach = disp.nominal_diameter_m / 2 + gains.safety_radius_m
+    speed, arrive = draw(st.floats(1.0, 3.0)), draw(st.integers(5, 120))
+    velocity = (speed, 0.0) if scenario in ("pass", "gap") else (0.0, 0.0)
+    clear = 4.0 + reach + speed * 0.1 * arrive  # free field for about `arrive` steps
+    start = {"pass": (-clear, 0.0), "gap": (-clear, 0.0), "goal": (-40.0, -30.0)}
+    scatter = draw(st.sampled_from([1.0, 0.0, 0.01, 0.3])) if scenario == "settle" else 1.0
+    positions = formation.planar_positions + start.get(scenario, (0.0, 0.0))
+    positions = positions + scatter * rng.uniform(-1.0, 1.0, size=(agents, 2))
+    (x, y), obstacles = target.position, []
+    if scenario in ("pass", "goal"):
+        for side in rng.choice([-1.0, 1.0], size=draw(st.integers(1, 2))):
+            near = y + side * reach * draw(st.floats(-0.2, 1.4))  # the rectangle's side facing the path
+            obstacles.append((x - 3.0, x + 3.0, *sorted((near, near + side * 4.0))))
+    elif scenario == "gap":
+        half = reach * draw(st.floats(0.4, 1.1))
+        obstacles = [(x - 4.0, x + 4.0, y + half, y + half + 20.0), (x - 4.0, x + 4.0, y - half - 20.0, y - half)]
+    elif scenario == "contact":
+        for _ in range(draw(st.integers(1, 3))):
+            px, py = positions[rng.integers(agents)]
+            w, h = rng.uniform(0.5, 8.0, size=2)
+            obstacles.append((px - w, px + w, py - h, py + h))
+    if scenario == "blow_up":
+        positions = positions + draw(st.sampled_from([1e140, 1e280])) * rng.uniform(-1.0, 1.0, size=(agents, 2))
+        gains = dataclasses.replace(gains, epsilon=1.0)
+    world = World(
+        target=target,
+        obstacles=tuple(obstacles),
+        motion_noise_std=0.0 if scenario == "settle" else draw(st.sampled_from([0.0, 0.05])),
+        rng_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    velocities = np.tile(velocity, (agents, 1)) + rng.normal(0.0, 0.02, size=(agents, 2))
+    steps = arrive + draw(st.integers(0, 200)) if scenario in ("pass", "gap") else draw(st.integers(1, 320))
+    return dict(
+        initial=SwarmState(positions=positions, velocity_estimates=velocities, step_index=draw(st.integers(0, 40))),
+        world=world,
+        graph=graph,
+        disp=disp,
+        gains=gains,
+        params=_PARAMS,
+        max_steps=steps,
+        stop_tolerance=1e-3 if obstacles else draw(st.sampled_from([1e-3, 0.5])),  # no stop before the rectangles
+        guidance=Guidance(mode="goal" if scenario == "goal" else "constant", velocity_mps=velocity),
+    )
+
+
+def _assert_same_trace(trace, want):
+    """Every column by bytes (-0.0 is not 0.0), the safety events, the outcome and the final state."""
+    assert trace.columns.keys() == want.columns.keys()
+    for name, column in want.columns.items():
+        assert trace.columns[name].shape == column.shape, name
+        assert trace.columns[name].tobytes() == column.tobytes(), name
+    assert trace.safety_events == want.safety_events
+    assert trace.converged == want.converged
+    got, final = trace.final_state, want.final_state
+    assert got.positions.tobytes() == final.positions.tobytes()
+    assert got.velocity_estimates.tobytes() == final.velocity_estimates.tobytes()
+    assert (got.scale, got.step_index) == (final.scale, final.step_index)
+
+
+class TestStretches:
+    """Steps run in stretches with one obstacle query each, and give the doubles of a query per step."""
+
+    @pytest.mark.parametrize("scenario", _STRETCH_SCENARIOS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_per_step_oracle(self, scenario, data):
+        kwargs = data.draw(stretch_episodes(scenario))
+        try:
+            want = per_step_episode(**kwargs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                run_episode(**kwargs)
+            assert str(raised.value) == str(exc)
+            return
+        _assert_same_trace(run_episode(**kwargs), want)
 
 
 class TestEpisodeTrace:
