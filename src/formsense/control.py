@@ -8,9 +8,9 @@ scale factor that shrinks the whole target formation through narrow gaps.
 Every law is a pure function of arrays: (M, 2) positions or velocity
 estimates and the scale factor. The laws gather per-edge differences over the
 graph's directed edges (m, p) and sum them back onto agent m: O(M + E) time
-and memory. A step makes that pass once for both of its laws, on the stack
-of its positions and velocity estimates. The stepper in :mod:`formsense.world`
-owns state advancement.
+and memory. A step makes that pass once for both of its laws, in place on the
+stack of its positions and velocity estimates. The stepper in
+:mod:`formsense.world` owns state advancement.
 """
 
 from __future__ import annotations
@@ -198,54 +198,36 @@ def consensus_velocity_step(
     pinned = np.array(velocities, dtype=float)
     if pinned.shape != (graph.agent_count, 2):
         raise ValueError(f"consensus_velocity_step: expected {graph.agent_count} agents, got velocities {pinned.shape}")
-    pinned[graph.leader_index] = target_velocity
-    return _consensus(pinned, _edge_sum(graph, _deviation(pinned, graph, 0.0)), graph, target_velocity, gains)
-
-
-def _consensus(pinned: np.ndarray, sums: np.ndarray, graph: CommGraph, target_velocity, gains: ControlGains):
-    """The consensus round of (M, 2) estimates, the leader's pinned, from their edge sums sum_p (v_m - v_p)."""
-    updated = pinned - gains.consensus_gain * sums
-    updated[graph.leader_index] = target_velocity
-    return updated
+    stack = np.array((np.zeros_like(pinned), pinned))
+    _step_laws(stack, 0.0, _rates(gains, len(pinned)), graph, gains, target_velocity, None, None)
+    return stack[1]
 
 
 def _edge_sum(graph: CommGraph, values: np.ndarray) -> np.ndarray:
-    """Sum per-edge values (..., E, D) onto agent m of each edge (m, p), giving (..., M, D).
+    """Sum per-edge values (..., E) onto agent m of each edge (m, p), giving (..., M).
 
-    Every leading row and component has its own bins, so each agent adds its
-    edges in edge order (increasing p) and rows never mix.
+    Each leading row has its own bins, so each agent adds its edges in edge order (increasing p).
     """
-    *lead, _, width = values.shape
+    *lead, _ = values.shape
     rows = math.prod(lead)
-    if rows <= 2 and width == 2:  # one (E, 2) plane or the step's two
-        bins = graph._stack_bins[: values.size]
-    else:
-        agent_rows = graph.agent_count * np.arange(rows)[:, None] + graph.links[0]
-        bins = (width * agent_rows[..., None] + np.arange(width)).ravel()
-    summed = np.bincount(bins, values.ravel(), rows * graph.agent_count * width)
-    return summed.reshape(*lead, graph.agent_count, width)
+    bins = (graph.agent_count * np.arange(rows)[:, None] + graph.links[0]).ravel()
+    return np.bincount(bins, values.ravel(), rows * graph.agent_count).reshape(*lead, graph.agent_count)
 
 
 @functools.lru_cache(maxsize=1)
 def _reference_offsets(graph: CommGraph, disp: DisplacementSet) -> np.ndarray:
-    """(2, E, 2) planes r_m - r_p and 0 on every directed edge (m, p), held for the last pair asked.
+    """(E, 2) desired offsets r_m - r_p on every directed edge (m, p), held for the last pair asked.
 
-    The desired offsets of the positions, then those of the velocity estimates. Both objects
-    are frozen with read-only arrays; an episode asks for one pair on every step.
+    Both objects are frozen with read-only arrays; an episode asks for one pair on every stretch.
     """
     (m, p), r = graph.links, disp.reference
-    offsets = np.zeros((2, len(m), 2))
-    np.subtract(r.take(m, axis=0), r.take(p, axis=0), out=offsets[0])
+    offsets = r.take(m, axis=0) - r.take(p, axis=0)
     offsets.setflags(write=False)
     return offsets
 
 
 def _offsets(positions: np.ndarray, graph: CommGraph, disp: DisplacementSet, scale: float = 1.0) -> np.ndarray:
-    """(2, E, 2) planes scale * (r_m - r_p) and 0: the offsets of the stack (2, M, 2) [positions, velocity estimates].
-
-    Plane 0 alone is the offsets of positions (..., M, 2). With scale in (0, 1] the zeros are
-    +0.0, and subtracting +0.0 leaves every velocity difference as it is, signed zeros included.
-    """
+    """(E, 2) offsets scale * (r_m - r_p) of positions (..., M, 2) on every directed edge (m, p)."""
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {scale!r}")
     if not positions.shape[-2] == len(disp.reference) == graph.agent_count:
@@ -259,8 +241,8 @@ def _offsets(positions: np.ndarray, graph: CommGraph, disp: DisplacementSet, sca
 def _deviation(q: np.ndarray, graph: CommGraph, offsets) -> np.ndarray:
     """(..., E, 2) deviation q_m - q_p - o_mp on every directed edge (m, p) of values q (..., M, 2).
 
-    ``q`` is one set of values or a batch along the leading axes; ``offsets`` are those of
-    :func:`_offsets`, or 0.0 for consensus. Every law sums these onto agent m.
+    ``q`` is one set of positions or a batch along the leading axes; ``offsets`` are those of
+    :func:`_offsets`. The cost and the shape error square these; :func:`_step_laws` sums them.
     """
     m, p = graph.links
     return q.take(m, axis=-2) - q.take(p, axis=-2) - offsets
@@ -288,8 +270,8 @@ def local_cost(
     if dt <= 0:
         raise ValueError(f"local_cost: dt must be > 0, got {dt!r}")
     q = np.asarray(positions, dtype=float)
-    squared = (_deviation(q, graph, _offsets(q, graph, disp)[0]) ** 2).sum(axis=-1)
-    displacement_term = _edge_sum(graph, squared[..., None])[..., 0]
+    squared = (_deviation(q, graph, _offsets(q, graph, disp)) ** 2).sum(axis=-1)
+    displacement_term = _edge_sum(graph, squared)
     after = np.asarray(next_positions, dtype=float)
     if after.shape != q.shape:
         raise ValueError(f"local_cost.next_positions: expected shape {q.shape}, got {after.shape}")
@@ -308,7 +290,7 @@ def displacement_error(
     offset flip sign together. (M, 2) positions give an np.float64 (a
     float); a batch (..., M, 2) gives an array (...).
     """
-    per_edge = (_deviation(positions, graph, _offsets(positions, graph, disp)[0]) ** 2).sum(axis=-1)
+    per_edge = (_deviation(positions, graph, _offsets(positions, graph, disp)) ** 2).sum(axis=-1)
     return per_edge.sum(axis=-1) / 2.0
 
 
@@ -339,7 +321,9 @@ def repulsion(distance: float, way_out: np.ndarray, gains: ControlGains) -> np.n
     way out the unit normal of the face to leave by) or below about
     1.5e-162 m where it underflows, a positive gain gives the cap and a zero
     gain nothing; the caller logs a contact as a safety violation. Both
-    values come from :meth:`formsense.world.World.min_clearance`.
+    values come from :meth:`formsense.world.World.min_clearance`. A NaN
+    distance (only NaN positions give one) gives a NaN push and raises nothing:
+    a diverged episode still ends in its chunk check, which names the step.
     """
     if distance >= gains.safety_radius_m:
         return np.zeros(2)
@@ -361,7 +345,9 @@ def scale_factor(
     The raw factor asks that the formation fit inside the available
     clearance with the safety margin subtracted, clamped to
     [eta_min, 1]. A first-order low-pass (0.9 old, 0.1 raw) keeps the
-    tracked offsets from jumping when clearance changes abruptly.
+    tracked offsets from jumping when clearance changes abruptly. A NaN
+    clearance raises nothing and clamps to eta_min, as ``max(eta_min, nan)``
+    is eta_min: from a scale of 1 and the default eta_min 0.2 it gives 0.92.
     """
     if nominal_diameter_m <= 0:
         raise ValueError(
@@ -395,38 +381,44 @@ def control_input(
     ``way_out`` is read only in their rows; None means no agent is inside it.
     """
     q = np.asarray(positions, dtype=float)
-    sums = _edge_sum(graph, _deviation(q, graph, _offsets(q, graph, disp, scale)[0]))
-    return _control(sums, gains, clearance, way_out)
+    offsets, stack = _offsets(q, graph, disp, scale), np.array((q, np.zeros_like(q)))
+    return _step_laws(stack, offsets, _rates(gains, len(q)), graph, gains, np.zeros(2), clearance, way_out)
 
 
-def _control(sums: np.ndarray, gains: ControlGains, clearance, way_out) -> np.ndarray:
-    """Control input (M, 2) from the edge sums of the scaled deviations, as :func:`control_input` reads its inputs."""
-    u = -gains.epsilon * sums
-    if way_out is not None:
-        for m in np.flatnonzero(clearance < gains.safety_radius_m):
-            u[m] += repulsion(clearance[m], way_out[m], gains)
-    return u
+def _rates(gains: ControlGains, agents: int) -> np.ndarray:
+    """(2, M, 2) rates of the stack's edge sums: -epsilon on plane 0, -consensus_gain on plane 1.
+
+    Whole planes, as a (2, 1, 1) column's broadcast costs more than the product at small M.
+    """
+    rates = np.full((2, agents, 2), -gains.epsilon)
+    rates[1] = -gains.consensus_gain
+    return rates
 
 
 def _step_laws(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    scale: float,
-    graph: CommGraph,
-    disp: DisplacementSet,
-    gains: ControlGains,
-    target_velocity: np.ndarray,
-    clearance: np.ndarray,
-    way_out: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A step's control input and consensus estimates, both (M, 2), from one edge pass.
+    stack: np.ndarray, offsets, rates: np.ndarray, graph: CommGraph, gains: ControlGains,
+    target_velocity: np.ndarray, clearance: np.ndarray, way_out: np.ndarray | None,
+) -> np.ndarray:
+    """Both laws of a step, in place on the (2, M, 2) stack [positions, velocity estimates].
 
-    The pass runs on the (2, M, 2) stack [positions, velocity estimates with the leader's
-    pinned] with the offsets of :func:`_offsets`; every plane and component has its own bins,
-    which sum each agent's edges in edge order, so the two planes give the doubles of
-    :func:`control_input` and :func:`consensus_velocity_step`.
+    Pins the leader's estimate to ``target_velocity`` and sums each plane's deviations
+    x_m - x_p - o_mp over its edges in one pass, with o the offsets of :func:`_offsets` (or 0.0)
+    on the positions and none on the estimates. Multiplies the sums by ``rates``, adds repulsion
+    to plane 0 as :func:`control_input` reads ``clearance`` and ``way_out``, adds the sums to the
+    stack and pins the leader again. Returns plane 0 of the sums, the control input. The
+    estimates become pinned + (-g) * s, the double of pinned - g * s: IEEE subtraction adds the
+    negation, and round-to-nearest-even is symmetric in sign, signed zeros included.
     """
-    stack = np.array((positions, velocities))
+    links = graph.links
     stack[1, graph.leader_index] = target_velocity
-    sums = _edge_sum(graph, _deviation(stack, graph, _offsets(positions, graph, disp, scale)))
-    return _control(sums[0], gains, clearance, way_out), _consensus(stack[1], sums[1], graph, target_velocity, gains)
+    deviation = stack.take(links[0], axis=1)
+    deviation -= stack.take(links[1], axis=1)
+    deviation[0] -= offsets
+    sums = np.bincount(graph._stack_bins, deviation.ravel(), stack.size).reshape(stack.shape)
+    sums *= rates
+    if way_out is not None:
+        for k in np.flatnonzero(clearance < gains.safety_radius_m):
+            sums[0, k] += repulsion(clearance[k], way_out[k], gains)
+    stack += sums
+    stack[1, graph.leader_index] = target_velocity
+    return sums[0]

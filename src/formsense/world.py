@@ -28,6 +28,8 @@ from .control import (
     CommGraph,
     ControlGains,
     SwarmState,
+    _offsets,
+    _rates,
     _raw_scale,
     _step_laws,
     displacement_error,
@@ -163,7 +165,9 @@ def _advance(
 
     ``rows[0][first]`` holds the positions before the stretch, ``noise`` the motion noise of
     each row, and ``around`` the clearance (M,) and ways out of those positions below the
-    safety radius, as :meth:`World.min_clearance` gives them. The first step reads ``around``;
+    safety radius, as :meth:`World.min_clearance` gives them. The stretch advances one (2, M, 2)
+    stack [positions, velocity estimates] in place, with rates derived once and offsets once per
+    scale: one :func:`_step_laws` pass per step. The first step reads ``around``;
     each later one assumes no agent inside the radius, and every step the raw scale factor
     clamped at 1, :func:`scale_factor` of an infinite clearance. One obstacle query then
     measures each step's positions and their centroid, sum / M (the double of ``mean``).
@@ -173,15 +177,17 @@ def _advance(
     the velocity estimates, scale and surroundings after it.
     """
     q, g, u, v_cmd, eta, clearance = rows
-    end, diameter, start_scale = first + steps, disp.nominal_diameter_m, scale
-    positions = q[first]
+    end, diameter, start_scale, dt = first + steps, disp.nominal_diameter_m, scale, world.dt
+    stack, rates, offsets_scale = np.array((q[first], velocities)), _rates(gains, q.shape[1]), None
+    positions, estimates = stack
     for k in range(first, end):
         v_cmd[k] = v = guidance.commanded_velocity(positions, graph, disp)
-        u[k], velocities = _step_laws(positions, velocities, scale, graph, disp, gains, v, *around)
-        positions = positions + u[k]
-        positions += velocities * world.dt
+        if scale != offsets_scale:
+            offsets, offsets_scale = _offsets(positions, graph, disp, scale), scale
+        u[k] = _step_laws(stack, offsets, rates, graph, gains, v, *around)
+        positions += estimates * dt
         positions += noise[k]
-        q[k + 1], g[k], around = positions, velocities, (None, None)
+        q[k + 1], g[k], around = positions, estimates, (None, None)
         eta[k] = scale = scale_factor(diameter, math.inf, gains, scale)
     moved = q[first + 1 : end + 1]
     points = np.concatenate((moved, moved.sum(axis=1, keepdims=True) / moved.shape[1]), axis=1)
@@ -441,9 +447,11 @@ def run_episode(
 
     The loop carries positions, velocity estimates and the scale as arrays
     through the same :func:`_advance` as :func:`step` and builds one
-    :class:`SwarmState`, the final one. Each step makes one edge pass for both
-    control laws. Steps run in stretches that share one obstacle query on their
-    positions and centroids (see :func:`_advance`), and every value is the
+    :class:`SwarmState`, the final one. Each step makes one in-place edge pass
+    for both control laws on the stretch's (2, M, 2) stack, whose rates and
+    offsets come once per stretch and scale. Steps run in stretches that share
+    one obstacle query on their positions and centroids (see :func:`_advance`),
+    and every value is the
     double of a query per step. A stretch that held is followed by one twice as
     long, up to the end of its block of 16 steps, any other by one step: near
     obstacles each step makes its own query, and the dropped steps never

@@ -51,7 +51,10 @@ loop it replaced, with a :class:`SwarmState`, one :class:`StepRecord` (the
 per-step row type the library used to expose), three clearance queries, a
 CRLB, a cost call and a finiteness check per step. :func:`per_step_episode` is the
 loop as it was before the steps ran in stretches: the same chunks and stop blocks,
-with one obstacle query per step on its new positions and their centroid.
+with one obstacle query per step on its new positions and their centroid. Its step,
+:func:`per_step_advance`, runs both control laws through :func:`stacked_step_laws`, the
+kernel as it was before the stretch advanced one stack in place: a new stack, offsets and
+gains derived per call, and the estimates as pinned - g * s.
 
 :func:`formsense.cli.write_trace` formats each value of a trace once and fills one
 line template per run; :func:`rowwise_trace_files` is the writer it replaced, one
@@ -82,11 +85,13 @@ from formsense.benchmarks import _SWEEP_STREAM, benchmark_positions
 from formsense.cli import _TRACE_CSV, _tags
 from formsense.control import (
     SwarmState,
-    _step_laws,
+    _deviation,
+    _offsets,
     consensus_velocity_step,
     control_input,
     displacement_error,
     local_cost,
+    repulsion,
     scale_factor,
 )
 from formsense.formation import build_formation, theoretical_lower_bound
@@ -811,6 +816,41 @@ def stepwise_episode(
     return records, tuple(events), converged, state
 
 
+def stacked_step_laws(positions, velocities, scale, graph, disp, gains, target_velocity, clearance, way_out):
+    """A step's control input and consensus estimates, both (M, 2), from one edge pass.
+
+    The pass runs on a new (2, M, 2) stack [positions, velocity estimates with the leader's
+    pinned] with the offsets of ``_offsets``, derived on every call; every plane and component
+    has its own bins, which sum each agent's edges in edge order. The estimates are
+    pinned - g * s, and the control input -epsilon * s plus repulsion, in fresh arrays.
+    """
+    stack = np.array((positions, velocities))
+    stack[1, graph.leader_index] = target_velocity
+    offsets = np.zeros((2, graph.links.shape[1], 2))  # the velocity estimates' are +0.0
+    offsets[0] = _offsets(positions, graph, disp, scale)
+    values = _deviation(stack, graph, offsets)
+    sums = np.bincount(graph._stack_bins, values.ravel(), stack.size).reshape(stack.shape)
+    return control_of_sums(sums[0], gains, clearance, way_out), consensus_of_sums(
+        stack[1], sums[1], graph, target_velocity, gains
+    )
+
+
+def consensus_of_sums(pinned, sums, graph, target_velocity, gains):
+    """The consensus round of (M, 2) estimates, the leader's pinned, from their edge sums sum_p (v_m - v_p)."""
+    updated = pinned - gains.consensus_gain * sums
+    updated[graph.leader_index] = target_velocity
+    return updated
+
+
+def control_of_sums(sums, gains, clearance, way_out):
+    """Control input (M, 2) from the edge sums of the scaled deviations, as ``control_input`` reads its inputs."""
+    u = -gains.epsilon * sums
+    if way_out is not None:
+        for m in np.flatnonzero(clearance < gains.safety_radius_m):
+            u[m] += repulsion(clearance[m], way_out[m], gains)
+    return u
+
+
 def per_step_advance(positions, velocities, scale, noise, around, world, graph, disp, gains, target_velocity):
     """Next positions, velocity estimates, scale, control input u and surroundings of one period.
 
@@ -819,7 +859,7 @@ def per_step_advance(positions, velocities, scale, noise, around, world, graph, 
     the returned ones are those of the next positions. The step's one obstacle query measures
     them with their centroid, sum / M (the double of ``mean``), in the last row of one buffer.
     """
-    u, velocities = _step_laws(positions, velocities, scale, graph, disp, gains, target_velocity, *around)
+    u, velocities = stacked_step_laws(positions, velocities, scale, graph, disp, gains, target_velocity, *around)
     points = np.empty((len(positions) + 1, 2))
     moved = points[:-1]
     np.add(positions, u, out=moved)

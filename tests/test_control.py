@@ -29,8 +29,9 @@ from formsense import (
     min_pairwise_distance,
     repulsion,
     scale_factor,
+    step,
 )
-from formsense.control import _step_laws
+from formsense.control import _offsets, _rates, _step_laws
 from oracle import (
     adjacency,
     agent_cost,
@@ -39,6 +40,7 @@ from oracle import (
     dense_displacement_error,
     dense_local_cost,
     dense_topology,
+    stacked_step_laws,
 )
 
 
@@ -368,14 +370,20 @@ class TestDisplacementControl:
             local_cost(np.zeros((6, 2)), graph, disp, 0.1, np.zeros((5, 2)), np.zeros(2))
 
     def test_bad_scale_message_names_no_law(self, default_params, target):
-        """Every law that scales the offsets shares the check, so its message names the value only."""
+        """Every law that scales the offsets shares the check, so its message names the value only.
+
+        The step derives its offsets once per stretch, so its scale is checked there; a state
+        whose scale got past the state's own check reaches it.
+        """
         graph, gains = CommGraph.ring(3), ControlGains()
         disp = DisplacementSet(build_formation(default_params, target, 3).planar_positions)
         q, none = np.zeros((3, 2)), (np.full(3, np.inf), None)
+        state = SwarmState(q, q)
+        object.__setattr__(state, "scale", 1.5)
         for law in (
             lambda: displacement_control(q, graph, disp, gains, 1.5),
             lambda: control_input(q, 1.5, graph, disp, gains, *none),
-            lambda: _step_laws(q, q, 1.5, graph, disp, gains, np.zeros(2), *none),
+            lambda: step(state, World(target=target), graph, disp, gains),
         ):
             with pytest.raises(ValueError, match=r"^scale must lie in \(0, 1\], got 1.5$"):
                 law()
@@ -507,6 +515,11 @@ class TestRepulsion:
         gains = ControlGains(repulsion_gain=gain, repulsion_cap=3.0)
         np.testing.assert_array_equal(repulsion(clearance[0], way_out[0], gains), expected)
 
+    def test_nan_distance_gives_a_nan_push(self):
+        """Only NaN positions give a NaN clearance; the episode's chunk check names their step."""
+        out = repulsion(math.nan, np.array([0.6, 0.8]), ControlGains())
+        assert out.shape == (2,) and np.isnan(out).all()
+
     def test_matches_potential_gradient(self):
         """Force equals minus the central-difference gradient of the potential."""
         rng = np.random.default_rng(91)
@@ -566,6 +579,11 @@ class TestScaleFactor:
         raw = 2.0 * (12.0 - 5.0) / 20.0  # 0.7
         out = scale_factor(20.0, 12.0, gains, previous_scale=prev)
         assert out == pytest.approx(0.9 * prev + 0.1 * raw, rel=1e-12)
+
+    def test_nan_clearance_clamps_to_the_floor(self):
+        """max(eta_min, nan) is eta_min, so the low-pass moves a tenth of the way to it."""
+        assert scale_factor(10.0, math.nan, ControlGains(), 1.0) == 0.92
+        assert scale_factor(10.0, math.nan, ControlGains(eta_min=0.5), 0.5) == 0.5
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match="nominal_diameter_m"):
@@ -704,9 +722,12 @@ class TestEdgeListMatchesDense:
         # The step's one pass over both laws gives their doubles, with estimates of either signed zero too.
         v = state.velocity_estimates
         for velocities in (v, np.trunc(v)):
-            u, estimates = _step_laws(q, velocities, scale, graph, disp, gains, v_ref, None, None)
+            stack = np.array((q, velocities))
+            offsets, rates = _offsets(q, graph, disp, scale), _rates(gains, graph.agent_count)
+            u = _step_laws(stack, offsets, rates, graph, gains, v_ref, None, None)
             assert u.tobytes() == displacement_control(q, graph, disp, gains, scale).tobytes()
-            assert estimates.tobytes() == consensus_velocity_step(velocities, graph, v_ref, gains).tobytes()
+            assert stack[0].tobytes() == (q + u).tobytes()
+            assert stack[1].tobytes() == consensus_velocity_step(velocities, graph, v_ref, gains).tobytes()
 
     def test_laws_allocate_linear_memory(self):
         """At M=2048 one dense (M, M, 2) array alone would take 67 MB, and a dense
@@ -743,3 +764,44 @@ class TestEdgeListMatchesDense:
             finally:
                 tracemalloc.stop()
             assert peak < bound_mb * 2**20, f"{name}: peak {peak / 2**20:.2f} MB"
+
+
+class TestStepPass:
+    """The step's in-place pass against the kernel it replaced, ``oracle.stacked_step_laws``, bit for bit."""
+
+    @pytest.mark.parametrize("agents", [3, 6, 24])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_stacked_oracle(self, agents, data):
+        leader = data.draw(st.integers(0, agents - 1))
+        graph = getattr(CommGraph, data.draw(st.sampled_from(["ring", "ring_with_leader", "complete"])))(agents, leader)
+        gains = ControlGains(
+            epsilon=data.draw(st.sampled_from([0.01, 0.003, 1.0 / 3.0])),
+            consensus_gain=data.draw(st.sampled_from([0.2, 0.004, 0.7])),
+            repulsion_gain=data.draw(st.sampled_from([5.0, 0.0, 1e3])),
+            repulsion_cap=data.draw(st.sampled_from([5.0, 0.5])),
+        )
+        scale = data.draw(st.sampled_from([1.0, 0.2, 0.37, 0.9999999999999999]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        snap = data.draw(st.booleans())  # equal coordinates, so exactly cancelling differences occur
+
+        def points(size):
+            q = 20.0 * rng.uniform(-1.0, 1.0, size=size)
+            return np.round(q) if snap else q
+
+        disp, q = DisplacementSet(points((agents, 2))), points((agents, 2))
+        v, v_ref = rng.normal(size=(agents, 2)), rng.normal(size=2)
+        if data.draw(st.booleans()):  # estimates and reference of either signed zero
+            v, v_ref = np.trunc(v), np.trunc(v_ref)
+        # Contact, inside, at and beyond the safety radius, or no agent inside it.
+        clearance = rng.choice([0.0, 1e-3, 2.5, 5.0, 7.0, np.inf], size=agents)
+        way_out = rng.normal(size=(agents, 2))
+        way_out[clearance == 0.0] = [0.0, -1.0]
+        around = data.draw(st.sampled_from([(clearance, way_out), (np.full(agents, np.inf), None)]))
+
+        want_u, want_v = stacked_step_laws(q, v, scale, graph, disp, gains, v_ref, *around)
+        stack = np.array((q, v))
+        u = _step_laws(stack, _offsets(q, graph, disp, scale), _rates(gains, agents), graph, gains, v_ref, *around)
+        assert u.tobytes() == want_u.tobytes()
+        assert stack[0].tobytes() == (q + want_u).tobytes()
+        assert stack[1].tobytes() == want_v.tobytes()

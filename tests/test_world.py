@@ -1190,6 +1190,28 @@ class TestRunEpisode:
             "run_episode: diverged at step 300: positions, total_cost, displacement_error_m2 not finite"
         )
 
+    def test_nan_positions_name_the_step(self, monkeypatch):
+        """A NaN draw at step 300 gives NaN positions, clearances and centroid. Neither the
+        scale factor nor the laws raise on them, so the chunk check names the step."""
+        draws = World._motion_noise
+
+        def noise(world, first_step, shape):
+            out = draws(world, first_step, shape)
+            if first_step <= 300 < first_step + shape[0]:
+                out[300 - first_step, 2, 1] = math.nan
+            return out
+
+        monkeypatch.setattr(World, "_motion_noise", noise)
+        config = load_config(CONFIGS / "corridor.yaml")
+        with pytest.raises(ValueError) as raised:
+            run_episode(
+                config.initial_state(), config.world, config.graph, config.displacement_set(),
+                config.gains, config.params, 400, 0.0, config.guidance,
+            )
+        assert str(raised.value) == (
+            "run_episode: diverged at step 300: positions, total_cost, displacement_error_m2, min_pairwise_m not finite"
+        )
+
     def test_budget_is_not_allocated_up_front(self, default_params, target):
         formation = build_formation(default_params, target, 6)
         tracemalloc.start()
@@ -1531,6 +1553,29 @@ class TestStretches:
             assert str(raised.value) == str(exc)
             return
         _assert_same_trace(run_episode(**kwargs), want)
+
+    def test_gap_run_rescales_within_stretches(self, monkeypatch):
+        """The corridor through its gap, led by agent 3. Past the gap the scale recovers on
+        every step of stretches that share one query, so each of their steps derives its
+        offsets anew; every column still equals the per-step oracle's."""
+        config = load_config(CONFIGS / "corridor.yaml")
+        kwargs = dict(
+            initial=config.initial_state(), world=config.world, graph=CommGraph.ring_with_leader(6, 3),
+            disp=config.displacement_set(), gains=config.gains, params=config.params, max_steps=1200,
+            stop_tolerance=0.0, guidance=config.guidance,
+        )
+        rescaling, advance = [], world_module._advance
+
+        def spy(first, steps, rows, *args):
+            result = advance(first, steps, rows, *args)
+            eta = rows[4][first : first + result[0]]
+            rescaling.append(len(eta) > 1 and bool((np.diff(eta) != 0.0).all()))
+            return result
+
+        monkeypatch.setattr(world_module, "_advance", spy)
+        trace = run_episode(**kwargs)
+        assert trace.columns["eta"].min() < 0.5 and sum(rescaling) >= 10
+        _assert_same_trace(trace, per_step_episode(**kwargs))
 
 
 class TestEpisodeTrace:
