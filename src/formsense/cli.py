@@ -1,11 +1,14 @@
 """Command-line entry points: optimize, simulate, sweep.
 
 Every command reads one YAML config, writes deterministic artifacts into
-the output directory, and tags each artifact with the config hash and seed
-so a result file alone identifies the run that produced it. Exit codes:
-0 success, 2 configuration problem or an output directory that cannot be
-created, 3 runtime failure (a diverged run, a value strict JSON cannot hold,
-an unwritable artifact, running out of memory, or another domain error). An
+the output directory, and tags each JSON and CSV artifact with the config
+hash and seed so a result file alone identifies the run that produced it.
+``simulate``'s ``positions.npy`` holds raw doubles and no tags; the
+``summary.json`` beside it carries them. Exit codes: 0 success, 2
+configuration problem or an output directory that cannot be created, 3
+runtime failure (a diverged run, a value strict JSON cannot hold, an
+unwritable artifact, such as a directory named ``trace.jsonl`` or
+``positions.npy``, running out of memory, or another domain error). An
 undefined CRLB is none: it is null in JSON and an empty CSV cell.
 """
 
@@ -81,17 +84,18 @@ def cmd_optimize(config: RunConfig, out_dir: Path) -> Path:
     return _write_json(out_dir / "optimize.json", report, config)
 
 
-def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
-    """Serialize an episode: JSONL steps, CSV plot columns, summary JSON.
+def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path, Path]:
+    """Serialize an episode: JSONL steps, CSV plot columns, summary JSON, the positions as ``.npy``.
 
     Every value is formatted once. Each scalar column becomes text by ``repr``
     (a non-finite value of a column :attr:`EpisodeTrace.COLUMNS` marks
     becomes none), and the same texts feed both ``trace.jsonl`` and
     ``trace.csv``. Each JSONL line fills one template whose sorted keys and
-    tags were encoded once; ``positions`` is encoded row by row from the
-    array, so the column is never held as Python lists. Any other non-finite
-    value raises a ValueError naming its column and first step before a file
-    is opened.
+    tags were encoded once. ``positions.npy`` holds the positions column as
+    ``np.save`` writes it, with no copy and no text: for an episode's column,
+    a (steps, M, 2) little-endian float64 C-order array of the same doubles.
+    Any other non-finite value raises a ValueError naming its column and
+    first step before a file is opened.
     """
     texts, json_texts = {}, {}  # the CSV's none is an empty cell, the JSONL's null
     for name, none_if_nonfinite in EpisodeTrace.COLUMNS.items():
@@ -108,10 +112,9 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
             json_texts[name] = np.where(finite, text, "null").tolist()
     # Numbered fields in the order of the rows below; the keys sorted and the tags encoded once.
     tags = {key: json.dumps(value).replace("{", "{{").replace("}", "}}") for key, value in _tags(config).items()}
-    encoded = {key: "{%d}" % i for i, key in enumerate(["step", *json_texts, "positions_m"])} | tags
+    encoded = {key: "{%d}" % i for i, key in enumerate(["step", *json_texts])} | tags
     template = "{{" + ", ".join(f"{json.dumps(key)}: {encoded[key]}" for key in sorted(encoded)) + "}}\n"
-    positions = map(json.dumps, map(np.ndarray.tolist, trace.columns["positions"]))
-    lines = itertools.starmap(template.format, zip(range(trace.steps), *json_texts.values(), positions))
+    lines = itertools.starmap(template.format, zip(range(trace.steps), *json_texts.values()))
     jsonl_path = out_dir / "trace.jsonl"
     with jsonl_path.open("w") as fh:
         fh.writelines(lines)
@@ -119,10 +122,13 @@ def write_trace(trace: EpisodeTrace, config: RunConfig, out_dir: Path) -> tuple[
     csv_path = _write_csv(out_dir / "trace.csv", list(_TRACE_CSV), plot, config)
     summary = trace.summary()
     summary["bound_m2"] = theoretical_lower_bound(config.params, config.formation.agent_count)
-    return jsonl_path, csv_path, _write_json(out_dir / "summary.json", summary, config)
+    summary_path = _write_json(out_dir / "summary.json", summary, config)
+    positions_path = out_dir / "positions.npy"
+    np.save(positions_path, trace.columns["positions"], allow_pickle=False)
+    return jsonl_path, csv_path, summary_path, positions_path
 
 
-def cmd_simulate(config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
+def cmd_simulate(config: RunConfig, out_dir: Path) -> tuple[Path, Path, Path, Path]:
     """Run one episode under the configured scenario and serialize the trace."""
     trace = run_episode(
         initial=config.initial_state(),

@@ -167,28 +167,39 @@ def _advance(
     each row, and ``around`` the clearance (M,) and ways out of those positions below the
     safety radius, as :meth:`World.min_clearance` gives them. The stretch advances one (2, M, 2)
     stack [positions, velocity estimates] in place, with rates derived once and offsets once per
-    scale: one :func:`_step_laws` pass per step. The first step reads ``around``;
-    each later one assumes no agent inside the radius, and every step the raw scale factor
-    clamped at 1, :func:`scale_factor` of an infinite clearance. One obstacle query then
-    measures each step's positions and their centroid, sum / M (the double of ``mean``).
-    The stretch stands up to its first step with an agent inside the radius or another raw
-    factor: that step's inputs held, so it keeps its move and takes its exact scale, and the
-    steps after it are dropped. Returns the steps that stand, whether the last one held, and
-    the velocity estimates, scale and surroundings after it.
+    scale: one :func:`_step_laws` pass per step. The leader's slot is read once; goal mode writes
+    each step's command into its row of the commands, constant mode fills them once. When the
+    scale is the fixed point of the free-field low-pass, its steps' scales are filled at once
+    too. The first step reads ``around``; each later one assumes no agent inside the radius, and
+    every step the raw scale factor clamped at 1, :func:`scale_factor` of an infinite clearance.
+    One obstacle query then measures each step's positions and their centroid, sum / M (the
+    double of ``mean``). The stretch stands up to its first step with an agent inside the radius
+    or another raw factor: that step's inputs held, so it keeps its move and takes its exact
+    scale, and the steps after it are dropped. Returns the steps that stand, whether the last
+    one held, and the velocity estimates, scale and surroundings after it.
     """
     q, g, u, v_cmd, eta, clearance = rows
     end, diameter, start_scale, dt = first + steps, disp.nominal_diameter_m, scale, world.dt
     stack, rates, offsets_scale = np.array((q[first], velocities)), _rates(gains, q.shape[1]), None
     positions, estimates = stack
+    steer = guidance.mode == "goal"
+    leader, goal = positions[graph.leader_index], disp.reference[graph.leader_index].tolist()
+    if not steer:
+        v_cmd[first:end] = v = guidance.velocity_mps
+    fixed = scale_factor(diameter, math.inf, gains, scale) == scale  # the free-field low-pass's fixed point
+    if fixed:
+        eta[first:end] = scale
     for k in range(first, end):
-        v_cmd[k] = v = guidance.commanded_velocity(positions, graph, disp)
+        if steer:
+            v = guidance._steer(leader, goal, v_cmd[k])
         if scale != offsets_scale:
             offsets, offsets_scale = _offsets(positions, graph, disp, scale), scale
         u[k] = _step_laws(stack, offsets, rates, graph, gains, v, *around)
         positions += estimates * dt
         positions += noise[k]
         q[k + 1], g[k], around = positions, estimates, (None, None)
-        eta[k] = scale = scale_factor(diameter, math.inf, gains, scale)
+        if not fixed:
+            eta[k] = scale = scale_factor(diameter, math.inf, gains, scale)
     moved = q[first + 1 : end + 1]
     points = np.concatenate((moved, moved.sum(axis=1, keepdims=True) / moved.shape[1]), axis=1)
     measured, way_out = world.min_clearance(points, gains.safety_radius_m)
@@ -303,13 +314,18 @@ class Guidance:
         """Reference velocity (2,) for (M, 2) positions, steered on Python floats."""
         if self.mode == "constant":
             return self.velocity_mps
-        (x, y), (goal_x, goal_y) = positions[graph.leader_index].tolist(), disp.reference[graph.leader_index].tolist()
+        return self._steer(positions[graph.leader_index], disp.reference[graph.leader_index].tolist(), np.empty(2))
+
+    def _steer(self, leader: np.ndarray, goal: list[float], out: np.ndarray) -> np.ndarray:
+        """Goal mode's velocity from the leader at ``leader`` (2,) toward ``goal`` (x, y), written into ``out``."""
+        (x, y), (goal_x, goal_y) = leader.tolist(), goal
         vx, vy = self.gain_per_s * (goal_x - x), self.gain_per_s * (goal_y - y)
         speed = math.sqrt(vx * vx + vy * vy)  # not a dot product: BLAS kernels round it differently
         if speed > self.max_speed_mps:
             shrink = self.max_speed_mps / speed
             vx, vy = vx * shrink, vy * shrink
-        return np.array((vx, vy))
+        out[0], out[1] = vx, vy
+        return out
 
 
 @dataclass(frozen=True, eq=False)

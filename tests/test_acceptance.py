@@ -394,7 +394,7 @@ def test_criterion_10_cli_runs_are_byte_identical(tmp_path):
     code_b = cli_main(["simulate", "--config", config, "--out", str(dir_b)])
     identical = all(
         (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-        for name in ("trace.jsonl", "trace.csv", "summary.json")
+        for name in ("trace.jsonl", "positions.npy", "trace.csv", "summary.json")
     )
     steps = json.loads((dir_a / "summary.json").read_text())["steps"]
     elapsed = time.perf_counter() - start

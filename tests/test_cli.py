@@ -1,5 +1,6 @@
 """End-to-end CLI tests: artifacts, determinism, overrides, exit codes."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -161,6 +162,8 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "trace.jsonl").read_text() == ""
+        positions = np.load(out / "positions.npy", allow_pickle=False)
+        assert positions.shape == (0, 6, 2) and positions.dtype == np.float64
         rows = read_rows(out / "trace.csv")
         assert rows == [CSV_HEADER]
         summary = json.loads((out / "summary.json").read_text())
@@ -173,7 +176,7 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
-        for name in ("trace.jsonl", "trace.csv", "summary.json"):
+        for name in ("trace.jsonl", "positions.npy", "trace.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_seed_override_changes_noise(self, tmp_path):
@@ -229,17 +232,64 @@ def traces(draw):
     return hand_trace(columns)
 
 
+def assert_rowwise_files_but_positions(trace, config, tmp):
+    """``write_trace`` writes the row-wise writer's ``trace.csv``, and its ``trace.jsonl`` without
+    ``positions_m``; ``positions.npy`` holds the positions column bit for bit, signed zeros included."""
+    got, want = Path(tmp, "got"), Path(tmp, "want")
+    got.mkdir(), want.mkdir()
+    cli.write_trace(trace, config, got)
+    rowwise_trace_files(trace, config, want)
+    assert (got / "trace.csv").read_bytes() == (want / "trace.csv").read_bytes()
+    rows = map(json.loads, (want / "trace.jsonl").read_text().splitlines())
+    lines = "".join(
+        json.dumps({key: value for key, value in row.items() if key != "positions_m"}, sort_keys=True, allow_nan=False)
+        + "\n" for row in rows
+    )
+    assert (got / "trace.jsonl").read_text() == lines
+    positions = np.load(got / "positions.npy", allow_pickle=False)
+    assert positions.shape == trace.columns["positions"].shape
+    assert positions.tobytes() == trace.columns["positions"].tobytes()
+
+
+def npy_header(path: Path) -> tuple[tuple[int, int], dict, int]:
+    """The format version, header dict and data offset of a ``.npy`` file."""
+    with path.open("rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        size = int.from_bytes(fh.read(2 if version == (1, 0) else 4), "little")
+        return version, ast.literal_eval(fh.read(size).decode("latin1")), fh.tell()
+
+
 class TestTraceWriter:
     @settings(max_examples=50, deadline=None)
     @given(trace=traces(), config=st.sampled_from(TAGGED))
     def test_writes_the_rowwise_writers_bytes(self, trace, config):
         with tempfile.TemporaryDirectory() as tmp:
-            got, want = Path(tmp, "got"), Path(tmp, "want")
-            got.mkdir(), want.mkdir()
-            cli.write_trace(trace, config, got)
-            rowwise_trace_files(trace, config, want)
-            for name in ("trace.jsonl", "trace.csv"):
-                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+            assert_rowwise_files_but_positions(trace, config, tmp)
+
+    @pytest.mark.parametrize("name", ["baseline", "corridor", "sweep"])
+    def test_shipped_configs_lose_only_the_positions_key(self, tmp_path, monkeypatch, name):
+        """On the shipped simulate runs, trace.jsonl is the row-wise writer's without ``positions_m``."""
+        traces, run_episode = [], cli.run_episode
+
+        def recorded(**kwargs):
+            traces.append(run_episode(**kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "run_episode", recorded)
+        config = config_module.load_config(Path(__file__).parent.parent / "configs" / f"{name}.yaml")
+        cli.cmd_simulate(config, tmp_path)
+        assert_rowwise_files_but_positions(traces[0], config, tmp_path)
+
+    @pytest.mark.parametrize("steps", [0, 1, 4000])
+    def test_positions_npy_header_is_pinned(self, tmp_path, steps):
+        """Format 1.0, the header dict and the 64-byte aligned data offset of the installed numpy's
+        ``np.save``, which the golden ``positions.npy`` digests assume."""
+        columns = smooth_columns(steps, 6)
+        cli.write_trace(hand_trace(columns), build_config({}), tmp_path)
+        version, header, offset = npy_header(tmp_path / "positions.npy")
+        assert version == (1, 0)
+        assert header == {"descr": "<f8", "fortran_order": False, "shape": (steps, 6, 2)}
+        assert offset == 128
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["eta", "time_s", "total_cost", "positions"])
@@ -265,7 +315,7 @@ class TestTraceWriter:
         assert list(out.iterdir()) == []
 
     def test_memory_does_not_grow_with_the_positions_column(self, tmp_path):
-        """The positions go out row by row: the writer never holds the column as Python lists.
+        """The positions go out as the column's own doubles: the writer never copies or lists the column.
 
         The rest of the peak depends on the step count alone: the scalar columns' texts and the
         128 KiB record buffer of ``csv.writer``, about 0.43 MB at 400 steps. That is 0.7 of the
@@ -653,6 +703,15 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and "trace.jsonl" in err
+        assert err.count("\n") == 1
+
+    def test_positions_npy_taken_by_a_directory_exits_3(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, episode={"max_steps": 3})
+        out = tmp_path / "o"
+        (out / "positions.npy").mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and str(out / "positions.npy") in err
         assert err.count("\n") == 1
 
     def test_json_artifacts_reject_non_finite_values(self, tmp_path):

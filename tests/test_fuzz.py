@@ -1,7 +1,8 @@
 """Config fuzzer: one field of the corridor config replaced, all three commands run in process.
 
 Every input must end in exit 0, 2 or 3 with at most one stderr line and no
-traceback, and a successful run must leave strict JSON and CSV artifacts.
+traceback, and a successful run must leave strict JSON and CSV artifacts and
+a finite float64 ``positions.npy``.
 Numpy's RuntimeWarning is raised as an error, so a warning line counts as a
 failure too.
 """
@@ -18,6 +19,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,16 @@ def _check_artifacts(out):
     files = sorted(out.iterdir())
     assert files
     for path in files:
+        if path.suffix == ".npy":
+            # Raw doubles: (steps, M, 2) finite float64 whose last row is the summary's final positions.
+            summary = _strict_json((out / "summary.json").read_text())
+            positions = np.load(path, allow_pickle=False)
+            assert positions.dtype == np.float64, positions.dtype
+            assert positions.shape == (summary["steps"], len(summary["final_positions"]), 2), positions.shape
+            assert np.isfinite(positions).all()
+            if summary["steps"]:
+                assert positions[-1].tolist() == summary["final_positions"]
+            continue
         text = path.read_text()
         if path.suffix == ".json":
             _strict_json(text)
